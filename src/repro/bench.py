@@ -16,6 +16,11 @@ Two kinds of record are emitted:
   across machines — the regression gate uses them, not absolute wall times.
 * ``experiment`` — one full experiment (E1..E10) at the smoke scale, wall
   time plus its consistency verdict.
+* ``dispatch`` — the ``auto`` ladder's choice per cell of a matrix of
+  scenarios × trial counts × horizons, timed against the two tiers it
+  chooses between, plus one summary record whose ``auto_vs_best`` is the
+  matrix's summed time on ``auto``'s picks over the summed time of each
+  cell's faster tier.
 
 Micro records additionally carry the suite's **memory trajectory**:
 ``peak_bytes_per_slot`` (tracemalloc peak of the whole study run, normalized
@@ -68,6 +73,7 @@ __all__ = [
     "machine_info",
     "profile_workload",
     "render_comparison",
+    "run_dispatch_suite",
     "run_experiment_suite",
     "run_fused_sweep_suite",
     "run_micro_suite",
@@ -105,6 +111,26 @@ _JIT_BACKENDS = ("lockstep-jit",)
 #: the real studies actually carry.
 _CJZ_HORIZON = 256
 _CJZ_NODES = 32
+
+
+#: The dispatch matrix: the standard scenarios (the paper's algorithm),
+#: trial counts and horizons on both sides of the lockstep tier's
+#: break-even, which the ``auto`` rule in
+#: :mod:`repro.sim.backends.lockstep` was set from.
+_DISPATCH_SCENARIOS = (
+    "ethernet-burst",
+    "wireless-interference",
+    "lock-convoy",
+    "adversarial-jam",
+)
+_DISPATCH_TRIALS = (1, 2, 4, 8, 32)
+_DISPATCH_HORIZONS = (256, 1024)
+
+#: Trials the reference tier is timed on per dispatch cell.  Its per-trial
+#: cost does not depend on the trial count (trials run one by one), so
+#: larger cells are scaled from this many; lock-convoy at 32 trials would
+#: otherwise take most of a minute per repeat.
+_DISPATCH_REFERENCE_TRIALS = 2
 
 
 def _micro_workloads(horizon: int, nodes: int):
@@ -493,6 +519,96 @@ def run_experiment_suite(
     return records
 
 
+def run_dispatch_suite(
+    seed: int = 20210219, repeats: int = 3
+) -> List[Dict[str, object]]:
+    """Time the ``auto`` ladder's pick against reference and lockstep.
+
+    Per cell of the dispatch matrix, one untimed ``auto`` run (which also
+    warms the caches) records the backend ``auto`` picks; then the
+    reference tier, the lockstep tier and — if it is neither — the picked
+    tier are timed, best of ``repeats`` interleaved runs.  The reference
+    tier is timed on :data:`_DISPATCH_REFERENCE_TRIALS` trials and scaled
+    to the cell's trial count.  One ``dispatch`` record per cell, whose
+    ``wall_time_s`` is the picked tier's time, and one ``dispatch-matrix``
+    summary record carrying ``auto_vs_best``.
+    """
+    from .workloads import scenario_study
+
+    records: List[Dict[str, object]] = []
+    picked_total = best_total = 0.0
+    worst: Tuple[float, str] = (0.0, "")
+    for scenario in _DISPATCH_SCENARIOS:
+        for horizon in _DISPATCH_HORIZONS:
+            for trials in _DISPATCH_TRIALS:
+                spec = scenario_study(
+                    scenario, trials=trials, seed=seed
+                ).with_overrides({"horizon": horizon})
+                picked = spec.run().results[0].backend
+                timed_trials = {
+                    "reference": min(trials, _DISPATCH_REFERENCE_TRIALS),
+                    "lockstep": trials,
+                }
+                timed_trials.setdefault(picked, trials)
+                best = {backend: float("inf") for backend in timed_trials}
+                for _ in range(max(1, repeats)):
+                    for backend, count in timed_trials.items():
+                        run = spec.with_overrides(
+                            {"trials": count}
+                        ).with_execution(backend=backend)
+                        start = time.perf_counter()
+                        run.run()
+                        elapsed = time.perf_counter() - start
+                        best[backend] = min(
+                            best[backend], elapsed * trials / count
+                        )
+                fastest = min(best["reference"], best["lockstep"])
+                picked_total += best[picked]
+                best_total += fastest
+                cell = f"dispatch-{scenario}-t{trials}-h{horizon}"
+                worst = max(worst, (best[picked] / fastest, cell))
+                records.append(
+                    {
+                        "kind": "dispatch",
+                        "id": cell,
+                        "backend": "auto",
+                        "scale": "smoke",
+                        "params": {
+                            "scenario": scenario,
+                            "trials": trials,
+                            "horizon": horizon,
+                            "seed": seed,
+                            "reference_trials_timed": timed_trials["reference"],
+                        },
+                        "auto_backend": picked,
+                        "reference_s": best["reference"],
+                        "lockstep_s": best["lockstep"],
+                        "wall_time_s": best[picked],
+                        "slots_per_second": trials * horizon / best[picked],
+                    }
+                )
+    records.append(
+        {
+            "kind": "dispatch",
+            "id": "dispatch-matrix",
+            "backend": "auto",
+            "scale": "smoke",
+            "params": {
+                "scenarios": list(_DISPATCH_SCENARIOS),
+                "trials": list(_DISPATCH_TRIALS),
+                "horizons": list(_DISPATCH_HORIZONS),
+                "seed": seed,
+            },
+            "wall_time_s": picked_total,
+            "best_wall_time_s": best_total,
+            "auto_vs_best": picked_total / best_total,
+            "worst_cell": worst[1],
+            "worst_cell_ratio": worst[0],
+        }
+    )
+    return records
+
+
 def run_service_suite(
     seed: int = 20210219, repeats: int = 3
 ) -> List[Dict[str, object]]:
@@ -748,6 +864,7 @@ def collect_bench(
         benchmarks.extend(run_service_suite(seed=seed, repeats=repeats))
         benchmarks.extend(run_recovery_suite(seed=seed, repeats=repeats))
         benchmarks.extend(run_fused_sweep_suite(seed=seed, repeats=repeats))
+        benchmarks.extend(run_dispatch_suite(seed=seed, repeats=repeats))
     if include_experiments:
         benchmarks.extend(run_experiment_suite(seed=seed))
     return {
@@ -846,6 +963,12 @@ def compare_bench(
             before, after = float(old["wall_time_s"]), float(record["wall_time_s"])
             if after > before * (1.0 + threshold):
                 regressions.append(_regression(key, "wall_time_s", before, after))
+        if "auto_vs_best" in record and "auto_vs_best" in old:
+            # The ratio of two same-run times; higher means auto picked
+            # slower tiers.
+            before, after = float(old["auto_vs_best"]), float(record["auto_vs_best"])
+            if after > before * (1.0 + threshold):
+                regressions.append(_regression(key, "auto_vs_best", before, after))
         if kind == "experiment":
             before_ok = old.get("consistent_with_paper")
             after_ok = record.get("consistent_with_paper")

@@ -1053,6 +1053,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"{record['id']} [{record['backend']}]: "
             f"{record['slots_per_second']:,.0f} slots/s{note}"
         )
+    for record in data["benchmarks"]:
+        if record["id"] == "dispatch-matrix":
+            print(
+                f"dispatch matrix: auto's picks took "
+                f"{record['auto_vs_best']:.3f}x the faster tier per cell "
+                f"(worst {record['worst_cell']}: "
+                f"{record['worst_cell_ratio']:.2f}x)"
+            )
     print(f"wrote {path} ({len(data['benchmarks'])} benchmarks)")
     return 0
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..types import Feedback
-from .base import Protocol
+from .base import AgeProfileLockstepProgram, LockstepProgram, Protocol
 
 __all__ = ["SlottedAloha"]
 
@@ -54,3 +54,8 @@ class SlottedAloha(Protocol):
 
     def spec_params(self) -> dict:
         return {"probability": self._p}
+
+    def lockstep_program(self) -> Optional[LockstepProgram]:
+        if type(self) is not SlottedAloha:
+            return None
+        return AgeProfileLockstepProgram(self)

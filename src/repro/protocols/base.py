@@ -39,6 +39,7 @@ Protocols may additionally expose their *marginal broadcast probability*:
 from __future__ import annotations
 
 import abc
+import copy
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -47,6 +48,7 @@ import numpy as np
 from ..types import Feedback
 
 __all__ = [
+    "AgeProfileLockstepProgram",
     "CompiledProgramTables",
     "LockstepProgram",
     "OP_CJZ",
@@ -248,6 +250,47 @@ class LockstepProgram(abc.ABC):
         """
 
 
+class AgeProfileLockstepProgram(LockstepProgram):
+    """Columnar state of the age-profile protocols: one arrival slot per node.
+
+    Serves the :attr:`Protocol.vector_eligible` protocols, whose broadcast
+    probability is a pure function of the node's age and which draw exactly
+    one ``random()`` double per active slot while ignoring feedback.  The
+    per-age probabilities are the table the batched and vectorized kernels
+    use (:func:`~repro.sim.backends.base.age_probability_profile`), probed on
+    copies of the program's prototype instance, so every ``uniform < p``
+    comparison is float-identical to the per-node ``wants_to_broadcast``.
+    """
+
+    def __init__(self, prototype: "Protocol") -> None:
+        self._prototype = prototype
+        self._pool = None
+
+    def bind(self, trials: int, capacity: int, pool, horizon: int) -> None:
+        # Imported lazily: the simulation layer imports this module.
+        from ..sim.backends.base import age_probability_profile
+
+        self._pool = pool
+        self._table = age_probability_profile(
+            lambda: copy.copy(self._prototype), horizon
+        )
+        self._arrival = np.zeros(trials * capacity, dtype=np.int64)
+
+    def grow(self, trials: int, old_capacity: int, new_capacity: int) -> None:
+        self._arrival = grow_flat_column(
+            self._arrival, trials, old_capacity, new_capacity
+        )
+
+    def arrive(self, rows: np.ndarray, slot: int) -> None:
+        self._arrival[rows] = slot
+
+    def step(self, rows: np.ndarray, slot: int) -> np.ndarray:
+        return self._pool.doubles(rows) < self._table[slot - self._arrival[rows] + 1]
+
+    def feedback(self, slot, rows, sends, trial_success, own_success) -> None:
+        return None
+
+
 class Protocol(abc.ABC):
     """Per-node contention-resolution algorithm."""
 
@@ -309,12 +352,13 @@ class Protocol(abc.ABC):
     def lockstep_program(self) -> Optional["LockstepProgram"]:
         """Columnar state program for the lockstep study kernel, or ``None``.
 
-        Feedback-driven protocols that can express their per-node state as
-        numpy columns (phases, anchors, windows as int/float arrays) return
+        Protocols that can express their per-node state as numpy columns
+        (phases, anchors, windows, arrival slots as int/float arrays) return
         a fresh :class:`LockstepProgram` bound to this instance's
-        parameters; the default — and the safe answer for any subclass that
-        changes behaviour — is ``None``, which keeps the protocol on the
-        per-trial reference path.
+        parameters — the vector-eligible ones share
+        :class:`AgeProfileLockstepProgram`; the default — and the safe
+        answer for any subclass that changes behaviour — is ``None``, which
+        keeps the protocol on the per-trial reference path.
         """
         return None
 

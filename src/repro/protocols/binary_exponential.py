@@ -24,6 +24,7 @@ from ..errors import ConfigurationError
 from ..types import Feedback
 from .base import (
     OP_WINDOWED,
+    AgeProfileLockstepProgram,
     CompiledProgramTables,
     LockstepProgram,
     Protocol,
@@ -274,6 +275,11 @@ class ProbabilityBackoff(Protocol):
 
     def spec_params(self) -> dict:
         return {"scale": self._scale}
+
+    def lockstep_program(self) -> Optional[LockstepProgram]:
+        if type(self) is not ProbabilityBackoff:
+            return None
+        return AgeProfileLockstepProgram(self)
 
 
 BinaryExponentialBackoff = WindowedBinaryExponentialBackoff

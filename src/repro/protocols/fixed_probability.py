@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..types import Feedback
-from .base import Protocol
+from .base import AgeProfileLockstepProgram, LockstepProgram, Protocol
 
 __all__ = ["FixedProbabilityProtocol", "LogUniformFixedProtocol"]
 
@@ -60,6 +60,11 @@ class FixedProbabilityProtocol(Protocol):
 
     def broadcast_probability(self, slot: int) -> float:
         return self.probability(slot - self._arrival_slot + 1)
+
+    def lockstep_program(self) -> Optional[LockstepProgram]:
+        if type(self) not in (FixedProbabilityProtocol, LogUniformFixedProtocol):
+            return None
+        return AgeProfileLockstepProgram(self)
 
 
 class LogUniformFixedProtocol(FixedProbabilityProtocol):

@@ -20,9 +20,12 @@ It serves two purposes in the reproduction:
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..core.parameters import AlgorithmParameters
-from ..core.protocol import ChenJiangZhengProtocol
+from ..core.protocol import CJZLockstepProgram, ChenJiangZhengProtocol
 from ..functions import RateFunction
+from .base import LockstepProgram
 
 __all__ = ["TwoChannelNoJamming"]
 
@@ -60,3 +63,10 @@ class TwoChannelNoJamming(ChenJiangZhengProtocol):
             "backoff_sends_per_stage": self._backoff_sends_per_stage,
             "c3": self._c3,
         }
+
+    def lockstep_program(self) -> Optional[LockstepProgram]:
+        # Only the parameters differ from the paper's algorithm (no hook is
+        # overridden), so the CJZ program replays this class exactly.
+        if type(self) is not TwoChannelNoJamming:
+            return None
+        return CJZLockstepProgram(self._params)

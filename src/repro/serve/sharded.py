@@ -180,7 +180,8 @@ class ShardedStudyStore:
         root = self._stores[name].root
         try:
             if root.exists():
-                next(iter(os.scandir(root)), None)
+                with os.scandir(root) as entries:
+                    next(entries, None)
         except OSError:
             return True
         return False

@@ -22,17 +22,19 @@ Study-level backends (valid for :class:`~repro.sim.runner.TrialRunner` /
   the numpy lockstep kernel on any mismatch or missing dependency, so
   results are always produced and always identical.
 * ``"lockstep"`` — all trials advanced one slot at a time with array
-  operations (:class:`LockstepStudyKernel`); serves feedback-driven
-  protocols that expose a columnar
-  :class:`~repro.protocols.base.LockstepProgram` (the paper's CJZ protocol
-  and the windowed/sawtooth backoff baselines) against *any* adversary,
-  adaptive ones included; seed-for-seed identical to serial reference.
+  operations (:class:`LockstepStudyKernel`); serves protocols that expose a
+  columnar :class:`~repro.protocols.base.LockstepProgram` (the paper's CJZ
+  protocol and its variants, the windowed/sawtooth backoff baselines and
+  the vector-eligible protocols) against *any* adversary, adaptive ones
+  included; seed-for-seed identical to serial reference.
 
 ``"auto"`` escalates down the ladder: the trial runner picks the batched
 study kernel when the whole study is eligible, else the compiled lockstep
 kernel (which itself demotes to the numpy lockstep kernel when it cannot
-run), else each trial picks the vectorized kernel when eligible, else the
-reference kernel.
+run; ``auto`` skips it outright when the interpreter is off or the program
+has no compiled tables) or the numpy lockstep kernel when the measured
+population rule takes the study, else each trial picks the vectorized
+kernel when eligible, else the reference kernel.
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ pool).  Any missing piece — no numba, no compiled tables for the protocol, a
 driver outside the three columnar families, a failed self-test — **demotes
 the study to the numpy lockstep kernel** with identical results (seed
 derivation is read-only, so the rerun consumes the same streams).  Demoted
-results carry ``backend="lockstep"``.
+results carry ``backend="lockstep"`` and a ``demotion`` health event.  Under
+``auto`` the first two are known before dispatch, so the ladder skips this
+rung for them instead (:meth:`CompiledStudyKernel.auto_skip_reason`).
 
 Environment switches:
 
@@ -206,6 +208,12 @@ def _verify_compiled_streams(kernels) -> bool:
 
 # -- the kernel -------------------------------------------------------------
 
+_INTERPRETER_OFF = (
+    "compiled interpreter is off (REPRO_DISABLE_NUMBA set or numba not "
+    "importable)"
+)
+_NO_TABLES = "protocol program cannot lower to compiled tables"
+
 
 class CompiledStudyKernel:
     """Study-level backend: the fused slot loop, numba-compiled when possible.
@@ -251,22 +259,27 @@ class CompiledStudyKernel:
             is None
         )
 
-    def auto_preferred(
-        self,
-        adversary_factory,
-        config,
-        trials: int,
-        probe: Optional[StudyProbe] = None,
-    ) -> bool:
-        """``auto`` escalates exactly when the numpy lockstep tier would.
+    def auto_skip_reason(
+        self, config, trials: int, probe: StudyProbe
+    ) -> Optional[str]:
+        """Why ``auto`` skips this rung (``None``: try it).
 
         The compiled tier strictly dominates the numpy kernel when it runs
-        at all (and demotes to it otherwise), so the same population
-        pressure gate applies.
+        at all, so the numpy tier's population rule applies.  A study the
+        interpreter cannot take at all — interpreter off, or a program with
+        no compiled tables — skips the rung instead of trying it and
+        recording a demotion; an explicit ``lockstep-jit`` request still
+        tries and records one.
         """
-        return self._numpy.auto_preferred(
-            adversary_factory, config, trials, probe
-        )
+        if interpreter_mode() == "off":
+            return _INTERPRETER_OFF
+        reason = self._numpy.auto_skip_reason(config, trials, probe)
+        if reason is not None:
+            return reason
+        program = probe.program
+        if program is not None and program.compiled_tables(config.horizon) is None:
+            return _NO_TABLES
+        return None
 
     # ------------------------------------------------------------------- run
 
@@ -318,10 +331,7 @@ def _run_compiled(
     """
     mode = interpreter_mode()
     if mode == "off":
-        _demote(
-            "compiled interpreter is off (REPRO_DISABLE_NUMBA set or numba "
-            "not importable)"
-        )
+        _demote(_INTERPRETER_OFF)
         return None
     program = probe.program
     if program is None or config.keep_trace or config.horizon >= 2**31:
@@ -335,7 +345,7 @@ def _run_compiled(
         return None
     tables = program.compiled_tables(config.horizon)
     if tables is None:
-        _demote("protocol program cannot lower to compiled tables")
+        _demote(_NO_TABLES)
         return None
     if not streams_verified() or not compiled_streams_ok(mode):
         _demote(

@@ -67,6 +67,9 @@ _FUSIBLE_BACKENDS = ("auto", "lockstep", "lockstep-jit", "batched-study")
 #: Backends under which the group may take the compiled (lockstep-jit) tier.
 _COMPILED_BACKENDS = ("auto", "lockstep-jit")
 
+#: Backends under which a point may run on the batched study kernel.
+_BATCHED_BACKENDS = ("auto", "batched-study")
+
 
 # ---------------------------------------------------------------- grouping
 
@@ -102,7 +105,10 @@ def fusion_key(spec) -> Optional[Tuple]:
     early-stop policy (one slot loop), and the adversary driver family
     (one merged driver).  Trace retention, metric pipelines, streaming
     memory policy, unseeded studies and explicit per-trial/reference
-    backend pins all opt out.
+    backend pins all opt out, and so do points the batched study kernel
+    takes on their own (a vector-eligible protocol against a precompilable
+    adversary under ``auto`` or ``batched-study``): its one-pass array
+    resolution beats a fused slot loop on them.
     """
     if spec.keep_trace or spec.streaming or spec.pipeline is not None:
         return None
@@ -111,10 +117,17 @@ def fusion_key(spec) -> Optional[Tuple]:
     if spec.backend not in _FUSIBLE_BACKENDS:
         return None
     try:
-        if spec.protocol.build()().lockstep_program() is None:
+        protocol = spec.protocol.build()()
+        if protocol.lockstep_program() is None:
             return None
         family = _driver_family(spec)
     except Exception:
+        return None
+    if (
+        spec.backend in _BATCHED_BACKENDS
+        and protocol.vector_eligible
+        and family == "precompiled"
+    ):
         return None
     return (spec.protocol.kind, spec.horizon, spec.stop_when_drained, family)
 

@@ -75,15 +75,21 @@ AdversaryFactory = Callable[[], Adversary]
 #: front (adaptive arrivals); grown by doubling as nodes are injected.
 _INITIAL_CAPACITY = 16
 
-#: ``auto``-selection gate: the kernel's per-slot cost is fixed while its
-#: work per slot scales with the live population, so lockstep only beats the
-#: per-trial reference loop when enough node-trials advance together.  The
-#: peak single-slot arrival count is a cheap upfront proxy for concurrent
-#: population; studies below the pressure floor (and with too few trials to
-#: amortize over) stay on the per-trial ladder under ``auto``.  An explicit
+#: ``auto``-selection rule.  The kernel pays a fixed cost per slot, and its
+#: work per slot grows with the live population, so lockstep beats the
+#: per-trial reference loop once enough node-trials advance together.  The
+#: dispatch matrix ``repro bench`` records (four scenarios × trials
+#: {1, 2, 4, 8, 32} × horizons {256, 1024}; ``BENCH_2026-10-17.json``)
+#: puts the break-even below two trials: from two trials on, lockstep was
+#: faster in every cell but two, which it lost by about 1 ms.  A single
+#: trial wins only when a batch arrives in one slot: ethernet-burst (peak
+#: of 24 single-slot arrivals) lost up to 1.5× on lockstep, lock-convoy
+#: (192) won 10×.  So ``auto`` runs lockstep from two trials on, and a
+#: single trial when the probe's peak reaches this floor; over the matrix,
+#: ``auto``'s picks took 1.008× the faster tier's time.  An explicit
 #: ``backend="lockstep"`` request always runs.
-_AUTO_PRESSURE_FLOOR = 24
-_AUTO_TRIALS_FLOOR = 8
+_AUTO_TRIALS_FLOOR = 2
+_AUTO_SINGLE_TRIAL_PEAK = 32
 
 #: Trial-slot budget of one processing block.  The kernel's per-slot study
 #: matrices (arrivals/jam/success/counts plus the int64 prefix planes at
@@ -152,31 +158,25 @@ class LockstepStudyKernel:
             is None
         )
 
-    def auto_preferred(
-        self,
-        adversary_factory: AdversaryFactory,
-        config,
-        trials: int,
-        probe: Optional[StudyProbe] = None,
-    ) -> bool:
-        """Whether ``auto`` should escalate this study to the lockstep tier.
+    def auto_skip_reason(
+        self, config, trials: int, probe: StudyProbe
+    ) -> Optional[str]:
+        """Why ``auto`` keeps this study off the lockstep tier (``None``: run it).
 
-        Large trial counts always amortize the kernel's fixed per-slot cost;
-        below that, the study must carry enough concurrent population
-        (trials × peak single-slot arrivals) to beat the per-trial reference
-        loop.  See :data:`_AUTO_PRESSURE_FLOOR`.
+        See :data:`_AUTO_SINGLE_TRIAL_PEAK` for the measured rule; its
+        inputs are the trial count and the probe's peak single-slot
+        arrivals (``None`` for adversaries the probe does not precompile).
         """
         if trials >= _AUTO_TRIALS_FLOOR:
-            return True
-        if probe is None:
-            # The runner passes its dispatch-level probe; this fallback only
-            # serves direct callers, and the peak estimate itself is shared
-            # process-wide through the artifact cache for spec-built factories.
-            probe = StudyProbe(lambda: None, adversary_factory)
+            return None
         peak = probe.peak_arrivals(config.horizon)
-        if peak is None:
-            return False
-        return trials * peak >= _AUTO_PRESSURE_FLOOR
+        if peak is not None and peak >= _AUTO_SINGLE_TRIAL_PEAK:
+            return None
+        return (
+            f"trials={trials}, peak single-slot arrivals={peak}: the "
+            f"per-trial loop is faster below {_AUTO_TRIALS_FLOOR} trials "
+            f"unless the peak reaches {_AUTO_SINGLE_TRIAL_PEAK}"
+        )
 
     # ------------------------------------------------------------------- run
 

@@ -36,17 +36,18 @@ Backends
   numpy lockstep kernel when it cannot run, with identical results.
 * ``"lockstep"`` — the study is executed by
   :class:`~repro.sim.backends.LockstepStudyKernel`, which advances all
-  trials one slot at a time with array operations; serves feedback-driven
-  protocols with a columnar :class:`~repro.protocols.base.LockstepProgram`
-  (the paper's CJZ algorithm, windowed/sawtooth backoff) against any
-  adversary, adaptive ones included.
+  trials one slot at a time with array operations; serves every protocol
+  with a columnar :class:`~repro.protocols.base.LockstepProgram` (the
+  paper's CJZ algorithm and its variants, windowed/sawtooth/polynomial
+  backoff, the vector-eligible protocols) against any adversary, adaptive
+  ones included.
 * ``"auto"`` (default) — batched-study when the study is eligible, else the
-  compiled lockstep tier (falling through to numpy lockstep internally)
-  when the protocol has a columnar program *and* the study carries enough
-  concurrent population to amortize the kernel's fixed per-slot cost (≥ 8
-  trials, or trials × peak single-slot arrivals ≥ 24 — see
-  :meth:`LockstepStudyKernel.auto_preferred`), else per trial the
-  vectorized kernel when eligible, else the reference kernel.
+  lockstep tiers when the protocol has a columnar program and the measured
+  rule of :meth:`LockstepStudyKernel.auto_skip_reason` takes it (two or
+  more trials, or one trial whose peak single-slot arrivals reach 32) —
+  compiled first, unless the interpreter is off or the program has no
+  compiled tables — else per trial the vectorized kernel when eligible,
+  else the reference kernel.
 * ``"vectorized"`` / ``"reference"`` — per-trial kernels, forwarded to every
   :class:`~repro.sim.engine.Simulator`.
 
@@ -598,12 +599,9 @@ class TrialRunner:
             if (
                 self._backend == AUTO_BACKEND
                 and explicit in (COMPILED_BACKEND, LOCKSTEP_BACKEND)
-                and not kernel.auto_preferred(
-                    self._adversary_factory, self._config, len(seeds), probe
-                )
+                and kernel.auto_skip_reason(self._config, len(seeds), probe)
+                is not None
             ):
-                # Too little concurrent population for the lockstep tiers to
-                # pay off; stay on the per-trial ladder.
                 continue
             reason = kernel.unsupported_reason(
                 self._protocol_factory,
@@ -678,20 +676,15 @@ class TrialRunner:
                     }
                 )
                 continue
-            if (
-                self._backend == AUTO_BACKEND
+            skip = (
+                kernel.auto_skip_reason(self._config, trials, probe)
+                if self._backend == AUTO_BACKEND
                 and explicit in (COMPILED_BACKEND, LOCKSTEP_BACKEND)
-                and not kernel.auto_preferred(
-                    self._adversary_factory, self._config, trials, probe
-                )
-            ):
+                else None
+            )
+            if skip is not None:
                 rows.append(
-                    {
-                        "backend": explicit,
-                        "status": "skipped",
-                        "reason": "too little concurrent population for the "
-                        "lockstep tiers to amortize their per-slot cost",
-                    }
+                    {"backend": explicit, "status": "skipped", "reason": skip}
                 )
                 continue
             reason = kernel.unsupported_reason(

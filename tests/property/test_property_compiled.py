@@ -2,9 +2,11 @@
 
 The ``lockstep-jit`` backend lowers the lockstep program interpreter into a
 single fused slot loop.  Its contract is the same as every other tier's:
-bit-identical results for every program protocol (the paper's CJZ algorithm,
-its global-clock ablation, windowed binary-exponential, sawtooth and
-polynomial backoff) against the full arrival × jamming grid plus the
+bit-identical results for every program protocol that lowers to compiled
+tables (the paper's CJZ algorithm, its global-clock ablation, the two-channel
+no-jamming variant — whose parameters have no spec recipe, so its tables
+build uncached — windowed binary-exponential, sawtooth and polynomial
+backoff) against the full arrival × jamming grid plus the
 adaptive success chaser — including early stops and ``workers=4``
 shared-memory shard merges.
 

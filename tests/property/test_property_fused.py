@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import faults
+from repro.sim.backends.fused import fusion_key, plan_fusion_groups
 from repro.spec import StudyPlan, StudySpec, Sweep, sweep_rows
 from repro.spec.store import result_record
 
@@ -34,6 +35,10 @@ PROTOCOLS = {
         "kind": "cjz",
         "params": {"g": {"kind": "constant", "value": float(value)}},
     },
+    "two-channel": lambda value: {
+        "kind": "two-channel-no-jamming",
+        "params": {"backoff_sends_per_stage": float(1 + int(value) % 3)},
+    },
     "windowed": lambda value: {
         "kind": "binary-exponential-backoff",
         "params": {"initial_window": 2 ** (1 + int(value) % 3)},
@@ -41,6 +46,18 @@ PROTOCOLS = {
     "sawtooth": lambda value: {
         "kind": "sawtooth-backoff",
         "params": {"initial_window": 2 ** (2 + int(value) % 2)},
+    },
+    "aloha": lambda value: {
+        "kind": "slotted-aloha",
+        "params": {"probability": 0.5 / float(value)},
+    },
+    "probability-backoff": lambda value: {
+        "kind": "probability-backoff",
+        "params": {"scale": float(value) / 2.0},
+    },
+    "log-uniform-fixed": lambda value: {
+        "kind": "log-uniform-fixed",
+        "params": {"scale": float(value) / 3.0},
     },
 }
 
@@ -122,11 +139,52 @@ def mixed_grids(draw):
 
 
 @given(mixed_grids())
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=16, deadline=None)
 def test_fused_plan_identical_to_per_point(specs):
     fused = StudyPlan(specs).run(fuse=True)
     serial = StudyPlan(specs).run(fuse=False)
     _assert_studies_identical(fused, serial)
+
+
+@given(
+    st.sampled_from(["aloha", "probability-backoff", "log-uniform-fixed"]),
+    st.sampled_from(sorted(ARRIVALS)),
+    st.integers(min_value=0, max_value=2**16),
+    st.booleans(),
+)
+@settings(max_examples=8, deadline=None)
+def test_age_profile_groups_identical_to_reference(
+    protocol, arrivals, seed, drained
+):
+    """Heterogeneous age-profile groups against the reactive jammer (the
+    composite program over per-member tables) reproduce the reference
+    kernel point by point, early stops included."""
+    specs = [
+        _spec(
+            protocol, param, arrivals, "reactive", 160, 2, seed + param,
+            stop_when_drained=drained,
+        )
+        for param in (2, 3, 5)
+    ]
+    assert [len(g) for g in plan_fusion_groups(list(enumerate(specs)))] == [3]
+    fused = StudyPlan(specs).run(fuse=True)
+    reference = StudyPlan(
+        [spec.with_execution(backend="reference") for spec in specs]
+    ).run(fuse=False)
+    _assert_studies_identical(fused, reference)
+
+
+def test_batched_study_points_stay_unfused():
+    """Points the batched study kernel takes on their own never fuse under
+    ``auto``; an explicit lockstep pin and an adaptive jammer still do."""
+
+    def spec(jamming, backend):
+        return _spec("aloha", 2, "batch", jamming, 128, 2, 7, backend=backend)
+
+    assert fusion_key(spec("none", "auto")) is None
+    assert fusion_key(spec("none", "batched-study")) is None
+    assert fusion_key(spec("none", "lockstep")) is not None
+    assert fusion_key(spec("reactive", "auto")) is not None
 
 
 @given(

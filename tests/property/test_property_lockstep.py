@@ -1,14 +1,18 @@
 """Property tests: the lockstep study kernel is seed-for-seed identical to reference.
 
 For every protocol implementing the columnar lockstep program (the paper's
-CJZ algorithm, its global-clock ablation, windowed binary-exponential,
-sawtooth and polynomial backoff), any workload — batch / spread / bursty
+CJZ algorithm, its global-clock ablation, the two-channel no-jamming
+variant, windowed binary-exponential, sawtooth and polynomial backoff, and
+the age-profile family: slotted ALOHA, probability backoff and the
+fixed-probability sequences), any workload — batch / spread / bursty
 arrivals under no / random / reactive jamming, plus the fully adaptive
 success chaser — and any seed, a ``backend="lockstep"`` study must reproduce
 the serial reference study exactly: identical summaries, prefix arrays,
 per-node statistics and early-stop slots, and the same holds for
 ``workers=4`` shard merges.
 """
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,22 +29,47 @@ from repro.adversary import (
 )
 from repro.core import cjz_factory
 from repro.protocols import (
+    FixedProbabilityProtocol,
+    LogUniformFixedProtocol,
     PolynomialBackoff,
+    ProbabilityBackoff,
     SawtoothBackoff,
+    SlottedAloha,
+    TwoChannelNoJamming,
     WindowedBinaryExponentialBackoff,
     make_factory,
 )
 from repro.sim import run_trials
 
+#: Protocols whose programs also lower to the compiled tier (the compiled
+#: property suite imports this list).
 lockstep_factories = st.sampled_from(
     [
         ("cjz", cjz_factory()),
         ("cjz-global-clock", cjz_factory(global_clock=True)),
+        ("two-channel", make_factory(TwoChannelNoJamming)),
         ("wbeb", make_factory(WindowedBinaryExponentialBackoff, 2)),
         ("sawtooth", make_factory(SawtoothBackoff, 4)),
         ("polynomial", make_factory(PolynomialBackoff, 2.0, 2)),
     ]
 )
+
+#: The vector-eligible protocols, served by the age-profile program.
+age_profile_factories = st.sampled_from(
+    [
+        ("aloha", make_factory(SlottedAloha, 0.15)),
+        ("probability-backoff", make_factory(ProbabilityBackoff, 1.5)),
+        ("log-uniform-fixed", make_factory(LogUniformFixedProtocol, 2.0)),
+        (
+            "fixed-probability",
+            make_factory(
+                FixedProbabilityProtocol, lambda i: min(1.0, 0.9 / math.sqrt(i))
+            ),
+        ),
+    ]
+)
+
+all_program_factories = st.one_of(lockstep_factories, age_profile_factories)
 
 
 @st.composite
@@ -94,9 +123,9 @@ def assert_studies_identical(reference_study, lockstep_study):
 
 
 class TestLockstepEquivalence:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
-        named_factory=lockstep_factories,
+        named_factory=all_program_factories,
         named_adversary=adversary_builders(),
         horizon=st.integers(min_value=60, max_value=160),
         trials=st.integers(min_value=1, max_value=4),
@@ -123,9 +152,9 @@ class TestLockstepEquivalence:
         assert all(r.backend == "lockstep" for r in lockstep)
         assert_studies_identical(reference, lockstep)
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=16, deadline=None)
     @given(
-        named_factory=lockstep_factories,
+        named_factory=all_program_factories,
         named_adversary=adversary_builders(),
         seed=st.integers(min_value=0, max_value=2**16),
     )
@@ -176,20 +205,54 @@ class TestLockstepEquivalence:
 
     @settings(max_examples=8, deadline=None)
     @given(
-        named_factory=lockstep_factories,
+        named_factory=age_profile_factories,
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_age_profile_capacity_growth_identical(self, named_factory, seed):
+        """Adaptive arrivals past the initial capacity grow the arrival
+        column mid-run without perturbing any node's stream."""
+        _, factory = named_factory
+
+        def chaser():
+            return AdaptiveSuccessChaser(
+                jam_fraction=0.1,
+                arrival_budget_per_success=3,
+                total_arrival_budget=60,
+                jam_burst=2,
+                seed_arrivals=20,
+            )
+
+        def study(backend):
+            return run_trials(
+                protocol_factory=factory,
+                adversary_factory=chaser,
+                horizon=150,
+                trials=2,
+                seed=seed,
+                backend=backend,
+            )
+
+        lockstep = study("lockstep")
+        assert max(r.total_arrivals for r in lockstep) > 16
+        assert_studies_identical(study("reference"), lockstep)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        named_factory=all_program_factories,
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_auto_selects_lockstep_for_feedback_protocols(
         self, named_factory, seed
     ):
-        """``auto`` escalates feedback-driven protocols to the lockstep tier."""
+        """``auto`` escalates every program protocol to the lockstep tier
+        when the batched study kernel cannot take it (adaptive jamming)."""
         _, factory = named_factory
 
         def study(backend):
             return run_trials(
                 protocol_factory=factory,
                 adversary_factory=lambda: ComposedAdversary(
-                    BatchArrivals(12), RandomFractionJamming(0.3)
+                    BatchArrivals(12), ReactiveJamming(0.3, burst=3)
                 ),
                 horizon=140,
                 trials=3,

@@ -442,17 +442,23 @@ class TestBatchedStudyBackend:
         assert all(r.trace is not None for r in study)
 
     def test_adaptive_study_auto_uses_reference(self):
-        study = run_trials(
-            protocol_factory=make_factory(SlottedAloha, 0.2),
-            adversary_factory=lambda: ComposedAdversary(
-                BatchArrivals(4), ReactiveJamming(0.2)
-            ),
-            horizon=60,
-            trials=2,
-            seed=1,
-            backend="auto",
-        )
-        assert all(r.backend == "reference" for r in study)
+        # A single sparse trial against an adaptive adversary stays on the
+        # per-trial reference loop; from two trials on, the columnar
+        # age-profile program runs it lockstep.
+        def study(trials):
+            return run_trials(
+                protocol_factory=make_factory(SlottedAloha, 0.2),
+                adversary_factory=lambda: ComposedAdversary(
+                    BatchArrivals(4), ReactiveJamming(0.2)
+                ),
+                horizon=60,
+                trials=trials,
+                seed=1,
+                backend="auto",
+            )
+
+        assert [r.backend for r in study(1)] == ["reference"]
+        assert [r.backend for r in study(2)] == ["lockstep", "lockstep"]
 
     def test_max_nodes_guard_matches_reference_message(self):
         from repro.sim import TrialRunner

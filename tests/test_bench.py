@@ -206,3 +206,57 @@ class TestServiceSuite:
     def test_backend_restriction_skips_service_suite(self, bench_data):
         ids = {b["id"] for b in bench_data["benchmarks"]}
         assert "service-submit-roundtrip" not in ids
+
+
+class TestDispatchSuite:
+    @pytest.fixture(scope="class")
+    def dispatch_records(self):
+        """A 2 × 2 corner of the dispatch matrix at a tiny horizon."""
+        from repro import bench
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                bench, "_DISPATCH_SCENARIOS", ("ethernet-burst", "lock-convoy")
+            )
+            patch.setattr(bench, "_DISPATCH_TRIALS", (1, 2))
+            patch.setattr(bench, "_DISPATCH_HORIZONS", (64,))
+            return bench.run_dispatch_suite(seed=7, repeats=1)
+
+    def test_cells_record_the_auto_pick_and_both_tiers(self, dispatch_records):
+        cells = dispatch_records[:-1]
+        picks = {
+            (cell["params"]["scenario"], cell["params"]["trials"]): cell[
+                "auto_backend"
+            ]
+            for cell in cells
+        }
+        # One sparse trial stays per-trial; a batch peak or a second trial
+        # takes the lockstep tier.
+        assert picks == {
+            ("ethernet-burst", 1): "reference",
+            ("ethernet-burst", 2): "lockstep",
+            ("lock-convoy", 1): "lockstep",
+            ("lock-convoy", 2): "lockstep",
+        }
+        for cell in cells:
+            assert cell["kind"] == "dispatch"
+            assert cell["reference_s"] > 0 and cell["lockstep_s"] > 0
+            assert cell["wall_time_s"] == cell[f"{cell['auto_backend']}_s"]
+
+    def test_summary_sums_picked_over_fastest(self, dispatch_records):
+        cells, summary = dispatch_records[:-1], dispatch_records[-1]
+        assert summary["id"] == "dispatch-matrix"
+        best = sum(min(c["reference_s"], c["lockstep_s"]) for c in cells)
+        assert summary["best_wall_time_s"] == pytest.approx(best)
+        assert summary["auto_vs_best"] == pytest.approx(
+            summary["wall_time_s"] / best
+        )
+        assert summary["auto_vs_best"] >= 1.0
+
+    def test_auto_vs_best_regression_detected(self, dispatch_records):
+        baseline = {"machine": {}, "benchmarks": dispatch_records}
+        current = json.loads(json.dumps(baseline))
+        current["machine"] = {"platform": "other-machine"}
+        current["benchmarks"][-1]["auto_vs_best"] *= 1.5
+        regressions = compare_bench(baseline, current, threshold=0.2)
+        assert [r["metric"] for r in regressions] == ["auto_vs_best"]

@@ -12,15 +12,20 @@ from repro.adversary import (
     UniformRandomArrivals,
 )
 from repro.core import ChenJiangZhengProtocol, GlobalClockVariant, cjz_factory
+from repro.core.protocol import CJZLockstepProgram
 from repro.errors import ConfigurationError
 from repro.protocols import (
+    FixedProbabilityProtocol,
+    LogUniformFixedProtocol,
     PolynomialBackoff,
+    ProbabilityBackoff,
     SawtoothBackoff,
     SlottedAloha,
+    TwoChannelNoJamming,
     WindowedBinaryExponentialBackoff,
     make_factory,
 )
-from repro.protocols.base import grow_flat_column
+from repro.protocols.base import AgeProfileLockstepProgram, grow_flat_column
 from repro.rng import NodeStreamPool, lockstep_streams_ok
 from repro.sim import SimulatorConfig, TrialRunner, run_trials
 from repro.sim.backends import LockstepStudyKernel
@@ -123,11 +128,15 @@ def batch_jam_factory():
     return ComposedAdversary(BatchArrivals(6), RandomFractionJamming(0.25))
 
 
+class AlohaVariant(SlottedAloha):
+    """A subclass: it could override any hook, so it gets no program."""
+
+
 class TestEligibility:
     def test_program_less_protocol_rejected_explicitly(self):
         with pytest.raises(ConfigurationError, match="lockstep"):
             run_trials(
-                protocol_factory=make_factory(SlottedAloha, 0.2),
+                protocol_factory=make_factory(AlohaVariant, 0.2),
                 adversary_factory=batch_jam_factory,
                 horizon=50,
                 trials=2,
@@ -159,12 +168,35 @@ class TestEligibility:
         assert WindowedBinaryExponentialBackoff().lockstep_program() is not None
         assert SawtoothBackoff().lockstep_program() is not None
         assert PolynomialBackoff().lockstep_program() is not None
-        assert SlottedAloha(0.2).lockstep_program() is None
+        assert SlottedAloha(0.2).lockstep_program() is not None
+
+    def test_vector_eligible_and_two_channel_programs_exist(self):
+        for protocol in (
+            SlottedAloha(0.2),
+            ProbabilityBackoff(),
+            FixedProbabilityProtocol(lambda i: 0.5),
+            LogUniformFixedProtocol(),
+        ):
+            assert isinstance(
+                protocol.lockstep_program(), AgeProfileLockstepProgram
+            )
+        assert isinstance(
+            TwoChannelNoJamming().lockstep_program(), CJZLockstepProgram
+        )
+
+        class BackoffVariant(ProbabilityBackoff):
+            pass
+
+        class TwoChannelVariant(TwoChannelNoJamming):
+            pass
+
+        assert BackoffVariant().lockstep_program() is None
+        assert TwoChannelVariant().lockstep_program() is None
 
     def test_kernel_reports_reason(self):
         kernel = LockstepStudyKernel()
         reason = kernel.unsupported_reason(
-            make_factory(SlottedAloha, 0.2),
+            make_factory(AlohaVariant, 0.2),
             batch_jam_factory,
             SimulatorConfig(horizon=10),
         )
@@ -214,32 +246,126 @@ class TestAutoLadder:
         )
         assert all(r.backend == "lockstep" for r in study)
 
-    def test_auto_keeps_small_sparse_studies_per_trial(self):
-        # Two trials of a thin spread workload carry too little concurrent
-        # population for the lockstep tier to pay off.
-        study = run_trials(
+    @staticmethod
+    def _sparse_study(trials, backend="auto"):
+        return run_trials(
             protocol_factory=cjz_factory(),
             adversary_factory=lambda: ComposedAdversary(
                 UniformRandomArrivals(10, (1, 60)), RandomFractionJamming(0.2)
             ),
             horizon=120,
-            trials=2,
+            trials=trials,
             seed=5,
-            backend="auto",
+            backend=backend,
         )
+
+    def test_auto_keeps_small_sparse_studies_per_trial(self):
+        # A single trial of a thin spread workload carries too little
+        # concurrent population for the lockstep tier to pay off.
+        study = self._sparse_study(trials=1)
         assert all(r.backend == "reference" for r in study)
         # An explicit request still runs lockstep.
-        explicit = run_trials(
-            protocol_factory=cjz_factory(),
-            adversary_factory=lambda: ComposedAdversary(
+        explicit = self._sparse_study(trials=1, backend="lockstep")
+        assert all(r.backend == "lockstep" for r in explicit)
+
+    def test_auto_runs_the_same_sparse_study_lockstep_from_two_trials(self):
+        single = self._sparse_study(trials=1)
+        double = self._sparse_study(trials=2)
+        assert [r.backend for r in single] == ["reference"]
+        assert [r.backend for r in double] == ["lockstep", "lockstep"]
+        # Trial seeds do not depend on the trial count or the backend.
+        assert single.results[0].summary == double.results[0].summary
+
+    def test_auto_runs_a_single_batch_trial_lockstep(self):
+        def study(count):
+            return run_trials(
+                protocol_factory=cjz_factory(),
+                adversary_factory=lambda: ComposedAdversary(
+                    BatchArrivals(count), RandomFractionJamming(0.2)
+                ),
+                horizon=120,
+                trials=1,
+                seed=5,
+                backend="auto",
+            )
+
+        assert study(31).results[0].backend == "reference"
+        assert study(32).results[0].backend == "lockstep"
+
+    def test_explain_backend_states_the_rule_inputs(self):
+        runner = TrialRunner(
+            cjz_factory(),
+            lambda: ComposedAdversary(
                 UniformRandomArrivals(10, (1, 60)), RandomFractionJamming(0.2)
             ),
-            horizon=120,
-            trials=2,
-            seed=5,
-            backend="lockstep",
+            SimulatorConfig(horizon=120),
         )
-        assert all(r.backend == "lockstep" for r in explicit)
+        rows = {row["backend"]: row for row in runner.explain_backend(1)}
+        assert rows["lockstep"]["status"] == "skipped"
+        assert "trials=1" in rows["lockstep"]["reason"]
+        assert "peak single-slot arrivals=1" in rows["lockstep"]["reason"]
+        rows = {row["backend"]: row for row in runner.explain_backend(2)}
+        assert rows["lockstep"]["status"] in ("selected", "eligible")
+
+
+class TestCompiledRungUnderAuto:
+    """``auto`` skips the lockstep-jit rung when it cannot run at all."""
+
+    @staticmethod
+    def _study(backend):
+        return run_trials(
+            protocol_factory=cjz_factory(),
+            adversary_factory=batch_jam_factory,
+            horizon=60,
+            trials=2,
+            seed=3,
+            backend=backend,
+        )
+
+    def test_auto_study_is_clean_with_the_interpreter_off(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
+        study = self._study("auto")
+        assert {r.backend for r in study} == {"lockstep"}
+        assert study.health.clean
+        assert study.summary_row()["health_demotions"] == 0.0
+        runner = TrialRunner(
+            cjz_factory(), batch_jam_factory, SimulatorConfig(horizon=60)
+        )
+        rows = {row["backend"]: row for row in runner.explain_backend(2)}
+        assert rows["lockstep-jit"]["status"] == "skipped"
+        assert "interpreter is off" in rows["lockstep-jit"]["reason"]
+        assert rows["lockstep"]["status"] == "selected"
+
+    def test_explicit_request_records_one_demotion(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
+        study = self._study("lockstep-jit")
+        assert {r.backend for r in study} == {"lockstep"}
+        assert len(study.health.demotions) == 1
+        assert "interpreter is off" in study.health.demotions[0].detail
+
+    def test_auto_skips_programs_without_compiled_tables(self, monkeypatch):
+        monkeypatch.setenv("REPRO_COMPILED_FORCE_PYTHON", "1")
+        monkeypatch.delenv("REPRO_DISABLE_NUMBA", raising=False)
+        aloha = make_factory(SlottedAloha, 0.2)
+
+        def reactive():
+            return ComposedAdversary(BatchArrivals(6), ReactiveJamming(0.25))
+
+        study = run_trials(
+            protocol_factory=aloha,
+            adversary_factory=reactive,
+            horizon=60,
+            trials=2,
+            seed=3,
+            backend="auto",
+        )
+        assert {r.backend for r in study} == {"lockstep"}
+        assert study.health.clean
+        runner = TrialRunner(aloha, reactive, SimulatorConfig(horizon=60))
+        rows = {row["backend"]: row for row in runner.explain_backend(2)}
+        assert rows["lockstep-jit"]["status"] == "skipped"
+        assert "compiled tables" in rows["lockstep-jit"]["reason"]
+        assert rows["lockstep"]["status"] == "selected"
 
 
 class TestKernelBehaviour:

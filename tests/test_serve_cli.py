@@ -314,3 +314,4 @@ class TestServeSubprocess:
             if daemon.poll() is None:
                 daemon.send_signal(signal.SIGKILL)
                 daemon.wait(timeout=10)
+            daemon.stdout.close()

@@ -15,6 +15,7 @@ from repro.spec import (
     Sweep,
     sweep_rows,
 )
+from repro.spec.store import payload_checksum
 
 SEED = 11
 
@@ -115,16 +116,23 @@ class TestStudyStore:
         spec = aloha_spec(horizon=256)
         path = store.put(spec, spec.run())
         path.write_text("{not json")
-        assert store.get(spec) is None
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            assert store.get(spec) is None
+        assert (tmp_path / "corrupt" / path.name).exists()
 
     def test_schema_mismatch_reads_as_miss(self, tmp_path):
+        # A stale schema with an intact checksum is a valid old entry: a
+        # plain miss, neither quarantined nor warned about.
         store = StudyStore(tmp_path)
         spec = aloha_spec(horizon=256)
         path = store.put(spec, spec.run())
         payload = json.loads(path.read_text())
         payload["schema"] = 999
+        payload["checksum"] = payload_checksum(payload)
         path.write_text(json.dumps(payload))
         assert store.get(spec) is None
+        assert path.exists()
+        assert not (tmp_path / "corrupt").exists()
 
     def test_cached_result_refuses_prefix_throughput(self, tmp_path):
         store = StudyStore(tmp_path)
