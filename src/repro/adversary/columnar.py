@@ -23,11 +23,22 @@ stepped again) and observations are delivered after each slot's resolution,
 exactly as :meth:`~repro.adversary.base.Adversary.observe` receives them.
 None of the columnar adversaries consume randomness after ``setup``, so the
 vectorized replay is trivially stream-identical.
+
+Idle stretches — slots in which no running trial holds a live node — need no
+node work, so the kernel asks the driver to jump them
+(:meth:`LockstepAdversaryDriver.skip_idle`).  The two schedule-backed
+drivers skip to their next scheduled arrival: the precompiled driver copies
+the skipped jam columns from its schedule, the reactive driver advances its
+slot counters in one step (only while no burst is pending, since a pending
+burst jams in the coming slots).  The chaser and the generic driver step
+every slot: their next arrival depends on per-slot state or on the
+adversary's own code.
 """
 
 from __future__ import annotations
 
 import abc
+import bisect
 from typing import List, Optional
 
 import numpy as np
@@ -72,6 +83,20 @@ class LockstepAdversaryDriver(abc.ABC):
     ) -> None:
         """Deliver the slot's feedback to every still-running trial."""
 
+    def skip_idle(
+        self, slot: int, trial_active: np.ndarray, jam_m: np.ndarray
+    ) -> int:
+        """Jump an idle stretch starting at ``slot``; the slot to resume at.
+
+        Called only when no running trial holds a live node.  A driver that
+        knows the following slots need no per-slot decision accounts for
+        them in one step — its counters, and the skipped columns of the
+        ``(T, horizon+1)`` jam matrix ``jam_m`` — and returns the first slot
+        that does (``horizon + 1`` when none is left).  The default skips
+        nothing.
+        """
+        return slot
+
     def exhausted(self, trial: int, slot: int) -> bool:
         """Whether trial ``trial``'s adversary can inject no more nodes."""
         return self.adversaries[trial].arrivals_exhausted(slot)
@@ -80,7 +105,23 @@ class LockstepAdversaryDriver(abc.ABC):
         return self.adversaries[trial].describe()
 
 
-class PrecompiledLockstepDriver(LockstepAdversaryDriver):
+class _ScheduledLockstepDriver(LockstepAdversaryDriver):
+    """Drivers whose ``(T, horizon+1)`` arrival schedule is known up front."""
+
+    def __init__(self, adversaries: List[Adversary], arrivals: np.ndarray) -> None:
+        super().__init__(adversaries)
+        self.arrival_schedule = arrivals
+        # Slots in which any trial's schedule injects, then horizon + 1.
+        self._arrival_slots = (
+            np.flatnonzero(arrivals[:, 1:].any(axis=0)) + 1
+        ).tolist() + [arrivals.shape[1]]
+
+    def _next_arrival(self, slot: int) -> int:
+        """The first scheduled arrival slot at or after ``slot``."""
+        return self._arrival_slots[bisect.bisect_left(self._arrival_slots, slot)]
+
+
+class PrecompiledLockstepDriver(_ScheduledLockstepDriver):
     """Oblivious adversaries: schedules fully materialized before slot 1."""
 
     def __init__(
@@ -89,8 +130,7 @@ class PrecompiledLockstepDriver(LockstepAdversaryDriver):
         arrivals: np.ndarray,
         jammed: np.ndarray,
     ) -> None:
-        super().__init__(adversaries)
-        self.arrival_schedule = arrivals
+        super().__init__(adversaries, arrivals)
         self._jammed = jammed
 
     def actions(self, slot: int, trial_active: np.ndarray) -> tuple:
@@ -98,8 +138,19 @@ class PrecompiledLockstepDriver(LockstepAdversaryDriver):
         jam = self._jammed[:, slot] & trial_active
         return arrivals, jam
 
+    def skip_idle(
+        self, slot: int, trial_active: np.ndarray, jam_m: np.ndarray
+    ) -> int:
+        resume = self._next_arrival(slot)
+        np.logical_and(
+            self._jammed[:, slot:resume],
+            trial_active[:, None],
+            out=jam_m[:, slot:resume],
+        )
+        return resume
 
-class ReactiveJammingLockstepDriver(LockstepAdversaryDriver):
+
+class ReactiveJammingLockstepDriver(_ScheduledLockstepDriver):
     """Oblivious arrivals + reactive jamming, with the jammer's state columnar."""
 
     def __init__(
@@ -109,8 +160,7 @@ class ReactiveJammingLockstepDriver(LockstepAdversaryDriver):
         fractions: np.ndarray,
         bursts: np.ndarray,
     ) -> None:
-        super().__init__(adversaries)
-        self.arrival_schedule = arrivals
+        super().__init__(adversaries, arrivals)
         self._fraction = fractions
         self._burst = bursts
         self._seen = np.zeros(self.trials, dtype=np.int64)
@@ -164,6 +214,18 @@ class ReactiveJammingLockstepDriver(LockstepAdversaryDriver):
     def observe(self, slot, success, winner_ids, trial_active) -> None:
         refresh = success & trial_active
         self._pending[refresh] = self._burst[refresh]
+
+    def skip_idle(
+        self, slot: int, trial_active: np.ndarray, jam_m: np.ndarray
+    ) -> int:
+        # A pending burst may jam any coming slot, so step slot by slot
+        # until it is spent.  Without one, an idle slot only counts towards
+        # the budget, and no success can refresh the burst.
+        if (self._pending[trial_active] > 0).any():
+            return slot
+        resume = self._next_arrival(slot)
+        self._seen += trial_active * (resume - slot)
+        return resume
 
 
 class AdaptiveChaserLockstepDriver(LockstepAdversaryDriver):

@@ -283,6 +283,7 @@ class ServeClient:
     ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
         ack: Optional[Dict[str, Any]] = None
         events: List[Dict[str, Any]] = []
+        ended = False
         for received in self._request(message, attempt):
             if ack is None:
                 if not received.get("ok", False):
@@ -294,12 +295,20 @@ class ServeClient:
                     break
                 continue
             if received.get("event") == "end":
+                ended = True
                 break
             events.append(received)
         if ack is None:
             raise ServeUnavailable(
                 f"sweep server at {self._host}:{self._port} closed the "
                 "connection without answering"
+            )
+        if expect_stream and not ended:
+            # A server stopping mid-stream (a restart): the re-sent request
+            # reattaches to the jobs by spec hash.
+            raise ServeUnavailable(
+                f"sweep server at {self._host}:{self._port} closed the "
+                "stream before its end event"
             )
         return ack, events
 

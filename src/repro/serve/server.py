@@ -56,7 +56,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .. import faults
 from ..errors import ReproError, ServeError
@@ -213,6 +213,8 @@ class SweepServer:
         # its index — replacement tasks must never inherit a stale entry):
         # task -> (monotonic start time, job group being executed).
         self._busy: Dict[asyncio.Task, Tuple[float, List[Job]]] = {}
+        # One handler task per open client connection.
+        self._connections: Set[asyncio.Task] = set()
         self._draining = False
         self._shutdown = asyncio.Event()
         self._started_at = 0.0
@@ -237,7 +239,7 @@ class SweepServer:
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle_connection,
+            self._accept,
             self._host,
             self._port,
             limit=MAX_LINE_BYTES,
@@ -267,8 +269,7 @@ class SweepServer:
         SIGTERM path of ``repro serve``.
         """
         self._draining = True
-        if self._server is not None:
-            self._server.close()
+        await self._close_listener()
         while any(
             job.status in ("queued", "running") for job in self._jobs.values()
         ):
@@ -279,20 +280,39 @@ class SweepServer:
     def draining(self) -> bool:
         return self._draining
 
+    async def _close_listener(self) -> None:
+        """Stop accepting connections, then close the listening sockets.
+
+        asyncio builds a transport one loop turn after accepting its
+        socket, and rejects it half-built (leaking the socket) once the
+        server is closed.  So the listener stops polling first, and accepts
+        already under way get that turn before the close.
+        """
+        if self._server is None:
+            return
+        loop = asyncio.get_running_loop()
+        for sock in self._server.sockets:
+            with contextlib.suppress(NotImplementedError):
+                loop.remove_reader(sock)
+        await asyncio.sleep(0)
+        self._server.close()
+
     async def stop(self) -> None:
+        # A connection that reaches its handler from now on ends at once.
+        self._shutdown.set()
+        await self._close_listener()
         if self._server is not None:
-            self._server.close()
+            # Open connections close first: on Python 3.12+ wait_closed()
+            # waits for them, and a client whose stream ends before its
+            # "end" event reattaches to the next server.
+            await _cancel_all(list(self._connections))
             await self._server.wait_closed()
         # The watchdog dies first, or it would "recover" the dispatchers we
         # are about to cancel.
         tasks = list(self._dispatchers)
         if self._watchdog is not None:
             tasks.insert(0, self._watchdog)
-        for task in tasks:
-            task.cancel()
-        for task in tasks:
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
+        await _cancel_all(tasks)
 
     # ----------------------------------------------------------- recovery
 
@@ -439,7 +459,13 @@ class SweepServer:
     async def _await_deadline(self, future: "asyncio.Future") -> Any:
         if self._deadline is None:
             return await future
-        return await asyncio.wait_for(future, timeout=self._deadline)
+        start = time.perf_counter()
+        result = await asyncio.wait_for(future, timeout=self._deadline)
+        if time.perf_counter() - start > self._deadline:
+            # The result came in after the deadline but before the loop ran
+            # its timeout (the job thread held the GIL): it is still late.
+            raise asyncio.TimeoutError
+        return result
 
     def _requeue_or_fail(self, job: Job, reason: str) -> None:
         """Deadline/hang recovery: re-queue up to the cap, then fail.
@@ -735,6 +761,18 @@ class SweepServer:
 
     # --------------------------------------------------------- connections
 
+    def _accept(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Run each connection as a task the server owns, so stop() can
+        cancel it (a handler task asyncio owned would be logged as failed
+        on Python 3.11 when cancelled).  The connection closes however the
+        task ends, even when it is cancelled before its first step."""
+        task = asyncio.create_task(self._handle_connection(reader, writer))
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
+        task.add_done_callback(lambda _: writer.close())
+
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -922,6 +960,15 @@ class SweepServer:
         await self._send(writer, {"event": "end"})
 
 
+async def _cancel_all(tasks: List[asyncio.Task]) -> None:
+    """Cancel ``tasks`` and wait until each has finished."""
+    for task in tasks:
+        task.cancel()
+    for task in tasks:
+        with contextlib.suppress(asyncio.CancelledError):
+            await task
+
+
 class BackgroundServer:
     """A :class:`SweepServer` on its own event loop in a daemon thread.
 
@@ -981,17 +1028,15 @@ class BackgroundServer:
         started = threading.Event()
 
         def runner() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
+            # asyncio.run finishes what the stop left in flight (a connection
+            # accepted just before the listener closed) before it closes the
+            # loop.
             try:
-                loop.run_until_complete(self._main(started))
+                asyncio.run(self._main(started))
             except BaseException as exc:  # noqa: BLE001 — surfaced to caller
                 self._startup_error = exc
             finally:
                 started.set()
-                with contextlib.suppress(Exception):
-                    loop.close()
 
         self._thread = threading.Thread(
             target=runner, name="repro-serve-loop", daemon=True
@@ -1007,6 +1052,7 @@ class BackgroundServer:
         return self
 
     async def _main(self, started: threading.Event) -> None:
+        self._loop = asyncio.get_running_loop()
         store = ShardedStudyStore(
             self._store_root,
             shards=self._shards,

@@ -6,7 +6,10 @@ feedback-*driven* — phase transitions fire on observed successes — so its
 broadcast matrix cannot be precomputed.  This kernel flips the vectorization
 axis instead: it steps slot by slot through the horizon, but advances the
 **entire T-trial × N-node population per slot** with array operations — one
-Python iteration per slot instead of ``T × N × horizon``.
+Python iteration per busy slot instead of ``T × N × horizon``.  Slots in
+which no running trial holds a live node are idle: the adversary driver
+jumps each such stretch to the next slot that needs the per-slot path
+(:meth:`~repro.adversary.columnar.LockstepAdversaryDriver.skip_idle`).
 
 Three columnar sub-systems cooperate:
 
@@ -75,19 +78,20 @@ AdversaryFactory = Callable[[], Adversary]
 #: front (adaptive arrivals); grown by doubling as nodes are injected.
 _INITIAL_CAPACITY = 16
 
-#: ``auto``-selection rule.  The kernel pays a fixed cost per slot, and its
-#: work per slot grows with the live population, so lockstep beats the
-#: per-trial reference loop once enough node-trials advance together.  The
-#: dispatch matrix ``repro bench`` records (four scenarios × trials
-#: {1, 2, 4, 8, 32} × horizons {256, 1024}; ``BENCH_2026-10-17.json``)
-#: puts the break-even below two trials: from two trials on, lockstep was
-#: faster in every cell but two, which it lost by about 1 ms.  A single
-#: trial wins only when a batch arrives in one slot: ethernet-burst (peak
-#: of 24 single-slot arrivals) lost up to 1.5× on lockstep, lock-convoy
-#: (192) won 10×.  So ``auto`` runs lockstep from two trials on, and a
-#: single trial when the probe's peak reaches this floor; over the matrix,
-#: ``auto``'s picks took 1.008× the faster tier's time.  An explicit
-#: ``backend="lockstep"`` request always runs.
+#: ``auto``-selection rule.  The kernel pays a fixed cost per busy slot
+#: (idle stretches are jumped), and its work per slot grows with the live
+#: population, so lockstep beats the per-trial reference loop once enough
+#: node-trials advance together.  The dispatch matrix ``repro bench``
+#: records (four scenarios × trials {1, 2, 4, 8, 32} × horizons
+#: {256, 1024}; ``BENCH_2026-10-17b.json``) puts the break-even below two
+#: trials: from two trials on, lockstep was faster in every cell.  A single
+#: trial is mixed: lockstep won six of the eight cells — lock-convoy (peak
+#: of 192 single-slot arrivals) by 9-11×, and ethernet-burst (peak 24) no
+#: longer loses — but lost wireless-interference at horizon 256 (1.3×) and
+#: adversarial-jam at 1024 (1.7×).  So ``auto`` runs lockstep from two
+#: trials on, and a single trial when the probe's peak reaches this floor;
+#: over the matrix, ``auto``'s picks took 1.012× the faster tier's time.
+#: An explicit ``backend="lockstep"`` request always runs.
 _AUTO_TRIALS_FLOOR = 2
 _AUTO_SINGLE_TRIAL_PEAK = 32
 
@@ -396,10 +400,23 @@ class _LockstepRun:
 
     def execute(self) -> List[SimulationResult]:
         config = self._config
+        horizon = config.horizon
+        drain = config.stop_when_drained
         program = self._program
         driver = self._driver
         trials = self._trials
-        for slot in range(1, config.horizon + 1):
+        slot = 1
+        while slot <= horizon:
+            # An idle slot draws no stream and runs no program hook, and the
+            # study matrices are already zero there, so the driver can jump
+            # the whole stretch.  Under stop_when_drained a running trial
+            # that holds nodes may stop in any slot of it; step those.
+            if not self._active.size and not (
+                drain and (self._trial_active & (self._node_count > 0)).any()
+            ):
+                slot = driver.skip_idle(slot, self._trial_active, self._jam_m)
+                if slot > horizon:
+                    break
             arrivals, jam = driver.actions(slot, self._trial_active)
             self._jam_m[:, slot] = jam
             if arrivals.any():
@@ -443,8 +460,9 @@ class _LockstepRun:
                 keep = ~own
                 self._active = rows[keep]
                 self._active_trials = self._active_trials[keep]
-            if config.stop_when_drained and self._check_drained(slot):
+            if drain and self._check_drained(slot):
                 break
+            slot += 1
         return self._emit()
 
     def _check_drained(self, slot: int) -> bool:

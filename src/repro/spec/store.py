@@ -277,7 +277,9 @@ class StudyStore:
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, sort_keys=True)
+                # One dumps call runs the C encoder; json.dump would stream
+                # the same text through the pure-Python one.
+                handle.write(json.dumps(payload, sort_keys=True))
             os.replace(tmp_name, path)
         except BaseException:
             try:

@@ -174,6 +174,47 @@ def test_age_profile_groups_identical_to_reference(
     _assert_studies_identical(fused, reference)
 
 
+@given(
+    st.sampled_from(["cjz", "windowed", "aloha"]),
+    st.sampled_from(["no-jamming", "random-fraction", "reactive"]),
+    st.integers(min_value=0, max_value=2**16),
+    st.booleans(),
+)
+@settings(max_examples=8, deadline=None)
+def test_groups_with_idle_members_identical_to_reference(
+    protocol, jamming, seed, drained
+):
+    """A heterogeneous group whose members arrive in different stretches:
+    one member idles while another is busy, and the loop jumps the
+    stretches in which every member idles."""
+    params = {"no-jamming": {}, "random-fraction": {"fraction": 0.25}}
+    jammer = {
+        "kind": jamming,
+        "params": params.get(jamming, {"fraction": 0.25, "burst": 2}),
+    }
+
+    def adversary(slot):
+        return {
+            "kind": "composed",
+            "arrivals": {"kind": "batch", "params": {"count": 6, "slot": slot}},
+            "jamming": jammer,
+        }
+
+    specs = [
+        _spec(
+            protocol, param, "batch", "none", 480, 2, seed + param,
+            adversary=adversary(slot), stop_when_drained=drained,
+        )
+        for param, slot in ((2, 10), (3, 260), (5, 260))
+    ]
+    assert [len(g) for g in plan_fusion_groups(list(enumerate(specs)))] == [3]
+    fused = StudyPlan(specs).run(fuse=True)
+    reference = StudyPlan(
+        [spec.with_execution(backend="reference") for spec in specs]
+    ).run(fuse=False)
+    _assert_studies_identical(fused, reference)
+
+
 def test_batched_study_points_stay_unfused():
     """Points the batched study kernel takes on their own never fuse under
     ``auto``; an explicit lockstep pin and an adaptive jammer still do."""

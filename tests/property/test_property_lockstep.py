@@ -9,12 +9,14 @@ arrivals under no / random / reactive jamming, plus the fully adaptive
 success chaser — and any seed, a ``backend="lockstep"`` study must reproduce
 the serial reference study exactly: identical summaries, prefix arrays,
 per-node statistics and early-stop slots, and the same holds for
-``workers=4`` shard merges.
+``workers=4`` shard merges.  Workloads with long idle stretches pin the
+kernel's idle-slot skip the same way.
 """
 
 import math
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.adversary import (
@@ -23,8 +25,10 @@ from repro.adversary import (
     BurstyArrivals,
     ComposedAdversary,
     NoJamming,
+    PoissonArrivals,
     RandomFractionJamming,
     ReactiveJamming,
+    ScheduledArrivals,
     UniformRandomArrivals,
 )
 from repro.core import cjz_factory
@@ -265,3 +269,159 @@ class TestLockstepEquivalence:
         # the pure-python interpreter); both names are the lockstep tier.
         assert all(r.backend in ("lockstep", "lockstep-jit") for r in auto)
         assert_studies_identical(study("reference"), auto)
+
+
+def per_slot(column):
+    """Slot-by-slot values (slots ``1..horizon``) of a prefix column."""
+    return np.diff(np.asarray(column))
+
+
+JAMMERS = {
+    "none": NoJamming,
+    "random": lambda: RandomFractionJamming(0.25),
+    "reactive": lambda: ReactiveJamming(0.2, burst=5),
+}
+
+
+class TestIdleSkipEquivalence:
+    """Idle stretches — no live node in any running trial — are jumped by
+    the adversary driver; the jump must be invisible in every output."""
+
+    @settings(max_examples=16, deadline=None)
+    @given(
+        named_factory=all_program_factories,
+        jamming=st.sampled_from(sorted(JAMMERS)),
+        first=st.tuples(st.integers(2, 40), st.integers(1, 6)),
+        second=st.integers(1, 6),
+        gap=st.integers(250, 400),
+        trials=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_clusters_across_a_long_idle_gap_identical(
+        self, named_factory, jamming, first, second, gap, trials, seed
+    ):
+        _, factory = named_factory
+        start, count = first
+        later = start + gap
+
+        def study(backend):
+            return run_trials(
+                protocol_factory=factory,
+                adversary_factory=lambda: ComposedAdversary(
+                    ScheduledArrivals({start: count, later: second}),
+                    JAMMERS[jamming](),
+                ),
+                horizon=later + 150,
+                trials=trials,
+                seed=seed,
+                backend=backend,
+            )
+
+        lockstep = study("lockstep")
+        # The stretch before the first cluster is idle in every trial.
+        assert all(
+            not per_slot(r.counters.active)[: start - 1].any() for r in lockstep
+        )
+        assert_studies_identical(study("reference"), lockstep)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        named_factory=all_program_factories,
+        count=st.integers(1, 4),
+        trials=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_burst_pending_after_the_last_node_leaves_identical(
+        self, named_factory, count, trials, seed
+    ):
+        """A success just before the system empties leaves a reactive burst
+        pending; the skip must wait until that burst is spent."""
+        _, factory = named_factory
+
+        def study(backend):
+            return run_trials(
+                protocol_factory=factory,
+                adversary_factory=lambda: ComposedAdversary(
+                    ScheduledArrivals({5: count, 420: count}),
+                    ReactiveJamming(0.5, burst=30),
+                ),
+                horizon=560,
+                trials=trials,
+                seed=seed,
+                backend=backend,
+            )
+
+        lockstep = study("lockstep")
+        # Some slot is jammed while no trial has a live node in it.
+        idle = np.all([per_slot(r.counters.active) == 0 for r in lockstep], axis=0)
+        jammed = np.any([per_slot(r.counters.jammed) > 0 for r in lockstep], axis=0)
+        assume((idle & jammed).any())
+        assert_studies_identical(study("reference"), lockstep)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        named_factory=all_program_factories,
+        arrivals=st.sampled_from(["poisson", "uniform"]),
+        jamming=st.sampled_from(sorted(JAMMERS)),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_stop_slot_after_the_last_arrival_identical(
+        self, named_factory, arrivals, jamming, seed
+    ):
+        """Under stop_when_drained a drained trial stops at the first slot
+        its arrivals are exhausted — for Poisson ``last_slot`` and
+        uniform-random windows often well after its last arrival."""
+        _, factory = named_factory
+
+        def build():
+            if arrivals == "poisson":
+                strategy = PoissonArrivals(0.03, last_slot=150)
+            else:
+                strategy = UniformRandomArrivals(3, (1, 150))
+            return ComposedAdversary(strategy, JAMMERS[jamming]())
+
+        def study(backend):
+            return run_trials(
+                protocol_factory=factory,
+                adversary_factory=build,
+                horizon=400,
+                trials=3,
+                seed=seed,
+                backend=backend,
+                stop_when_drained=True,
+            )
+
+        reference, lockstep = study("reference"), study("lockstep")
+        assert [r.horizon for r in lockstep] == [r.horizon for r in reference]
+        assert_studies_identical(reference, lockstep)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        named_factory=all_program_factories,
+        jamming=st.sampled_from(["random", "reactive"]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_stopped_trial_beside_idle_trials_identical(
+        self, named_factory, jamming, seed
+    ):
+        """One trial drains and stops while the others, which never get a
+        node, idle on: the jump runs with a stopped trial in the study."""
+        _, factory = named_factory
+
+        def study(backend):
+            return run_trials(
+                protocol_factory=factory,
+                adversary_factory=lambda: ComposedAdversary(
+                    PoissonArrivals(0.05, last_slot=20), JAMMERS[jamming]()
+                ),
+                horizon=360,
+                trials=4,
+                seed=seed,
+                backend=backend,
+                stop_when_drained=True,
+            )
+
+        lockstep = study("lockstep")
+        assume(any(r.horizon < 360 for r in lockstep))
+        assume(any(r.total_arrivals == 0 for r in lockstep))
+        assert_studies_identical(study("reference"), lockstep)

@@ -9,6 +9,7 @@ from repro.adversary import (
     ComposedAdversary,
     RandomFractionJamming,
     ReactiveJamming,
+    ScheduledArrivals,
     UniformRandomArrivals,
 )
 from repro.core import ChenJiangZhengProtocol, GlobalClockVariant, cjz_factory
@@ -520,3 +521,55 @@ class TestKernelBehaviour:
             )
 
         assert study("lockstep").metrics() == study("reference").metrics()
+
+
+class TestIdleSkip:
+    def test_idle_slots_reach_neither_program_nor_driver(self, monkeypatch):
+        """Slots in which no trial holds a live node are jumped: the program
+        steps exactly once per busy slot, and the driver is asked for no
+        skipped slot."""
+        import repro.sim.backends.lockstep as lockstep_module
+
+        steps, actions = [], []
+        real_step = CJZLockstepProgram.step
+
+        def step(program, rows, slot):
+            steps.append(slot)
+            return real_step(program, rows, slot)
+
+        real_build = lockstep_module.build_lockstep_driver
+
+        def build(*args):
+            driver = real_build(*args)
+            real_actions = driver.actions
+
+            def counted(slot, trial_active):
+                actions.append(slot)
+                return real_actions(slot, trial_active)
+
+            driver.actions = counted
+            return driver
+
+        monkeypatch.setattr(CJZLockstepProgram, "step", step)
+        monkeypatch.setattr(lockstep_module, "build_lockstep_driver", build)
+        horizon = 700
+        kwargs = dict(
+            protocol_factory=cjz_factory(),
+            adversary_factory=lambda: ComposedAdversary(
+                ScheduledArrivals({30: 3, 450: 2}), RandomFractionJamming(0.2)
+            ),
+            horizon=horizon,
+            trials=2,
+            seed=5,
+        )
+        study = run_trials(backend="lockstep", **kwargs)
+        busy = set()
+        for result in study:
+            live = np.diff(np.asarray(result.counters.active))
+            busy.update((np.flatnonzero(live) + 1).tolist())
+        assert steps == sorted(busy)
+        assert actions == steps
+        assert len(steps) < horizon // 2
+        for a, b in zip(run_trials(backend="reference", **kwargs), study):
+            assert a.summary == b.summary
+            assert a.prefix_jammed == b.prefix_jammed

@@ -2,7 +2,6 @@
 clients, deadlines/watchdog, graceful drain, and the SIGKILL acceptance
 path (kill the daemon mid-sweep, restart it, demand identical rows)."""
 
-import gc
 import json
 import os
 import re
@@ -304,6 +303,34 @@ class TestClientResilience:
         assert isinstance(excinfo.value, ServeRetriable)
         assert isinstance(excinfo.value, ServeError)
 
+    def test_stream_cut_before_its_end_is_retried(self):
+        """A server that acks a waiting submit and then closes mid-stream (a
+        restart) is retried; when every attempt is cut the client raises
+        the retriable ServeUnavailable, not a missing-result error."""
+        requests = []
+
+        def serve(listener):
+            for _ in range(3):
+                conn, _ = listener.accept()
+                with conn, conn.makefile("rb") as reader:
+                    requests.append(json.loads(reader.readline()))
+                    ack = {"ok": True, "op": "submit", "jobs": []}
+                    conn.sendall((json.dumps(ack) + "\n").encode())
+
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(3)
+            server = threading.Thread(target=serve, args=(listener,), daemon=True)
+            server.start()
+            client = ServeClient(
+                *listener.getsockname()[:2], timeout=5.0, retries=2, backoff=0.01
+            )
+            with pytest.raises(ServeUnavailable, match="before its end event"):
+                client.submit(aloha_spec())
+            server.join(timeout=10.0)
+        assert not server.is_alive()
+        assert [request["op"] for request in requests] == ["submit"] * 3
+
     def test_conn_drop_fault_is_retried_transparently(self, tmp_path):
         """A connection dropped mid-submit re-sends the whole request; the
         server-side dedupe turns the re-send into a reattach."""
@@ -326,11 +353,6 @@ class TestClientResilience:
                 with pytest.raises(ServeUnavailable, match="conn-drop"):
                     client.stats()
 
-    # The hard stop closes the first server's loop under its open
-    # connection, whose socket then leaks until garbage collection; the
-    # collection below keeps that expected warning inside this test.
-    @pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
-    @pytest.mark.filterwarnings("ignore::ResourceWarning")
     def test_sweep_survives_server_restart_mid_flight(self, tmp_path):
         """The acceptance scenario in-process: a client sweep keeps retrying
         through a full server stop/restart on the same port+journal+store
@@ -369,7 +391,6 @@ class TestClientResilience:
                 assert not worker.is_alive()
         finally:
             first.stop()
-            gc.collect()
         assert not errors, f"sweep died across restart: {errors[0]!r}"
         serial = StudyPlan(specs).run()
         for planned, expected in zip(results["plan"], serial):
