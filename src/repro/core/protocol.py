@@ -221,24 +221,35 @@ class ChenJiangZhengProtocol(Protocol):
 class CJZLockstepProgram(LockstepProgram):
     """Columnar population state of the CJZ protocol for the lockstep kernel.
 
-    Per-node state is three phase anchors plus the ``h``-backoff plan of the
-    current stage:
+    One row per node, with the state columns:
 
     * ``phase`` — 1 (SYNCHRONIZE), 2 (WAIT_CONTROL) or 3 (BATCH);
-    * ``anchor1`` — the arrival slot (Phase 1's virtual-channel anchor);
-    * ``anchor2`` — Phase 2's channel anchor (``l1 + 1``);
+    * ``anchor`` — the first slot of the backoff channel: the arrival slot
+      in Phase 1, ``l1 + 1`` in Phase 2 (the next odd slot for the
+      global-clock variant, which starts there);
     * ``anchor3`` — Phase 3's anchor ``l3`` (control channel at ``l3 + 1``);
     * ``stage`` / ``plan`` / ``plan_ptr`` / ``next_planned`` — the realized
-      send plan of the current backoff stage, stored as a sorted row of
-      local indices so the per-slot membership test is one comparison.
+      send plan of the current backoff stage, a sorted row of distinct
+      local indices ended by the sentinel (entries after it are stale);
+    * ``next_event`` — the absolute slot of the row's next stage entry or
+      planned send, ``anchor + 2·(min(next_planned, 2^(stage+1)) − 1)``;
+      the sentinel in Phase 3.
 
-    RNG consumption mirrors the per-node reference exactly: entering backoff
-    stage ``k >= 1`` draws the stage's send plan as ``count`` bounded
-    integers (stage 0 consumes nothing — numpy's zero-range path), and every
-    Phase-3 slot draws one ``random()`` double for the active batch
-    subroutine.  ``h``-batch probabilities are table lookups built with the
-    same scalar calls ``HBatch.probability`` makes, so comparisons are
-    float-identical.
+    Backoff is event-driven: a slot visits only the Phase-1/2 rows whose
+    ``next_event`` is that slot, because between events the reference
+    neither draws nor sends.  Stage 0 is entered when backoff starts (on
+    arrival and at the Phase-2 restart): its one send is local index 1,
+    which numpy draws on its zero-range path without consuming anything.
+    All later stages entered in one slot draw their plans together, one
+    :meth:`~repro.rng.NodeStreamPool.pow2_batch` round per plan index: in
+    round ``j`` each row whose stage sends more than ``j`` times draws its
+    ``j``-th value with its own exponent, so every stream is consumed in
+    the reference's order.  Every Phase-3 slot draws one ``random()``
+    double per row and compares it with one gather from the interleaved
+    ``h``-batch table, indexed by ``t = slot − l3``: odd ``t`` is control
+    local ``(t + 1) / 2``, even ``t`` data local ``t / 2``.  The table
+    holds the floats the scalar ``HBatch.probability`` calls return, so
+    comparisons are float-identical.
     """
 
     def __init__(
@@ -247,8 +258,6 @@ class CJZLockstepProgram(LockstepProgram):
         self._params = parameters
         self._global_clock = global_clock
         self._pool = None
-        self._trials = 0
-        self._capacity = 0
 
     # ----------------------------------------------------------------- setup
 
@@ -282,7 +291,8 @@ class CJZLockstepProgram(LockstepProgram):
         """Stage counts clamp exactly as ``HBackoff._enter_stage`` does; the
         probability tables are built with the same scalar calls
         ``HBatch.probability`` would make, so both the columnar and the
-        compiled `uniform < p` comparisons are float-identical.
+        compiled `uniform < p` comparisons are float-identical.  The last
+        table interleaves the other two by ``t = slot − l3``.
         """
         params = self._params
         stage_counts = [
@@ -295,11 +305,14 @@ class CJZLockstepProgram(LockstepProgram):
         ctrl, data = params.ctrl_probability, params.data_probability
         ctrl_table[1:] = [ctrl(i) for i in range(1, size)]
         data_table[1:] = [data(i) for i in range(1, size)]
-        return stage_counts, ctrl_table, data_table
+        phase3_table = np.zeros(horizon + 1)
+        phase3_table[1::2] = ctrl_table[1 : 1 + (horizon + 1) // 2]
+        phase3_table[2::2] = data_table[1 : 1 + horizon // 2]
+        return stage_counts, ctrl_table, data_table, phase3_table
 
     def compiled_tables(self, horizon: int) -> CompiledProgramTables:
         def build() -> CompiledProgramTables:
-            stage_counts, ctrl_table, data_table = self._build_tables(horizon)
+            stage_counts, ctrl_table, data_table, _ = self._build_tables(horizon)
             return CompiledProgramTables.build(
                 opcode=OP_CJZ,
                 # [phase, anchor1, anchor2, anchor3, stage, plan_ptr,
@@ -329,34 +342,33 @@ class CJZLockstepProgram(LockstepProgram):
 
     def bind(self, trials: int, capacity: int, pool, horizon: int) -> None:
         self._pool = pool
-        self._trials = trials
-        self._capacity = capacity
-        self._stage_counts, self._ctrl_table, self._data_table = (
-            self._build_tables(horizon)
-        )
-        self._plan_width = max(self._stage_counts) + 1
+        stage_counts, _, _, self._phase3_table = self._build_tables(horizon)
+        self._stage_counts = np.asarray(stage_counts, dtype=np.int64)
         rows = trials * capacity
         self._phase = np.zeros(rows, dtype=np.int8)
-        self._anchor1 = np.zeros(rows, dtype=np.int64)
-        self._anchor2 = np.zeros(rows, dtype=np.int64)
+        self._anchor = np.zeros(rows, dtype=np.int64)
         self._anchor3 = np.zeros(rows, dtype=np.int64)
-        self._stage = np.full(rows, -1, dtype=np.int64)
-        self._plan = np.full((rows, self._plan_width), LOCKSTEP_SENTINEL, np.int64)
+        self._stage = np.zeros(rows, dtype=np.int64)
+        self._plan = np.full(
+            (rows, max(stage_counts) + 1), LOCKSTEP_SENTINEL, np.int64
+        )
         self._plan_ptr = np.zeros(rows, dtype=np.int64)
         self._next_planned = np.full(rows, LOCKSTEP_SENTINEL, dtype=np.int64)
+        self._next_event = np.full(rows, LOCKSTEP_SENTINEL, dtype=np.int64)
 
     def grow(self, trials: int, old_capacity: int, new_capacity: int) -> None:
         args = (trials, old_capacity, new_capacity)
-        self._capacity = new_capacity
         self._phase = grow_flat_column(self._phase, *args)
-        self._anchor1 = grow_flat_column(self._anchor1, *args)
-        self._anchor2 = grow_flat_column(self._anchor2, *args)
+        self._anchor = grow_flat_column(self._anchor, *args)
         self._anchor3 = grow_flat_column(self._anchor3, *args)
-        self._stage = grow_flat_column(self._stage, *args, fill=-1)
+        self._stage = grow_flat_column(self._stage, *args)
         self._plan = grow_flat_column(self._plan, *args, fill=LOCKSTEP_SENTINEL)
         self._plan_ptr = grow_flat_column(self._plan_ptr, *args)
         self._next_planned = grow_flat_column(
             self._next_planned, *args, fill=LOCKSTEP_SENTINEL
+        )
+        self._next_event = grow_flat_column(
+            self._next_event, *args, fill=LOCKSTEP_SENTINEL
         )
 
     # ---------------------------------------------------------------- arrive
@@ -366,120 +378,99 @@ class CJZLockstepProgram(LockstepProgram):
             # GlobalClockVariant: straight to Phase 2 on the globally known
             # control channel, anchored at the next odd slot.
             self._phase[rows] = 2
-            self._anchor2[rows] = slot if slot % 2 == 1 else slot + 1
+            anchor = slot | 1
         else:
             self._phase[rows] = 1
-            self._anchor1[rows] = slot
-        self._stage[rows] = -1
-        self._next_planned[rows] = LOCKSTEP_SENTINEL
+            anchor = slot
+        self._start_backoff(rows, anchor)
+
+    def _start_backoff(self, rows: np.ndarray, anchor) -> None:
+        """Enter backoff stage 0 on the channel whose first slot is ``anchor``.
+
+        Every budget is at least 1, so stage 0's plan is local index 1, set
+        here without a draw.
+        """
+        self._anchor[rows] = anchor
+        self._stage[rows] = 0
+        self._plan[rows, :2] = (1, LOCKSTEP_SENTINEL)
+        self._plan_ptr[rows] = 0
+        self._next_planned[rows] = 1
+        self._next_event[rows] = anchor
 
     # ------------------------------------------------------------------ step
 
     def step(self, rows: np.ndarray, slot: int) -> np.ndarray:
         sends = np.zeros(len(rows), dtype=bool)
-        phase = self._phase[rows]
-        parity = slot & 1
-        mask12 = phase < 3
-        if mask12.any():
-            # Phases 1 and 2 both run (f/a)-backoff, differing only in the
-            # virtual-channel anchor — one merged pass handles both.
-            self._step_backoff(rows, sends, mask12, phase, slot, parity)
-        mask3 = phase == 3
-        if mask3.any():
-            self._step_batch(rows, sends, mask3, slot, parity)
+        due = np.flatnonzero(self._next_event[rows] == slot)
+        if due.size:
+            self._step_backoff(rows, sends, due, slot)
+        batching = np.flatnonzero(self._phase[rows] == 3)
+        if batching.size:
+            # Phase 3: the control and data batches together cover every
+            # slot after l3, so exactly one of them draws in each.
+            selected = rows[batching]
+            probability = self._phase3_table[slot - self._anchor3[selected]]
+            sends[batching[self._pool.doubles(selected) < probability]] = True
         return sends
 
     def _step_backoff(
-        self,
-        rows: np.ndarray,
-        sends: np.ndarray,
-        mask: np.ndarray,
-        phase: np.ndarray,
-        slot: int,
-        parity: int,
+        self, rows: np.ndarray, sends: np.ndarray, due: np.ndarray, slot: int
     ) -> None:
-        """One slot of ``(f/a)``-backoff on each node's phase channel."""
-        positions = np.nonzero(mask)[0]
-        selected = rows[positions]
-        anchor = np.where(
-            phase[positions] == 1,
-            self._anchor1[selected],
-            self._anchor2[selected],
-        )
-        on_channel = ((anchor & 1) == parity) & (slot >= anchor)
-        if not on_channel.any():
-            return
-        positions = positions[on_channel]
-        selected = selected[on_channel]
-        local = ((slot - anchor[on_channel]) >> 1) + 1
-        # floor(log2(local)) == frexp exponent - 1, exact for int64 locals.
-        stage = np.frexp(local.astype(np.float64))[1].astype(np.int64) - 1
-        entering = stage != self._stage[selected]
+        """Stage entries and planned sends of the rows whose event is ``slot``."""
+        selected = rows[due]
+        anchor = self._anchor[selected]
+        local = ((slot - anchor) >> 1) + 1
+        stage = self._stage[selected]
+        entering = local == np.left_shift(1, stage + 1)
         if entering.any():
+            stage[entering] += 1
             self._enter_stages(selected[entering], stage[entering])
-        hits = self._next_planned[selected] == local
+        next_planned = self._next_planned[selected]
+        hits = next_planned == local
         if hits.any():
             hit_rows = selected[hits]
             pointer = self._plan_ptr[hit_rows] + 1
             self._plan_ptr[hit_rows] = pointer
-            self._next_planned[hit_rows] = self._plan[hit_rows, pointer]
-            sends[positions[hits]] = True
+            next_planned[hits] = self._plan[hit_rows, pointer]
+            self._next_planned[hit_rows] = next_planned[hits]
+            sends[due[hits]] = True
+        stage_end = np.left_shift(1, stage + 1)
+        self._next_event[selected] = anchor + 2 * (
+            np.minimum(next_planned, stage_end) - 1
+        )
 
     def _enter_stages(self, rows: np.ndarray, stages: np.ndarray) -> None:
-        """Draw and store the send plans of freshly entered backoff stages."""
-        for k in np.unique(stages).tolist():
-            selected = rows[stages == k]
-            count = self._stage_counts[k]
-            if k == 0:
-                # integers(1, 2, size=count) is numpy's zero-range path: no
-                # randomness is consumed and every draw equals 1.
-                draws = np.ones((1, len(selected)), dtype=np.int64)
-            else:
-                draws = self._pool.pow2_batch(selected, k, count)
-                draws.sort(axis=0)
-                if count > 1:
-                    # Duplicates collapse (drawing with replacement); push
-                    # them past the end so the plan row is sorted + unique.
-                    duplicate = np.zeros_like(draws, dtype=bool)
-                    duplicate[1:] = draws[1:] == draws[:-1]
-                    if duplicate.any():
-                        draws[duplicate] = LOCKSTEP_SENTINEL
-                        draws.sort(axis=0)
-            plan = np.full(
-                (len(selected), self._plan_width), LOCKSTEP_SENTINEL, np.int64
-            )
-            plan[:, : draws.shape[0]] = draws.T
-            self._plan[selected] = plan
-            self._plan_ptr[selected] = 0
-            self._next_planned[selected] = draws[0]
-            self._stage[selected] = k
+        """Draw and store the send plans of freshly entered backoff stages.
 
-    def _step_batch(
-        self,
-        rows: np.ndarray,
-        sends: np.ndarray,
-        mask: np.ndarray,
-        slot: int,
-        parity: int,
-    ) -> None:
-        """One slot of Phase 3: both ``h``-batches, one per virtual channel."""
-        positions = np.nonzero(mask)[0]
-        selected = rows[positions]
-        anchor3 = self._anchor3[selected]
-        # Control channel is anchored at l3+1, data at l3+2; together they
-        # cover every slot > l3, so exactly one batch draws each slot.
-        on_ctrl = ((anchor3 + 1) & 1) == parity
-        local = np.where(
-            on_ctrl,
-            ((slot - anchor3 - 1) >> 1) + 1,
-            ((slot - anchor3 - 2) >> 1) + 1,
-        )
-        probability = np.where(
-            on_ctrl, self._ctrl_table[local], self._data_table[local]
-        )
-        uniforms = self._pool.doubles(selected)
-        hits = uniforms < probability
-        sends[positions[hits]] = True
+        Round ``j`` draws the ``j``-th value of every row whose stage sends
+        more than ``j`` times, each row with its own exponent, so every row
+        consumes its stage's draws in order.
+        """
+        counts = self._stage_counts[stages]
+        width = int(counts.max())
+        draws = np.full((width + 1, len(rows)), LOCKSTEP_SENTINEL, np.int64)
+        for j in range(width):
+            drawing = counts > j
+            if drawing.all():
+                draws[j] = self._pool.pow2_batch(rows, stages, 1)[0]
+            else:
+                draws[j, drawing] = self._pool.pow2_batch(
+                    rows[drawing], stages[drawing], 1
+                )[0]
+        if width > 1:
+            draws.sort(axis=0)
+            # Duplicates collapse (drawing with replacement); push them
+            # past the end so each plan row is sorted and unique.
+            duplicate = (draws[1:] == draws[:-1]) & (
+                draws[1:] != LOCKSTEP_SENTINEL
+            )
+            if duplicate.any():
+                draws[1:][duplicate] = LOCKSTEP_SENTINEL
+                draws.sort(axis=0)
+        self._plan[rows, : width + 1] = draws.T
+        self._plan_ptr[rows] = 0
+        self._next_planned[rows] = draws[0]
+        self._stage[rows] = stages
 
     # -------------------------------------------------------------- feedback
 
@@ -496,28 +487,25 @@ class CJZLockstepProgram(LockstepProgram):
             return
         selected = rows[heard]
         phase = self._phase[selected]
-        parity = slot & 1
-        mask1 = phase == 1
-        if mask1.any():
-            starters = selected[mask1]
+        starters = selected[phase == 1]
+        if starters.size:
+            # Phase 2's backoff restarts on the channel of slot + 1.
             self._phase[starters] = 2
-            self._anchor2[starters] = slot + 1
-            self._stage[starters] = -1
-            self._next_planned[starters] = LOCKSTEP_SENTINEL
-        mask2 = phase == 2
-        if mask2.any():
-            waiting = selected[mask2]
-            anchor2 = self._anchor2[waiting]
-            synchronized = ((anchor2 & 1) == parity) & (slot >= anchor2)
-            starters = waiting[synchronized]
-            self._phase[starters] = 3
-            self._anchor3[starters] = slot
-        mask3 = phase == 3
-        if mask3.any():
-            batching = selected[mask3]
-            anchor3 = self._anchor3[batching]
-            on_ctrl = (((anchor3 + 1) & 1) == parity) & (slot > anchor3)
-            self._anchor3[batching[on_ctrl]] = slot
+            self._start_backoff(starters, slot + 1)
+        waiting = selected[phase == 2]
+        if waiting.size:
+            anchor = self._anchor[waiting]
+            synchronized = waiting[
+                ((anchor & 1) == (slot & 1)) & (slot >= anchor)
+            ]
+            self._phase[synchronized] = 3
+            self._anchor3[synchronized] = slot
+            self._next_event[synchronized] = LOCKSTEP_SENTINEL
+        batching = selected[phase == 3]
+        if batching.size:
+            # A success on the control channel (odd t) restarts Phase 3.
+            restart = ((slot - self._anchor3[batching]) & 1) == 1
+            self._anchor3[batching[restart]] = slot
 
 
 class GlobalClockVariant(ChenJiangZhengProtocol):

@@ -427,9 +427,10 @@ class NodeStreamPool:
       first, high half buffered);
     * :meth:`bounded_u32` — ``Generator.integers(0, n)`` for ranges that fit
       32 bits (numpy's buffered Lemire rejection sampling);
-    * :meth:`pow2_batch` — ``Generator.integers(off, off + 2**k, size=c)``
-      (power-of-two ranges have a zero rejection threshold, so each draw is
-      exactly one buffered ``next_uint32``);
+    * :meth:`pow2_batch` — ``Generator.integers(2**k, 2**(k+1), size=c)``
+      with ``k`` shared or given per row (power-of-two ranges have a zero
+      rejection threshold, so each draw is exactly one buffered
+      ``next_uint32``; a row with ``k == 0`` consumes nothing);
     * :meth:`bounded_scalar` — arbitrary ranges for a single row, including
       the 64-bit Lemire path for ranges beyond 32 bits.
 
@@ -557,20 +558,34 @@ class NodeStreamPool:
         out[draw] = m >> np.uint64(32)
         return out
 
-    def pow2_batch(self, rows: np.ndarray, k: int, count: int) -> np.ndarray:
+    def pow2_batch(self, rows: np.ndarray, k, count: int) -> np.ndarray:
         """``integers(2**k, 2**(k+1), size=count)`` per row, as (count, rows).
 
+        ``k`` is one exponent for all rows or an array with one per row.
         Power-of-two ranges have rejection threshold 0, so each draw is one
-        buffered ``next_uint32`` shifted down; ``k == 0`` consumes nothing
-        (numpy's zero-range path).  Requires ``1 <= k <= 31``.
+        buffered ``next_uint32`` shifted down.  Rows with ``k == 0`` consume
+        nothing and yield 1, exactly as numpy's zero-range path does.
+        Requires ``0 <= k <= 31``.
         """
-        if not 1 <= k <= 31:
-            raise ValueError("pow2_batch requires 1 <= k <= 31")
-        out = np.empty((count, len(rows)), dtype=np.int64)
-        base = np.int64(1 << k)
-        shift = np.uint64(32 - k)
-        for j in range(count):
-            out[j] = (self.next_u32(rows) >> shift).astype(np.int64) + base
+        k = np.asarray(k, dtype=np.int64)
+        if k.ndim == 0:
+            k = np.full(len(rows), k)
+        if len(k) and (k.min() < 0 or k.max() > 31):
+            raise ValueError("pow2_batch requires 0 <= k <= 31")
+        out = np.ones((count, len(rows)), dtype=np.int64)
+        draw = None
+        if np.count_nonzero(k) < len(k):
+            draw = k > 0
+            rows, k = rows[draw], k[draw]
+        if len(rows):
+            base = np.left_shift(1, k)
+            shift = (32 - k).astype(np.uint64)
+            for j in range(count):
+                values = (self.next_u32(rows) >> shift).astype(np.int64) + base
+                if draw is None:
+                    out[j] = values
+                else:
+                    out[j, draw] = values
         return out
 
     def bounded_scalar(self, row: int, rng: int) -> int:
@@ -640,6 +655,17 @@ def _verify_lockstep_streams() -> bool:
             [g.integers(8, 16, size=3) for g in references], axis=1
         )
         if not np.array_equal(pool.pow2_batch(rows, 3, 3), expected):
+            return False
+        # Per-row exponents, one of them on the zero-range path.
+        exponents = [0, 5, 31]
+        expected = np.stack(
+            [
+                g.integers(1 << k, 2 << k, size=2)
+                for g, k in zip(references, exponents)
+            ],
+            axis=1,
+        )
+        if not np.array_equal(pool.pow2_batch(rows, exponents, 2), expected):
             return False
         # A double between bounded draws must skip the 32-bit buffer...
         if not np.array_equal(

@@ -35,6 +35,11 @@ PROTOCOLS = {
         "kind": "cjz",
         "params": {"g": {"kind": "constant", "value": float(value)}},
     },
+    # Stages draw up to 20 send slots each, 2**k from 2**k at first.
+    "cjz-large-budget": lambda value: {
+        "kind": "cjz",
+        "params": {"g": {"kind": "constant", "value": float(value)}, "a": 0.05},
+    },
     "two-channel": lambda value: {
         "kind": "two-channel-no-jamming",
         "params": {"backoff_sends_per_stage": float(1 + int(value) % 3)},
@@ -206,6 +211,36 @@ def test_groups_with_idle_members_identical_to_reference(
             adversary=adversary(slot), stop_when_drained=drained,
         )
         for param, slot in ((2, 10), (3, 260), (5, 260))
+    ]
+    assert [len(g) for g in plan_fusion_groups(list(enumerate(specs)))] == [3]
+    fused = StudyPlan(specs).run(fuse=True)
+    reference = StudyPlan(
+        [spec.with_execution(backend="reference") for spec in specs]
+    ).run(fuse=False)
+    _assert_studies_identical(fused, reference)
+
+
+@given(
+    st.sampled_from(sorted(JAMMING)),
+    st.integers(min_value=0, max_value=2**16),
+    st.booleans(),
+)
+@settings(max_examples=8, deadline=None)
+def test_large_budget_cjz_in_a_heterogeneous_group_identical_to_reference(
+    jamming, seed, drained
+):
+    """A large-budget CJZ member, whose stages draw many duplicate send
+    slots, fused with default-budget members: the composite program keeps
+    each member's stage counts and plan width, point by point identical to
+    the reference kernel."""
+    specs = [
+        _spec(
+            protocol, param, "batch", jamming, 160, 2, seed + param,
+            stop_when_drained=drained,
+        )
+        for protocol, param in (
+            ("cjz", 2), ("cjz-large-budget", 4), ("cjz", 5)
+        )
     ]
     assert [len(g) for g in plan_fusion_groups(list(enumerate(specs)))] == [3]
     fused = StudyPlan(specs).run(fuse=True)

@@ -10,10 +10,13 @@ success chaser — and any seed, a ``backend="lockstep"`` study must reproduce
 the serial reference study exactly: identical summaries, prefix arrays,
 per-node statistics and early-stop slots, and the same holds for
 ``workers=4`` shard merges.  Workloads with long idle stretches pin the
-kernel's idle-slot skip the same way.
+kernel's idle-slot skip the same way, and targeted CJZ workloads pin each
+path of its program's stage-entry draws.
 """
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -24,6 +27,7 @@ from repro.adversary import (
     BatchArrivals,
     BurstyArrivals,
     ComposedAdversary,
+    FrontLoadedJamming,
     NoJamming,
     PoissonArrivals,
     RandomFractionJamming,
@@ -31,7 +35,9 @@ from repro.adversary import (
     ScheduledArrivals,
     UniformRandomArrivals,
 )
-from repro.core import cjz_factory
+from repro.core import AlgorithmParameters, cjz_factory
+from repro.core.protocol import CJZLockstepProgram
+from repro.functions import constant_g
 from repro.protocols import (
     FixedProbabilityProtocol,
     LogUniformFixedProtocol,
@@ -43,6 +49,7 @@ from repro.protocols import (
     WindowedBinaryExponentialBackoff,
     make_factory,
 )
+from repro.protocols.base import LOCKSTEP_SENTINEL
 from repro.sim import run_trials
 
 #: Protocols whose programs also lower to the compiled tier (the compiled
@@ -425,3 +432,138 @@ class TestIdleSkipEquivalence:
         assume(any(r.horizon < 360 for r in lockstep))
         assume(any(r.total_arrivals == 0 for r in lockstep))
         assert_studies_identical(study("reference"), lockstep)
+
+
+#: A CJZ budget large enough that small stages draw ``2**k`` send slots
+#: from ``2**k`` (so duplicates are the rule) and later ones draw 20.
+LARGE_BUDGET = AlgorithmParameters.from_g(constant_g(4.0), a=0.05)
+
+cjz_budgets = st.sampled_from(
+    [("default", AlgorithmParameters.from_g()), ("large", LARGE_BUDGET)]
+)
+
+
+@contextlib.contextmanager
+def recorded_stage_entries():
+    """Record every stage entry of the CJZ program: per call, the stages
+    entered, and per row the sends its stage drew and the distinct sends
+    its plan kept (the index of the plan's first sentinel)."""
+    calls = []
+    real = CJZLockstepProgram._enter_stages
+
+    def spy(program, rows, stages):
+        real(program, rows, stages)
+        kept = np.argmax(program._plan[rows] == LOCKSTEP_SENTINEL, axis=1)
+        calls.append((stages.copy(), program._stage_counts[stages], kept))
+
+    with mock.patch.object(CJZLockstepProgram, "_enter_stages", spy):
+        yield calls
+
+
+class TestCJZProgramPaths:
+    """Each path of the CJZ program's stage entries, against reference."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        count=st.integers(6, 10),
+        jamming=st.sampled_from(sorted(JAMMERS)),
+        horizon=st.integers(100, 200),
+        trials=st.integers(1, 3),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_large_budget_duplicate_draws_identical(
+        self, count, jamming, horizon, trials, seed
+    ):
+        """A batch under the large budget collides in its first slots, so
+        its stages draw ``2**k`` values from ``2**k`` and duplicates
+        collapse."""
+
+        def study(backend):
+            return run_trials(
+                protocol_factory=cjz_factory(LARGE_BUDGET),
+                adversary_factory=lambda: ComposedAdversary(
+                    BatchArrivals(count), JAMMERS[jamming]()
+                ),
+                horizon=horizon,
+                trials=trials,
+                seed=seed,
+                backend=backend,
+            )
+
+        with recorded_stage_entries() as calls:
+            lockstep = study("lockstep")
+        assert any((kept < drawn).any() for _, drawn, kept in calls)
+        assert_studies_identical(study("reference"), lockstep)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        budget=cjz_budgets,
+        stages=st.sets(st.integers(1, 5), min_size=2),
+        counts=st.lists(st.integers(1, 3), min_size=5, max_size=5),
+        extra=st.integers(0, 30),
+        trials=st.integers(1, 3),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_one_slot_enters_several_stages_identical(
+        self, budget, stages, counts, extra, trials, seed
+    ):
+        """Batches anchored ``2·(2**k − 1)`` slots before a common slot enter
+        their different stages ``k`` in it; jamming until then keeps every
+        node in Phase 1, so the slot is certain to come."""
+        _, params = budget
+        target = 2 * (2**5 - 1) + 1 + extra
+        schedule = {target - 2 * (2**k - 1): counts[k - 1] for k in stages}
+
+        def study(backend):
+            return run_trials(
+                protocol_factory=cjz_factory(params),
+                adversary_factory=lambda: ComposedAdversary(
+                    ScheduledArrivals(schedule), FrontLoadedJamming(target)
+                ),
+                horizon=target + 120,
+                trials=trials,
+                seed=seed,
+                backend=backend,
+            )
+
+        with recorded_stage_entries() as calls:
+            lockstep = study("lockstep")
+        entered = [set(entries.tolist()) for entries, _, _ in calls]
+        assert stages in entered
+        assert_studies_identical(study("reference"), lockstep)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        budget=cjz_budgets,
+        first=st.tuples(st.integers(1, 20), st.integers(1, 4)),
+        second=st.tuples(st.integers(1, 60), st.integers(1, 4)),
+        jamming=st.sampled_from(sorted(JAMMERS)),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_global_clock_stop_when_drained_identical(
+        self, budget, first, second, jamming, seed
+    ):
+        """The global-clock variant starts in Phase 2 at the next odd slot
+        (one batch arrives on an even slot), and drained trials stop."""
+        _, params = budget
+        even = 2 * first[0]
+        schedule = {even: first[1], even + second[0]: second[1]}
+        horizon = 500
+
+        def study(backend):
+            return run_trials(
+                protocol_factory=cjz_factory(params, global_clock=True),
+                adversary_factory=lambda: ComposedAdversary(
+                    ScheduledArrivals(schedule), JAMMERS[jamming]()
+                ),
+                horizon=horizon,
+                trials=3,
+                seed=seed,
+                backend=backend,
+                stop_when_drained=True,
+            )
+
+        reference, lockstep = study("reference"), study("lockstep")
+        assert any(r.horizon < horizon for r in lockstep)
+        assert [r.horizon for r in lockstep] == [r.horizon for r in reference]
+        assert_studies_identical(reference, lockstep)

@@ -12,7 +12,12 @@ from repro.adversary import (
     ScheduledArrivals,
     UniformRandomArrivals,
 )
-from repro.core import ChenJiangZhengProtocol, GlobalClockVariant, cjz_factory
+from repro.core import (
+    AlgorithmParameters,
+    ChenJiangZhengProtocol,
+    GlobalClockVariant,
+    cjz_factory,
+)
 from repro.core.protocol import CJZLockstepProgram
 from repro.errors import ConfigurationError
 from repro.protocols import (
@@ -66,6 +71,24 @@ class TestNodeStreamPool:
                 [g.integers(1 << k, 2 << k, size=count) for g in refs], axis=1
             )
             assert np.array_equal(mine, theirs)
+        # One exponent per row, 0 (numpy's zero-range path: yields 1 and
+        # consumes nothing) through 20, shuffled across the rows.
+        pool, refs = self._pool_and_references(21)
+        rows = np.arange(21)
+        exponents = np.random.default_rng(3).permutation(21)
+        for count in (1, 3):
+            mine = pool.pow2_batch(rows, exponents, count)
+            theirs = np.stack(
+                [
+                    g.integers(1 << int(k), 2 << int(k), size=count)
+                    for g, k in zip(refs, exponents)
+                ],
+                axis=1,
+            )
+            assert np.array_equal(mine, theirs)
+        assert np.array_equal(
+            pool.doubles(rows), np.array([g.random() for g in refs])
+        )
 
     def test_bounded_u32_matches_integers(self):
         pool, refs = self._pool_and_references()
@@ -573,3 +596,76 @@ class TestIdleSkip:
         for a, b in zip(run_trials(backend="reference", **kwargs), study):
             assert a.summary == b.summary
             assert a.prefix_jammed == b.prefix_jammed
+
+
+class TestCJZProgramEvents:
+    """The CJZ program's backoff work is event-driven and draws the plans of
+    all stages entered in one slot in one round per plan index."""
+
+    def _bound_program(self, count, horizon):
+        sequences = [
+            np.random.SeedSequence(17, spawn_key=(i, 0)) for i in range(count)
+        ]
+        pool = NodeStreamPool(count)
+        pool.seed_rows(
+            np.arange(count),
+            np.stack([s.generate_state(4, np.uint64) for s in sequences]),
+        )
+        program = CJZLockstepProgram(AlgorithmParameters.from_g())
+        program.bind(1, count, pool, horizon)
+        return program, [np.random.default_rng(s) for s in sequences]
+
+    def test_stages_entered_in_one_slot_draw_in_one_round(self, monkeypatch):
+        # Phase-1 nodes anchored at slots 18, 14 and 6 enter backoff stages
+        # 1, 2 and 3 together in slot 20 (stage k starts at local index
+        # 2**k, i.e. slot anchor + 2 * (2**k - 1)); with the default budget
+        # each of those stages sends once.  No feedback arrives, so the
+        # nodes stay in Phase 1.
+        arrivals = np.array([18, 14, 6])
+        program, _ = self._bound_program(3, 64)
+        assert [program._stage_counts[k] for k in (1, 2, 3)] == [1, 1, 1]
+        calls = []
+        real = NodeStreamPool.pow2_batch
+
+        def spy(pool, rows, k, count):
+            calls.append(np.broadcast_to(k, (len(rows),)).tolist())
+            return real(pool, rows, k, count)
+
+        monkeypatch.setattr(NodeStreamPool, "pow2_batch", spy)
+        for slot in range(1, 21):
+            arriving = np.flatnonzero(arrivals == slot)
+            if arriving.size:
+                program.arrive(arriving, slot)
+            calls.clear()
+            program.step(np.flatnonzero(arrivals <= slot), slot)
+        assert calls == [[1, 2, 3]]
+
+    def test_lone_phase1_node_works_only_at_its_events(self, monkeypatch):
+        """Backoff work runs only in the slots where the per-node reference
+        enters a stage or sends, and the sends match it."""
+        horizon = 400
+        program, (rng,) = self._bound_program(1, horizon)
+        node = ChenJiangZhengProtocol(AlgorithmParameters.from_g())
+        node.on_arrival(1, rng)
+        worked, current = [], [0]
+        real = CJZLockstepProgram._step_backoff
+
+        def spy(self, *args):
+            worked.append(current[0])
+            return real(self, *args)
+
+        monkeypatch.setattr(CJZLockstepProgram, "_step_backoff", spy)
+        row = np.array([0])
+        program.arrive(row, 1)
+        events, sends = [], []
+        for slot in range(1, horizon + 1):
+            current[0] = slot
+            stage = node._phase1_backoff.current_stage
+            sent = node.wants_to_broadcast(slot)
+            if sent or node._phase1_backoff.current_stage != stage:
+                events.append(slot)
+            sends.append(sent)
+            assert bool(program.step(row, slot)[0]) == sent
+        assert worked == events
+        # Stages 0-7 and at least eight sends, out of 400 slots.
+        assert sum(sends) >= 8 and len(worked) < horizon // 16
