@@ -6,8 +6,8 @@ media (Ethernet, 802.11).  This example starts from the named
 ``ethernet-burst`` scenario (a first-class, JSON-serializable spec), derives
 a heavier variant with 25% interference by overriding two spec fields, and
 shows how the system drains each burst — including a per-window success-rate
-timeline recorded with a metrics collector (collectors ride on the same spec
-through ``StudySpec.run(collectors=...)``).
+timeline read from the result's columnar prefix counters
+(``result.counters.windowed_successes``).
 
 Run it with::
 
@@ -18,7 +18,7 @@ Set ``REPRO_EXAMPLES_SCALE=smoke`` for a fast CI-sized run.
 
 import os
 
-from repro.metrics import WindowedSuccessCounter, summarize_latencies
+from repro.metrics import summarize_latencies
 from repro.workloads import get_scenario
 
 SMOKE = os.environ.get("REPRO_EXAMPLES_SCALE") == "smoke"
@@ -46,8 +46,7 @@ def main() -> None:
         }
     )
 
-    window_counter = WindowedSuccessCounter(window=BURST_PERIOD)
-    result = study.run(collectors=[window_counter]).results[0]
+    result = study.run().results[0]
 
     print(result.describe())
     latency = summarize_latencies([result])
@@ -57,7 +56,8 @@ def main() -> None:
     )
 
     print("deliveries per burst period (each window is one burst interval):")
-    for index, count in enumerate(window_counter.counts, start=1):
+    windows = result.counters.windowed_successes(BURST_PERIOD).tolist()
+    for index, count in enumerate(windows, start=1):
         bar = "#" * count
         print(f"  window {index:2d}: {count:3d} {bar}")
 

@@ -17,10 +17,12 @@ Two kinds of record are emitted:
 * ``experiment`` — one full experiment (E1..E10) at the smoke scale, wall
   time plus its consistency verdict.
 * ``dispatch`` — the ``auto`` ladder's choice per cell of a matrix of
-  scenarios × trial counts × horizons, timed against the two tiers it
-  chooses between, plus one summary record whose ``auto_vs_best`` is the
+  scenarios × trial counts × horizons, timed against the reference and
+  lockstep tiers, plus one summary record whose ``auto_vs_best`` is the
   matrix's summed time on ``auto``'s picks over the summed time of each
-  cell's faster tier.
+  cell's faster tier.  ``auto`` takes lockstep for the paper's algorithm
+  at every trial count, so the gate on ``auto_vs_best`` checks that
+  lockstep stays the faster tier.
 
 Micro records additionally carry the suite's **memory trajectory**:
 ``peak_bytes_per_slot`` (tracemalloc peak of the whole study run, normalized
@@ -114,9 +116,9 @@ _CJZ_NODES = 32
 
 
 #: The dispatch matrix: the standard scenarios (the paper's algorithm),
-#: trial counts and horizons on both sides of the lockstep tier's
-#: break-even, which the ``auto`` rule in
-#: :mod:`repro.sim.backends.lockstep` was set from.
+#: trial counts down to a single trial and two horizons — the cells where
+#: the per-trial reference loop comes closest to lockstep, which ``auto``
+#: picks for every one of them.
 _DISPATCH_SCENARIOS = (
     "ethernet-burst",
     "wireless-interference",

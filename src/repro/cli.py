@@ -54,7 +54,6 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from . import quick_run
 from .errors import ReproError, SpecError
 from .experiments import ExperimentConfig, all_experiments, get_experiment
 from .experiments.report import run_all, write_report
@@ -108,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=available_backends(),
         default="auto",
-        help="simulation slot kernel (auto picks vectorized when eligible)",
+        help="backend (auto walks the study ladder; see --explain-backend)",
     )
     simulate_parser.add_argument(
         "--explain-backend",
@@ -516,14 +515,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     horizon = args.horizon
     if horizon is None and args.scenario is None:
         horizon = 8192
-    result = quick_run(
-        arrivals=args.arrivals,
-        horizon=horizon,
-        jam_fraction=args.jam,
-        seed=args.seed,
-        backend=args.backend,
-        scenario=args.scenario,
-    )
+    runner = _simulate_runner(args, horizon)
+    # run_single dispatches through the runner's own ladder, so the ladder
+    # that --explain-backend prints is the one that ran.
+    result = runner.run_single(args.seed)
     print(result.describe())
     print(f"classical throughput at horizon: {result.classical_throughput():.3f}")
     print(f"mean latency: {result.mean_latency():.1f} slots")
@@ -534,15 +529,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     if args.explain_backend:
         print()
-        print(_explain_backend_text(args, horizon))
+        print(_explain_backend_text(runner))
     return 0
 
 
-def _explain_backend_text(args: argparse.Namespace, horizon: Optional[int]) -> str:
-    """The study-ladder explanation for the simulate command's workload."""
+def _simulate_runner(args: argparse.Namespace, horizon: Optional[int]):
+    """The trial runner for the simulate command's workload (CJZ, one trial)."""
     from . import cjz_factory
     from .sim import SimulatorConfig
-    from .sim.backends.compiled import interpreter_mode
     from .sim.runner import TrialRunner
     from .spec import AdversarySpec
 
@@ -557,14 +551,20 @@ def _explain_backend_text(args: argparse.Namespace, horizon: Optional[int]) -> s
             args.arrivals, jam_fraction=args.jam
         )
     horizon = horizon or 4096
-    runner = TrialRunner(
+    return TrialRunner(
         cjz_factory(),
         adversary_spec.factory(horizon),
         SimulatorConfig(horizon=horizon),
         backend=args.backend,
     )
+
+
+def _explain_backend_text(runner) -> str:
+    """The backend-ladder explanation of the runner the simulate command ran."""
+    from .sim.backends.compiled import interpreter_mode
+
     lines = ["backend ladder (single trial):"]
-    for row in runner.explain_backend(1):
+    for row in runner.explain_backend():
         lines.append(
             f"  {row['backend']:<24} {row['status']:<10} {row['reason']}"
         )

@@ -1,15 +1,11 @@
 """Metrics: throughput, (f, g)-throughput verification, latency and energy.
 
-Two collection styles coexist:
-
-* per-slot :class:`MetricsCollector` callbacks (reference/vectorized
-  backends only — they need ``SlotRecord`` streams);
-* the columnar :class:`MetricPipeline` of streaming
-  :class:`MetricReducer` objects, which runs on every backend — including
-  the batched study kernel — and under ``workers > 1`` via shard merges.
+Study-level metrics are collected by the columnar :class:`MetricPipeline`
+of streaming :class:`MetricReducer` objects, which runs on every backend —
+the study kernels included — and under ``workers > 1`` via shard merges.
+Per-slot records remain available through ``keep_trace=True``.
 """
 
-from .collectors import MetricsCollector, SuccessTimeline, WindowedSuccessCounter
 from .pipeline import (
     SCALAR_METRICS,
     EnergyReducer,
@@ -31,9 +27,6 @@ from .latency import LatencySummary, summarize_latencies
 from .energy import EnergySummary, summarize_energy
 
 __all__ = [
-    "MetricsCollector",
-    "SuccessTimeline",
-    "WindowedSuccessCounter",
     "MetricPipeline",
     "MetricReducer",
     "SuccessTimelineReducer",

@@ -1,9 +1,8 @@
 """Streaming, mergeable metric reducers over columnar results.
 
-The per-slot :class:`~repro.metrics.collectors.MetricsCollector` callback
-API predates the array backends: it needs a ``SlotRecord`` per slot, which
-the batched study kernel never materializes and which cannot cross a worker
-process boundary.  A :class:`MetricPipeline` replaces it with *reducers*
+The study kernels never materialize a ``SlotRecord`` per slot, and per-slot
+records cannot cheaply cross a worker process boundary.  A
+:class:`MetricPipeline` therefore collects study metrics with *reducers*
 that consume each trial's **columnar** counters and outcome surface after
 the trial finishes:
 
@@ -20,8 +19,8 @@ the trial finishes:
   point without destroying state.
 
 Because reducers never need per-slot records, a pipeline runs on *every*
-backend — including the batched study kernel — with exact parity to the
-slot-by-slot collector path.  Reducer state is O(successes), O(nodes) or
+backend — the study kernels included — with exact parity to the per-slot
+records a ``keep_trace=True`` run retains.  Reducer state is O(successes), O(nodes) or
 O(trials) — never O(horizon × trials); the only horizon-sized allowance is
 the FG reducer's bounded cache of ``f``/``g`` sample vectors — which is
 what makes the runner's *streaming* mode possible: reduce each trial, then
@@ -124,10 +123,9 @@ class MetricReducer:
 class SuccessTimelineReducer(MetricReducer):
     """Per-trial success-slot timelines, derived from the successes column.
 
-    Exact columnar counterpart of the slot-by-slot
-    :class:`~repro.metrics.collectors.SuccessTimeline` collector: the
-    success slots of trial ``i`` are the indices where the cumulative
-    successes column increments.
+    The success slots of trial ``i`` are the indices where the cumulative
+    successes column increments — exactly the slots whose trace record is
+    a success.
     """
 
     kind = "success-timeline"
@@ -156,10 +154,9 @@ class SuccessTimelineReducer(MetricReducer):
 class WindowedRateReducer(MetricReducer):
     """Windowed success counts per trial (trailing partial window included).
 
-    Columnar counterpart of
-    :class:`~repro.metrics.collectors.WindowedSuccessCounter`, computed with
-    one ``np.add.reduceat`` over the per-slot increments of the successes
-    column.
+    Computed with one ``np.add.reduceat`` over the per-slot increments of
+    the successes column
+    (:meth:`~repro.sim.results.PrefixCounters.windowed_successes`).
     """
 
     kind = "windowed-rate"

@@ -2,19 +2,18 @@
 
 Every study dispatch pays a set of fixed costs that depend only on the
 *spec*, never on the trial seeds: building a protocol program's compiled
-probability tables (``compiled_tables``), the once-per-process RNG stream
-self-verifications (:func:`repro.rng.lockstep_streams_ok` and the compiled
-interpreter's replay), and probing an oblivious adversary's peak single-slot
-arrival count.  A sweep re-pays all of them per point; this module memoizes
-them process-wide so repeated dispatches of equivalent specs are O(1).
+probability tables (``compiled_tables``) and the once-per-process RNG
+stream self-verifications (:func:`repro.rng.lockstep_streams_ok` and the
+compiled interpreter's replay).  A sweep re-pays all of them per point; this
+module memoizes them process-wide so repeated dispatches of equivalent specs
+are O(1).
 
 What is (and is not) cacheable
 ------------------------------
 
 Only **seed-independent** artifacts live here.  A compiled table is a pure
 function of ``(spec_kind, spec params, horizon)``; the stream verification
-is a pure property of the numpy build; a peak-arrival probe runs the
-adversary under a fixed throwaway generator by design.  Per-trial adversary
+is a pure property of the numpy build.  Per-trial adversary
 *schedules* (``compile_adversary_schedules``) consume each trial's own RNG
 streams and are therefore seed-dependent — caching them would break the
 seed-for-seed contract, so they are deliberately never cached.

@@ -32,9 +32,9 @@ Study-level backends (valid for :class:`~repro.sim.runner.TrialRunner` /
 study kernel when the whole study is eligible, else the compiled lockstep
 kernel (which itself demotes to the numpy lockstep kernel when it cannot
 run; ``auto`` skips it outright when the interpreter is off or the program
-has no compiled tables) or the numpy lockstep kernel when the measured
-population rule takes the study, else each trial picks the vectorized
-kernel when eligible, else the reference kernel.
+has no compiled tables), else the numpy lockstep kernel when the protocol
+has a program, else each trial runs the vectorized kernel when eligible,
+else the reference kernel.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def select_kernel(backend: str, context: KernelContext) -> SlotKernel:
     """
     if backend == AUTO_BACKEND:
         vectorized = VectorizedKernel()
-        if vectorized.supports(context):
+        if vectorized.unsupported_reason(context) is None:
             return vectorized
         return ReferenceKernel()
     kernel = resolve_kernel(backend)

@@ -14,22 +14,21 @@ contract every kernel must honor:
   adversary, then one generator per node from ``node_tree`` — spawned in
   arrival order.  Two kernels given the same context must produce
   *bit-for-bit identical* results whenever both support the configuration.
-* **Fallback.**  :meth:`SlotKernel.supports` must be side-effect free (in
-  particular it must not consume either seed tree), so the engine can probe
-  kernels and fall back without perturbing the run.
+* **Fallback.**  :meth:`SlotKernel.unsupported_reason` must be side-effect
+  free (in particular it must not consume either seed tree), so the engine
+  can probe kernels and fall back without perturbing the run.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from ...adversary.base import Adversary
 from ...channel.multiple_access import MultipleAccessChannel
-from ...metrics.collectors import MetricsCollector
 from ...protocols.base import ProtocolFactory
 from ...rng import SeedTree, make_generator
 
@@ -73,7 +72,6 @@ class KernelContext:
     adversary: Adversary
     config: "SimulatorConfig"
     channel: MultipleAccessChannel
-    collectors: List[MetricsCollector]
     adversary_tree: SeedTree
     node_tree: SeedTree
     seed: Optional[int]
@@ -87,17 +85,13 @@ class SlotKernel(abc.ABC):
     name: str = "kernel"
 
     @abc.abstractmethod
-    def supports(self, context: KernelContext) -> bool:
-        """Whether this kernel can execute ``context`` faithfully.
-
-        Must not mutate the context (and in particular must not consume its
-        seed trees); the engine calls this while choosing a backend.
-        """
-
-    @abc.abstractmethod
     def run(self, context: KernelContext) -> "SimulationResult":
         """Execute the run and return its result."""
 
     def unsupported_reason(self, context: KernelContext) -> Optional[str]:
-        """Human-readable reason ``supports`` is False, for error messages."""
-        return None if self.supports(context) else f"{self.name} kernel cannot run this configuration"
+        """Why this kernel cannot execute ``context`` faithfully (``None``: it can).
+
+        Must not mutate the context (and in particular must not consume its
+        seed trees); the engine calls this while choosing a backend.
+        """
+        return None

@@ -31,15 +31,14 @@ apply.  The property suite enforces equality against the serial reference
 study.
 
 Eligibility is the vectorized kernel's (vector-eligible protocol, oblivious
-precompilable adversary) plus study-level constraints: no collectors and no
-trace retention (both need per-slot records; the runner falls back to the
-per-trial path for them).
+precompilable adversary) plus no trace retention (a trace needs per-slot
+records; the runner falls back to the per-trial path for it).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,7 +73,6 @@ class BatchedStudyKernel:
         protocol_factory,
         adversary_factory: AdversaryFactory,
         config,
-        collectors: Sequence = (),
         probe: Optional[_StudyProbe] = None,
     ) -> Optional[str]:
         """Why this study cannot run batched (``None`` when it can)."""
@@ -98,27 +96,7 @@ class BatchedStudyKernel:
                 "keep_trace requires per-slot records; use the vectorized or "
                 "reference backend"
             )
-        if collectors:
-            return (
-                "collectors require per-slot records; use the vectorized or "
-                "reference backend"
-            )
         return None
-
-    def supports_study(
-        self,
-        protocol_factory,
-        adversary_factory: AdversaryFactory,
-        config,
-        collectors: Sequence = (),
-        probe: Optional[_StudyProbe] = None,
-    ) -> bool:
-        return (
-            self.unsupported_reason(
-                protocol_factory, adversary_factory, config, collectors, probe
-            )
-            is None
-        )
 
     # ------------------------------------------------------------------- run
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import importlib.util
 import os
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -237,45 +237,22 @@ class CompiledStudyKernel:
         protocol_factory,
         adversary_factory,
         config,
-        collectors: Sequence = (),
         probe: Optional[StudyProbe] = None,
     ) -> Optional[str]:
         return self._numpy.unsupported_reason(
-            protocol_factory, adversary_factory, config, collectors, probe
+            protocol_factory, adversary_factory, config, probe
         )
 
-    def supports_study(
-        self,
-        protocol_factory,
-        adversary_factory,
-        config,
-        collectors: Sequence = (),
-        probe: Optional[StudyProbe] = None,
-    ) -> bool:
-        return (
-            self.unsupported_reason(
-                protocol_factory, adversary_factory, config, collectors, probe
-            )
-            is None
-        )
-
-    def auto_skip_reason(
-        self, config, trials: int, probe: StudyProbe
-    ) -> Optional[str]:
+    def auto_skip_reason(self, config, probe: StudyProbe) -> Optional[str]:
         """Why ``auto`` skips this rung (``None``: try it).
 
-        The compiled tier strictly dominates the numpy kernel when it runs
-        at all, so the numpy tier's population rule applies.  A study the
-        interpreter cannot take at all — interpreter off, or a program with
-        no compiled tables — skips the rung instead of trying it and
-        recording a demotion; an explicit ``lockstep-jit`` request still
-        tries and records one.
+        A study the interpreter cannot take at all — interpreter off, or a
+        program with no compiled tables — skips the rung instead of trying
+        it and recording a demotion; an explicit ``lockstep-jit`` request
+        still tries and records one.
         """
         if interpreter_mode() == "off":
             return _INTERPRETER_OFF
-        reason = self._numpy.auto_skip_reason(config, trials, probe)
-        if reason is not None:
-            return reason
         program = probe.program
         if program is not None and program.compiled_tables(config.horizon) is None:
             return _NO_TABLES

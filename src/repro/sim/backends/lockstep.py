@@ -37,15 +37,16 @@ seed-for-seed equality against the serial reference for every protocol with
 a lockstep program, across oblivious and adaptive adversaries.
 
 Eligibility: a protocol exposing :meth:`~repro.protocols.base.Protocol.
-lockstep_program`, no per-slot collectors, no trace retention, and the
-runtime-verified RNG replication (:func:`repro.rng.lockstep_streams_ok`).
-Any adversary is accepted.
+lockstep_program`, no trace retention, and the runtime-verified RNG
+replication (:func:`repro.rng.lockstep_streams_ok`).  Any adversary is
+accepted, and any trial count: under ``auto`` every eligible study the
+batched study kernel does not take runs here (or on the compiled tier).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -78,23 +79,6 @@ AdversaryFactory = Callable[[], Adversary]
 #: front (adaptive arrivals); grown by doubling as nodes are injected.
 _INITIAL_CAPACITY = 16
 
-#: ``auto``-selection rule.  The kernel pays a fixed cost per busy slot
-#: (idle stretches are jumped), and its work per slot grows with the live
-#: population, so lockstep beats the per-trial reference loop once enough
-#: node-trials advance together.  The dispatch matrix ``repro bench``
-#: records (four scenarios × trials {1, 2, 4, 8, 32} × horizons
-#: {256, 1024}; ``BENCH_2026-10-17b.json``) puts the break-even below two
-#: trials: from two trials on, lockstep was faster in every cell.  A single
-#: trial is mixed: lockstep won six of the eight cells — lock-convoy (peak
-#: of 192 single-slot arrivals) by 9-11×, and ethernet-burst (peak 24) no
-#: longer loses — but lost wireless-interference at horizon 256 (1.3×) and
-#: adversarial-jam at 1024 (1.7×).  So ``auto`` runs lockstep from two
-#: trials on, and a single trial when the probe's peak reaches this floor;
-#: over the matrix, ``auto``'s picks took 1.012× the faster tier's time.
-#: An explicit ``backend="lockstep"`` request always runs.
-_AUTO_TRIALS_FLOOR = 2
-_AUTO_SINGLE_TRIAL_PEAK = 32
-
 #: Trial-slot budget of one processing block.  The kernel's per-slot study
 #: matrices (arrivals/jam/success/counts plus the int64 prefix planes at
 #: emit) cost ~45 bytes per trial-slot, so bounding trial-slots per block
@@ -117,7 +101,6 @@ class LockstepStudyKernel:
         protocol_factory,
         adversary_factory: AdversaryFactory,
         config,
-        collectors: Sequence = (),
         probe: Optional[StudyProbe] = None,
     ) -> Optional[str]:
         """Why this study cannot run lockstep (``None`` when it can)."""
@@ -133,11 +116,6 @@ class LockstepStudyKernel:
                 "keep_trace requires per-slot records; use the reference "
                 "backend"
             )
-        if collectors:
-            return (
-                "collectors require per-slot records; use the reference "
-                "backend"
-            )
         if config.horizon >= 2**31:
             return "lockstep supports horizons below 2**31 slots"
         if not streams_verified():
@@ -146,41 +124,6 @@ class LockstepStudyKernel:
                 "lockstep RNG replication"
             )
         return None
-
-    def supports_study(
-        self,
-        protocol_factory,
-        adversary_factory: AdversaryFactory,
-        config,
-        collectors: Sequence = (),
-        probe: Optional[StudyProbe] = None,
-    ) -> bool:
-        return (
-            self.unsupported_reason(
-                protocol_factory, adversary_factory, config, collectors, probe
-            )
-            is None
-        )
-
-    def auto_skip_reason(
-        self, config, trials: int, probe: StudyProbe
-    ) -> Optional[str]:
-        """Why ``auto`` keeps this study off the lockstep tier (``None``: run it).
-
-        See :data:`_AUTO_SINGLE_TRIAL_PEAK` for the measured rule; its
-        inputs are the trial count and the probe's peak single-slot
-        arrivals (``None`` for adversaries the probe does not precompile).
-        """
-        if trials >= _AUTO_TRIALS_FLOOR:
-            return None
-        peak = probe.peak_arrivals(config.horizon)
-        if peak is not None and peak >= _AUTO_SINGLE_TRIAL_PEAK:
-            return None
-        return (
-            f"trials={trials}, peak single-slot arrivals={peak}: the "
-            f"per-trial loop is faster below {_AUTO_TRIALS_FLOOR} trials "
-            f"unless the peak reaches {_AUTO_SINGLE_TRIAL_PEAK}"
-        )
 
     # ------------------------------------------------------------------- run
 

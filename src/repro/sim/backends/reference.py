@@ -43,12 +43,9 @@ def run_slot_loop(
     config = context.config
     adversary = context.adversary
     channel = context.channel
-    collectors = context.collectors
     node_seed_tree = context.node_tree
 
     start_time = time.perf_counter()
-    for collector in collectors:
-        collector.on_run_start(config.horizon)
 
     nodes: Dict[int, Node] = {}
     active_nodes: List[Node] = []
@@ -113,8 +110,6 @@ def run_slot_loop(
         summary.record(record)
         if trace is not None:
             trace.append(record)
-        for collector in collectors:
-            collector.on_slot(record)
 
         prefix_active.append(summary.active_slots)
         prefix_arrivals.append(summary.arrivals)
@@ -136,7 +131,7 @@ def run_slot_loop(
         node_id: node.stats for node_id, node in nodes.items()
     }
     wall_time = time.perf_counter() - start_time
-    result = SimulationResult(
+    return SimulationResult(
         summary=summary,
         node_stats=node_stats,
         counters=PrefixCounters.from_lists(
@@ -150,18 +145,12 @@ def run_slot_loop(
         backend=backend_name,
         wall_time_seconds=wall_time,
     )
-    for collector in collectors:
-        collector.on_run_end(result)
-    return result
 
 
 class ReferenceKernel(SlotKernel):
     """Per-node, per-slot loop — supports every configuration."""
 
     name = "reference"
-
-    def supports(self, context: KernelContext) -> bool:
-        return True
 
     def run(self, context: KernelContext) -> SimulationResult:
         adversary_rng = context.adversary_tree.generator()

@@ -76,7 +76,6 @@ class StudyProbe:
         self._program_known = False
         self._program_taken = False
         self._adversary = None
-        self._peak: Dict[int, Optional[int]] = {}
 
     @property
     def protocol(self):
@@ -112,46 +111,6 @@ class StudyProbe:
         if self._adversary is None:
             self._adversary = self._adversary_factory()
         return self._adversary
-
-    def peak_arrivals(self, horizon: int) -> Optional[int]:
-        """Peak single-slot arrival count of a throwaway adversary instance.
-
-        Probes with a fixed-seed generator — only the schedule's *shape*
-        matters, and the probe never touches any run's seed streams.  Only
-        composed adversaries with non-adaptive arrivals are probed: their
-        arrival strategies precompile in vectorized form, whereas a bespoke
-        adversary may fall back to the per-slot Python loop — more expensive
-        than the decision the probe informs.  Jamming is never probed (it
-        cannot change the population, and precompiling it would burn a
-        horizon of throwaway randomness per study).
-        """
-        if horizon in self._peak:
-            return self._peak[horizon]
-        spec = getattr(self._adversary_factory, "spec", None)
-        if spec is not None:
-            # Spec-built factories carry their AdversarySpec; the probe is a
-            # pure function of (spec, horizon), so share it process-wide.
-            from ..artifacts import cached_artifact, canonical_key
-
-            key = ("peak-arrivals", canonical_key(spec.to_dict()), horizon)
-            peak = cached_artifact(key, lambda: self._probe_peak(horizon))
-        else:
-            peak = self._probe_peak(horizon)
-        self._peak[horizon] = peak
-        return peak
-
-    def _probe_peak(self, horizon: int) -> Optional[int]:
-        peak: Optional[int] = None
-        probe = self._adversary_factory()
-        if type(probe) is ComposedAdversary and not probe.arrivals.adaptive:
-            try:
-                probe.setup(np.random.default_rng(0), horizon)
-                arrivals = probe.arrivals.precompile(horizon)
-            except Exception:
-                arrivals = None
-            if arrivals is not None:
-                peak = int(arrivals.max(initial=0))
-        return peak
 
 
 def iter_blocks(nodes_per_trial: np.ndarray, horizon: int):

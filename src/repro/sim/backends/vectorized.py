@@ -66,9 +66,6 @@ class VectorizedKernel(SlotKernel):
 
     name = "vectorized"
 
-    def supports(self, context: KernelContext) -> bool:
-        return self.unsupported_reason(context) is None
-
     def unsupported_reason(self, context: KernelContext) -> Optional[str]:
         probe = context.protocol_factory()
         if not probe.vector_eligible:
@@ -123,9 +120,6 @@ class VectorizedKernel(SlotKernel):
         probabilities = age_probability_profile(context.protocol_factory, horizon)
         if probabilities is None:
             return self._replay_fallback(context, schedule)
-
-        for collector in context.collectors:
-            collector.on_run_start(horizon)
 
         # --- broadcast matrix: one row per node, one column per slot -------
         # Seed children are spawned in bulk (one SeedSequence.spawn call) and
@@ -252,9 +246,8 @@ class VectorizedKernel(SlotKernel):
         )
 
         trace: Optional[EventTrace] = None
-        if config.keep_trace or context.collectors:
+        if config.keep_trace:
             trace = self._emit_records(
-                context,
                 broadcasts,
                 jammed,
                 counts,
@@ -266,7 +259,7 @@ class VectorizedKernel(SlotKernel):
             )
 
         wall_time = time.perf_counter() - start_time
-        result = SimulationResult(
+        return SimulationResult(
             summary=summary,
             node_stats=node_stats,
             counters=counters,
@@ -278,9 +271,6 @@ class VectorizedKernel(SlotKernel):
             backend=self.name,
             wall_time_seconds=wall_time,
         )
-        for collector in context.collectors:
-            collector.on_run_end(result)
-        return result
 
     # ------------------------------------------------------------------ utils
 
@@ -305,7 +295,6 @@ class VectorizedKernel(SlotKernel):
 
     @staticmethod
     def _emit_records(
-        context: KernelContext,
         broadcasts: np.ndarray,
         jammed: np.ndarray,
         counts: np.ndarray,
@@ -314,9 +303,9 @@ class VectorizedKernel(SlotKernel):
         success_slot: np.ndarray,
         finished: np.ndarray,
         simulated: int,
-    ) -> Optional[EventTrace]:
-        """Materialize per-slot records for the trace and the collectors."""
-        trace = EventTrace() if context.config.keep_trace else None
+    ) -> EventTrace:
+        """Materialize the per-slot records of the retained trace."""
+        trace = EventTrace()
         winner_by_slot = np.full(simulated + 1, -1, dtype=np.int64)
         finished_ids = np.nonzero(finished)[0]
         winner_by_slot[success_slot[finished_ids]] = finished_ids
@@ -342,10 +331,7 @@ class VectorizedKernel(SlotKernel):
                 active_nodes=int(occupancy_during[slot]),
                 arrivals=int(arrivals[slot]),
             )
-            if trace is not None:
-                trace.append(record)
-            for collector in context.collectors:
-                collector.on_slot(record)
+            trace.append(record)
             if winner >= 0:
                 alive[winner] = False
         return trace

@@ -37,11 +37,11 @@ multi-trial study in one array pass, and ``"lockstep"`` advances all trials
 slot by slot in array lockstep — the fast path for feedback-driven
 protocols (the paper's own algorithm included) and adaptive adversaries.
 
-Per-slot ``collectors`` attached here receive a ``SlotRecord`` stream and
-therefore pin the run to the record-emitting kernels; study-level metrics
-should prefer the columnar :class:`~repro.metrics.MetricPipeline`, which
-consumes each trial's :class:`~repro.sim.results.PrefixCounters` after the
-fact and runs on every backend (see :class:`repro.sim.TrialRunner`).
+Per-slot records (``SlotRecord``) are retained with ``keep_trace=True``.
+Study-level metrics come from the columnar
+:class:`~repro.metrics.MetricPipeline`, which consumes each trial's
+:class:`~repro.sim.results.PrefixCounters` after the fact and runs on every
+backend (see :class:`repro.sim.TrialRunner`).
 
 Every kernel must honor the contract documented in
 :mod:`repro.sim.backends.base`: canonical slot ordering, the documented seed
@@ -51,12 +51,11 @@ tree discipline, and results indistinguishable from the reference kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..adversary.base import Adversary
 from ..channel.multiple_access import MultipleAccessChannel
 from ..errors import ConfigurationError
-from ..metrics.collectors import MetricsCollector
 from ..protocols.base import ProtocolFactory
 from ..rng import SeedLike, SeedTree
 from .backends import (
@@ -113,7 +112,6 @@ class Simulator:
         adversary: Adversary,
         config: SimulatorConfig,
         channel: Optional[MultipleAccessChannel] = None,
-        collectors: Sequence[MetricsCollector] = (),
         seed: SeedLike = None,
         backend: str = AUTO_BACKEND,
     ) -> None:
@@ -131,7 +129,6 @@ class Simulator:
         self._adversary = adversary
         self._config = config
         self._channel = channel or MultipleAccessChannel()
-        self._collectors = list(collectors)
         self._seed_tree = SeedTree(seed)
         self._seed = seed if isinstance(seed, int) else None
         self._backend = backend
@@ -156,7 +153,6 @@ class Simulator:
             adversary=self._adversary,
             config=self._config,
             channel=self._channel,
-            collectors=self._collectors,
             adversary_tree=self._seed_tree.child(),
             node_tree=self._seed_tree.child(),
             seed=self._seed,

@@ -167,9 +167,8 @@ class PrefixCounters:
     def windowed_successes(self, window: int) -> np.ndarray:
         """Success counts over consecutive windows (trailing partial included).
 
-        Matches :class:`~repro.metrics.collectors.WindowedSuccessCounter`
-        slot-for-slot: ``slots // window`` full windows plus one partial
-        window when ``slots % window`` is nonzero.
+        ``slots // window`` full windows plus one partial window when
+        ``slots % window`` is nonzero.
         """
         if window < 1:
             raise AnalysisError("window must be >= 1")

@@ -42,15 +42,15 @@ Backends
   backoff, the vector-eligible protocols) against any adversary, adaptive
   ones included.
 * ``"auto"`` (default) — batched-study when the study is eligible, else the
-  lockstep tiers when the protocol has a columnar program and the measured
-  rule of :meth:`LockstepStudyKernel.auto_skip_reason` takes it (two or
-  more trials, or one trial whose peak single-slot arrivals reach 32) —
-  compiled first, unless the interpreter is off or the program has no
-  compiled tables — else per trial the vectorized kernel when eligible,
-  else the reference kernel.
+  lockstep tiers when the protocol has a columnar program — compiled
+  first, unless the interpreter is off or the program has no compiled
+  tables — else per trial the vectorized kernel when eligible, else the
+  reference kernel.  No rung depends on the trial count.
 * ``"vectorized"`` / ``"reference"`` — per-trial kernels, forwarded to every
   :class:`~repro.sim.engine.Simulator`.
 
+Dispatch (:meth:`TrialRunner.run`) and :meth:`TrialRunner.explain_backend`
+read the same ladder walk, so the explanation names the rung that runs.
 All paths are seed-for-seed identical; only wall-clock differs.
 
 Metric pipelines and streaming
@@ -77,29 +77,31 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
 from multiprocessing import connection
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .. import faults
 from ..adversary.base import Adversary
+from ..channel.multiple_access import MultipleAccessChannel
 from ..errors import ConfigurationError, WorkerError
 from ..protocols.base import ProtocolFactory
 from ..rng import SeedLike, SeedTree, TrialSeedBatch
 from .backends import (
     AUTO_BACKEND,
     COMPILED_BACKEND,
-    LOCKSTEP_BACKEND,
-    STUDY_BACKEND,
     STUDY_BACKENDS,
     BatchedStudyKernel,
     CompiledStudyKernel,
+    KernelContext,
     LockstepStudyKernel,
+    SlotKernel,
     available_study_backends,
+    select_kernel,
 )
 from .backends.studysupport import StudyProbe
 from .engine import Simulator, SimulatorConfig
-from .health import RunHealth, collecting, note, note_demotion
+from .health import RunHealth, collecting, note_demotion
 from .results import SimulationResult
 from .shm import discard_payload, export_study, import_study
 
@@ -428,13 +430,6 @@ class TrialRunner:
 
     Parameters
     ----------
-    collectors:
-        Per-slot metric collectors attached to every trial's simulator (the
-        legacy callback API).  Collector instances are shared across trials
-        (their ``on_run_start`` hook is expected to reset them), which is why
-        they require ``workers=1`` (rejected here, at construction time);
-        they also force the per-trial path (the batched study kernel emits no
-        per-slot records).  Prefer ``pipeline`` — it has neither restriction.
     pipeline:
         A :class:`~repro.metrics.MetricPipeline` (or
         :class:`~repro.spec.PipelineSpec`) of columnar reducers, fed every
@@ -465,7 +460,6 @@ class TrialRunner:
         adversary_factory: AdversaryFactory,
         config: SimulatorConfig,
         label: str = "",
-        collectors: Sequence = (),
         backend: str = AUTO_BACKEND,
         workers: int = 1,
         pipeline=None,
@@ -479,11 +473,6 @@ class TrialRunner:
                 f"unknown backend {backend!r}; available: "
                 f"{', '.join(available_study_backends())}"
             )
-        if collectors and workers > 1:
-            raise ConfigurationError(
-                "collectors require workers=1: collector instances cannot be "
-                "shared across worker processes (use pipeline= instead)"
-            )
         if streaming and config.keep_trace:
             raise ConfigurationError(
                 "streaming releases per-slot data; it cannot be combined "
@@ -496,7 +485,6 @@ class TrialRunner:
         self._adversary_factory = adversary_factory
         self._config = config
         self._label = label
-        self._collectors = list(collectors)
         self._backend = backend
         self._workers = workers
         self._pipeline = _coerce_pipeline(pipeline)
@@ -504,16 +492,13 @@ class TrialRunner:
         self._supervisor = supervisor or SupervisorPolicy.from_env()
 
     def run_single(self, seed: SeedLike) -> SimulationResult:
-        """Execute one trial with the given root seed."""
-        simulator = Simulator(
-            protocol_factory=self._protocol_factory,
-            adversary=self._adversary_factory(),
-            config=self._config,
-            collectors=self._collectors,
-            seed=seed,
-            backend=self._per_trial_backend(),
-        )
-        return simulator.run()
+        """Execute one trial on the root seed tree, through the ladder.
+
+        The trial draws from ``SeedTree(seed)``, the tree
+        ``Simulator(seed=...)`` uses, and runs on the rung
+        :meth:`explain_backend` selects.
+        """
+        return self._run_chunk([SeedTree(seed)])[0]
 
     def run(self, trials: int, seed: SeedLike = None) -> TrialStudy:
         if trials < 1:
@@ -569,17 +554,72 @@ class TrialRunner:
             result.release_counters()
         return result
 
+    def _ladder(
+        self, probe: StudyProbe
+    ) -> Iterator[Tuple[Any, str, str, Optional[str]]]:
+        """Walk the backend ladder: ``(kernel, name, status, reason)`` per rung.
+
+        ``status`` is ``eligible``, ``ineligible`` or ``skipped``; ``reason``
+        says why a rung is not eligible.  The study kernels come first, in
+        ladder order; the last rung is the per-trial path, whose kernel is
+        the :class:`~repro.sim.backends.SlotKernel` every trial runs, and it
+        is always eligible.  An explicitly requested backend that cannot run
+        raises :class:`~repro.errors.ConfigurationError`.  The walk is lazy,
+        so dispatch, which stops at the first rung that runs, never probes
+        the rungs below it.
+        """
+        for kernel in (
+            BatchedStudyKernel(),
+            CompiledStudyKernel(),
+            LockstepStudyKernel(),
+        ):
+            name = kernel.name
+            if self._backend not in (AUTO_BACKEND, name):
+                requested = f"backend={self._backend!r} requested"
+                yield kernel, name, "skipped", requested
+                continue
+            if self._backend == AUTO_BACKEND and name == COMPILED_BACKEND:
+                skip = kernel.auto_skip_reason(self._config, probe)
+                if skip is not None:
+                    yield kernel, name, "skipped", skip
+                    continue
+            reason = kernel.unsupported_reason(
+                self._protocol_factory,
+                self._adversary_factory,
+                self._config,
+                probe,
+            )
+            if reason is None:
+                yield kernel, name, "eligible", None
+            elif self._backend == name:
+                raise ConfigurationError(f"backend {name!r} unavailable: {reason}")
+            else:
+                yield kernel, name, "ineligible", reason
+        # Slot-kernel selection reads the protocol, the adversary's flags and
+        # the channel type only, never the seed trees.
+        context = KernelContext(
+            protocol_factory=self._protocol_factory,
+            adversary=probe.adversary,
+            config=self._config,
+            channel=MultipleAccessChannel(),
+            adversary_tree=None,
+            node_tree=None,
+            seed=None,
+            protocol_name="",
+        )
+        kernel = select_kernel(self._per_trial_backend(), context)
+        yield kernel, f"per-trial ({kernel.name})", "eligible", None
+
     def _run_chunk(
         self,
         seeds: Union[List[SeedTree], TrialSeedBatch],
         pipeline=None,
     ) -> List[SimulationResult]:
-        """Run a contiguous shard of trials, study-batched when eligible.
+        """Run a contiguous shard of trials on the first eligible rung.
 
-        ``auto`` walks the study ladder: batched-study first, then the
-        lockstep kernel, then the per-trial path.  A study kernel that bails
-        mid-eligibility (returns ``None``) never consumes trial seeds, so
-        escalating to the next rung stays seed-for-seed identical.
+        A study kernel that bails at run time (returns ``None``) never
+        consumes trial seeds, so moving on to the next eligible rung stays
+        seed-for-seed identical.
         """
         faults.active_plan().maybe_raise("kernel", trials=len(seeds))
         protocol_name = (
@@ -589,154 +629,78 @@ class TrialRunner:
         # the same memoized protocol/program/adversary instances instead of
         # re-invoking the factories per kernel.
         probe = StudyProbe(self._protocol_factory, self._adversary_factory)
-        for kernel, explicit in (
-            (BatchedStudyKernel(), STUDY_BACKEND),
-            (CompiledStudyKernel(), COMPILED_BACKEND),
-            (LockstepStudyKernel(), LOCKSTEP_BACKEND),
-        ):
-            if self._backend not in (AUTO_BACKEND, explicit):
+        for kernel, name, status, _ in self._ladder(probe):
+            if status != "eligible":
                 continue
-            if (
-                self._backend == AUTO_BACKEND
-                and explicit in (COMPILED_BACKEND, LOCKSTEP_BACKEND)
-                and kernel.auto_skip_reason(self._config, len(seeds), probe)
-                is not None
-            ):
-                continue
-            reason = kernel.unsupported_reason(
+            if isinstance(kernel, SlotKernel):
+                break
+            results = kernel.run_study(
                 self._protocol_factory,
                 self._adversary_factory,
                 self._config,
-                self._collectors,
-                probe,
+                seeds,
+                protocol_name=protocol_name,
+                probe=probe,
             )
-            if reason is None:
-                results = kernel.run_study(
-                    self._protocol_factory,
-                    self._adversary_factory,
-                    self._config,
-                    seeds,
-                    protocol_name=protocol_name,
-                    probe=probe,
-                )
-                if results is not None:
-                    return [
-                        self._absorb(result, pipeline) for result in results
-                    ]
-                # The study bailed without consuming any trial seeds
-                # (oversized block, missing probability vector, slow seed
-                # path, ...): escalate down the ladder.
-                note_demotion(
-                    explicit,
-                    "per-trial ladder",
-                    "study kernel bailed at run time (oversized block, "
-                    "slow seed path, or unreplicable streams)",
-                )
-            if self._backend == explicit:
-                if reason is None:
-                    # An explicitly requested study kernel that bailed
-                    # degrades to the per-trial path, like ``auto`` would.
-                    break
-                raise ConfigurationError(
-                    f"backend {explicit!r} unavailable: {reason}"
-                )
+            if results is not None:
+                return [self._absorb(result, pipeline) for result in results]
+            # The study bailed without consuming any trial seeds (oversized
+            # block, missing probability vector, slow seed path, ...).
+            note_demotion(
+                name,
+                "per-trial ladder",
+                "study kernel bailed at run time (oversized block, "
+                "slow seed path, or unreplicable streams)",
+            )
+        # The walk ends on the per-trial rung, which is always eligible.
         trees = seeds.trees if isinstance(seeds, TrialSeedBatch) else seeds
         return [
-            self._absorb(self.run_single(trial_seed), pipeline)
-            for trial_seed in trees
+            self._absorb(
+                Simulator(
+                    protocol_factory=self._protocol_factory,
+                    adversary=self._adversary_factory(),
+                    config=self._config,
+                    seed=tree,
+                    backend=kernel.name,
+                ).run(),
+                pipeline,
+            )
+            for tree in trees
         ]
 
-    def explain_backend(self, trials: int) -> List[Dict[str, str]]:
-        """Dry-run the study backend ladder: per rung, would it run and why.
+    def explain_backend(self) -> List[Dict[str, str]]:
+        """Dry-run the backend ladder: per rung, would it run and why.
 
-        Mirrors :meth:`_run_chunk`'s dispatch decisions without consuming
-        seeds or executing anything.  Each row carries ``backend``,
-        ``status`` (``selected`` / ``eligible`` / ``skipped`` /
-        ``ineligible``) and a human ``reason``; exactly one row is
-        ``selected``.  Run-time demotions (a kernel bailing mid-dispatch)
-        are inherently not predictable here — they surface on the executed
-        study's :class:`~repro.sim.health.RunHealth` instead.
+        Formats the walk dispatch reads (:meth:`_ladder`), without consuming
+        seeds or executing anything, so the ``selected`` row is the rung
+        :meth:`run` takes.  Each row carries ``backend``, ``status``
+        (``selected`` / ``eligible`` / ``skipped`` / ``ineligible``) and a
+        human ``reason``; exactly one row is ``selected``.  An explicitly
+        requested backend that cannot run raises the error :meth:`run`
+        raises.  Run-time demotions (a kernel bailing mid-dispatch) are not
+        predictable here — they surface on the executed study's
+        :class:`~repro.sim.health.RunHealth` instead.
         """
         from .backends.compiled import interpreter_mode
 
         probe = StudyProbe(self._protocol_factory, self._adversary_factory)
         rows: List[Dict[str, str]] = []
         selected = False
-        for kernel, explicit in (
-            (BatchedStudyKernel(), STUDY_BACKEND),
-            (CompiledStudyKernel(), COMPILED_BACKEND),
-            (LockstepStudyKernel(), LOCKSTEP_BACKEND),
-        ):
-            if self._backend not in (AUTO_BACKEND, explicit):
-                rows.append(
-                    {
-                        "backend": explicit,
-                        "status": "skipped",
-                        "reason": f"backend={self._backend!r} requested",
-                    }
-                )
-                continue
-            skip = (
-                kernel.auto_skip_reason(self._config, trials, probe)
-                if self._backend == AUTO_BACKEND
-                and explicit in (COMPILED_BACKEND, LOCKSTEP_BACKEND)
-                else None
-            )
-            if skip is not None:
-                rows.append(
-                    {"backend": explicit, "status": "skipped", "reason": skip}
-                )
-                continue
-            reason = kernel.unsupported_reason(
-                self._protocol_factory,
-                self._adversary_factory,
-                self._config,
-                self._collectors,
-                probe,
-            )
-            if reason is not None:
-                rows.append(
-                    {
-                        "backend": explicit,
-                        "status": "ineligible",
-                        "reason": reason,
-                    }
-                )
-                continue
-            note = ""
-            if explicit == COMPILED_BACKEND:
-                mode = interpreter_mode()
-                note = (
-                    f" (interpreter mode: {mode}"
-                    + (
-                        "; will demote to the numpy lockstep kernel"
+        for _, name, status, reason in self._ladder(probe):
+            if status == "eligible":
+                if selected:
+                    reason = "shadowed by a higher rung"
+                else:
+                    status, selected = "selected", True
+                    reason = "first eligible rung of the backend ladder"
+                if name == COMPILED_BACKEND:
+                    mode = interpreter_mode()
+                    reason += f" (interpreter mode: {mode}" + (
+                        "; will demote to the numpy lockstep kernel)"
                         if mode == "off"
-                        else ""
+                        else ")"
                     )
-                    + ")"
-                )
-            rows.append(
-                {
-                    "backend": explicit,
-                    "status": "eligible" if selected else "selected",
-                    "reason": (
-                        "shadowed by a higher rung" if selected else "first "
-                        "eligible rung of the study ladder"
-                    )
-                    + note,
-                }
-            )
-            selected = True
-        rows.append(
-            {
-                "backend": f"per-trial ({self._per_trial_backend()})",
-                "status": "eligible" if selected else "selected",
-                "reason": "shadowed by a study kernel"
-                if selected
-                else "no study kernel is eligible; each trial picks its own "
-                "slot kernel",
-            }
-        )
+            rows.append({"backend": name, "status": status, "reason": reason})
         return rows
 
     def _run_parallel(
@@ -1034,7 +998,6 @@ def run_trials(
     keep_trace: bool = False,
     stop_when_drained: bool = False,
     label: str = "",
-    collectors: Optional[Sequence] = None,
     backend: str = AUTO_BACKEND,
     workers: int = 1,
     pipeline=None,
@@ -1058,7 +1021,6 @@ def run_trials(
         adversary_factory,
         config,
         label=label,
-        collectors=collectors or (),
         backend=backend,
         workers=workers,
         pipeline=pipeline,

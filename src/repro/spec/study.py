@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
 
 from ..errors import SpecError
 from .adversary import AdversarySpec
@@ -84,26 +84,22 @@ class StudySpec:
 
     # ------------------------------------------------------------ execution
 
-    def run(
-        self,
-        collectors: Sequence = (),
-        store: Optional[Any] = None,
-    ) -> "TrialStudy":
+    def run(self, *, store: Optional[Any] = None) -> "TrialStudy":
         """Execute the study (or return the cached result from ``store``).
 
         ``store`` is duck-typed on the get/put surface: a plain
         :class:`~repro.spec.store.StudyStore` or a sharded
         :class:`~repro.serve.ShardedStudyStore` behave identically here.
 
-        Cache lookups key on :meth:`spec_hash`; collector- and
-        pipeline-carrying runs are never served from the cache because a
-        cached summary carries no per-slot counters to replay them over
-        (streaming-only runs still cache: the stored summary surface is
-        exactly what a streamed study retains).
+        Cache lookups key on :meth:`spec_hash`; pipeline-carrying runs are
+        never served from the cache because a cached summary carries no
+        per-slot counters to replay the pipeline over (streaming-only runs
+        still cache: the stored summary surface is exactly what a streamed
+        study retains).
         """
         from ..sim.runner import run_trials
 
-        uncacheable = bool(collectors) or self.pipeline is not None
+        uncacheable = self.pipeline is not None
         if store is not None and not uncacheable:
             cached = store.get(self)
             if cached is not None:
@@ -117,7 +113,6 @@ class StudySpec:
             keep_trace=self.keep_trace,
             stop_when_drained=self.stop_when_drained,
             label=self.display_label,
-            collectors=collectors,
             backend=self.backend,
             workers=self.workers,
             pipeline=self.pipeline,

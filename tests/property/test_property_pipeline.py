@@ -3,7 +3,7 @@
 The pipeline contract: for any study, the finalized reducer values are
 identical (1) across the reference / vectorized / batched-study backends,
 (2) between ``workers=1`` and ``workers=4`` shard merges, and (3) against
-the slot-by-slot collector path the reducers replace — seed for seed.
+the per-slot records of a traced reference run — seed for seed.
 """
 
 import multiprocessing
@@ -21,13 +21,12 @@ from repro.adversary import (
 from repro.metrics import (
     MetricPipeline,
     ScalarSummaryReducer,
-    SuccessTimeline,
     SuccessTimelineReducer,
     WindowedRateReducer,
-    WindowedSuccessCounter,
 )
 from repro.protocols import ProbabilityBackoff, SlottedAloha, make_factory
 from repro.sim import Simulator, SimulatorConfig, run_trials
+from repro.types import SlotOutcome
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -171,13 +170,14 @@ class TestShardInvariance:
         assert metrics(4) == metrics(1)
 
 
-class TestCollectorParity:
+class TestTraceParity:
     @settings(max_examples=10, deadline=None)
     @given(workload=workloads(), window=st.integers(min_value=1, max_value=40))
-    def test_reducers_match_slot_by_slot_collectors(self, workload, window):
-        """Reducers reproduce the legacy per-slot collector outputs exactly,
-        even when the study itself ran on the batched kernel (which never
-        materializes a single SlotRecord)."""
+    def test_reducers_match_slot_by_slot_trace(self, workload, window):
+        """Reducers reproduce the success slots and windowed counts of the
+        reference kernel's per-slot trace exactly, even when the study
+        itself ran on the batched kernel (which never materializes a single
+        SlotRecord)."""
         arrivals, jams, horizon, seed = workload
         factory = make_factory(SlottedAloha, 0.3)
 
@@ -198,18 +198,22 @@ class TestCollectorParity:
 
         timeline_reducer = study.pipeline["success-timeline"]
         windowed_reducer = study.pipeline["windowed-rate"]
-        # Re-run each trial serially with the collectors attached.
+        # Re-run each trial serially on the reference kernel, keeping its
+        # per-slot records.
         from repro.rng import TrialSeedBatch
 
         for index, tree in enumerate(TrialSeedBatch(seed, 3).trees):
-            timeline = SuccessTimeline()
-            counter = WindowedSuccessCounter(window)
-            Simulator(
+            trace = Simulator(
                 protocol_factory=factory,
                 adversary=ScheduleAdversary(arrivals=arrivals, jammed_slots=jams),
-                config=SimulatorConfig(horizon=horizon),
-                collectors=[timeline, counter],
+                config=SimulatorConfig(horizon=horizon, keep_trace=True),
                 seed=tree,
-            ).run()
-            assert timeline_reducer.timelines[index] == timeline.success_slots
-            assert windowed_reducer.counts[index] == counter.counts
+                backend="reference",
+            ).run().trace
+            hits = [r.outcome is SlotOutcome.SUCCESS for r in trace]
+            slots = [r.slot for r, hit in zip(trace, hits) if hit]
+            counts = [
+                sum(hits[lo : lo + window]) for lo in range(0, len(hits), window)
+            ]
+            assert timeline_reducer.timelines[index] == slots
+            assert windowed_reducer.counts[index] == counts

@@ -16,8 +16,8 @@ from repro.adversary import (
 from repro.core import cjz_factory
 from repro.core.subroutines import HBackoff
 from repro.errors import ConfigurationError
-from repro.metrics import SuccessTimeline
 from repro.protocols import (
+    BackonBackoffCD,
     ProbabilityBackoff,
     SlottedAloha,
     WindowedBinaryExponentialBackoff,
@@ -26,6 +26,7 @@ from repro.protocols import (
 from repro.sim import (
     Simulator,
     SimulatorConfig,
+    TrialRunner,
     available_backends,
     available_study_backends,
     run_trials,
@@ -142,21 +143,6 @@ class TestResultProvenance:
             )
 
         assert run("reference") == run("vectorized")
-
-    def test_collectors_identical_across_backends(self):
-        def success_slots(backend):
-            timeline = SuccessTimeline()
-            Simulator(
-                protocol_factory=make_factory(SlottedAloha, 0.3),
-                adversary=ScheduleAdversary(arrivals={1: 3}, jammed_slots=[2]),
-                config=SimulatorConfig(horizon=200),
-                collectors=[timeline],
-                seed=9,
-                backend=backend,
-            ).run()
-            return timeline.success_slots
-
-        assert success_slots("reference") == success_slots("vectorized")
 
     def test_memory_guard_falls_back_to_replay(self, monkeypatch):
         reference = make_simulator(
@@ -402,32 +388,6 @@ class TestBatchedStudyBackend:
                 backend="batched-study",
             )
 
-    def test_explicit_batched_rejects_collectors(self):
-        with pytest.raises(ConfigurationError, match="collectors"):
-            run_trials(
-                protocol_factory=make_factory(SlottedAloha, 0.2),
-                adversary_factory=lambda: ScheduleAdversary.single_batch(4),
-                horizon=50,
-                trials=2,
-                seed=1,
-                backend="batched-study",
-                collectors=[SuccessTimeline()],
-            )
-
-    def test_auto_with_collectors_falls_back_and_threads_them(self):
-        timeline = SuccessTimeline()
-        study = run_trials(
-            protocol_factory=make_factory(SlottedAloha, 1.0),
-            adversary_factory=lambda: ScheduleAdversary.single_batch(1, slot=3),
-            horizon=10,
-            trials=2,
-            seed=1,
-            backend="auto",
-            collectors=[timeline],
-        )
-        assert all(r.backend != "batched-study" for r in study)
-        assert timeline.success_slots == [3]
-
     def test_auto_with_keep_trace_falls_back(self):
         study = run_trials(
             protocol_factory=make_factory(SlottedAloha, 0.3),
@@ -441,11 +401,11 @@ class TestBatchedStudyBackend:
         assert all(r.backend == "vectorized" for r in study)
         assert all(r.trace is not None for r in study)
 
-    def test_adaptive_study_auto_uses_reference(self):
-        # A single sparse trial against an adaptive adversary stays on the
-        # per-trial reference loop; from two trials on, the columnar
-        # age-profile program runs it lockstep.
-        def study(trials):
+    def test_adaptive_study_auto_uses_lockstep(self):
+        # The columnar age-profile program runs a study against an adaptive
+        # adversary lockstep at any trial count, seed for seed with the
+        # per-trial reference loop.
+        def study(trials, backend="auto"):
             return run_trials(
                 protocol_factory=make_factory(SlottedAloha, 0.2),
                 adversary_factory=lambda: ComposedAdversary(
@@ -454,11 +414,14 @@ class TestBatchedStudyBackend:
                 horizon=60,
                 trials=trials,
                 seed=1,
-                backend="auto",
+                backend=backend,
             )
 
-        assert [r.backend for r in study(1)] == ["reference"]
+        single = study(1)
+        assert [r.backend for r in single] == ["lockstep"]
         assert [r.backend for r in study(2)] == ["lockstep", "lockstep"]
+        reference = study(1, backend="reference")
+        assert single.results[0].summary == reference.results[0].summary
 
     def test_max_nodes_guard_matches_reference_message(self):
         from repro.sim import TrialRunner
@@ -520,3 +483,91 @@ class TestBatchedStudyBackend:
         )
         assert all(r.wall_time_seconds > 0.0 for r in study)
         assert all(r.slots_per_second > 0.0 for r in study)
+
+
+def _cjz_batch():
+    return ComposedAdversary(BatchArrivals(8), RandomFractionJamming(0.2))
+
+
+def _aloha_batch():
+    return ComposedAdversary(BatchArrivals(6), RandomFractionJamming(0.2))
+
+
+def _aloha_reactive():
+    return ComposedAdversary(BatchArrivals(6), ReactiveJamming(0.25))
+
+
+class TestExplainMatchesDispatch:
+    """``explain_backend`` formats the walk dispatch runs, so they agree."""
+
+    @pytest.mark.parametrize(
+        "protocol, adversary, trials, keep_trace, executed",
+        [
+            pytest.param(cjz_factory(), _cjz_batch, 1, False, "lockstep", id="cjz-1"),
+            pytest.param(cjz_factory(), _cjz_batch, 2, False, "lockstep", id="cjz-2"),
+            pytest.param(
+                make_factory(SlottedAloha, 0.2),
+                _aloha_batch,
+                2,
+                False,
+                "batched-study",
+                id="aloha-oblivious",
+            ),
+            pytest.param(
+                make_factory(SlottedAloha, 0.2),
+                _aloha_reactive,
+                1,
+                False,
+                "lockstep",
+                id="aloha-reactive-1",
+            ),
+            pytest.param(
+                make_factory(SlottedAloha, 0.2),
+                _aloha_batch,
+                2,
+                True,
+                "vectorized",
+                id="aloha-keep-trace",
+            ),
+            pytest.param(
+                make_factory(BackonBackoffCD),
+                _aloha_batch,
+                2,
+                False,
+                "reference",
+                id="backon-backoff-cd",
+            ),
+        ],
+    )
+    def test_selected_row_names_the_executed_backend(
+        self, monkeypatch, protocol, adversary, trials, keep_trace, executed
+    ):
+        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
+        runner = TrialRunner(
+            protocol,
+            adversary,
+            SimulatorConfig(horizon=60, keep_trace=keep_trace),
+        )
+        selected = [
+            row["backend"]
+            for row in runner.explain_backend()
+            if row["status"] == "selected"
+        ]
+        study = runner.run(trials, seed=3)
+        assert {r.backend for r in study} == {executed}
+        assert selected in ([executed], [f"per-trial ({executed})"])
+        # No rung reads the trial count, so one trial on the root tree
+        # takes the same rung.
+        assert runner.run_single(3).backend == executed
+
+    @pytest.mark.parametrize("backend", ["batched-study", "vectorized"])
+    def test_explicit_backend_that_cannot_run_raises_like_run(self, backend):
+        runner = TrialRunner(
+            cjz_factory(), _cjz_batch, SimulatorConfig(horizon=60), backend=backend
+        )
+        with pytest.raises(ConfigurationError) as explained:
+            runner.explain_backend()
+        with pytest.raises(ConfigurationError) as ran:
+            runner.run(2, seed=1)
+        assert str(explained.value) == str(ran.value)
+        assert f"backend {backend!r} unavailable" in str(ran.value)

@@ -230,10 +230,10 @@ class TestDispatchSuite:
             ]
             for cell in cells
         }
-        # One sparse trial stays per-trial; a batch peak or a second trial
-        # takes the lockstep tier.
+        # auto takes the lockstep tier for the paper's algorithm at every
+        # trial count.
         assert picks == {
-            ("ethernet-burst", 1): "reference",
+            ("ethernet-burst", 1): "lockstep",
             ("ethernet-burst", 2): "lockstep",
             ("lock-convoy", 1): "lockstep",
             ("lock-convoy", 2): "lockstep",

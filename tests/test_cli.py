@@ -38,6 +38,41 @@ class TestCommands:
         assert "chen-jiang-zheng" in out
         assert "throughput" in out
 
+    def test_simulate_explain_backend_explains_the_run(self, capsys):
+        from repro import quick_run
+
+        code = main(
+            [
+                "simulate",
+                "--arrivals",
+                "32",
+                "--horizon",
+                "1024",
+                "--seed",
+                "3",
+                "--explain-backend",
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        ran = next(line for line in lines if line.startswith("backend: "))
+        ran = ran.split()[1]
+        # Ladder rows: two-space indent, a 24-wide backend column, a
+        # 10-wide status column.
+        selected = [
+            line[2:26].strip()
+            for line in lines
+            if line.startswith("  ") and line[27:37].strip() == "selected"
+        ]
+        assert selected in ([ran], [f"per-trial ({ran})"])
+        expected = quick_run(arrivals=32, horizon=1024, seed=3)
+        assert lines[:3] == [
+            expected.describe(),
+            "classical throughput at horizon: "
+            f"{expected.classical_throughput():.3f}",
+            f"mean latency: {expected.mean_latency():.1f} slots",
+        ]
+
     def test_run_command_smoke(self, capsys):
         code = main(["run", "E5", "--trials", "2", "--scale", "smoke", "--seed", "7"])
         out = capsys.readouterr().out

@@ -225,8 +225,11 @@ class TestEligibility:
             SimulatorConfig(horizon=10),
         )
         assert "lockstep program" in reason
-        assert kernel.supports_study(
-            cjz_factory(), batch_jam_factory, SimulatorConfig(horizon=10)
+        assert (
+            kernel.unsupported_reason(
+                cjz_factory(), batch_jam_factory, SimulatorConfig(horizon=10)
+            )
+            is None
         )
 
 
@@ -256,8 +259,6 @@ class TestAutoLadder:
         assert all(r.backend == "batched-study" for r in study)
 
     def test_auto_serves_adaptive_adversaries_via_lockstep(self):
-        # Adaptive adversaries hide their arrival shape, so auto escalates
-        # on the trial count alone.
         study = run_trials(
             protocol_factory=cjz_factory(),
             adversary_factory=lambda: AdaptiveSuccessChaser(
@@ -283,21 +284,22 @@ class TestAutoLadder:
             backend=backend,
         )
 
-    def test_auto_keeps_small_sparse_studies_per_trial(self):
-        # A single trial of a thin spread workload carries too little
-        # concurrent population for the lockstep tier to pay off.
+    def test_auto_runs_small_sparse_studies_lockstep(self):
+        # No rung reads the trial count or the arrival shape: a single
+        # trial of a thin spread workload runs lockstep too, seed for seed
+        # with the per-trial reference loop.
         study = self._sparse_study(trials=1)
-        assert all(r.backend == "reference" for r in study)
-        # An explicit request still runs lockstep.
-        explicit = self._sparse_study(trials=1, backend="lockstep")
-        assert all(r.backend == "lockstep" for r in explicit)
+        assert [r.backend for r in study] == ["lockstep"]
+        reference = self._sparse_study(trials=1, backend="reference")
+        assert [r.backend for r in reference] == ["reference"]
+        assert study.results[0].summary == reference.results[0].summary
 
     def test_auto_runs_the_same_sparse_study_lockstep_from_two_trials(self):
         single = self._sparse_study(trials=1)
         double = self._sparse_study(trials=2)
-        assert [r.backend for r in single] == ["reference"]
+        assert [r.backend for r in single] == ["lockstep"]
         assert [r.backend for r in double] == ["lockstep", "lockstep"]
-        # Trial seeds do not depend on the trial count or the backend.
+        # Trial seeds do not depend on the trial count.
         assert single.results[0].summary == double.results[0].summary
 
     def test_auto_runs_a_single_batch_trial_lockstep(self):
@@ -313,10 +315,11 @@ class TestAutoLadder:
                 backend="auto",
             )
 
-        assert study(31).results[0].backend == "reference"
+        # A single trial runs lockstep whatever its batch size.
+        assert study(31).results[0].backend == "lockstep"
         assert study(32).results[0].backend == "lockstep"
 
-    def test_explain_backend_states_the_rule_inputs(self):
+    def test_explain_backend_selects_lockstep_for_a_sparse_study(self):
         runner = TrialRunner(
             cjz_factory(),
             lambda: ComposedAdversary(
@@ -324,12 +327,9 @@ class TestAutoLadder:
             ),
             SimulatorConfig(horizon=120),
         )
-        rows = {row["backend"]: row for row in runner.explain_backend(1)}
-        assert rows["lockstep"]["status"] == "skipped"
-        assert "trials=1" in rows["lockstep"]["reason"]
-        assert "peak single-slot arrivals=1" in rows["lockstep"]["reason"]
-        rows = {row["backend"]: row for row in runner.explain_backend(2)}
-        assert rows["lockstep"]["status"] in ("selected", "eligible")
+        rows = {row["backend"]: row for row in runner.explain_backend()}
+        assert rows["lockstep"]["status"] == "selected"
+        assert rows["per-trial (reference)"]["status"] == "eligible"
 
 
 class TestCompiledRungUnderAuto:
@@ -355,7 +355,7 @@ class TestCompiledRungUnderAuto:
         runner = TrialRunner(
             cjz_factory(), batch_jam_factory, SimulatorConfig(horizon=60)
         )
-        rows = {row["backend"]: row for row in runner.explain_backend(2)}
+        rows = {row["backend"]: row for row in runner.explain_backend()}
         assert rows["lockstep-jit"]["status"] == "skipped"
         assert "interpreter is off" in rows["lockstep-jit"]["reason"]
         assert rows["lockstep"]["status"] == "selected"
@@ -386,7 +386,7 @@ class TestCompiledRungUnderAuto:
         assert {r.backend for r in study} == {"lockstep"}
         assert study.health.clean
         runner = TrialRunner(aloha, reactive, SimulatorConfig(horizon=60))
-        rows = {row["backend"]: row for row in runner.explain_backend(2)}
+        rows = {row["backend"]: row for row in runner.explain_backend()}
         assert rows["lockstep-jit"]["status"] == "skipped"
         assert "compiled tables" in rows["lockstep-jit"]["reason"]
         assert rows["lockstep"]["status"] == "selected"

@@ -8,8 +8,6 @@ from repro.errors import AnalysisError
 from repro.functions import RateFunction, constant_g
 from repro.metrics import (
     FGThroughputChecker,
-    SuccessTimeline,
-    WindowedSuccessCounter,
     check_fg_throughput,
     classical_throughput_series,
     summarize_energy,
@@ -17,7 +15,6 @@ from repro.metrics import (
 )
 from repro.protocols import ProbabilityBackoff, make_factory
 from repro.sim import Simulator, SimulatorConfig
-from repro.types import SlotOutcome, SlotRecord
 
 
 def run_batch(n=16, horizon=512, jam=0.0, seed=3, protocol=None):
@@ -109,40 +106,3 @@ class TestLatencyAndEnergy:
     def test_energy_summary_empty(self):
         summary = summarize_energy([])
         assert summary.nodes == 0
-
-
-class TestCollectors:
-    def make_record(self, slot, success=False):
-        return SlotRecord(
-            slot=slot,
-            broadcasters=(0,) if success else (),
-            jammed=False,
-            outcome=SlotOutcome.SUCCESS if success else SlotOutcome.SILENCE,
-            successful_node=0 if success else None,
-            active_nodes=1,
-            arrivals=0,
-        )
-
-    def test_success_timeline(self):
-        timeline = SuccessTimeline()
-        timeline.on_run_start(10)
-        timeline.on_slot(self.make_record(1))
-        timeline.on_slot(self.make_record(2, success=True))
-        timeline.on_slot(self.make_record(3, success=True))
-        assert timeline.success_slots == [2, 3]
-        assert timeline.successes_before(2) == 1
-        assert timeline.first_success() == 2
-
-    def test_windowed_counter(self):
-        counter = WindowedSuccessCounter(window=2)
-        counter.on_run_start(10)
-        for slot in range(1, 6):
-            counter.on_slot(self.make_record(slot, success=slot % 2 == 0))
-        counter.on_run_end(None)
-        assert sum(counter.counts) == 2
-        assert len(counter.counts) == 3
-        assert counter.rates()[0] == pytest.approx(0.5)
-
-    def test_windowed_counter_invalid_window(self):
-        with pytest.raises(ValueError):
-            WindowedSuccessCounter(window=0)

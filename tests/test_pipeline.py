@@ -18,10 +18,8 @@ from repro.metrics import (
     LatencyReducer,
     MetricPipeline,
     ScalarSummaryReducer,
-    SuccessTimeline,
     SuccessTimelineReducer,
     WindowedRateReducer,
-    WindowedSuccessCounter,
     summarize_energy,
     summarize_latencies,
 )
@@ -35,7 +33,7 @@ from repro.sim import (
     run_trials,
 )
 from repro.spec import METRIC_REDUCERS, PipelineSpec, StudySpec
-from repro.types import SimulationSummary
+from repro.types import SimulationSummary, SlotOutcome
 
 
 def aloha_factory(p=0.15):
@@ -197,33 +195,35 @@ class TestReducers:
     def study_results(self):
         return list(small_study(backend="reference"))
 
-    def test_success_timeline_matches_collector(self):
-        timeline = SuccessTimeline()
-        result = Simulator(
+    @staticmethod
+    def traced_run():
+        """One reference-kernel run that keeps its per-slot records."""
+        return Simulator(
             protocol_factory=aloha_factory(),
             adversary=jammed_batch()(),
-            config=SimulatorConfig(horizon=192),
-            collectors=[timeline],
+            config=SimulatorConfig(horizon=192, keep_trace=True),
             seed=7,
+            backend="reference",
         ).run()
+
+    def test_success_timeline_matches_trace(self):
+        result = self.traced_run()
+        slots = [r.slot for r in result.trace if r.outcome is SlotOutcome.SUCCESS]
+        assert slots
         reducer = SuccessTimelineReducer()
         reducer.reduce(result.counters, result)
-        assert reducer.timelines[0] == timeline.success_slots
-        assert reducer.first_success_slots()[0] == timeline.first_success()
+        assert reducer.timelines[0] == slots
+        assert reducer.first_success_slots()[0] == slots[0]
 
-    def test_windowed_rate_matches_collector(self):
-        counter = WindowedSuccessCounter(window=17)
-        result = Simulator(
-            protocol_factory=aloha_factory(),
-            adversary=jammed_batch()(),
-            config=SimulatorConfig(horizon=192),
-            collectors=[counter],
-            seed=7,
-        ).run()
+    def test_windowed_rate_matches_trace(self):
+        result = self.traced_run()
+        hits = [r.outcome is SlotOutcome.SUCCESS for r in result.trace]
+        counts = [sum(hits[lo : lo + 17]) for lo in range(0, len(hits), 17)]
+        assert len(hits) % 17  # a trailing partial window
         reducer = WindowedRateReducer(window=17)
         reducer.reduce(result.counters, result)
-        assert reducer.counts[0] == counter.counts
-        assert reducer.rates(0) == counter.rates()
+        assert reducer.counts[0] == counts
+        assert reducer.rates(0) == [count / 17 for count in counts]
 
     def test_latency_and_energy_match_summaries(self):
         results = self.study_results()
@@ -517,12 +517,3 @@ class TestStudySpecIntegration:
         plain = StudySpec(horizon=128, trials=2, streaming=True)
         plain.run(store=store)
         assert store.entries() == [plain.spec_hash()]
-
-
-class TestCollectorFix:
-    def test_successes_before_uses_sorted_order(self):
-        timeline = SuccessTimeline()
-        timeline.success_slots = [2, 5, 5, 9]
-        assert timeline.successes_before(1) == 0
-        assert timeline.successes_before(5) == 3
-        assert timeline.successes_before(100) == 4

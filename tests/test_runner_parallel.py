@@ -1,4 +1,4 @@
-"""Tests for trial-level parallelism and collector threading in the runner."""
+"""Tests for trial-level parallelism in the runner."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.adversary import (
     ScheduleAdversary,
 )
 from repro.errors import ConfigurationError
-from repro.metrics import SuccessTimeline
 from repro.protocols import ProbabilityBackoff, SlottedAloha, make_factory
 from repro.sim import SimulatorConfig, TrialRunner, run_trials
 
@@ -27,35 +26,6 @@ def beb_study(workers, trials=4, seed=7, backend="auto"):
         workers=workers,
         backend=backend,
     )
-
-
-class TestCollectorThreading:
-    def test_run_trials_threads_collectors(self):
-        # Regression: collectors used to be accepted and silently dropped.
-        timeline = SuccessTimeline()
-        study = run_trials(
-            protocol_factory=make_factory(SlottedAloha, 1.0),
-            adversary_factory=lambda: ScheduleAdversary.single_batch(1, slot=3),
-            horizon=10,
-            trials=2,
-            seed=1,
-            collectors=[timeline],
-        )
-        assert study.trials == 2
-        # on_run_start resets the collector, so it holds the last trial's data.
-        assert timeline.success_slots == [3]
-
-    def test_collectors_with_workers_raise(self):
-        with pytest.raises(ConfigurationError, match="collectors require workers=1"):
-            run_trials(
-                protocol_factory=make_factory(SlottedAloha, 0.5),
-                adversary_factory=lambda: ScheduleAdversary.single_batch(1),
-                horizon=10,
-                trials=2,
-                seed=1,
-                collectors=[SuccessTimeline()],
-                workers=2,
-            )
 
 
 class TestParallelTrials:

@@ -12,7 +12,6 @@ from repro.adversary import (
 )
 from repro.core import cjz_factory
 from repro.errors import ConfigurationError
-from repro.metrics import SuccessTimeline, WindowedSuccessCounter
 from repro.protocols import ProbabilityBackoff, SlottedAloha, make_factory
 from repro.protocols.base import Protocol
 from repro.sim import Simulator, SimulatorConfig, TrialRunner, run_trials
@@ -256,20 +255,6 @@ class TestSimulatorBasics:
             ).run()
 
         assert run_once(1).prefix_successes != run_once(2).prefix_successes
-
-    def test_collectors_receive_slots(self):
-        timeline = SuccessTimeline()
-        window = WindowedSuccessCounter(window=5)
-        result = Simulator(
-            protocol_factory=make_factory(AlwaysSend),
-            adversary=ScheduleAdversary.single_batch(1, slot=3),
-            config=SimulatorConfig(horizon=10),
-            collectors=[timeline, window],
-            seed=1,
-        ).run()
-        assert timeline.success_slots == [3]
-        assert sum(window.counts) == 1
-        assert result.total_successes == 1
 
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):

@@ -15,9 +15,9 @@ from repro.adversary import (
     RandomFractionJamming,
 )
 from repro.core import AlgorithmParameters, cjz_factory
-from repro.errors import ConfigurationError, SpecError
+from repro.errors import SpecError
 from repro.functions import RateFunction, constant_g, log_g, polylog_g
-from repro.sim import TrialRunner, SimulatorConfig, run_trials
+from repro.sim import run_trials
 from repro.spec import (
     ADVERSARIES,
     ARRIVAL_STRATEGIES,
@@ -304,20 +304,6 @@ class TestStudySpecRoundTrip:
         assert hash(ProtocolSpec()) == hash(ProtocolSpec())
         assert hash(small_adversary()) == hash(small_adversary())
 
-    def test_run_forwards_collectors(self):
-        from repro.metrics import WindowedSuccessCounter
-
-        counter = WindowedSuccessCounter(window=64)
-        spec = StudySpec(
-            protocol=ProtocolSpec(kind="slotted-aloha"),
-            adversary=small_adversary(),
-            horizon=256,
-            trials=1,
-            seed=SEED,
-        )
-        study = spec.run(collectors=[counter])
-        assert sum(counter.counts) == study.results[0].total_successes
-
     def test_json_round_trip_preserves_spec_exactly(self):
         spec = StudySpec(
             protocol=ProtocolSpec(kind="slotted-aloha", params={"probability": 0.07}),
@@ -353,19 +339,6 @@ class TestRunnerSpecSupport:
             seed=SEED,
         )
         assert study.trials == TRIALS
-
-    def test_collectors_with_workers_rejected_at_construction(self):
-        class DummyCollector:
-            pass
-
-        with pytest.raises(ConfigurationError, match="collectors require workers=1"):
-            TrialRunner(
-                ProtocolSpec(kind="slotted-aloha"),
-                small_adversary(),
-                SimulatorConfig(horizon=64),
-                collectors=[DummyCollector()],
-                workers=2,
-            )
 
 
 class TestWorkloadFoldIn:
