@@ -202,12 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="submit the grid to a running `repro serve` daemon instead of "
         "executing locally (thin client; rows stream back)",
     )
-    sweep_parser.add_argument(
-        "--no-fuse",
-        action="store_true",
-        help="disable fused multi-study dispatch and run every point "
-        "per-point (results are identical either way)",
-    )
     sweep_parser.set_defaults(func=_cmd_sweep)
 
     serve_parser = subparsers.add_parser(
@@ -252,12 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BYTES",
         help="per-shard byte budget; evict LRU-by-atime after each job "
         "(default: unlimited)",
-    )
-    serve_parser.add_argument(
-        "--no-fuse",
-        action="store_true",
-        help="dispatch every job individually instead of fusing compatible "
-        "queued jobs into one lockstep run",
     )
     serve_parser.add_argument(
         "--journal",
@@ -663,6 +651,35 @@ def _render_sweep_rows(rows: List[Dict[str, Any]], fmt: str) -> str:
     return table.render()
 
 
+def _print_health(results) -> None:
+    """One footer line per study whose run recorded health events."""
+    for r in results:
+        health = getattr(r.study, "health", None)
+        if health is not None and not health.clean:
+            print(f"health [{r.spec.display_label}]: {health.describe()}")
+
+
+def _print_served(results, args: argparse.Namespace) -> int:
+    """Print a served sweep's rows (``sweep --server`` and ``submit``).
+
+    Served studies carry their RunHealth over the wire, so the table gets
+    the same health footer as a local sweep.
+    """
+    from .spec import sweep_rows
+
+    print(_render_sweep_rows(sweep_rows(results), args.format))
+    if args.format == "table":
+        cached = sum(1 for r in results if r.cached)
+        failed = sum(1 for r in results if r.failed)
+        print(
+            f"{len(results)} points ({cached} cached"
+            + (f", {failed} failed" if failed else "")
+            + f") served by {_serve_address(args)}"
+        )
+        _print_health(results)
+    return 1 if any(r.failed for r in results) else 0
+
+
 def _serve_address(args: argparse.Namespace) -> str:
     """Resolve the server address: --server flag, env vars, then defaults."""
     if getattr(args, "server", None):
@@ -716,32 +733,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     plan = StudyPlan.from_sweep(sweep)
     if args.server is not None:
         client = _serve_client(args)
-        results = client.run_plan(plan.specs, overrides=sweep.points())
-        rows = sweep_rows(results)
-        print(_render_sweep_rows(rows, args.format))
-        if args.format == "table":
-            cached = sum(1 for r in results if r.cached)
-            failed = sum(1 for r in results if r.failed)
-            print(
-                f"{len(results)} points ({cached} cached"
-                + (f", {failed} failed" if failed else "")
-                + f") served by {_serve_address(args)}"
-            )
-            # Identical health footer to the local branch: served studies
-            # carry their RunHealth over the wire.
-            unhealthy = [
-                r
-                for r in results
-                if r.study is not None
-                and getattr(r.study, "health", None) is not None
-                and not r.study.health.clean
-            ]
-            for r in unhealthy:
-                print(
-                    f"health [{r.spec.display_label}]: "
-                    f"{r.study.health.describe()}"
-                )
-        return 1 if any(r.failed for r in results) else 0
+        return _print_served(
+            client.run_plan(plan.specs, overrides=sweep.points()), args
+        )
     store = None if args.no_store else StudyStore(args.store)
     journal = args.journal
     if journal is None and args.resume:
@@ -754,7 +748,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         retries=args.retries,
         journal=journal,
         resume=args.resume,
-        fuse=not args.no_fuse,
     )
     rows = sweep_rows(results)
     print(_render_sweep_rows(rows, args.format))
@@ -770,15 +763,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             + f"), simulation {run_time:.2f}s + dispatch "
             f"{dispatch * 1000:.0f}ms; store: {where}"
         )
-        unhealthy = [
-            r
-            for r in results
-            if r.study is not None
-            and getattr(r.study, "health", None) is not None
-            and not r.study.health.clean
-        ]
-        for r in unhealthy:
-            print(f"health [{r.spec.display_label}]: {r.study.health.describe()}")
+        _print_health(results)
         if journal is not None:
             print(f"journal: {journal}")
     return 0
@@ -829,7 +814,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=port,
             workers=workers,
             store_budget=budget,
-            fuse=not args.no_fuse,
             journal=journal,
             deadline=deadline,
             requeues=requeues,
@@ -865,7 +849,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from .spec import Sweep, sweep_rows
+    from .spec import Sweep
 
     base = _sweep_base_spec(args)
     sweep = Sweep(base, _parse_axes(args.axis))
@@ -888,18 +872,10 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             for outcome in outcomes:
                 print(f"{outcome.hash}  {outcome.status}  {outcome.label}")
         return 0
-    results = client.run_plan(specs, overrides=sweep.points(), priority=args.priority)
-    rows = sweep_rows(results)
-    print(_render_sweep_rows(rows, args.format))
-    if args.format == "table":
-        cached = sum(1 for r in results if r.cached)
-        failed = sum(1 for r in results if r.failed)
-        print(
-            f"{len(results)} points ({cached} cached"
-            + (f", {failed} failed" if failed else "")
-            + f") served by {_serve_address(args)}"
-        )
-    return 1 if any(r.failed for r in results) else 0
+    return _print_served(
+        client.run_plan(specs, overrides=sweep.points(), priority=args.priority),
+        args,
+    )
 
 
 def _cmd_client(args: argparse.Namespace) -> int:

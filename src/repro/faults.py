@@ -41,9 +41,10 @@ Injection sites (the string each instrumented component asks about):
                        mid-line on disk, as if the daemon died mid-write
                        (coords: ``hash``, ``status``) — recovery must
                        tolerate the torn trailing line
-``dispatcher-hang``    a server dispatcher wedges after claiming a job
-                       (coords: ``hash``, ``worker``) — the watchdog must
-                       cancel it, requeue the job and spawn a replacement
+``dispatcher-hang``    the thread running a claimed serve job group
+                       wedges (coords: ``hash`` of the lead job,
+                       ``worker``) — the job deadline must requeue the
+                       group's jobs, then fail them once requeues run out
 ``shard-loss``         one shard of a sharded study store is unavailable
                        (coords: ``shard``) — reads become misses and
                        writes no-ops, each with a health event, never a

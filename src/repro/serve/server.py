@@ -11,20 +11,21 @@ execution model:
   disk without touching the queue.
 * Queued jobs wait in an ``asyncio.PriorityQueue`` (lower ``priority``
   first, FIFO within a priority) and are drained by ``workers`` dispatcher
-  tasks, each running one job at a time in a thread of a bounded executor.
-  With ``fuse=True`` (the default) a dispatcher additionally drains queued
-  jobs sharing its lead job's :func:`~repro.sim.backends.fused.fusion_key`
-  and executes the whole group as one fused lockstep run — every job keeps
-  its own status row, health fields, dedupe entry and ``executed`` /
-  ``failed`` accounting, and a fused failure degrades each member to the
-  ordinary per-job path.
-* A job executes through ``StudySpec.run(store=...)`` — the exact same
-  backend ladder, supervised worker pool (:class:`~repro.sim.runner.
-  SupervisorPolicy` retries/backoff/degradation) and content-addressed
-  store as a local run, so served results are seed-for-seed identical to
-  ``StudyPlan.run`` and :class:`~repro.sim.health.RunHealth` events
-  (crashes, retries, demotions) surface in job status as
-  ``health_retries`` / ``health_failures`` / ``health_demotions``.
+  tasks.  A dispatcher claims its lead job together with every queued job
+  sharing the lead's :func:`~repro.sim.backends.fused.fusion_key` and runs
+  the group, of one job or many, in one thread.  Two or more store misses
+  in a group run as one fused lockstep run; every job keeps its own status
+  row, health fields, dedupe entry and ``executed`` / ``failed``
+  accounting, and a fused failure degrades each member to its own
+  ``StudySpec.run``.
+* A job that runs on its own executes through ``StudySpec.run(store=...)``
+  — the exact same backend ladder, supervised worker pool
+  (:class:`~repro.sim.runner.SupervisorPolicy` retries/backoff/degradation)
+  and content-addressed store as a local run, so served results are
+  seed-for-seed identical to ``StudyPlan.run`` and
+  :class:`~repro.sim.health.RunHealth` events (crashes, retries,
+  demotions) surface in job status as ``health_retries`` /
+  ``health_failures`` / ``health_demotions``.
 * With a ``store_budget``, the store is brought back under its byte budget
   after every executed job (LRU-by-atime eviction; entries written during
   the current server session are never evicted).
@@ -34,13 +35,13 @@ Crash safety (``journal=...``): every job transition is appended to a
 hears about it.  A server restarted over the same journal re-queues every
 accepted-but-unfinished job (:meth:`SweepServer.start` replays the WAL) and
 answers already-completed ones straight from the store, so a SIGKILL loses
-no acknowledged work.  Jobs additionally carry an execution ``deadline``:
-an overrun is re-queued up to ``requeues`` times and then failed, and a
-watchdog task replaces dispatchers that crash or hang outright (the
-execution thread is a per-job daemon thread, so a hung job leaks a thread
-instead of wedging a pool slot).  :meth:`SweepServer.drain` is the graceful
-counterpart to shutdown: refuse new submissions, finish and journal the
-backlog, then stop.
+no acknowledged work.  Claimed groups additionally carry an execution
+``deadline``, the service's one hang detector: an overrun is re-queued up
+to ``requeues`` times and then failed (the execution thread is a per-group
+daemon thread, so a hung group leaks a thread instead of wedging a
+dispatcher).  :meth:`SweepServer.drain` is the graceful counterpart to
+shutdown: refuse new submissions, finish and journal the backlog, then
+stop.
 
 :class:`BackgroundServer` runs the whole daemon on a private event loop in
 a daemon thread — the harness used by the test suite and the
@@ -150,7 +151,6 @@ class ServerStats:
     evicted: int = 0
     recovered: int = 0
     requeued: int = 0
-    watchdog_restarts: int = 0
 
     def to_dict(self) -> Dict[str, int]:
         return {
@@ -162,7 +162,6 @@ class ServerStats:
             "evicted": self.evicted,
             "recovered": self.recovered,
             "requeued": self.requeued,
-            "watchdog_restarts": self.watchdog_restarts,
         }
 
 
@@ -176,11 +175,9 @@ class SweepServer:
         port: int = 0,
         workers: int = 2,
         store_budget: Optional[int] = None,
-        fuse: bool = True,
         journal: Optional[Union[str, Path, ServeJournal]] = None,
         deadline: Optional[float] = None,
         requeues: int = 1,
-        watchdog_interval: float = 0.25,
     ) -> None:
         if workers < 1:
             raise ServeError("the sweep server needs at least one worker")
@@ -195,24 +192,17 @@ class SweepServer:
         self._port = int(port)
         self._workers = int(workers)
         self._budget = store_budget
-        self._fuse = bool(fuse)
         if isinstance(journal, (str, Path)):
             journal = ServeJournal(journal)
         self._journal = journal
         self._deadline = None if deadline is None else float(deadline)
         self._requeues = int(requeues)
-        self._watchdog_interval = float(watchdog_interval)
         self._jobs: Dict[str, Job] = {}
         self._queue: asyncio.PriorityQueue = asyncio.PriorityQueue()
         self._seq = itertools.count()
         self._stats = ServerStats()
         self._server: Optional[asyncio.AbstractServer] = None
         self._dispatchers: List[asyncio.Task] = []
-        self._watchdog: Optional[asyncio.Task] = None
-        # Per-dispatcher in-flight work, keyed by the dispatcher *task* (not
-        # its index — replacement tasks must never inherit a stale entry):
-        # task -> (monotonic start time, job group being executed).
-        self._busy: Dict[asyncio.Task, Tuple[float, List[Job]]] = {}
         # One handler task per open client connection.
         self._connections: Set[asyncio.Task] = set()
         self._draining = False
@@ -250,7 +240,6 @@ class SweepServer:
             asyncio.create_task(self._dispatch_loop(index))
             for index in range(self._workers)
         ]
-        self._watchdog = asyncio.create_task(self._watchdog_loop())
 
     async def serve_until_shutdown(self) -> None:
         """Block until a ``shutdown`` request (or :meth:`request_shutdown`)."""
@@ -307,12 +296,7 @@ class SweepServer:
             # "end" event reattaches to the next server.
             await _cancel_all(list(self._connections))
             await self._server.wait_closed()
-        # The watchdog dies first, or it would "recover" the dispatchers we
-        # are about to cancel.
-        tasks = list(self._dispatchers)
-        if self._watchdog is not None:
-            tasks.insert(0, self._watchdog)
-        await _cancel_all(tasks)
+        await _cancel_all(list(self._dispatchers))
 
     # ----------------------------------------------------------- recovery
 
@@ -423,12 +407,13 @@ class SweepServer:
     def _run_in_thread(self, fn, *args) -> "asyncio.Future":
         """Run ``fn(*args)`` in a fresh daemon thread; await the future.
 
-        One thread per job rather than a bounded pool: a job that hangs
-        forever leaks one daemon thread instead of permanently occupying a
-        pool slot, so dispatch capacity survives any number of hung jobs.
-        The resolver checks ``future.cancelled()`` because a deadline
-        overrun (``asyncio.wait_for``) cancels the future while the thread
-        is still running — its late result must be discarded, not crash.
+        One thread per claimed group rather than a bounded pool: a group
+        that hangs forever leaks one daemon thread instead of permanently
+        occupying a pool slot, so dispatch capacity survives any number of
+        hung groups.  The resolver checks ``future.cancelled()`` because a
+        deadline overrun (``asyncio.wait_for``) cancels the future while
+        the thread is still running — its late result must be discarded,
+        not crash.
         """
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
@@ -468,7 +453,7 @@ class SweepServer:
         return result
 
     def _requeue_or_fail(self, job: Job, reason: str) -> None:
-        """Deadline/hang recovery: re-queue up to the cap, then fail.
+        """Deadline recovery: re-queue up to the cap, then fail.
 
         The job keeps its ``event`` across a requeue — waiters attached to
         the first attempt must see the eventual outcome, whichever attempt
@@ -493,151 +478,64 @@ class SweepServer:
         job.event.set()
 
     async def _dispatch_loop(self, worker: int = 0) -> None:
+        """Claim the next queued job plus every queued job it can fuse
+        with, and run the group, of one job or many, in one thread under
+        the job deadline."""
         while True:
             _priority, _seq, digest = await self._queue.get()
             job = self._jobs.get(digest)
             if job is None or job.status != "queued":
                 continue  # stale queue entry (e.g. resubmitted meanwhile)
-            group = [job]
-            if self._fuse:
-                group.extend(self._drain_fusable(job))
+            group = [job, *self._drain_fusable(job)]
             for member in group:
                 member.status = "running"
                 member.attempts += 1
                 self._journal_record(member.digest, "running")
-            task = asyncio.current_task()
-            assert task is not None
-            self._busy[task] = (time.monotonic(), group)
+            wedged = faults.active_plan().fires(
+                "dispatcher-hang", hash=digest, worker=worker
+            )
+            start = time.perf_counter()
             try:
-                if faults.active_plan().fires(
-                    "dispatcher-hang", hash=digest, worker=worker
-                ):
-                    # Injected wedge: this dispatcher stops making progress
-                    # with its group marked running; only the watchdog can
-                    # recover the jobs.
-                    await asyncio.sleep(3600.0)
-                start = time.perf_counter()
-                if len(group) == 1:
-                    await self._dispatch_single(job, start)
-                else:
-                    await self._dispatch_group(group, start)
-            finally:
-                self._busy.pop(task, None)
-
-    async def _dispatch_single(self, job: Job, start: float) -> None:
-        try:
-            payload, health = await self._await_deadline(
-                self._run_in_thread(self._execute, job.spec, job.attempts - 1)
-            )
-        except asyncio.TimeoutError:
-            job.run_seconds = time.perf_counter() - start
-            self._requeue_or_fail(
-                job, f"deadline: exceeded {self._deadline:g}s"
-            )
-            return
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # noqa: BLE001 — job isolation boundary
-            job.error = f"{type(exc).__name__}: {exc}"
-            job.status = "failed"
-            self._stats.failed += 1
-            self._journal_record(job.digest, "failed", error=job.error)
-        else:
-            job.payload = payload
-            job.health = health
-            job.status = "done"
-            self._stats.executed += 1
-            self._journal_record(job.digest, "done")
-        job.run_seconds = time.perf_counter() - start
-        job.event.set()
-
-    async def _dispatch_group(self, group: List[Job], start: float) -> None:
-        try:
-            outcomes = await self._await_deadline(
-                self._run_in_thread(
-                    self._execute_group,
-                    [(member.spec, member.attempts - 1) for member in group],
+                outcomes = await self._await_deadline(
+                    self._run_in_thread(
+                        self._execute,
+                        [(member.spec, member.attempts - 1) for member in group],
+                        wedged,
+                    )
                 )
-            )
-        except asyncio.TimeoutError:
+            except asyncio.TimeoutError:
+                elapsed = time.perf_counter() - start
+                for member in group:
+                    member.run_seconds = elapsed
+                    self._requeue_or_fail(
+                        member, f"deadline: exceeded {self._deadline:g}s"
+                    )
+                continue
+            except asyncio.CancelledError:
+                raise
+            except Exception as exc:  # noqa: BLE001 — job isolation boundary
+                outcomes = [
+                    ("failed", f"{type(exc).__name__}: {exc}", {})
+                    for _ in group
+                ]
             elapsed = time.perf_counter() - start
-            for member in group:
-                member.run_seconds = elapsed
-                self._requeue_or_fail(
-                    member, f"deadline: exceeded {self._deadline:g}s"
+            total_trials = sum(member.spec.trials for member in group)
+            for member, (status, value, health) in zip(group, outcomes):
+                if status == "done":
+                    member.payload = value
+                    member.health = health
+                    member.status = "done"
+                    self._stats.executed += 1
+                    self._journal_record(member.digest, "done")
+                else:
+                    member.error = value
+                    member.status = "failed"
+                    self._stats.failed += 1
+                    self._journal_record(member.digest, "failed", error=value)
+                member.run_seconds = (
+                    elapsed * member.spec.trials / max(1, total_trials)
                 )
-            return
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # noqa: BLE001 — job isolation boundary
-            outcomes = [
-                ("failed", f"{type(exc).__name__}: {exc}", {})
-                for _ in group
-            ]
-        elapsed = time.perf_counter() - start
-        total_trials = sum(member.spec.trials for member in group)
-        for member, (status, value, health) in zip(group, outcomes):
-            if status == "done":
-                member.payload = value
-                member.health = health
-                member.status = "done"
-                self._stats.executed += 1
-                self._journal_record(member.digest, "done")
-            else:
-                member.error = value
-                member.status = "failed"
-                self._stats.failed += 1
-                self._journal_record(member.digest, "failed", error=value)
-            member.run_seconds = (
-                elapsed * member.spec.trials / max(1, total_trials)
-            )
-            member.event.set()
-
-    # ------------------------------------------------------------ watchdog
-
-    async def _watchdog_loop(self) -> None:
-        """Replace dispatchers that die or stop making progress.
-
-        A *crashed* dispatcher (its task finished — only possible through a
-        bug or external cancellation) is replaced outright.  A *hung* one —
-        busy on the same job group past the job deadline plus two watchdog
-        intervals — is cancelled, its jobs re-queued through the ordinary
-        requeue-or-fail ladder, and a fresh dispatcher started in its slot.
-        Hang detection needs a ``deadline``; without one only crash
-        recovery is active (an unbounded job is indistinguishable from a
-        slow one).
-        """
-        interval = self._watchdog_interval
-        while True:
-            await asyncio.sleep(interval)
-            now = time.monotonic()
-            for index, task in enumerate(self._dispatchers):
-                if task.done():
-                    self._restart_dispatcher(index, task, "crashed")
-                    continue
-                if self._deadline is None:
-                    continue
-                entry = self._busy.get(task)
-                if entry is None:
-                    continue
-                started, _group = entry
-                if now - started > self._deadline + 2 * interval:
-                    task.cancel()
-                    self._restart_dispatcher(index, task, "hung")
-
-    def _restart_dispatcher(
-        self, index: int, task: asyncio.Task, why: str
-    ) -> None:
-        if not task.cancelled() and task.done():
-            task.exception()  # retrieve, or the loop logs it as unhandled
-        _started, group = self._busy.pop(task, (0.0, []))
-        for member in group:
-            if member.status == "running":
-                self._requeue_or_fail(member, f"dispatcher {why}")
-        self._stats.watchdog_restarts += 1
-        self._dispatchers[index] = asyncio.create_task(
-            self._dispatch_loop(index)
-        )
+                member.event.set()
 
     def _drain_fusable(self, lead: Job, cap: int = 16) -> List[Job]:
         """Queued jobs fusable with ``lead``, pulled without blocking.
@@ -681,35 +579,24 @@ class SweepServer:
         return group
 
     def _execute(
-        self, spec: StudySpec, attempt: int
-    ) -> Tuple[Dict[str, Any], Dict[str, float]]:
-        """Run one job in an executor thread (the dispatcher awaits it)."""
-        faults.active_plan().maybe_raise(
-            "serve-job", hash=spec.spec_hash(), attempt=attempt
-        )
-        study = spec.run(store=self._store)
-        health = getattr(study, "health", None)
-        health_fields = dict(health.summary_fields()) if health is not None else {}
-        if self._budget is not None and hasattr(self._store, "evict"):
-            report = self._store.evict(self._budget)
-            self._stats.evicted += len(report["evicted"])
-        return study_payload(study), health_fields
-
-    def _execute_group(
-        self, items: Sequence[Tuple[StudySpec, int]]
+        self, items: Sequence[Tuple[StudySpec, int]], wedged: bool
     ) -> List[Tuple[str, Any, Dict[str, float]]]:
-        """Run a fused job group in one executor thread; one outcome per job.
+        """Run a claimed job group in its thread; one outcome per job.
 
         Every job keeps its own ``serve-job`` fault check, store row and
-        failure accounting.  The fused run covers only the jobs that pass
-        their fault check and miss the store; when it fails (or declines),
-        those jobs degrade one by one to the ordinary per-job execution
-        path, so a fused failure can never corrupt or lose a sibling job.
-        Outcomes are ``("done", payload, health)`` or
-        ``("failed", error_text, {})``, aligned with ``items``.
+        failure accounting.  Two or more jobs that pass their fault check
+        and miss the store run as one fused lockstep run; when it fails (or
+        declines), or when only one job misses, each runs on its own through
+        ``StudySpec.run(store=...)``, so a fused failure can never corrupt
+        or lose a sibling job.  Outcomes are ``("done", payload, health)``
+        or ``("failed", error_text, {})``, aligned with ``items``.
         """
         from ..sim.backends.fused import run_fused_group
 
+        if wedged:
+            # Injected dispatcher-hang: the group stops making progress, and
+            # only its deadline recovers the jobs.
+            time.sleep(3600.0)
         outcomes: List[Optional[Tuple[str, Any, Dict[str, float]]]] = [
             None
         ] * len(items)
@@ -736,7 +623,7 @@ class SweepServer:
         if len(misses) >= 2:
             try:
                 studies = run_fused_group([items[pos][0] for pos in misses])
-            except Exception:  # noqa: BLE001 — degrade to per-job dispatch
+            except Exception:  # noqa: BLE001 — degrade to per-job execution
                 studies = None
         for offset, pos in enumerate(misses):
             spec = items[pos][0]
@@ -987,12 +874,10 @@ class BackgroundServer:
         virtual_nodes: Optional[int] = None,
         store_budget: Optional[int] = None,
         host: str = "127.0.0.1",
-        fuse: bool = True,
         journal: Optional[Union[str, Path]] = None,
         deadline: Optional[float] = None,
         requeues: int = 1,
         port: int = 0,
-        watchdog_interval: float = 0.25,
     ) -> None:
         self._store_root = store_root
         self._shards = shards
@@ -1000,12 +885,10 @@ class BackgroundServer:
         self._virtual_nodes = virtual_nodes
         self._budget = store_budget
         self._host = host
-        self._fuse = fuse
         self._journal = journal
         self._deadline = deadline
         self._requeues = requeues
         self._port = int(port)
-        self._watchdog_interval = float(watchdog_interval)
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[SweepServer] = None
@@ -1064,11 +947,9 @@ class BackgroundServer:
             port=self._port,
             workers=self._workers,
             store_budget=self._budget,
-            fuse=self._fuse,
             journal=self._journal,
             deadline=self._deadline,
             requeues=self._requeues,
-            watchdog_interval=self._watchdog_interval,
         )
         await self._server.start()
         self._address = self._server.address

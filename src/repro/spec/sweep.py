@@ -247,7 +247,7 @@ class StudyPlan:
         before the per-point loop; results are seed-for-seed identical to
         per-point dispatch, and a fused group that fails simply falls back
         to per-point execution.  ``fuse=False`` restores strict per-point
-        dispatch (``repro sweep --no-fuse``).
+        dispatch, the reference fused runs are checked against.
         """
         if on_error not in ("raise", "skip", "retry"):
             raise SpecError(

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro import faults
 from repro.cli import build_parser, main
 from repro.serve import BackgroundServer, ServeClient, ShardedStudyStore
 from repro.spec import AdversarySpec, ProtocolSpec, StudySpec
@@ -22,12 +23,12 @@ from repro.spec import AdversarySpec, ProtocolSpec, StudySpec
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
-def aloha_spec(seed=3, horizon=512) -> StudySpec:
+def aloha_spec(seed=3, horizon=512, trials=1) -> StudySpec:
     return StudySpec(
         protocol=ProtocolSpec(kind="slotted-aloha", params={"probability": 0.05}),
         adversary=AdversarySpec.batch(8, jam_fraction=0.25),
         horizon=horizon,
-        trials=1,
+        trials=trials,
         seed=seed,
     )
 
@@ -104,6 +105,37 @@ class TestAgainstBackgroundServer:
         assert code == 0
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 2
+
+    def test_served_tables_print_the_health_footer(self, tmp_path, capsys):
+        """`submit` and `sweep --server` both end their table with the
+        health line of a study whose shard worker crashed and was retried."""
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(
+            aloha_spec(seed=778, trials=2).with_execution(workers=2).to_json()
+        )
+        with BackgroundServer(tmp_path / "store") as bg:
+            outputs = {}
+            with faults.injected(
+                {"rules": [{"site": "worker-crash", "shard": 1, "attempt": 0}]}
+            ):
+                for command in ("submit", "sweep"):
+                    code = main(
+                        [
+                            command,
+                            "--spec",
+                            str(spec_file),
+                            "--server",
+                            self._address(bg),
+                        ]
+                    )
+                    assert code == 0
+                    outputs[command] = capsys.readouterr().out
+        for command, out in outputs.items():
+            footer = [
+                line for line in out.splitlines() if line.startswith("health [")
+            ]
+            assert len(footer) == 1, (command, out)
+            assert "crash" in footer[0] and "retry" in footer[0], (command, out)
 
     def test_submit_no_wait_prints_hashes(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"

@@ -1,5 +1,5 @@
 """Crash safety of the sweep service: WAL, restart recovery, resilient
-clients, deadlines/watchdog, graceful drain, and the SIGKILL acceptance
+clients, deadlines, graceful drain, and the SIGKILL acceptance
 path (kill the daemon mid-sweep, restart it, demand identical rows)."""
 
 import json
@@ -196,17 +196,13 @@ class TestRestartRecovery:
             assert bg.server.stats.executed <= 1
 
 
-# ------------------------------------------------- deadlines and watchdog
+# ------------------------------------------------------------- deadlines
 
 
-class TestDeadlineAndWatchdog:
+class TestDeadline:
     def test_deadline_requeues_then_fails(self, tmp_path):
         """An execution that can never meet its deadline burns its requeue
         budget and lands in 'failed' with a deadline error."""
-        # A long watchdog interval keeps the hung-dispatcher ladder out of
-        # this test: under CPU load the executing thread can starve the
-        # event loop past the default threshold, and the second attempt
-        # would fail as "dispatcher hung" instead of "deadline".
         with BackgroundServer(
             tmp_path / "store",
             shards=2,
@@ -214,7 +210,6 @@ class TestDeadlineAndWatchdog:
             journal=tmp_path / "wal.jsonl",
             deadline=0.001,
             requeues=1,
-            watchdog_interval=30.0,
         ) as bg:
             client = ServeClient(*bg.address, timeout=60.0)
             outcome = client.submit(aloha_spec(horizon=2048, trials=4))[0]
@@ -226,9 +221,9 @@ class TestDeadlineAndWatchdog:
         statuses = [r["status"] for r in state.values()]
         assert statuses == ["failed"]
 
-    def test_watchdog_replaces_hung_dispatcher_and_job_completes(self, tmp_path):
-        """A dispatcher wedged by the dispatcher-hang fault is cancelled and
-        replaced; its job re-queues and finishes on the fresh dispatcher."""
+    def test_hung_group_requeues_then_completes(self, tmp_path):
+        """A group wedged by the dispatcher-hang fault overruns its
+        deadline; its job re-queues and finishes on the next attempt."""
         with faults.injected(
             {"rules": [{"site": "dispatcher-hang", "times": 1}]}
         ):
@@ -242,7 +237,8 @@ class TestDeadlineAndWatchdog:
                 client = ServeClient(*bg.address, timeout=60.0)
                 outcome = client.submit(aloha_spec())[0]
                 assert outcome.ok
-                assert bg.server.stats.watchdog_restarts >= 1
+                assert outcome.status == "done"
+                assert outcome.attempts >= 2
                 assert bg.server.stats.requeued >= 1
 
     def test_hung_dispatcher_job_fails_when_requeues_exhausted(self, tmp_path):
@@ -257,7 +253,8 @@ class TestDeadlineAndWatchdog:
                 client = ServeClient(*bg.address, timeout=60.0)
                 outcome = client.submit(aloha_spec())[0]
                 assert not outcome.ok
-                assert "dispatcher" in outcome.error
+                assert outcome.status == "failed"
+                assert outcome.error.startswith("deadline")
 
 
 # ----------------------------------------------------- client resilience

@@ -8,7 +8,13 @@ import pytest
 
 from repro import faults
 from repro.errors import ServeError
-from repro.serve import BackgroundServer, ServeClient, decode_line, encode_message
+from repro.serve import (
+    BackgroundServer,
+    ServeClient,
+    ShardedStudyStore,
+    decode_line,
+    encode_message,
+)
 from repro.spec import (
     AdversarySpec,
     ProtocolSpec,
@@ -212,6 +218,36 @@ class TestFailures:
         assert row["health_failures"] >= 1
         serial = aloha_spec(seed=777)
         assert semantic_records(outcome.study) == semantic_records(serial.run())
+
+    def test_raising_group_fails_its_job_and_dispatch_goes_on(
+        self, tmp_path, monkeypatch
+    ):
+        """An exception out of a claimed group (here the store eviction
+        that follows it) fails the group's job with that error, and the
+        one dispatcher goes on to serve the next job."""
+        evict = ShardedStudyStore.evict
+        calls = []
+
+        def evict_raising_once(store, budget_bytes):
+            calls.append(budget_bytes)
+            if len(calls) == 1:
+                raise RuntimeError("eviction failed")
+            return evict(store, budget_bytes)
+
+        monkeypatch.setattr(ShardedStudyStore, "evict", evict_raising_once)
+        with BackgroundServer(
+            tmp_path / "store", workers=1, store_budget=0
+        ) as bg:
+            client = ServeClient(*bg.address, timeout=60.0)
+            failed = client.submit(aloha_spec(seed=5001))[0]
+            assert failed.status == "failed"
+            assert failed.error == "RuntimeError: eviction failed"
+            served = client.submit(aloha_spec(seed=5002))[0]
+            assert served.ok
+            stats = client.stats()
+        assert stats["failed"] == 1
+        assert stats["executed"] == 1
+        assert calls == [0, 0]
 
 
 class TestEndToEndIdentity:
