@@ -373,7 +373,7 @@ class CJZLockstepProgram(LockstepProgram):
 
     # ---------------------------------------------------------------- arrive
 
-    def arrive(self, rows: np.ndarray, slot: int) -> None:
+    def arrive(self, rows: np.ndarray, slot: int | np.ndarray) -> None:
         if self._global_clock:
             # GlobalClockVariant: straight to Phase 2 on the globally known
             # control channel, anchored at the next odd slot.

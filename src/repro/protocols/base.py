@@ -221,8 +221,16 @@ class LockstepProgram(abc.ABC):
         """Re-layout every state column for a larger per-trial capacity."""
 
     @abc.abstractmethod
-    def arrive(self, rows: np.ndarray, slot: int) -> None:
-        """Initialize the state of nodes arriving at ``slot`` (rows are seeded)."""
+    def arrive(self, rows: np.ndarray, slot: int | np.ndarray) -> None:
+        """Initialize the state of the seeded ``rows`` arriving at ``slot``.
+
+        ``slot`` is one int for all rows, or an int64 array aligned with
+        ``rows``.  When the adversary's whole arrival schedule is known, the
+        kernel calls this once per run, right after :meth:`bind`, for every
+        scheduled node; otherwise once per arrival slot.  Touch only the
+        given rows' state.  A program that draws here must draw each row's
+        first values, before any :meth:`step` draw of that row.
+        """
 
     @abc.abstractmethod
     def step(self, rows: np.ndarray, slot: int) -> np.ndarray:
@@ -281,7 +289,7 @@ class AgeProfileLockstepProgram(LockstepProgram):
             self._arrival, trials, old_capacity, new_capacity
         )
 
-    def arrive(self, rows: np.ndarray, slot: int) -> None:
+    def arrive(self, rows: np.ndarray, slot: int | np.ndarray) -> None:
         self._arrival[rows] = slot
 
     def step(self, rows: np.ndarray, slot: int) -> np.ndarray:

@@ -186,7 +186,7 @@ class WindowedBackoffLockstepProgram(LockstepProgram):
         )
         self._next_attempt[rows] = from_slot + offsets
 
-    def arrive(self, rows: np.ndarray, slot: int) -> None:
+    def arrive(self, rows: np.ndarray, slot: int | np.ndarray) -> None:
         if self._degree is None:
             self._window[rows] = self._initial
         else:

@@ -160,7 +160,7 @@ class SawtoothLockstepProgram(LockstepProgram):
             np.int64(1), np.rint(1.0 / probabilities).astype(np.int64)
         )
 
-    def arrive(self, rows: np.ndarray, slot: int) -> None:
+    def arrive(self, rows: np.ndarray, slot: int | np.ndarray) -> None:
         self._window[rows] = self._initial
         probability = 1.0 / self._initial
         self._prob[rows] = probability

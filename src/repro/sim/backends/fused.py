@@ -316,12 +316,13 @@ class _CompositeLockstepProgram:
             - 1
         )
 
-    def arrive(self, rows: np.ndarray, slot: int) -> None:
+    def arrive(self, rows: np.ndarray, slot: int | np.ndarray) -> None:
         members = self._members_of_rows(rows)
+        slots = np.broadcast_to(slot, rows.shape)
         for m in np.unique(members).tolist():
             mask = members == m
             local = rows[mask] - self._trial_offsets[m] * self._capacity
-            self._programs[m].arrive(local, slot)
+            self._programs[m].arrive(local, slots[mask])
 
     def step(self, rows: np.ndarray, slot: int) -> np.ndarray:
         sends = np.zeros(len(rows), dtype=bool)

@@ -23,7 +23,10 @@ Three columnar sub-systems cooperate:
   slot's arrivals/jamming for all trials — precompiled schedules for
   oblivious adversaries, columnar counter updates for the bundled adaptive
   ones (reactive jamming, the success chaser), a per-instance Python loop
-  for anything else.
+  for anything else.  When the driver knows the whole arrival schedule,
+  every scheduled node arrives in one program call before slot 1 and each
+  arrival slot only activates its slice of rows; otherwise each slot's
+  arrivals arrive as the driver reveals them, growing the columns.
 
 Bit-for-bit reproducibility
 ---------------------------
@@ -212,6 +215,13 @@ def build_lockstep_driver(
     return driver
 
 
+def _row_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - ends + counts, counts) + np.arange(total)
+
+
 class _LockstepRun:
     """One study execution: the per-slot loop plus its columnar bookkeeping."""
 
@@ -248,6 +258,21 @@ class _LockstepRun:
         self._seed_all_rows(0, self._capacity)
         program.bind(trials, self._capacity, self._pool, horizon)
         self._arrival_col = np.zeros(rows, dtype=np.int64)
+        if schedule is not None:
+            # Every scheduled node arrives now, in (slot, trial, node) order
+            # so that each slot's arrivals are one slice; slot 0 is no slot.
+            slots, trial_ids = np.nonzero(schedule[:, 1:].T)
+            slots += 1
+            counts = schedule[trial_ids, slots]
+            first = cum[trial_ids, slots] - counts - schedule[trial_ids, 0]
+            arriving = _row_ranges(trial_ids * self._capacity + first, counts)
+            row_slots = np.repeat(slots, counts)
+            self._arrival_col[arriving] = row_slots
+            program.arrive(arriving, row_slots)
+            self._scheduled_rows = arriving
+            self._slot_starts = np.searchsorted(
+                row_slots, np.arange(horizon + 2)
+            ).tolist()
         self._success_col = np.zeros(rows, dtype=np.int64)
         self._broadcasts_col = np.zeros(rows, dtype=np.int64)
         self._node_count = np.zeros(trials, dtype=np.int64)
@@ -314,7 +339,15 @@ class _LockstepRun:
     def _inject(self, arrivals: np.ndarray, slot: int) -> None:
         config = self._config
         counts_after = self._node_count + arrivals
-        if self._driver.arrival_schedule is None:
+        if self._driver.arrival_schedule is not None:
+            # Already arrived in __init__: activate the slot's slice.
+            lo, hi = self._slot_starts[slot], self._slot_starts[slot + 1]
+            rows = self._scheduled_rows[lo:hi]
+            if not self._trial_active.all():
+                # A stopped trial's driver reports no arrivals, whatever
+                # its schedule still holds.
+                rows = rows[arrivals[rows // self._capacity] > 0]
+        else:
             if (counts_after > config.max_nodes).any():
                 raise ConfigurationError(
                     f"adversary exceeded max_nodes={config.max_nodes} "
@@ -323,19 +356,17 @@ class _LockstepRun:
             needed = int(counts_after.max())
             if needed > self._capacity:
                 self._grow(needed)
-        trial_list = np.nonzero(arrivals)[0]
-        trial_ids = np.repeat(trial_list, arrivals[trial_list])
-        node_ids = np.concatenate(
-            [
-                self._node_count[t] + np.arange(arrivals[t], dtype=np.int64)
-                for t in trial_list
-            ]
-        )
-        rows = trial_ids * self._capacity + node_ids
-        self._arrival_col[rows] = slot
-        self._program.arrive(rows, slot)
+            arriving = np.nonzero(arrivals)[0]
+            rows = _row_ranges(
+                arriving * self._capacity + self._node_count[arriving],
+                arrivals[arriving],
+            )
+            self._arrival_col[rows] = slot
+            self._program.arrive(rows, slot)
         self._active = np.concatenate((self._active, rows))
-        self._active_trials = np.concatenate((self._active_trials, trial_ids))
+        self._active_trials = np.concatenate(
+            (self._active_trials, rows // self._capacity)
+        )
         self._node_count = counts_after
         self._arrivals_m[:, slot] = arrivals
 
@@ -477,12 +508,9 @@ def emit_lockstep_results(
     row_starts = np.concatenate(
         ([0], np.cumsum(nodes_per_trial))
     ).astype(np.int64)
-    order = np.concatenate(
-        [
-            t * capacity + np.arange(nodes_per_trial[t], dtype=np.int64)
-            for t in range(trials)
-        ]
-    ) if int(nodes_per_trial.sum()) else np.zeros(0, dtype=np.int64)
+    order = _row_ranges(
+        np.arange(trials, dtype=np.int64) * capacity, nodes_per_trial
+    )
 
     cum_arrivals = np.cumsum(arrivals_m, axis=1)
     stacked = np.stack((success_m, jam_m))

@@ -12,13 +12,18 @@ without corrupting or losing a sibling point.
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import faults
-from repro.sim.backends.fused import fusion_key, plan_fusion_groups
+from repro.sim.backends.fused import (
+    _CompositeLockstepProgram,
+    fusion_key,
+    plan_fusion_groups,
+)
 from repro.spec import StudyPlan, StudySpec, Sweep, sweep_rows
 from repro.spec.store import result_record
 
@@ -69,6 +74,10 @@ PROTOCOLS = {
 ARRIVALS = {
     "batch": {"kind": "batch", "params": {"count": 8}},
     "bursty": {"kind": "bursty", "params": {"burst_size": 5, "period": 30}},
+    "uniform-random": {
+        "kind": "uniform-random",
+        "params": {"total": 8, "start": 1, "end": 60},
+    },
 }
 
 JAMMING = {
@@ -146,9 +155,24 @@ def mixed_grids(draw):
 @given(mixed_grids())
 @settings(max_examples=16, deadline=None)
 def test_fused_plan_identical_to_per_point(specs):
-    fused = StudyPlan(specs).run(fuse=True)
+    groups = plan_fusion_groups(list(enumerate(specs)))
+    mixed = any(len({spec.protocol for _, spec in group}) > 1 for group in groups)
+    composite_slots = []
+    real_arrive = _CompositeLockstepProgram.arrive
+
+    def arrive(program, rows, slot):
+        real_arrive(program, rows, slot)
+        composite_slots.append(np.broadcast_to(slot, rows.shape))
+
+    with mock.patch.object(_CompositeLockstepProgram, "arrive", arrive):
+        fused = StudyPlan(specs).run(fuse=True)
     serial = StudyPlan(specs).run(fuse=False)
     _assert_studies_identical(fused, serial)
+    # A group that mixes parameters runs the composite program, which then
+    # splits the per-row arrival slots by member.
+    assert bool(composite_slots) == mixed
+    if mixed and specs[0].adversary.arrivals.kind == "uniform-random":
+        assert any(len(np.unique(slots)) > 1 for slots in composite_slots)
 
 
 @given(

@@ -598,6 +598,142 @@ class TestIdleSkip:
             assert a.prefix_jammed == b.prefix_jammed
 
 
+class TestBulkArrivals:
+    """A driver that knows the whole arrival schedule lets the kernel arrive
+    every scheduled node in one ``arrive`` call; adaptive arrivals keep one
+    call per arrival slot.  Either way the study equals the reference."""
+
+    def test_row_ranges_match_the_loop(self):
+        from repro.sim.backends.lockstep import _row_ranges
+
+        rng = np.random.default_rng(5)
+        for size in (0, 1, 7, 40):
+            starts = rng.integers(0, 1000, size)
+            counts = rng.integers(0, 5, size)  # zero counts included
+            loop = [np.arange(s, s + c) for s, c in zip(starts, counts)]
+            got = _row_ranges(starts, counts)
+            assert got.dtype == np.int64
+            assert got.tolist() == (np.concatenate(loop).tolist() if loop else [])
+
+    def _spied_study(self, monkeypatch, adversary, **extra):
+        import repro.sim.backends.lockstep as lockstep_module
+
+        calls, drivers = [], []
+        real_arrive = CJZLockstepProgram.arrive
+        real_build = lockstep_module.build_lockstep_driver
+
+        def arrive(program, rows, slot):
+            calls.append((rows.copy(), np.copy(slot)))
+            return real_arrive(program, rows, slot)
+
+        def build(*args):
+            driver = real_build(*args)
+            drivers.append(type(driver).__name__)
+            return driver
+
+        monkeypatch.setattr(CJZLockstepProgram, "arrive", arrive)
+        monkeypatch.setattr(lockstep_module, "build_lockstep_driver", build)
+        kwargs = {
+            "protocol_factory": cjz_factory(),
+            "adversary_factory": adversary,
+            "horizon": 300,
+            "trials": 4,
+            "seed": 13,
+            **extra,
+        }
+        study = run_trials(backend="lockstep", **kwargs)
+        for a, b in zip(run_trials(backend="reference", **kwargs), study):
+            assert a.summary == b.summary
+            assert a.node_stats == b.node_stats
+        return calls, drivers, study
+
+    @pytest.mark.parametrize(
+        "jamming, driver",
+        [
+            (lambda: RandomFractionJamming(0.2), "PrecompiledLockstepDriver"),
+            (
+                lambda: ReactiveJamming(0.2, burst=3),
+                "ReactiveJammingLockstepDriver",
+            ),
+        ],
+        ids=["precompiled", "reactive"],
+    )
+    def test_schedule_backed_runs_arrive_once(self, monkeypatch, jamming, driver):
+        calls, drivers, study = self._spied_study(
+            monkeypatch,
+            lambda: ComposedAdversary(
+                UniformRandomArrivals(12, (1, 150)), jamming()
+            ),
+        )
+        assert drivers == [driver]
+        assert len(calls) == 1
+        rows, slots = calls[0]
+        assert slots.dtype == np.int64 and slots.shape == rows.shape
+        capacity = max(result.total_arrivals for result in study)
+        expected = {
+            trial * capacity + node: stats.arrival_slot
+            for trial, result in enumerate(study)
+            for node, stats in result.node_stats.items()
+        }
+        assert len(rows) == len(expected)
+        assert dict(zip(rows.tolist(), slots.tolist())) == expected
+        assert len(np.unique(slots)) > len(study)  # spread arrivals
+
+    def test_adaptive_arrivals_arrive_once_per_arrival_slot(self, monkeypatch):
+        calls, drivers, study = self._spied_study(
+            monkeypatch,
+            lambda: AdaptiveSuccessChaser(
+                jam_fraction=0.1,
+                arrival_budget_per_success=2,
+                total_arrival_budget=24,
+                jam_burst=2,
+                seed_arrivals=3,
+            ),
+        )
+        assert drivers == ["AdaptiveChaserLockstepDriver"]
+        arrival_slots = sorted(
+            {
+                stats.arrival_slot
+                for result in study
+                for stats in result.node_stats.values()
+            }
+        )
+        assert len(arrival_slots) > 1
+        assert [int(slot) for _, slot in calls] == arrival_slots
+
+    def test_stopped_trials_skip_their_remaining_schedule(self, monkeypatch):
+        # The strategy reports itself exhausted before its second batch, so
+        # a trial that drains the first batch in time stops, and the driver
+        # zeroes that trial's second batch while the other trials get theirs.
+        # No row of a stopped trial may be stepped after its stop.
+        class EarlyExhausted(ScheduledArrivals):
+            def exhausted(self, slot):
+                return slot < 12
+
+        stepped = []
+        real_step = CJZLockstepProgram.step
+
+        def step(program, rows, slot):
+            stepped.append((slot, rows.copy()))
+            return real_step(program, rows, slot)
+
+        monkeypatch.setattr(CJZLockstepProgram, "step", step)
+        _, _, study = self._spied_study(
+            monkeypatch,
+            lambda: ComposedAdversary(
+                EarlyExhausted({1: 2, 12: 3}), RandomFractionJamming(0.1)
+            ),
+            trials=6,
+            seed=4,
+            stop_when_drained=True,
+        )
+        arrived = [result.total_arrivals for result in study]
+        assert sorted(arrived) == [2, 2, 2, 5, 5, 5]
+        stops = np.array([result.summary.total_slots for result in study])
+        for slot, rows in stepped:
+            assert (slot <= stops[rows // 5]).all()  # capacity: 2 + 3 nodes
+
+
 class TestCJZProgramEvents:
     """The CJZ program's backoff work is event-driven and draws the plans of
     all stages entered in one slot in one round per plan index."""
