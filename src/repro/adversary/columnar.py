@@ -8,8 +8,9 @@ those decisions as ``(T,)`` arrays:
   schedules were materialized up front (no per-slot work at all);
 * :class:`ReactiveJammingLockstepDriver` — oblivious arrivals composed with
   :class:`~repro.adversary.jamming.ReactiveJamming`; the jammer's counters
-  (slots seen, pending burst, budget spent) become int columns over trials
-  and every trial's ``jam_slot`` evaluates in one vectorized expression;
+  (pending burst, budget spent) become int columns over trials, its slots
+  seen are the slot number, and every trial's ``jam_slot`` evaluates in one
+  vectorized expression;
 * :class:`AdaptiveChaserLockstepDriver` — the fully adaptive
   :class:`~repro.adversary.adaptive.AdaptiveSuccessChaser`, likewise
   vectorized over trials;
@@ -28,9 +29,9 @@ Idle stretches — slots in which no running trial holds a live node — need no
 node work, so the kernel asks the driver to jump them
 (:meth:`LockstepAdversaryDriver.skip_idle`).  The two schedule-backed
 drivers skip to their next scheduled arrival: the precompiled driver copies
-the skipped jam columns from its schedule, the reactive driver advances its
-slot counters in one step (only while no burst is pending, since a pending
-burst jams in the coming slots).  The chaser and the generic driver step
+the skipped jam columns from its schedule, the reactive driver needs no
+update (it skips only while no burst is pending, since a pending burst jams
+in the coming slots).  The chaser and the generic driver step
 every slot: their next arrival depends on per-slot state or on the
 adversary's own code.
 """
@@ -81,7 +82,10 @@ class LockstepAdversaryDriver(abc.ABC):
         winner_ids: np.ndarray,
         trial_active: np.ndarray,
     ) -> None:
-        """Deliver the slot's feedback to every still-running trial."""
+        """Deliver the slot's feedback to every still-running trial.
+
+        The arrays are read-only: slots without a success share them.
+        """
 
     def skip_idle(
         self, slot: int, trial_active: np.ndarray, jam_m: np.ndarray
@@ -120,6 +124,13 @@ class _ScheduledLockstepDriver(LockstepAdversaryDriver):
         """The first scheduled arrival slot at or after ``slot``."""
         return self._arrival_slots[bisect.bisect_left(self._arrival_slots, slot)]
 
+    def _arrivals(self, slot: int, trial_active: np.ndarray) -> np.ndarray:
+        column = self.arrival_schedule[:, slot]
+        if np.count_nonzero(trial_active) < self.trials:
+            return np.where(trial_active, column, 0)
+        column.setflags(write=False)  # a view of the schedule
+        return column
+
 
 class PrecompiledLockstepDriver(_ScheduledLockstepDriver):
     """Oblivious adversaries: schedules fully materialized before slot 1."""
@@ -134,9 +145,7 @@ class PrecompiledLockstepDriver(_ScheduledLockstepDriver):
         self._jammed = jammed
 
     def actions(self, slot: int, trial_active: np.ndarray) -> tuple:
-        arrivals = np.where(trial_active, self.arrival_schedule[:, slot], 0)
-        jam = self._jammed[:, slot] & trial_active
-        return arrivals, jam
+        return self._arrivals(slot, trial_active), self._jammed[:, slot] & trial_active
 
     def skip_idle(
         self, slot: int, trial_active: np.ndarray, jam_m: np.ndarray
@@ -163,9 +172,10 @@ class ReactiveJammingLockstepDriver(_ScheduledLockstepDriver):
         super().__init__(adversaries, arrivals)
         self._fraction = fractions
         self._burst = bursts
-        self._seen = np.zeros(self.trials, dtype=np.int64)
         self._pending = np.zeros(self.trials, dtype=np.int64)
         self._jammed_so_far = np.zeros(self.trials, dtype=np.int64)
+        self._no_jam = np.zeros(self.trials, dtype=bool)
+        self._no_jam.setflags(write=False)
 
     @classmethod
     def try_build(
@@ -201,19 +211,21 @@ class ReactiveJammingLockstepDriver(_ScheduledLockstepDriver):
         return cls(adversaries, arrivals, fractions, bursts)
 
     def actions(self, slot: int, trial_active: np.ndarray) -> tuple:
-        arrivals = np.where(trial_active, self.arrival_schedule[:, slot], 0)
-        # jam_slot, vectorized over the running trials: count the slot,
-        # then jam while a burst is pending and the budget allows.
-        self._seen += trial_active
-        budget = np.floor(self._fraction * self._seen).astype(np.int64)
+        arrivals = self._arrivals(slot, trial_active)
+        # jam_slot, vectorized over the running trials (which have seen
+        # every slot): jam while a burst is pending and the budget allows.
+        if not np.count_nonzero(self._pending):
+            return arrivals, self._no_jam
+        budget = np.floor(self._fraction * slot).astype(np.int64)
         jam = trial_active & (self._pending > 0) & (self._jammed_so_far < budget)
         self._pending -= jam
         self._jammed_so_far += jam
         return arrivals, jam
 
     def observe(self, slot, success, winner_ids, trial_active) -> None:
-        refresh = success & trial_active
-        self._pending[refresh] = self._burst[refresh]
+        if np.count_nonzero(success):
+            refresh = success & trial_active
+            self._pending[refresh] = self._burst[refresh]
 
     def skip_idle(
         self, slot: int, trial_active: np.ndarray, jam_m: np.ndarray
@@ -221,11 +233,9 @@ class ReactiveJammingLockstepDriver(_ScheduledLockstepDriver):
         # A pending burst may jam any coming slot, so step slot by slot
         # until it is spent.  Without one, an idle slot only counts towards
         # the budget, and no success can refresh the burst.
-        if (self._pending[trial_active] > 0).any():
+        if np.count_nonzero(self._pending[trial_active]):
             return slot
-        resume = self._next_arrival(slot)
-        self._seen += trial_active * (resume - slot)
-        return resume
+        return self._next_arrival(slot)
 
 
 class AdaptiveChaserLockstepDriver(LockstepAdversaryDriver):
@@ -300,15 +310,14 @@ class GenericLockstepDriver(LockstepAdversaryDriver):
     def actions(self, slot: int, trial_active: np.ndarray) -> tuple:
         arrivals = np.zeros(self.trials, dtype=np.int64)
         jam = np.zeros(self.trials, dtype=bool)
-        for trial in np.nonzero(trial_active)[0]:
-            action = self.adversaries[int(trial)].action_for_slot(slot)
+        for trial in trial_active.nonzero()[0].tolist():
+            action = self.adversaries[trial].action_for_slot(slot)
             arrivals[trial] = action.arrivals
             jam[trial] = action.jam
         return arrivals, jam
 
     def observe(self, slot, success, winner_ids, trial_active) -> None:
-        for trial in np.nonzero(trial_active)[0]:
-            trial = int(trial)
+        for trial in trial_active.nonzero()[0].tolist():
             won = bool(success[trial])
             observation = SlotObservation(
                 slot=slot,

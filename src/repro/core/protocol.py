@@ -400,18 +400,22 @@ class CJZLockstepProgram(LockstepProgram):
     # ------------------------------------------------------------------ step
 
     def step(self, rows: np.ndarray, slot: int) -> np.ndarray:
+        batching = (self._phase[rows] == 3).nonzero()[0]
+        if batching.size == len(rows):  # Phase 3 has no backoff events
+            return self._batch_sends(rows, slot)
         sends = np.zeros(len(rows), dtype=bool)
-        due = np.flatnonzero(self._next_event[rows] == slot)
+        due = (self._next_event[rows] == slot).nonzero()[0]
         if due.size:
             self._step_backoff(rows, sends, due, slot)
-        batching = np.flatnonzero(self._phase[rows] == 3)
         if batching.size:
-            # Phase 3: the control and data batches together cover every
-            # slot after l3, so exactly one of them draws in each.
-            selected = rows[batching]
-            probability = self._phase3_table[slot - self._anchor3[selected]]
-            sends[batching[self._pool.doubles(selected) < probability]] = True
+            sends[batching] = self._batch_sends(rows[batching], slot)
         return sends
+
+    def _batch_sends(self, rows: np.ndarray, slot: int) -> np.ndarray:
+        # Phase 3: the control and data batches together cover every slot
+        # after l3, so exactly one of them draws in each.
+        probability = self._phase3_table[slot - self._anchor3[rows]]
+        return self._pool.doubles(rows) < probability
 
     def _step_backoff(
         self, rows: np.ndarray, sends: np.ndarray, due: np.ndarray, slot: int
@@ -419,22 +423,23 @@ class CJZLockstepProgram(LockstepProgram):
         """Stage entries and planned sends of the rows whose event is ``slot``."""
         selected = rows[due]
         anchor = self._anchor[selected]
-        local = ((slot - anchor) >> 1) + 1
+        local = ((slot + 2) - anchor) >> 1
         stage = self._stage[selected]
-        entering = local == np.left_shift(1, stage + 1)
-        if entering.any():
+        stage_end = 2 << stage  # 2**(stage + 1)
+        entering = (local == stage_end).nonzero()[0]
+        if entering.size:
             stage[entering] += 1
+            stage_end[entering] <<= 1
             self._enter_stages(selected[entering], stage[entering])
         next_planned = self._next_planned[selected]
-        hits = next_planned == local
-        if hits.any():
+        hits = (next_planned == local).nonzero()[0]
+        if hits.size:
             hit_rows = selected[hits]
             pointer = self._plan_ptr[hit_rows] + 1
             self._plan_ptr[hit_rows] = pointer
             next_planned[hits] = self._plan[hit_rows, pointer]
             self._next_planned[hit_rows] = next_planned[hits]
             sends[due[hits]] = True
-        stage_end = np.left_shift(1, stage + 1)
         self._next_event[selected] = anchor + 2 * (
             np.minimum(next_planned, stage_end) - 1
         )
@@ -450,8 +455,8 @@ class CJZLockstepProgram(LockstepProgram):
         width = int(counts.max())
         draws = np.full((width + 1, len(rows)), LOCKSTEP_SENTINEL, np.int64)
         for j in range(width):
-            drawing = counts > j
-            if drawing.all():
+            drawing = (counts > j).nonzero()[0]
+            if drawing.size == len(rows):
                 draws[j] = self._pool.pow2_batch(rows, stages, 1)[0]
             else:
                 draws[j, drawing] = self._pool.pow2_batch(
@@ -464,7 +469,7 @@ class CJZLockstepProgram(LockstepProgram):
             duplicate = (draws[1:] == draws[:-1]) & (
                 draws[1:] != LOCKSTEP_SENTINEL
             )
-            if duplicate.any():
+            if np.count_nonzero(duplicate):
                 draws[1:][duplicate] = LOCKSTEP_SENTINEL
                 draws.sort(axis=0)
         self._plan[rows, : width + 1] = draws.T
@@ -482,8 +487,10 @@ class CJZLockstepProgram(LockstepProgram):
         trial_success: np.ndarray,
         own_success: np.ndarray,
     ) -> None:
+        if not np.count_nonzero(trial_success):
+            return
         heard = trial_success & ~own_success
-        if not heard.any():
+        if not np.count_nonzero(heard):
             return
         selected = rows[heard]
         phase = self._phase[selected]

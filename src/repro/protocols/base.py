@@ -106,15 +106,12 @@ def lockstep_bounded_offsets(pool, rows: np.ndarray, ranges: np.ndarray) -> np.n
     ranges = np.asarray(ranges, dtype=np.uint64)
     offsets = np.zeros(len(rows), dtype=np.int64)
     narrow = ranges < np.uint64(0xFFFFFFFF)
-    if narrow.any():
-        offsets[narrow] = pool.bounded_u32(rows[narrow], ranges[narrow]).astype(
-            np.int64
+    if np.count_nonzero(narrow):
+        offsets[narrow] = pool.bounded_u32(rows[narrow], ranges[narrow])
+    for position in (~narrow).nonzero()[0]:
+        offsets[position] = pool.bounded_scalar(
+            int(rows[position]), int(ranges[position])
         )
-    if not narrow.all():
-        for position in np.nonzero(~narrow)[0]:
-            offsets[position] = pool.bounded_scalar(
-                int(rows[position]), int(ranges[position])
-            )
     return offsets
 
 
@@ -238,6 +235,7 @@ class LockstepProgram(abc.ABC):
 
         Returns a bool array aligned with ``rows``.  Must consume exactly
         the randomness the per-node ``wants_to_broadcast`` calls would.
+        ``rows`` is read-only: the kernel reuses it across slots.
         """
 
     @abc.abstractmethod
@@ -255,6 +253,8 @@ class LockstepProgram(abc.ABC):
         whose trial's slot was a success and ``own_success`` marks the
         winners themselves (all aligned with ``rows``).  Mirrors
         ``Protocol.on_feedback`` under the no-collision-detection channel.
+        The arguments are read-only; on a slot without a success
+        ``trial_success`` and ``own_success`` may be one array.
         """
 
 
@@ -281,7 +281,7 @@ class AgeProfileLockstepProgram(LockstepProgram):
         self._pool = pool
         self._table = age_probability_profile(
             lambda: copy.copy(self._prototype), horizon
-        )
+        )[1:]  # by age - 1: the profile's entry 0 is unused
         self._arrival = np.zeros(trials * capacity, dtype=np.int64)
 
     def grow(self, trials: int, old_capacity: int, new_capacity: int) -> None:
@@ -293,7 +293,7 @@ class AgeProfileLockstepProgram(LockstepProgram):
         self._arrival[rows] = slot
 
     def step(self, rows: np.ndarray, slot: int) -> np.ndarray:
-        return self._pool.doubles(rows) < self._table[slot - self._arrival[rows] + 1]
+        return self._pool.doubles(rows) < self._table[slot - self._arrival[rows]]
 
     def feedback(self, slot, rows, sends, trial_success, own_success) -> None:
         return None

@@ -206,7 +206,7 @@ class WindowedBackoffLockstepProgram(LockstepProgram):
         own_success: np.ndarray,
     ) -> None:
         failed = sends & ~trial_success
-        if failed.any():
+        if np.count_nonzero(failed):
             losers = rows[failed]
             if self._degree is None:
                 window = self._window[losers] * 2
@@ -218,10 +218,10 @@ class WindowedBackoffLockstepProgram(LockstepProgram):
                 window = self._grown_windows(failures)
             self._window[losers] = window
             self._reschedule(losers, slot + 1)
-        # Defensive reschedule for a slipped attempt, mirroring on_feedback
-        # (unreachable in normal operation, kept for replay fidelity).
-        slipped = (~sends) & ~own_success & (slot >= self._next_attempt[rows])
-        if slipped.any():
+        # Defensive reschedule of a slipped attempt, as on_feedback does (never
+        # reached in practice); a winner sent, so ``~sends`` excludes it.
+        slipped = ~sends & (self._next_attempt[rows] <= slot)
+        if np.count_nonzero(slipped):
             self._reschedule(rows[slipped], slot + 1)
 
 

@@ -167,8 +167,8 @@ class SawtoothLockstepProgram(LockstepProgram):
         self._phase_end[rows] = slot + max(1, int(round(1.0 / probability)))
 
     def step(self, rows: np.ndarray, slot: int) -> np.ndarray:
-        advancing = slot >= self._phase_end[rows]
-        if advancing.any():
+        advancing = (self._phase_end[rows] <= slot).nonzero()[0]
+        if advancing.size:
             self._advance(rows[advancing], slot)
         uniforms = self._pool.doubles(rows)
         return uniforms < self._prob[rows]

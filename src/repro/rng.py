@@ -329,10 +329,13 @@ class ReusableGenerator:
 
 # --- vectorized PCG64 stepping (128-bit limb arithmetic) -------------------
 
-_M_HI = np.uint64(_PCG64_MULT >> 64)
-_M_LO = np.uint64(_PCG64_MULT & 0xFFFFFFFFFFFFFFFF)
-_U32_64 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
+_U32_64 = np.array(0xFFFFFFFF, dtype=np.uint64)
+_SHIFT32 = np.array(32, dtype=np.uint64)
+_M_HI = np.array(_PCG64_MULT >> 64, dtype=np.uint64)
+_M_LO = np.array(_PCG64_MULT & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+_M_LO_0, _M_LO_1 = _M_LO & _U32_64, _M_LO >> _SHIFT32  # 32-bit halves
+_SHIFT11, _SHIFT58, _ROTATE_MASK = (np.array(n, dtype=np.uint64) for n in (11, 58, 63))
+_TWO_POW_M53 = np.array(1.0 / 9007199254740992.0)
 
 
 def _mulhi64(a: np.ndarray, b: np.ndarray):
@@ -346,24 +349,23 @@ def _mulhi64(a: np.ndarray, b: np.ndarray):
     return a1 * b1 + (m1 >> _SHIFT32) + (m2 >> _SHIFT32)
 
 
-def _add128(ahi, alo, bhi, blo):
-    lo = alo + blo
-    carry = (lo < alo).astype(np.uint64)
-    return ahi + bhi + carry, lo
-
-
 def _pcg64_step(shi, slo, ihi, ilo):
-    hi = _mulhi64(slo, _M_LO) + slo * _M_HI + shi * _M_LO
-    lo = slo * _M_LO
-    return _add128(hi, lo, ihi, ilo)
+    """``state * MULT + inc`` mod 2**128 on (hi, lo) limbs, as new arrays."""
+    a0, a1 = slo & _U32_64, slo >> _SHIFT32
+    m1 = a1 * _M_LO_0 + ((a0 * _M_LO_0) >> _SHIFT32)
+    m2 = a0 * _M_LO_1 + (m1 & _U32_64)
+    hi = a1 * _M_LO_1 + (m1 >> _SHIFT32) + (m2 >> _SHIFT32)  # mulhi(slo, M_LO)
+    hi += slo * _M_HI + shi * _M_LO + ihi
+    lo = slo * _M_LO + ilo
+    hi += lo < ilo  # the low limb's carry
+    return hi, lo
 
 
 def _pcg64_output(shi, slo):
-    rotation = shi >> np.uint64(58)
+    """XSL-RR: ``shi ^ slo`` rotated right by the top six bits of ``shi``."""
+    rotation = shi >> _SHIFT58
     value = shi ^ slo
-    return (value >> rotation) | (
-        value << ((np.uint64(64) - rotation) & np.uint64(63))
-    )
+    return (value >> rotation) | (value << (-rotation & _ROTATE_MASK))
 
 
 def pcg64_bulk_init(words: np.ndarray):
@@ -378,7 +380,8 @@ def pcg64_bulk_init(words: np.ndarray):
     seq_hi, seq_lo = words[:, 2], words[:, 3]
     inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
     inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
-    state_hi, state_lo = _add128(inc_hi, inc_lo, init_hi, init_lo)
+    state_lo = inc_lo + init_lo
+    state_hi = inc_hi + init_hi + (state_lo < inc_lo)
     state_hi, state_lo = _pcg64_step(state_hi, state_lo, inc_hi, inc_lo)
     return state_hi, state_lo, inc_hi, inc_lo
 
@@ -437,6 +440,11 @@ class NodeStreamPool:
     The replication is pinned by :func:`lockstep_streams_ok`, which checks an
     interleaved call pattern against real ``numpy`` generators at runtime;
     callers must consult it before trusting the pool.
+
+    The kernel draws once per busy slot on a few dozen rows, where numpy's
+    fixed cost per call outweighs the element work, so constant operands
+    are module-level 0-d arrays: a numpy or Python scalar operand costs a
+    ufunc about 0.3 µs more per call.
     """
 
     def __init__(self, capacity: int = 0) -> None:
@@ -510,23 +518,24 @@ class NodeStreamPool:
 
     def doubles(self, rows: np.ndarray) -> np.ndarray:
         """One ``Generator.random()`` double per row."""
-        return (self.raw64(rows) >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+        return (self.raw64(rows) >> _SHIFT11) * _TWO_POW_M53
 
     def next_u32(self, rows: np.ndarray) -> np.ndarray:
         """One buffered ``next_uint32`` per row, as uint64 values < 2**32."""
         has = self._has32[rows]
+        buffered = np.count_nonzero(has)
+        if buffered == len(rows):
+            self._has32[rows] = False
+            return self._buf32[rows]
+        if not buffered:
+            raw = self.raw64(rows)
+            self._buf32[rows] = raw >> _SHIFT32
+            self._has32[rows] = True
+            return raw & _U32_64
         out = np.empty(len(rows), dtype=np.uint64)
-        if has.any():
-            buffered = rows[has]
-            out[has] = self._buf32[buffered]
-            self._has32[buffered] = False
+        out[has] = self.next_u32(rows[has])
         fresh = ~has
-        if fresh.any():
-            need = rows[fresh]
-            raw = self.raw64(need)
-            out[fresh] = raw & np.uint64(0xFFFFFFFF)
-            self._buf32[need] = raw >> np.uint64(32)
-            self._has32[need] = True
+        out[fresh] = self.next_u32(rows[fresh])
         return out
 
     # -------------------------------------------------------- bounded draws
@@ -537,26 +546,27 @@ class NodeStreamPool:
         Rows with ``rng == 0`` consume nothing and yield 0, exactly as numpy's
         zero-range path does.
         """
-        rng = np.broadcast_to(np.asarray(rng, dtype=np.uint64), (len(rows),))
-        out = np.zeros(len(rows), dtype=np.uint64)
-        draw = rng > 0
-        if not draw.any():
+        rng = np.asarray(rng, dtype=np.uint64)
+        if rng.ndim == 0:
+            rng = np.full(len(rows), rng)
+        drawing = np.count_nonzero(rng)
+        if drawing < len(rows):
+            out = np.zeros(len(rows), dtype=np.uint64)
+            if drawing:
+                draw = rng.nonzero()[0]
+                out[draw] = self.bounded_u32(rows[draw], rng[draw])
             return out
-        sub_rows = rows[draw]
-        rng_excl = rng[draw] + np.uint64(1)
-        m = self.next_u32(sub_rows) * rng_excl
-        leftover = m & np.uint64(0xFFFFFFFF)
-        maybe = leftover < rng_excl
-        if maybe.any():
-            threshold = (np.uint64(0x100000000) - rng_excl) % rng_excl
-            reject = leftover < threshold
-            while reject.any():
-                redo = np.nonzero(reject)[0]
-                m[redo] = self.next_u32(sub_rows[redo]) * rng_excl[redo]
-                leftover = m & np.uint64(0xFFFFFFFF)
-                reject = leftover < threshold
-        out[draw] = m >> np.uint64(32)
-        return out
+        rng_excl = rng + 1
+        m = self.next_u32(rows) * rng_excl
+        leftover = m & _U32_64
+        if np.count_nonzero(leftover < rng_excl):
+            threshold = ((1 << 32) - rng_excl) % rng_excl
+            reject = (leftover < threshold).nonzero()[0]
+            while reject.size:
+                m[reject] = self.next_u32(rows[reject]) * rng_excl[reject]
+                reject = reject[(m[reject] & _U32_64) < threshold[reject]]
+        m >>= _SHIFT32
+        return m
 
     def pow2_batch(self, rows: np.ndarray, k, count: int) -> np.ndarray:
         """``integers(2**k, 2**(k+1), size=count)`` per row, as (count, rows).
@@ -570,23 +580,22 @@ class NodeStreamPool:
         k = np.asarray(k, dtype=np.int64)
         if k.ndim == 0:
             k = np.full(len(rows), k)
-        if len(k) and (k.min() < 0 or k.max() > 31):
+        if np.count_nonzero(k >> 5):
             raise ValueError("pow2_batch requires 0 <= k <= 31")
-        out = np.ones((count, len(rows)), dtype=np.int64)
-        draw = None
-        if np.count_nonzero(k) < len(k):
-            draw = k > 0
-            rows, k = rows[draw], k[draw]
-        if len(rows):
-            base = np.left_shift(1, k)
-            shift = (32 - k).astype(np.uint64)
-            for j in range(count):
-                values = (self.next_u32(rows) >> shift).astype(np.int64) + base
-                if draw is None:
-                    out[j] = values
-                else:
-                    out[j, draw] = values
-        return out
+        drawing = np.count_nonzero(k)
+        if drawing < len(rows):
+            out = np.ones((count, len(rows)), dtype=np.int64)
+            if drawing:
+                draw = k.nonzero()[0]
+                out[:, draw] = self.pow2_batch(rows[draw], k[draw], count)
+            return out
+        k = k.astype(np.uint64)
+        shift = _SHIFT32 - k
+        out = np.empty((count, len(rows)), dtype=np.uint64)
+        for j in range(count):
+            out[j] = self.next_u32(rows) >> shift
+        out |= 1 << k
+        return out.view(np.int64)
 
     def bounded_scalar(self, row: int, rng: int) -> int:
         """``Generator.integers(0, rng + 1)`` for one row, any 64-bit range."""

@@ -44,6 +44,10 @@ __all__ = ["ShardedStudyStore"]
 
 RING_FILE = "ring.json"
 _DEFAULT_SHARDS = 2
+#: How far a new file's mtime can trail ``time.time()``: the kernel stamps
+#: it from a coarse clock (one tick, 1–10 ms) and some filesystems truncate
+#: it (to 2 s on FAT).  The store records its open time this much early.
+_MTIME_GRANULARITY_S = 2.0
 
 
 def _shard_names(count: int) -> List[str]:
@@ -91,7 +95,7 @@ class ShardedStudyStore:
         # Entries this instance wrote (plus anything newer on disk than this
         # timestamp) are protected from eviction for the instance's lifetime.
         self._session_written: set[str] = set()
-        self._opened_at = time.time()
+        self._opened_at = time.time() - _MTIME_GRANULARITY_S
 
     # ------------------------------------------------------------- topology
 
@@ -312,9 +316,10 @@ class ShardedStudyStore:
         """Bring every shard under ``budget_bytes``, oldest-atime first.
 
         Entries written through this instance — or written on disk after it
-        was opened — are never evicted, so a running sweep cannot lose its
-        own fresh results; a shard whose protected entries alone exceed the
-        budget simply stays over it (reported, not forced).
+        was opened, or up to ``_MTIME_GRANULARITY_S`` before — are never
+        evicted, so a running sweep cannot lose its own fresh results; a
+        shard whose protected entries alone exceed the budget simply stays
+        over it (reported, not forced).
         """
         if budget_bytes < 0:
             raise SpecError("eviction budget must be >= 0 bytes")

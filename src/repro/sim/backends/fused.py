@@ -328,7 +328,7 @@ class _CompositeLockstepProgram:
         sends = np.zeros(len(rows), dtype=bool)
         members = self._members_of_rows(rows)
         for m in np.unique(members).tolist():
-            mask = members == m
+            mask = (members == m).nonzero()[0]
             local = rows[mask] - self._trial_offsets[m] * self._capacity
             sends[mask] = self._programs[m].step(local, slot)
         return sends
@@ -338,7 +338,7 @@ class _CompositeLockstepProgram:
     ) -> None:
         members = self._members_of_rows(rows)
         for m in np.unique(members).tolist():
-            mask = members == m
+            mask = (members == m).nonzero()[0]
             local = rows[mask] - self._trial_offsets[m] * self._capacity
             self._programs[m].feedback(
                 slot, local, sends[mask], trial_success[mask], own_success[mask]

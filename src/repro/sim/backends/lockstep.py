@@ -28,6 +28,11 @@ Three columnar sub-systems cooperate:
   arrival slot only activates its slice of rows; otherwise each slot's
   arrivals arrive as the driver reveals them, growing the columns.
 
+A busy slot touches a few dozen rows, so numpy's fixed cost per call
+outweighs its element work.  The loop therefore counts with
+``np.count_nonzero``, takes indices with ``.nonzero()[0]`` and shares
+read-only arrays across the slots without a sender or a success.
+
 Bit-for-bit reproducibility
 ---------------------------
 
@@ -215,6 +220,11 @@ def build_lockstep_driver(
     return driver
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def _row_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``."""
     ends = np.cumsum(counts)
@@ -268,8 +278,8 @@ class _LockstepRun:
             arriving = _row_ranges(trial_ids * self._capacity + first, counts)
             row_slots = np.repeat(slots, counts)
             self._arrival_col[arriving] = row_slots
+            self._scheduled_rows = _read_only(arriving)
             program.arrive(arriving, row_slots)
-            self._scheduled_rows = arriving
             self._slot_starts = np.searchsorted(
                 row_slots, np.arange(horizon + 2)
             ).tolist()
@@ -277,9 +287,10 @@ class _LockstepRun:
         self._broadcasts_col = np.zeros(rows, dtype=np.int64)
         self._node_count = np.zeros(trials, dtype=np.int64)
         self._success_count = np.zeros(trials, dtype=np.int64)
-        self._active = np.zeros(0, dtype=np.int64)
+        # Hooks get read-only arrays: none can change what later slots see.
+        self._active = _read_only(np.zeros(0, dtype=np.int64))
         self._active_trials = np.zeros(0, dtype=np.int64)
-        self._trial_active = np.ones(trials, dtype=bool)
+        self._trial_active = _read_only(np.ones(trials, dtype=bool))
         self._simulated = np.full(trials, horizon, dtype=np.int64)
         self._arrivals_m = np.zeros((trials, horizon + 1), dtype=np.int64)
         self._jam_m = np.zeros((trials, horizon + 1), dtype=bool)
@@ -328,8 +339,8 @@ class _LockstepRun:
         gather = np.where(node_index < old, trial_index * old + node_index, -1)
         self._pool.remap(gather, trials * new)
         self._program.grow(trials, old, new)
-        self._active = self._active_trials * new + (
-            self._active - self._active_trials * old
+        self._active = _read_only(
+            self._active_trials * new + (self._active - self._active_trials * old)
         )
         self._capacity = new
         self._seed_all_rows(old, new)
@@ -338,17 +349,17 @@ class _LockstepRun:
 
     def _inject(self, arrivals: np.ndarray, slot: int) -> None:
         config = self._config
-        counts_after = self._node_count + arrivals
         if self._driver.arrival_schedule is not None:
             # Already arrived in __init__: activate the slot's slice.
             lo, hi = self._slot_starts[slot], self._slot_starts[slot + 1]
             rows = self._scheduled_rows[lo:hi]
-            if not self._trial_active.all():
+            if np.count_nonzero(self._trial_active) < self._trials:
                 # A stopped trial's driver reports no arrivals, whatever
                 # its schedule still holds.
-                rows = rows[arrivals[rows // self._capacity] > 0]
+                rows = rows[arrivals[rows // self._capacity].nonzero()[0]]
         else:
-            if (counts_after > config.max_nodes).any():
+            counts_after = self._node_count + arrivals
+            if np.count_nonzero(counts_after > config.max_nodes):
                 raise ConfigurationError(
                     f"adversary exceeded max_nodes={config.max_nodes} "
                     f"at slot {slot}"
@@ -356,18 +367,18 @@ class _LockstepRun:
             needed = int(counts_after.max())
             if needed > self._capacity:
                 self._grow(needed)
-            arriving = np.nonzero(arrivals)[0]
+            arriving = arrivals.nonzero()[0]
             rows = _row_ranges(
                 arriving * self._capacity + self._node_count[arriving],
                 arrivals[arriving],
             )
             self._arrival_col[rows] = slot
             self._program.arrive(rows, slot)
-        self._active = np.concatenate((self._active, rows))
+        self._active = _read_only(np.concatenate((self._active, rows)))
         self._active_trials = np.concatenate(
             (self._active_trials, rows // self._capacity)
         )
-        self._node_count = counts_after
+        self._node_count += arrivals
         self._arrivals_m[:, slot] = arrivals
 
     # ------------------------------------------------------------------ loop
@@ -379,6 +390,9 @@ class _LockstepRun:
         program = self._program
         driver = self._driver
         trials = self._trials
+        # Slots without a success share these.
+        no_success = _read_only(np.zeros(trials, dtype=bool))
+        no_winners = _read_only(np.full(trials, -1, dtype=np.int64))
         slot = 1
         while slot <= horizon:
             # An idle slot draws no stream and runs no program hook, and the
@@ -386,53 +400,48 @@ class _LockstepRun:
             # the whole stretch.  Under stop_when_drained a running trial
             # that holds nodes may stop in any slot of it; step those.
             if not self._active.size and not (
-                drain and (self._trial_active & (self._node_count > 0)).any()
+                drain
+                and np.count_nonzero(self._trial_active & (self._node_count > 0))
             ):
                 slot = driver.skip_idle(slot, self._trial_active, self._jam_m)
                 if slot > horizon:
                     break
             arrivals, jam = driver.actions(slot, self._trial_active)
             self._jam_m[:, slot] = jam
-            if arrivals.any():
+            if np.count_nonzero(arrivals):
                 self._inject(arrivals, slot)
             rows = self._active
+            success, winner_ids = no_success, no_winners
             if rows.size:
                 sends = program.step(rows, slot)
-                send_positions = np.nonzero(sends)[0]
-                send_trials = self._active_trials[send_positions]
-                counts = np.bincount(send_trials, minlength=trials).astype(
-                    np.int32
-                )
-            else:
-                sends = np.zeros(0, dtype=bool)
-                send_positions = send_trials = np.zeros(0, dtype=np.int64)
-                counts = np.zeros(trials, dtype=np.int32)
-            self._counts_m[:, slot] = counts
-            if send_positions.size:
-                self._broadcasts_col[rows[send_positions]] += 1
-            success = (counts == 1) & ~jam & self._trial_active
-            winner_ids = np.full(trials, -1, dtype=np.int64)
-            any_success = success.any()
-            if any_success:
-                winning = success[send_trials]
-                winner_positions = send_positions[winning]
-                winner_rows = rows[winner_positions]
-                self._success_col[winner_rows] = slot
-                self._success_m[:, slot] = success
-                self._success_count += success
-                winner_ids[send_trials[winning]] = (
-                    winner_rows - send_trials[winning] * self._capacity
-                )
-            if rows.size:
-                trial_success = success[self._active_trials]
-                own = np.zeros(len(rows), dtype=bool)
-                if any_success:
-                    own[winner_positions] = True
+                send_positions = sends.nonzero()[0]
+                trial_success = own = np.zeros(len(rows), dtype=bool)
+                if send_positions.size:
+                    send_trials = self._active_trials[send_positions]
+                    counts = np.bincount(send_trials, minlength=trials)
+                    self._counts_m[:, slot] = counts
+                    self._broadcasts_col[rows[send_positions]] += 1
+                    hits = (counts == 1) & ~jam & self._trial_active
+                    if np.count_nonzero(hits):
+                        success = hits
+                        winning = success[send_trials]
+                        winner_positions = send_positions[winning]
+                        winner_rows = rows[winner_positions]
+                        self._success_col[winner_rows] = slot
+                        self._success_m[:, slot] = success
+                        self._success_count += success
+                        winner_ids = no_winners.copy()
+                        winner_ids[send_trials[winning]] = (
+                            winner_rows - send_trials[winning] * self._capacity
+                        )
+                        trial_success = success[self._active_trials]
+                        own = np.zeros(len(rows), dtype=bool)
+                        own[winner_positions] = True
                 program.feedback(slot, rows, sends, trial_success, own)
             driver.observe(slot, success, winner_ids, self._trial_active)
-            if any_success:
+            if success is not no_success:
                 keep = ~own
-                self._active = rows[keep]
+                self._active = _read_only(rows[keep])
                 self._active_trials = self._active_trials[keep]
             if drain and self._check_drained(slot):
                 break
@@ -451,13 +460,14 @@ class _LockstepRun:
             & (self._node_count > 0)
             & (self._node_count == self._success_count)
         )
-        if drained.any():
-            for trial in np.nonzero(drained)[0]:
-                trial = int(trial)
-                if self._driver.exhausted(trial, slot):
-                    self._trial_active[trial] = False
-                    self._simulated[trial] = slot
-        return not self._trial_active.any()
+        stopped = drained.nonzero()[0].tolist()
+        stopped = [t for t in stopped if self._driver.exhausted(t, slot)]
+        if stopped:
+            trial_active = self._trial_active.copy()
+            trial_active[stopped] = False
+            self._trial_active = _read_only(trial_active)
+            self._simulated[stopped] = slot
+        return not np.count_nonzero(self._trial_active)
 
     # ------------------------------------------------------------------ emit
 

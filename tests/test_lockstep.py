@@ -32,7 +32,7 @@ from repro.protocols import (
     make_factory,
 )
 from repro.protocols.base import AgeProfileLockstepProgram, grow_flat_column
-from repro.rng import NodeStreamPool, lockstep_streams_ok
+from repro.rng import NodeStreamPool, lockstep_streams_ok, pcg64_bulk_init
 from repro.sim import SimulatorConfig, TrialRunner, run_trials
 from repro.sim.backends import LockstepStudyKernel
 
@@ -132,6 +132,81 @@ class TestNodeStreamPool:
         assert np.array_equal(
             pool.doubles(rows), np.array([g.random() for g in refs])
         )
+
+    def test_mixed_draws_match_real_generators_at_the_arithmetic_edges(self):
+        """64 random streams through every draw kind, each draw checked
+        against real generators.  Python-int replays of the real generators'
+        states show that the run reached the step's edges: a low-word carry
+        into the high word, and output rotations of 0 and 63."""
+        mult = 0x2360ED051FC65DA44385DF649FCCF645
+        mask64, mask128 = (1 << 64) - 1, (1 << 128) - 1
+        draws = np.random.default_rng(2026)
+        sequences = [
+            np.random.SeedSequence(entropy.tolist())
+            for entropy in draws.integers(0, 2**63, size=(64, 2))
+        ]
+        words = np.stack([s.generate_state(4, np.uint64) for s in sequences])
+        refs = [np.random.default_rng(s) for s in sequences]
+        rows = np.arange(len(refs))
+        pool = NodeStreamPool(len(refs))
+        pool.seed_rows(rows, words)
+
+        def joined(hi, lo):
+            return [(int(h) << 64) | int(l) for h, l in zip(hi, lo)]
+
+        states = [g.bit_generator.state["state"] for g in refs]
+        current = [state["state"] for state in states]
+        incs = [state["inc"] for state in states]
+        shi, slo, ihi, ilo = pcg64_bulk_init(words)
+        assert joined(shi, slo) == current and joined(ihi, ilo) == incs
+        carried, rotations = False, set()
+
+        def replay():
+            nonlocal carried
+            for i, generator in enumerate(refs):
+                target = generator.bit_generator.state["state"]["state"]
+                for _ in range(64):
+                    if current[i] == target:
+                        break
+                    product = (current[i] * mult) & mask128
+                    carried |= (product & mask64) + (incs[i] & mask64) > mask64
+                    current[i] = (product + incs[i]) & mask128
+                    rotations.add(current[i] >> 122)
+                assert current[i] == target
+
+        for _ in range(10):
+            assert np.array_equal(pool.doubles(rows), [g.random() for g in refs])
+            k, count = int(draws.integers(1, 32)), int(draws.integers(1, 4))
+            assert np.array_equal(
+                pool.pow2_batch(rows, k, count),
+                np.stack([g.integers(1 << k, 2 << k, size=count) for g in refs], 1),
+            )
+            per_row = draws.integers(0, 32, size=len(refs))
+            assert np.array_equal(
+                pool.pow2_batch(rows, per_row, count),
+                np.stack(
+                    [
+                        g.integers(1 << int(k), 2 << int(k), size=count)
+                        for g, k in zip(refs, per_row)
+                    ],
+                    1,
+                ),
+            )
+            # Zero ranges, and ranges that reject about half their draws.
+            ranges = draws.choice(
+                [0, 6, (1 << 31) + 1, draws.integers(1, 2**32 - 1)], size=len(refs)
+            ).astype(np.uint64)
+            assert pool.bounded_u32(rows, ranges).tolist() == [
+                int(g.integers(0, int(r) + 1)) for g, r in zip(refs, ranges)
+            ]
+            # A random subset leaves the rows' 32-bit buffers mixed.
+            subset = np.flatnonzero(draws.random(len(refs)) < 0.5)
+            assert pool.next_u32(subset).tolist() == [
+                int(refs[i].integers(0, 2**32)) for i in subset
+            ]
+            replay()
+        assert carried
+        assert {0, 63} <= rotations
 
 
 class TestGrowFlatColumn:
@@ -596,6 +671,44 @@ class TestIdleSkip:
         for a, b in zip(run_trials(backend="reference", **kwargs), study):
             assert a.summary == b.summary
             assert a.prefix_jammed == b.prefix_jammed
+
+
+class TestReadOnlySlotArguments:
+    def test_observe_cannot_write_the_shared_winner_ids(self, monkeypatch):
+        """Slots without a success share one read-only ``winner_ids``
+        array, so a driver that writes into it fails instead of silently
+        changing what later slots receive."""
+        import repro.sim.backends.lockstep as lockstep_module
+
+        real_build = lockstep_module.build_lockstep_driver
+        writes = []
+
+        def build(*args):
+            driver = real_build(*args)
+            real_observe = driver.observe
+
+            def observe(slot, success, winner_ids, trial_active):
+                if not success.any():
+                    writes.append(slot)
+                    winner_ids[0] = 0
+                return real_observe(slot, success, winner_ids, trial_active)
+
+            driver.observe = observe
+            return driver
+
+        monkeypatch.setattr(lockstep_module, "build_lockstep_driver", build)
+        with pytest.raises(ValueError, match="read-only"):
+            run_trials(
+                backend="lockstep",
+                protocol_factory=cjz_factory(),
+                adversary_factory=lambda: ComposedAdversary(
+                    BatchArrivals(6), RandomFractionJamming(0.1)
+                ),
+                horizon=200,
+                trials=2,
+                seed=3,
+            )
+        assert writes
 
 
 class TestBulkArrivals:

@@ -189,6 +189,19 @@ class TestEviction:
         report = reader.evict(0)
         assert spec.spec_hash() not in report["evicted"]
 
+    def test_entry_stamped_just_before_open_is_protected(self, tmp_path):
+        # The kernel stamps mtimes from a coarser clock than time.time(), so
+        # an entry written just after a store opened can carry an mtime a
+        # few ms before the open.
+        writer = ShardedStudyStore(tmp_path, shards=2)
+        spec = fill(writer, 1)[0]
+        opened = time.time()
+        reader = ShardedStudyStore(tmp_path)
+        stamp = opened - 0.005
+        os.utime(writer.path_for(spec), (stamp, stamp))
+        report = reader.evict(0)
+        assert spec.spec_hash() not in report["evicted"]
+
     def test_negative_budget_rejected(self, tmp_path):
         store = ShardedStudyStore(tmp_path, shards=2)
         with pytest.raises(SpecError):
