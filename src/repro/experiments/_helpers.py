@@ -1,68 +1,27 @@
 """Shared helpers for the experiment modules.
 
-Experiments describe their workloads declaratively: the adversary helpers
-return :class:`~repro.spec.AdversarySpec`-backed factories and the study
-helpers assemble full :class:`~repro.spec.StudySpec` values, so every
-experiment configuration is serializable, hashable and sweepable.  Raw
-callables remain accepted everywhere (`run_trials`'s escape hatch) for the
-few configurations with no declarative form.
+Experiments describe their workloads declaratively: every study is a
+:class:`~repro.spec.StudySpec` (protocol and adversary specs plus horizon,
+trials and seed), so every experiment configuration is serializable,
+hashable and sweepable, and each experiment runs all of its studies as one
+:class:`~repro.spec.StudyPlan`, whose fusion packs compatible studies into
+shared lockstep runs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Union
+from typing import List, Optional, Sequence
 
-from ..adversary import Adversary
-from ..errors import SpecError
 from ..functions import RateFunction
-from ..protocols.base import ProtocolFactory
-from ..sim import TrialStudy, run_trials
-from ..spec import (
-    AdversarySpec,
-    PipelineSpec,
-    ProtocolSpec,
-    StudySpec,
-    rate_function_to_spec,
-)
+from ..sim import TrialStudy
+from ..spec import ProtocolSpec, StudyPlan, StudySpec, rate_function_to_spec
 
-__all__ = [
-    "batch_jam_adversary",
-    "spread_jam_adversary",
-    "cjz_protocol_spec",
-    "cjz_study",
-    "protocol_study",
-    "study_spec",
-    "log2",
-]
-
-AdversaryLike = Union[AdversarySpec, Callable[[], Adversary]]
-ProtocolLike = Union[ProtocolSpec, ProtocolFactory]
+__all__ = ["cjz_protocol_spec", "log2", "run_studies"]
 
 
 def log2(x: float) -> float:
     return math.log2(max(x, 2.0))
-
-
-def batch_jam_adversary(
-    count: int, jam_fraction: float = 0.0, slot: int = 1
-) -> Callable[[], Adversary]:
-    """Factory for a batch-arrival adversary with optional random jamming.
-
-    Spec-backed: the declarative description is on the factory's ``spec``
-    attribute (an :class:`~repro.spec.AdversarySpec`).
-    """
-    return AdversarySpec.batch(count, jam_fraction=jam_fraction, slot=slot).factory()
-
-
-def spread_jam_adversary(
-    total: int, horizon: int, jam_fraction: float = 0.0
-) -> Callable[[], Adversary]:
-    """Factory for uniformly spread arrivals with optional random jamming."""
-    spec = AdversarySpec.spread(
-        total, end=max(1, horizon // 2), jam_fraction=jam_fraction
-    )
-    return spec.factory(horizon)
 
 
 def cjz_protocol_spec(
@@ -77,127 +36,6 @@ def cjz_protocol_spec(
     return ProtocolSpec(kind="cjz", params=params)
 
 
-def study_spec(
-    protocol: ProtocolSpec,
-    adversary: AdversarySpec,
-    horizon: int,
-    trials: int,
-    seed: Optional[int],
-    stop_when_drained: bool = False,
-    label: str = "",
-    backend: str = "auto",
-    workers: int = 1,
-    pipeline: Optional[PipelineSpec] = None,
-    streaming: bool = False,
-) -> StudySpec:
-    """Assemble a StudySpec from experiment-level arguments."""
-    return StudySpec(
-        protocol=protocol,
-        adversary=adversary,
-        horizon=horizon,
-        trials=trials,
-        seed=seed,
-        backend=backend,
-        workers=workers,
-        stop_when_drained=stop_when_drained,
-        label=label,
-        pipeline=pipeline,
-        streaming=streaming,
-    )
-
-
-def cjz_study(
-    adversary: AdversaryLike,
-    horizon: int,
-    trials: int,
-    seed: int,
-    g: Optional[RateFunction] = None,
-    stop_when_drained: bool = False,
-    label: str = "",
-    backend: str = "auto",
-    workers: int = 1,
-    pipeline: Optional[PipelineSpec] = None,
-    streaming: bool = False,
-) -> TrialStudy:
-    """Run the paper's algorithm (parameterized by ``g``) across trials.
-
-    Falls back to the callable-factory path when ``g`` has no serializable
-    family spec or the adversary is a raw factory.
-    """
-    try:
-        protocol: ProtocolLike = cjz_protocol_spec(g)
-    except SpecError:
-        from ..core import AlgorithmParameters, cjz_factory
-        from ..functions import constant_g
-
-        protocol = cjz_factory(AlgorithmParameters.from_g(g or constant_g(4.0)))
-    if isinstance(adversary, AdversarySpec) and isinstance(protocol, ProtocolSpec):
-        return study_spec(
-            protocol,
-            adversary,
-            horizon,
-            trials,
-            seed,
-            stop_when_drained=stop_when_drained,
-            label=label,
-            backend=backend,
-            workers=workers,
-            pipeline=pipeline,
-            streaming=streaming,
-        ).run()
-    return run_trials(
-        protocol_factory=protocol,
-        adversary_factory=adversary,
-        horizon=horizon,
-        trials=trials,
-        seed=seed,
-        stop_when_drained=stop_when_drained,
-        label=label,
-        backend=backend,
-        workers=workers,
-        pipeline=pipeline,
-        streaming=streaming,
-    )
-
-
-def protocol_study(
-    protocol: ProtocolLike,
-    adversary: AdversaryLike,
-    horizon: int,
-    trials: int,
-    seed: int,
-    stop_when_drained: bool = False,
-    label: str = "",
-    backend: str = "auto",
-    workers: int = 1,
-    pipeline: Optional[PipelineSpec] = None,
-    streaming: bool = False,
-) -> TrialStudy:
-    """Run an arbitrary protocol (spec or factory) across trials."""
-    if isinstance(protocol, ProtocolSpec) and isinstance(adversary, AdversarySpec):
-        return study_spec(
-            protocol,
-            adversary,
-            horizon,
-            trials,
-            seed,
-            stop_when_drained=stop_when_drained,
-            label=label,
-            backend=backend,
-            workers=workers,
-            pipeline=pipeline,
-            streaming=streaming,
-        ).run()
-    return run_trials(
-        protocol_factory=protocol,
-        adversary_factory=adversary,
-        horizon=horizon,
-        trials=trials,
-        seed=seed,
-        stop_when_drained=stop_when_drained,
-        label=label,
-        backend=backend,
-        workers=workers,
-        pipeline=pipeline,
-        streaming=streaming,
-    )
+def run_studies(specs: Sequence[StudySpec]) -> List[TrialStudy]:
+    """Run an experiment's studies as one plan; the studies in spec order."""
+    return [result.study for result in StudyPlan(specs).run()]

@@ -27,11 +27,12 @@ class ExperimentConfig:
 
     ``backend`` selects the simulation backend (``auto`` / ``batched-study``
     / ``lockstep`` / ``reference`` / ``vectorized``) and ``workers`` the
-    number of trial worker processes; both are forwarded to every
-    :func:`repro.sim.run_trials` call an experiment makes.  ``auto`` runs
-    each whole study through the batched study kernel when eligible, else
-    the lockstep kernel (feedback-driven protocols such as the paper's own
-    algorithm, adaptive adversaries included), else the per-trial ladder.
+    number of trial worker processes; both are set on every
+    :class:`~repro.spec.StudySpec` an experiment runs.  ``auto`` runs each
+    whole study through the batched study kernel when eligible, else the
+    lockstep kernel (feedback-driven protocols such as the paper's own
+    algorithm, adaptive adversaries included), else the per-trial ladder;
+    an experiment's plan fuses the studies that share a lockstep program.
 
     ``streaming`` asks pipeline-based experiments to release per-slot
     prefix columns once their reducers have consumed each trial (memory
@@ -82,7 +83,7 @@ class ExperimentConfig:
 
     @property
     def execution_kwargs(self) -> dict:
-        """Keyword arguments forwarded to :func:`repro.sim.run_trials`."""
+        """:class:`~repro.spec.StudySpec` fields every experiment study takes."""
         return {"backend": self.backend, "workers": self.workers}
 
     @property

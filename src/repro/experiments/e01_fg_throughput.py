@@ -21,8 +21,8 @@ from ..analysis.tables import Table
 from ..core import AlgorithmParameters
 from ..functions import constant_g
 from ..metrics import FGThroughputReducer
-from ..spec import AdversarySpec, PipelineSpec
-from ._helpers import cjz_protocol_spec, study_spec
+from ..spec import AdversarySpec, PipelineSpec, StudySpec
+from ._helpers import cjz_protocol_spec, run_studies
 from .base import Experiment, ExperimentResult, register
 from .config import ExperimentConfig
 
@@ -101,17 +101,20 @@ class FGThroughputExperiment(Experiment):
         )
         worst_ratio_overall = 0.0
         all_satisfied = True
-        for label, adversary in _workloads(config, horizon):
-            study = study_spec(
-                cjz_protocol_spec(g),
-                adversary,
+        specs = [
+            StudySpec(
+                protocol=cjz_protocol_spec(g),
+                adversary=adversary,
                 horizon=horizon,
                 trials=config.trials,
                 seed=config.seed,
                 label=label,
                 pipeline=pipeline,
                 **config.streaming_kwargs,
-            ).run()
+            )
+            for label, adversary in _workloads(config, horizon)
+        ]
+        for spec, study in zip(specs, run_studies(specs)):
             verdict = study.metrics()["fg-throughput"]
             satisfied = verdict["satisfied"]
             worst = verdict["worst_ratio"]
@@ -119,7 +122,7 @@ class FGThroughputExperiment(Experiment):
             if satisfied < verdict["trials"]:
                 all_satisfied = False
             table.add_row(
-                label,
+                spec.label,
                 study.trials,
                 f"{satisfied}/{verdict['trials']}",
                 worst,

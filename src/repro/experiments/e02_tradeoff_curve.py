@@ -31,8 +31,8 @@ from ..analysis.tables import Table
 from ..core import AlgorithmParameters
 from ..functions import constant_g
 from ..metrics import FGThroughputChecker
-from ..spec import AdversarySpec
-from ._helpers import cjz_protocol_spec, log2, study_spec
+from ..spec import AdversarySpec, StudySpec
+from ._helpers import cjz_protocol_spec, log2, run_studies
 from .base import Experiment, ExperimentResult, register
 from .config import ExperimentConfig
 
@@ -46,6 +46,10 @@ def _spread_adversary(total: int, horizon: int, jam_fraction: float) -> Adversar
     return AdversarySpec.spread(
         total, end=max(2, horizon // 2), jam_fraction=jam_fraction
     )
+
+
+def _arrivals(horizon: int) -> int:
+    return max(8, int(horizon / (8.0 * log2(horizon))))
 
 
 def _overhead(study) -> float:
@@ -74,30 +78,57 @@ class TradeoffCurveExperiment(Experiment):
             parameters.f, parameters.g, slack=SLACK, min_prefix=64, additive_grace=GRACE
         )
 
-        # --- Part 1: overhead vs horizon under 25% jamming -----------------
+        # Part 1 sweeps t; parts 2 and 3 run at horizons[1].
         base = config.horizon(2048)
         horizons = [base, base * 2, base * 4, base * 8]
+        horizon = horizons[1]
+        arrivals = _arrivals(horizon)
+        fractions = (0.0, 0.1, 0.25, 0.4)
+        c3_values = (2.0, 4.0, 8.0)
+
+        def spec(protocol, horizon, fraction, trials, seed, label):
+            return StudySpec(
+                protocol=protocol,
+                adversary=_spread_adversary(_arrivals(horizon), horizon, fraction),
+                horizon=horizon,
+                trials=trials,
+                seed=seed,
+                label=label,
+                **config.execution_kwargs,
+            )
+
+        trials, seed = config.trials, config.seed
+        studies = run_studies(
+            [spec(protocol, t, 0.25, trials, seed, f"t={t}") for t in horizons]
+            + [
+                spec(protocol, horizon, f, trials, seed + 3, f"jam={f:.0%}")
+                for f in fractions
+            ]
+            + [
+                spec(
+                    cjz_protocol_spec(g, c3=c3),
+                    horizon,
+                    0.25,
+                    max(2, trials // 2),
+                    seed + 5,
+                    f"c3={c3:g}",
+                )
+                for c3 in c3_values
+            ]
+        )
+
+        # --- Part 1: overhead vs horizon under 25% jamming -----------------
         overhead_table = Table(
             title="Per-arrival active-slot overhead vs horizon (25% of slots jammed)",
             columns=["t", "arrivals", "overhead", "overhead / log2(t)", "bound satisfied"],
         )
         overheads: List[float] = []
-        for horizon in horizons:
-            arrivals = max(8, int(horizon / (8.0 * log2(horizon))))
-            study = study_spec(
-                protocol,
-                _spread_adversary(arrivals, horizon, 0.25),
-                horizon=horizon,
-                trials=config.trials,
-                seed=config.seed,
-                label=f"t={horizon}",
-                **config.execution_kwargs,
-            ).run()
+        for t, study in zip(horizons, studies[:4]):
             overhead = _overhead(study)
             overheads.append(overhead)
             satisfied = all(checker.check(r).satisfied for r in study)
             overhead_table.add_row(
-                horizon, arrivals, overhead, overhead / log2(horizon), satisfied
+                t, _arrivals(t), overhead, overhead / log2(t), satisfied
             )
         result.tables.append(overhead_table)
 
@@ -109,8 +140,6 @@ class TradeoffCurveExperiment(Experiment):
         result.findings["fit_error_linear"] = fits["linear"].relative_error
 
         # --- Part 2: jamming-severity sweep at fixed t ----------------------
-        horizon = horizons[1]
-        arrivals = max(8, int(horizon / (8.0 * log2(horizon))))
         sweep_table = Table(
             title=f"Jamming-severity sweep at t={horizon} ({arrivals} arrivals)",
             columns=[
@@ -122,16 +151,7 @@ class TradeoffCurveExperiment(Experiment):
             ],
         )
         delivered_fractions: List[float] = []
-        for fraction in (0.0, 0.1, 0.25, 0.4):
-            study = study_spec(
-                protocol,
-                _spread_adversary(arrivals, horizon, fraction),
-                horizon=horizon,
-                trials=config.trials,
-                seed=config.seed + 3,
-                label=f"jam={fraction:.0%}",
-                **config.execution_kwargs,
-            ).run()
+        for fraction, study in zip(fractions, studies[4:8]):
             delivered = study.mean(lambda r: r.total_successes)
             fraction_delivered = delivered / arrivals
             delivered_fractions.append(fraction_delivered)
@@ -155,16 +175,7 @@ class TradeoffCurveExperiment(Experiment):
             columns=["c3", "overhead", "delivered fraction"],
         )
         ablation_overheads: List[float] = []
-        for c3 in (2.0, 4.0, 8.0):
-            study = study_spec(
-                cjz_protocol_spec(g, c3=c3),
-                _spread_adversary(arrivals, horizon, 0.25),
-                horizon=horizon,
-                trials=max(2, config.trials // 2),
-                seed=config.seed + 5,
-                label=f"c3={c3:g}",
-                **config.execution_kwargs,
-            ).run()
+        for c3, study in zip(c3_values, studies[8:]):
             overhead = _overhead(study)
             ablation_overheads.append(overhead)
             ablation.add_row(

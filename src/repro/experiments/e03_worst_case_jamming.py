@@ -18,8 +18,8 @@ from typing import List
 from ..analysis.fitting import fit_shape, growth_exponent
 from ..analysis.tables import Table
 from ..functions import constant_g
-from ..spec import AdversarySpec
-from ._helpers import cjz_protocol_spec, log2, study_spec
+from ..spec import AdversarySpec, StudySpec
+from ._helpers import cjz_protocol_spec, log2, run_studies
 from .base import Experiment, ExperimentResult, register
 from .config import ExperimentConfig
 
@@ -41,6 +41,9 @@ def _reactive(total: int, horizon: int) -> AdversarySpec:
         {"total": total, "start": 1, "end": max(2, horizon // 2)},
         {"fraction": JAM_FRACTION, "burst": 8},
     )
+
+
+_ADVERSARIES = {"oblivious random": _oblivious, "reactive": _reactive}
 
 
 @register
@@ -74,33 +77,38 @@ class WorstCaseJammingExperiment(Experiment):
         )
         findings_ratios: List[float] = []
         successes_by_t: List[float] = []
-        for jammer_label, factory_builder in (
-            ("oblivious random", _oblivious),
-            ("reactive", _reactive),
+        cases = [
+            (jammer_label, horizon, max(8, int(horizon / (2.0 * log2(horizon)))))
+            for jammer_label in ("oblivious random", "reactive")
+            for horizon in horizons
+        ]
+        specs = [
+            StudySpec(
+                protocol=protocol,
+                adversary=_ADVERSARIES[jammer_label](injected, horizon),
+                horizon=horizon,
+                trials=config.trials,
+                seed=config.seed,
+                label=f"{jammer_label}@{horizon}",
+                **config.execution_kwargs,
+            )
+            for jammer_label, horizon, injected in cases
+        ]
+        for (jammer_label, horizon, injected), study in zip(
+            cases, run_studies(specs)
         ):
-            for horizon in horizons:
-                injected = max(8, int(horizon / (2.0 * log2(horizon))))
-                study = study_spec(
-                    protocol,
-                    factory_builder(injected, horizon),
-                    horizon=horizon,
-                    trials=config.trials,
-                    seed=config.seed,
-                    label=f"{jammer_label}@{horizon}",
-                    **config.execution_kwargs,
-                ).run()
-                delivered = study.mean(lambda r: r.total_successes)
-                normalizer = horizon / log2(horizon)
-                ratio = delivered / normalizer
-                completion = delivered / max(
-                    1.0, study.mean(lambda r: r.total_arrivals)
-                )
-                table.add_row(
-                    jammer_label, horizon, injected, delivered, ratio, completion
-                )
-                if jammer_label == "oblivious random":
-                    findings_ratios.append(ratio)
-                    successes_by_t.append(delivered)
+            delivered = study.mean(lambda r: r.total_successes)
+            normalizer = horizon / log2(horizon)
+            ratio = delivered / normalizer
+            completion = delivered / max(
+                1.0, study.mean(lambda r: r.total_arrivals)
+            )
+            table.add_row(
+                jammer_label, horizon, injected, delivered, ratio, completion
+            )
+            if jammer_label == "oblivious random":
+                findings_ratios.append(ratio)
+                successes_by_t.append(delivered)
         result.tables.append(table)
 
         fits = fit_shape(horizons, successes_by_t, models=["linear", "x_over_log"])

@@ -13,39 +13,15 @@ bounded (its completion time is super-linear in ``n``).
 
 from __future__ import annotations
 
-from typing import Callable, List
-
-from ..adversary import (
-    Adversary,
-    BatchArrivals,
-    ComposedAdversary,
-    NoJamming,
-    PoissonArrivals,
-)
 from ..analysis.fitting import growth_exponent
 from ..analysis.tables import Table
-from ..core import AlgorithmParameters, cjz_factory
 from ..functions import constant_g, exp_sqrt_log_g
-from ..protocols import TwoChannelNoJamming, WindowedBinaryExponentialBackoff, make_factory
-from ..sim import run_trials
+from ..spec import AdversarySpec, ProtocolSpec, StudySpec
+from ._helpers import cjz_protocol_spec, run_studies
 from .base import Experiment, ExperimentResult, register
 from .config import ExperimentConfig
 
 __all__ = ["NoJammingConstantThroughputExperiment"]
-
-
-def _batch(count: int) -> Callable[[], Adversary]:
-    def _factory() -> Adversary:
-        return ComposedAdversary(BatchArrivals(count), NoJamming())
-
-    return _factory
-
-
-def _poisson(rate: float, last_slot: int) -> Callable[[], Adversary]:
-    def _factory() -> Adversary:
-        return ComposedAdversary(PoissonArrivals(rate, last_slot=last_slot), NoJamming())
-
-    return _factory
 
 
 @register
@@ -66,32 +42,51 @@ class NoJammingConstantThroughputExperiment(Experiment):
         # Use the large-g parameterization (constant f) — the natural choice
         # when no jamming is expected — alongside the worst-case one.
         contenders = {
-            "cjz (g const)": cjz_factory(AlgorithmParameters.from_g(constant_g(4.0))),
-            "cjz (g = 2^√log)": cjz_factory(
-                AlgorithmParameters.from_g(exp_sqrt_log_g())
-            ),
-            "two-channel (no-jam tuned)": make_factory(TwoChannelNoJamming),
-            "binary exponential backoff": make_factory(WindowedBinaryExponentialBackoff),
+            "cjz (g const)": cjz_protocol_spec(constant_g(4.0)),
+            "cjz (g = 2^√log)": cjz_protocol_spec(exp_sqrt_log_g()),
+            "two-channel (no-jam tuned)": ProtocolSpec("two-channel-no-jamming"),
+            "binary exponential backoff": ProtocolSpec("binary-exponential-backoff"),
         }
+        horizon = config.horizon(8192)
+        rates = (0.01, 0.03)
+        specs = [
+            StudySpec(
+                protocol=protocol,
+                adversary=AdversarySpec.batch(n),
+                horizon=max(64 * n, 2048),
+                trials=config.trials,
+                seed=config.seed,
+                stop_when_drained=True,
+                label=f"{name}@{n}",
+                **config.execution_kwargs,
+            )
+            for name, protocol in contenders.items()
+            for n in batch_sizes
+        ] + [
+            StudySpec(
+                protocol=contenders["cjz (g const)"],
+                adversary=AdversarySpec.composed(
+                    "poisson",
+                    arrival_params={"rate": rate, "last_slot": horizon // 2},
+                ),
+                horizon=horizon,
+                trials=config.trials,
+                seed=config.seed + 7,
+                label=f"poisson {rate:g}",
+                **config.execution_kwargs,
+            )
+            for rate in rates
+        ]
+        studies = iter(run_studies(specs))
 
         table = Table(
             title="Active slots per arrival, batch workload, no jamming",
             columns=["protocol", "n", "active slots", "active/arrival", "unfinished"],
         )
         overhead_series = {name: [] for name in contenders}
-        for name, factory in contenders.items():
+        for name in contenders:
             for n in batch_sizes:
-                horizon = max(64 * n, 2048)
-                study = run_trials(
-                    protocol_factory=factory,
-                    adversary_factory=_batch(n),
-                    horizon=horizon,
-                    trials=config.trials,
-                    seed=config.seed,
-                    stop_when_drained=True,
-                    label=f"{name}@{n}",
-                    **config.execution_kwargs,
-                )
+                study = next(studies)
                 active = study.mean(lambda r: r.total_active_slots)
                 per_arrival = active / n
                 overhead_series[name].append(per_arrival)
@@ -109,17 +104,7 @@ class NoJammingConstantThroughputExperiment(Experiment):
             title="Dynamic Poisson arrivals, no jamming (paper's algorithm)",
             columns=["rate", "horizon", "arrivals", "active/arrival", "unfinished"],
         )
-        horizon = config.horizon(8192)
-        for rate in (0.01, 0.03):
-            study = run_trials(
-                protocol_factory=contenders["cjz (g const)"],
-                adversary_factory=_poisson(rate, last_slot=horizon // 2),
-                horizon=horizon,
-                trials=config.trials,
-                seed=config.seed + 7,
-                label=f"poisson {rate:g}",
-                **config.execution_kwargs,
-            )
+        for rate, study in zip(rates, studies):
             arrivals = study.mean(lambda r: r.total_arrivals)
             dynamic_table.add_row(
                 rate,

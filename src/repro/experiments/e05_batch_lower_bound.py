@@ -21,11 +21,9 @@ from typing import List
 
 from ..analysis.fitting import growth_exponent
 from ..analysis.tables import Table
-from ..core import AlgorithmParameters, cjz_factory
 from ..functions import constant_g
-from ..protocols import ProbabilityBackoff, make_factory
-from ..sim import run_trials
-from ._helpers import batch_jam_adversary, log2
+from ..spec import AdversarySpec, ProtocolSpec, StudySpec
+from ._helpers import cjz_protocol_spec, log2, run_studies
 from .base import Experiment, ExperimentResult, register
 from .config import ExperimentConfig
 
@@ -62,34 +60,31 @@ class BatchLowerBoundExperiment(Experiment):
 
         completions_beb: List[float] = []
         completions_cjz: List[float] = []
-        cjz_params = AlgorithmParameters.from_g(constant_g(4.0))
-        for n in sizes:
-            horizon = max(4096, 256 * n)
-            beb_study = run_trials(
-                protocol_factory=make_factory(ProbabilityBackoff, 1.0),
-                adversary_factory=batch_jam_adversary(n),
-                horizon=horizon,
+        protocols = {
+            "1/i-batch": ProtocolSpec("probability-backoff", {"scale": 1.0}),
+            "cjz": cjz_protocol_spec(constant_g(4.0)),
+        }
+        specs = [
+            StudySpec(
+                protocol=protocol,
+                adversary=AdversarySpec.batch(n),
+                horizon=max(4096, 256 * n),
                 trials=config.trials,
                 seed=config.seed,
                 stop_when_drained=True,
-                label=f"1/i-batch n={n}",
+                label=f"{name} n={n}",
                 **config.streaming_kwargs,
             )
-            completion = beb_study.mean(_completion_slot)
+            for n in sizes
+            for name, protocol in protocols.items()
+        ]
+        studies = iter(run_studies(specs))
+        for n in sizes:
+            completion = next(studies).mean(_completion_slot)
             completions_beb.append(completion)
             table.add_row("1/i-batch", n, completion, completion / n, completion / (n * log2(n)))
 
-            cjz_study_result = run_trials(
-                protocol_factory=cjz_factory(cjz_params),
-                adversary_factory=batch_jam_adversary(n),
-                horizon=horizon,
-                trials=config.trials,
-                seed=config.seed,
-                stop_when_drained=True,
-                label=f"cjz n={n}",
-                **config.streaming_kwargs,
-            )
-            completion_cjz = cjz_study_result.mean(_completion_slot)
+            completion_cjz = next(studies).mean(_completion_slot)
             completions_cjz.append(completion_cjz)
             table.add_row(
                 "chen-jiang-zheng", n, completion_cjz, completion_cjz / n,

@@ -15,19 +15,11 @@ delivered fraction should stay bounded away from zero (roughly constant) as
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import List
 
-from ..adversary import (
-    Adversary,
-    BatchArrivals,
-    ComposedAdversary,
-    NoJamming,
-    RandomFractionJamming,
-    ReactiveJamming,
-)
 from ..analysis.tables import Table
-from ..protocols import ProbabilityBackoff, make_factory
-from ..sim import run_trials
+from ..spec import AdversarySpec, ProtocolSpec, StudySpec
+from ._helpers import run_studies
 from .base import Experiment, ExperimentResult, register
 from .config import ExperimentConfig
 
@@ -36,18 +28,17 @@ __all__ = ["BatchRobustnessExperiment"]
 WINDOW_MULTIPLIER = 8
 JAM_FRACTION = 0.25
 
+#: The jammers by name: (spec kind, parameters).
+JAMMERS = {
+    "none": ("no-jamming", {}),
+    "random": ("random-fraction", {"fraction": JAM_FRACTION}),
+    "reactive": ("reactive", {"fraction": JAM_FRACTION, "burst": 4}),
+}
 
-def _adversary(n: int, jammer: str) -> Callable[[], Adversary]:
-    def _factory() -> Adversary:
-        if jammer == "none":
-            jamming = NoJamming()
-        elif jammer == "random":
-            jamming = RandomFractionJamming(JAM_FRACTION)
-        else:
-            jamming = ReactiveJamming(JAM_FRACTION, burst=4)
-        return ComposedAdversary(BatchArrivals(n), jamming)
 
-    return _factory
+def _adversary(n: int, jammer: str) -> AdversarySpec:
+    kind, params = JAMMERS[jammer]
+    return AdversarySpec.composed("batch", kind, {"count": n}, params)
 
 
 @register
@@ -81,34 +72,36 @@ class BatchRobustnessExperiment(Experiment):
             ],
         )
         fractions_random: List[float] = []
-        for jammer in ("none", "random", "reactive"):
-            for n in sizes:
-                window = WINDOW_MULTIPLIER * n
-                study = run_trials(
-                    protocol_factory=make_factory(ProbabilityBackoff, 1.0),
-                    adversary_factory=_adversary(n, jammer),
-                    horizon=window,
-                    trials=config.trials,
-                    seed=config.seed,
-                    label=f"{jammer}-{n}",
-                    **config.execution_kwargs,
-                )
-                delivered = study.mean(lambda r: r.total_successes)
-                fraction = delivered / n
-                if jammer == "random":
-                    fractions_random.append(fraction)
-                health = study.health
-                table.add_row(
-                    jammer,
-                    n,
-                    window,
-                    delivered,
-                    fraction,
-                    health.retries,
-                    health.shard_failures,
-                    len(health.demotions),
-                    "clean" if health.clean else health.describe(),
-                )
+        cases = [(jammer, n) for jammer in JAMMERS for n in sizes]
+        specs = [
+            StudySpec(
+                protocol=ProtocolSpec("probability-backoff", {"scale": 1.0}),
+                adversary=_adversary(n, jammer),
+                horizon=WINDOW_MULTIPLIER * n,
+                trials=config.trials,
+                seed=config.seed,
+                label=f"{jammer}-{n}",
+                **config.execution_kwargs,
+            )
+            for jammer, n in cases
+        ]
+        for (jammer, n), study in zip(cases, run_studies(specs)):
+            delivered = study.mean(lambda r: r.total_successes)
+            fraction = delivered / n
+            if jammer == "random":
+                fractions_random.append(fraction)
+            health = study.health
+            table.add_row(
+                jammer,
+                n,
+                WINDOW_MULTIPLIER * n,
+                delivered,
+                fraction,
+                health.retries,
+                health.shard_failures,
+                len(health.demotions),
+                "clean" if health.clean else health.describe(),
+            )
         result.tables.append(table)
 
         min_fraction = min(fractions_random)

@@ -22,55 +22,32 @@ while the paper's algorithm is good in both.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Dict
 
-from ..adversary import (
-    Adversary,
-    BatchArrivals,
-    ComposedAdversary,
-    LowerBoundAdversary,
-    RandomFractionJamming,
-)
 from ..analysis.tables import Table
-from ..core import AlgorithmParameters, cjz_factory
 from ..functions import constant_g
-from ..protocols import (
-    LogUniformFixedProtocol,
-    ProbabilityBackoff,
-    SlottedAloha,
-    make_factory,
-)
-from ..sim import run_trials
-from ._helpers import log2
+from ..spec import AdversarySpec, ProtocolSpec, StudySpec, rate_function_to_spec
+from ._helpers import cjz_protocol_spec, run_studies
 from .base import Experiment, ExperimentResult, register
 from .config import ExperimentConfig
 
 __all__ = ["NonAdaptiveFailureExperiment"]
 
 
-def _front_jam_adversary(horizon: int) -> Callable[[], Adversary]:
+def _front_jam_adversary() -> AdversarySpec:
     """Scenario A: lone node, jam the first t/(4·g(t)) slots plus a random tail."""
-    g = constant_g(4.0)
-
-    def _factory() -> Adversary:
-        return LowerBoundAdversary(horizon=horizon, g=g, initial_nodes=1)
-
-    return _factory
+    g = rate_function_to_spec(constant_g(4.0))
+    return AdversarySpec(kind="lower-bound", params={"g": g, "initial_nodes": 1})
 
 
-def _crowd_adversary(horizon: int) -> Callable[[], Adversary]:
+def _crowd_adversary(horizon: int) -> AdversarySpec:
     """Scenario B: a crowd of t/16 nodes at slot 1 plus 25% jamming.
 
     The crowd is sized so the paper's algorithm can just drain it within the
     horizon (it needs Θ(f(t)) ≈ a dozen active slots per node) while
     constant-probability senders generate hopeless contention.
     """
-    crowd = max(16, horizon // 16)
-
-    def _factory() -> Adversary:
-        return ComposedAdversary(BatchArrivals(crowd), RandomFractionJamming(0.25))
-
-    return _factory
+    return AdversarySpec.batch(max(16, horizon // 16), jam_fraction=0.25)
 
 
 def _first_success_delay(result) -> float:
@@ -112,14 +89,31 @@ class NonAdaptiveFailureExperiment(Experiment):
     def run(self, config: ExperimentConfig) -> ExperimentResult:
         result = self.make_result()
         horizon = config.horizon(8192)
-        contenders: Dict[str, Callable] = {
-            "cjz (adaptive backoff)": cjz_factory(
-                AlgorithmParameters.from_g(constant_g(4.0))
+        contenders: Dict[str, ProtocolSpec] = {
+            "cjz (adaptive backoff)": cjz_protocol_spec(constant_g(4.0)),
+            "fixed 1/i": ProtocolSpec("probability-backoff", {"scale": 1.0}),
+            "fixed log(i)/i": ProtocolSpec("log-uniform-fixed", {"scale": 1.0}),
+            "slotted aloha (p=0.05)": ProtocolSpec(
+                "slotted-aloha", {"probability": 0.05}
             ),
-            "fixed 1/i": make_factory(ProbabilityBackoff, 1.0),
-            "fixed log(i)/i": make_factory(LogUniformFixedProtocol, 1.0),
-            "slotted aloha (p=0.05)": make_factory(SlottedAloha, 0.05),
         }
+        specs = [
+            StudySpec(
+                protocol=protocol,
+                adversary=adversary,
+                horizon=horizon,
+                trials=config.trials,
+                seed=seed,
+                label=f"{scenario}/{name}",
+                **config.execution_kwargs,
+            )
+            for scenario, adversary, seed in (
+                ("A", _front_jam_adversary(), config.seed),
+                ("B", _crowd_adversary(horizon), config.seed + 1),
+            )
+            for name, protocol in contenders.items()
+        ]
+        studies = run_studies(specs)
 
         # Scenario A: recovery of a lone node after front-loaded jamming.
         table_a = Table(
@@ -127,16 +121,7 @@ class NonAdaptiveFailureExperiment(Experiment):
             columns=["protocol", "mean delay after jam prefix", "failed to deliver"],
         )
         delays: Dict[str, float] = {}
-        for name, factory in contenders.items():
-            study = run_trials(
-                protocol_factory=factory,
-                adversary_factory=_front_jam_adversary(horizon),
-                horizon=horizon,
-                trials=config.trials,
-                seed=config.seed,
-                label=f"A/{name}",
-                **config.execution_kwargs,
-            )
+        for name, study in zip(contenders, studies[: len(contenders)]):
             delays[name] = study.mean(_first_success_delay)
             table_a.add_row(
                 name,
@@ -151,16 +136,7 @@ class NonAdaptiveFailureExperiment(Experiment):
             columns=["protocol", "delivered", "unfinished fraction"],
         )
         unfinished: Dict[str, float] = {}
-        for name, factory in contenders.items():
-            study = run_trials(
-                protocol_factory=factory,
-                adversary_factory=_crowd_adversary(horizon),
-                horizon=horizon,
-                trials=config.trials,
-                seed=config.seed + 1,
-                label=f"B/{name}",
-                **config.execution_kwargs,
-            )
+        for name, study in zip(contenders, studies[len(contenders) :]):
             unfinished[name] = study.mean(_unfinished_fraction)
             table_b.add_row(
                 name,

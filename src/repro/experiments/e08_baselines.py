@@ -15,17 +15,10 @@ from __future__ import annotations
 from typing import Dict
 
 from ..analysis.comparison import compare_protocols, comparison_table
-from ..core import AlgorithmParameters, cjz_factory
 from ..functions import constant_g
-from ..protocols import (
-    PolynomialBackoff,
-    SawtoothBackoff,
-    SlottedAloha,
-    WindowedBinaryExponentialBackoff,
-    make_factory,
-)
-from ..sim import run_trials
-from ..workloads import STANDARD_SCENARIOS, build_adversary_factory
+from ..spec import ProtocolSpec, StudySpec
+from ..workloads import STANDARD_SCENARIOS
+from ._helpers import cjz_protocol_spec, run_studies
 from .base import Experiment, ExperimentResult, register
 from .config import ExperimentConfig
 
@@ -46,18 +39,15 @@ class BaselineComparisonExperiment(Experiment):
     def run(self, config: ExperimentConfig) -> ExperimentResult:
         result = self.make_result()
         contenders = {
-            "chen-jiang-zheng": cjz_factory(AlgorithmParameters.from_g(constant_g(4.0))),
-            "binary-exponential": make_factory(WindowedBinaryExponentialBackoff),
-            "polynomial": make_factory(PolynomialBackoff, 2.0),
-            "sawtooth": make_factory(SawtoothBackoff),
-            "aloha(0.05)": make_factory(SlottedAloha, 0.05),
+            "chen-jiang-zheng": cjz_protocol_spec(constant_g(4.0)),
+            "binary-exponential": ProtocolSpec("binary-exponential-backoff"),
+            "polynomial": ProtocolSpec("polynomial-backoff", {"degree": 2.0}),
+            "sawtooth": ProtocolSpec("sawtooth-backoff"),
+            "aloha(0.05)": ProtocolSpec("slotted-aloha", {"probability": 0.05}),
         }
 
-        # Unfinished *fraction* of arrivals, per protocol, worst over scenarios.
-        worst_unfinished: Dict[str, float] = {name: 0.0 for name in contenders}
-        scenario_count = 0
+        specs = []
         for key, scenario in STANDARD_SCENARIOS.items():
-            scenario_count += 1
             spec = scenario.spec
             # Scale the horizon and the arrival volume together so the offered
             # load per slot (and hence feasibility) is preserved across scales.
@@ -77,18 +67,27 @@ class BaselineComparisonExperiment(Experiment):
                 jamming_params=spec.jamming_params,
                 label=spec.label,
             )
-            studies = {}
-            for name, factory in contenders.items():
-                studies[name] = run_trials(
-                    protocol_factory=factory,
-                    adversary_factory=build_adversary_factory(spec_scaled),
+            specs += [
+                StudySpec(
+                    protocol=protocol,
+                    adversary=spec_scaled.to_adversary_spec(),
                     horizon=horizon,
                     trials=config.trials,
                     seed=config.seed,
                     label=key,
                     **config.execution_kwargs,
                 )
-            rows = compare_protocols(studies, workload=key)
+                for protocol in contenders.values()
+            ]
+        studies = iter(run_studies(specs))
+
+        # Unfinished *fraction* of arrivals, per protocol, worst over scenarios.
+        worst_unfinished: Dict[str, float] = {name: 0.0 for name in contenders}
+        scenario_count = 0
+        for key, scenario in STANDARD_SCENARIOS.items():
+            scenario_count += 1
+            by_protocol = {name: next(studies) for name in contenders}
+            rows = compare_protocols(by_protocol, workload=key)
             result.tables.append(
                 comparison_table(rows, title=f"Scenario: {key} — {scenario.description}")
             )

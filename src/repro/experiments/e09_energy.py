@@ -15,12 +15,10 @@ from typing import List
 
 from ..analysis.fitting import growth_exponent
 from ..analysis.tables import Table
-from ..core import AlgorithmParameters, cjz_factory
 from ..functions import constant_g
 from ..metrics import EnergyReducer
-from ..sim import run_trials
-from ..spec import PipelineSpec
-from ._helpers import batch_jam_adversary, log2
+from ..spec import AdversarySpec, PipelineSpec, StudySpec
+from ._helpers import cjz_protocol_spec, log2, run_studies
 from .base import Experiment, ExperimentResult, register
 from .config import ExperimentConfig
 
@@ -42,7 +40,6 @@ class EnergyComplexityExperiment(Experiment):
         result = self.make_result()
         base_n = config.count(32)
         sizes = [base_n, base_n * 2, base_n * 4, base_n * 8]
-        parameters = AlgorithmParameters.from_g(constant_g(4.0))
 
         table = Table(
             title="Broadcast attempts per node (paper's algorithm)",
@@ -52,31 +49,37 @@ class EnergyComplexityExperiment(Experiment):
         # needs the per-slot columns and honors --streaming at any horizon.
         pipeline = PipelineSpec.of(EnergyReducer())
         means_no_jam: List[float] = []
-        for jam_fraction, label in ((0.0, "none"), (0.25, "25% random")):
-            for n in sizes:
-                horizon = max(4096, 128 * n)
-                study = run_trials(
-                    protocol_factory=cjz_factory(parameters),
-                    adversary_factory=batch_jam_adversary(n, jam_fraction),
-                    horizon=horizon,
-                    trials=config.trials,
-                    seed=config.seed,
-                    stop_when_drained=True,
-                    label=f"{label}-{n}",
-                    pipeline=pipeline,
-                    **config.streaming_kwargs,
-                )
-                energy = study.metrics()["energy"]
-                if jam_fraction == 0.0:
-                    means_no_jam.append(energy.mean)
-                table.add_row(
-                    label,
-                    n,
-                    energy.mean,
-                    energy.p95,
-                    energy.maximum,
-                    energy.mean / (log2(n) ** 2),
-                )
+        cases = [
+            (jam_fraction, label, n)
+            for jam_fraction, label in ((0.0, "none"), (0.25, "25% random"))
+            for n in sizes
+        ]
+        specs = [
+            StudySpec(
+                protocol=cjz_protocol_spec(constant_g(4.0)),
+                adversary=AdversarySpec.batch(n, jam_fraction=jam_fraction),
+                horizon=max(4096, 128 * n),
+                trials=config.trials,
+                seed=config.seed,
+                stop_when_drained=True,
+                label=f"{label}-{n}",
+                pipeline=pipeline,
+                **config.streaming_kwargs,
+            )
+            for jam_fraction, label, n in cases
+        ]
+        for (jam_fraction, label, n), study in zip(cases, run_studies(specs)):
+            energy = study.metrics()["energy"]
+            if jam_fraction == 0.0:
+                means_no_jam.append(energy.mean)
+            table.add_row(
+                label,
+                n,
+                energy.mean,
+                energy.p95,
+                energy.maximum,
+                energy.mean / (log2(n) ** 2),
+            )
         result.tables.append(table)
 
         exponent = growth_exponent(sizes, means_no_jam)

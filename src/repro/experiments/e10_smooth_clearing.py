@@ -16,24 +16,17 @@ horizon.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import List
 
-from ..adversary import Adversary, SmoothAdversary
 from ..analysis.tables import Table
-from ..core import AlgorithmParameters, cjz_factory
+from ..core import AlgorithmParameters
 from ..functions import constant_g
-from ..sim import run_trials
+from ..spec import AdversarySpec, StudySpec, rate_function_to_spec
+from ._helpers import cjz_protocol_spec, run_studies
 from .base import Experiment, ExperimentResult, register
 from .config import ExperimentConfig
 
 __all__ = ["SmoothClearingExperiment"]
-
-
-def _smooth_adversary(horizon: int, parameters: AlgorithmParameters) -> Callable[[], Adversary]:
-    def _factory() -> Adversary:
-        return SmoothAdversary(horizon=horizon, f=parameters.f, g=parameters.g)
-
-    return _factory
 
 
 def _all_cleared_before(result, cutoff: int) -> bool:
@@ -67,24 +60,35 @@ class SmoothClearingExperiment(Experiment):
     def run(self, config: ExperimentConfig) -> ExperimentResult:
         result = self.make_result()
         horizon = config.horizon(8192)
-        parameters = AlgorithmParameters.from_g(constant_g(4.0))
-        adversary_factory = _smooth_adversary(horizon, parameters)
+        g = constant_g(4.0)
+        parameters = AlgorithmParameters.from_g(g)
+        adversary = AdversarySpec(
+            kind="smooth",
+            params={
+                "f": rate_function_to_spec(parameters.f),
+                "g": rate_function_to_spec(parameters.g),
+            },
+        )
 
         # Validate the adversary really is smooth before using it.
         import numpy as np
 
-        probe = adversary_factory()
+        probe = adversary.build(horizon)
         probe.setup(np.random.default_rng(0), horizon)
         smooth_ok = probe.verify_smoothness()
 
-        study = run_trials(
-            protocol_factory=cjz_factory(parameters),
-            adversary_factory=adversary_factory,
-            horizon=horizon,
-            trials=config.trials,
-            seed=config.seed,
-            label="smooth",
-            **config.streaming_kwargs,
+        (study,) = run_studies(
+            [
+                StudySpec(
+                    protocol=cjz_protocol_spec(g),
+                    adversary=adversary,
+                    horizon=horizon,
+                    trials=config.trials,
+                    seed=config.seed,
+                    label="smooth",
+                    **config.streaming_kwargs,
+                )
+            ]
         )
 
         suffixes: List[int] = [horizon // 16, horizon // 8, horizon // 4, horizon // 2]

@@ -545,16 +545,15 @@ class SweepServer:
         jobs cannot fuse with the lead are re-queued with their original
         ordering tuple; stale entries are dropped exactly as the dispatch
         loop would drop them.  The group is bounded by ``cap`` jobs and the
-        fused block's trial budget.
+        fused block's trial budget at the group's largest horizon.
         """
         from ..sim.backends.fused import fusion_budget, fusion_key
 
         key = fusion_key(lead.spec)
         if key is None:
             return []
-        budget = fusion_budget(lead.spec.horizon)
-        trials = lead.spec.trials
-        if trials > budget:
+        trials, horizon = lead.spec.trials, lead.spec.horizon
+        if trials > fusion_budget(horizon):
             return []
         group: List[Job] = []
         requeue: List[Tuple[int, int, str]] = []
@@ -566,12 +565,15 @@ class SweepServer:
             candidate = self._jobs.get(entry[2])
             if candidate is None or candidate.status != "queued":
                 continue  # stale queue entry
+            spec = candidate.spec
+            widest = max(horizon, spec.horizon)
             if (
-                candidate.spec.trials + trials <= budget
-                and fusion_key(candidate.spec) == key
+                spec.trials + trials <= fusion_budget(widest)
+                and fusion_key(spec) == key
             ):
                 group.append(candidate)
-                trials += candidate.spec.trials
+                trials += spec.trials
+                horizon = widest
             else:
                 requeue.append(entry)
         for entry in requeue:

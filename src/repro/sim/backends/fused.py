@@ -6,29 +6,37 @@ compilation, pool seeding, the per-slot Python overhead of the lockstep
 loop.  This module stacks *compatible* points along the existing trials
 axis and executes them as ONE lockstep (or compiled) run:
 
-* :func:`fusion_key` decides compatibility — same protocol family, horizon,
-  early-stop policy and columnar adversary driver family;
+* :func:`fusion_key` decides compatibility — same canonical protocol spec,
+  early-stop policy and columnar adversary driver family.  Horizons may
+  differ (each trial stops at its own), except where the compiled tier,
+  which runs one horizon, could take the group;
 * :func:`plan_fusion_groups` partitions a plan's pending points into
-  groups, bounded by the lockstep kernel's block trial budget;
+  groups, bounded by the lockstep kernel's block trial budget at each
+  group's largest horizon;
 * :func:`run_fused_group` executes one group and splits the results back
-  into ordinary per-spec :class:`~repro.sim.runner.TrialStudy` objects, so
-  store/dedupe semantics are untouched.
+  into ordinary per-spec :class:`~repro.sim.runner.TrialStudy` objects —
+  each member reducing its own metric pipeline and, when streaming,
+  releasing its own columns — so store/dedupe semantics are untouched.
 
 Bit-for-bit reproducibility
 ---------------------------
 
 Fusion changes *layout*, never *streams*.  Each member study keeps its own
 :class:`~repro.sim.backends.studysupport.SeedPlan` (trial ``t`` of member
-``m`` derives exactly the states its solo run would), its own adversary
-driver built with the member's plan (consuming member streams exactly as
-the solo path does), and — when protocol parameters differ within a group —
-its own unmodified :class:`~repro.protocols.base.LockstepProgram`, driven
-through a row-translating composite.  The shared
-:class:`~repro.rng.NodeStreamPool` draws per-row independent streams, the
-slot loop's bookkeeping is per-trial independent, and a shared capacity or
-a longer tail past one member's drain point changes nothing a trial can
-observe.  The property suite enforces equality against per-point serial
-execution for mixed grids.
+``m`` derives exactly the states its solo run would) and its own adversary
+driver, built with the member's plan and horizon (consuming member streams
+exactly as the solo path does) and padded with empty slots up to the run's
+horizon.  The group binds one program at its largest horizon; every
+bundled program's tables agree, below that horizon, with the tables it
+binds at a shorter one.  The shared :class:`~repro.rng.NodeStreamPool`
+draws per-row independent streams, the slot loop's bookkeeping is
+per-trial independent, and a shared capacity or a longer tail past one
+member's horizon or drain point changes nothing a trial can observe.  The
+planner never mixes protocol parameters, but :func:`run_fused_group` still
+runs a group it is handed that does: each member keeps its own unmodified
+:class:`~repro.protocols.base.LockstepProgram`, driven through a
+row-translating composite.  The property suite enforces equality against
+per-point serial execution and the reference kernel for mixed grids.
 
 A ``None`` return anywhere means "fall back to per-point dispatch"; the
 group's members then run exactly as they would have without fusion.
@@ -36,7 +44,10 @@ group's members then run exactly as they would have without fusion.
 
 from __future__ import annotations
 
+import functools
+import os
 import time
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,14 +72,17 @@ from .studysupport import SeedPlan
 __all__ = ["fusion_budget", "fusion_key", "plan_fusion_groups", "run_fused_group"]
 
 #: Backends a fused run may substitute for (results are backend-invariant;
-#: explicit reference/per-trial pins are honoured by not fusing).
-_FUSIBLE_BACKENDS = ("auto", "lockstep", "lockstep-jit", "batched-study")
+#: explicit batched-study, reference and per-trial pins are honoured by not
+#: fusing, so a pin the study cannot take still raises).
+_FUSIBLE_BACKENDS = ("auto", "lockstep", "lockstep-jit")
 
 #: Backends under which the group may take the compiled (lockstep-jit) tier.
 _COMPILED_BACKENDS = ("auto", "lockstep-jit")
 
-#: Backends under which a point may run on the batched study kernel.
-_BATCHED_BACKENDS = ("auto", "batched-study")
+#: The environment switches :func:`~repro.sim.backends.compiled.
+#: interpreter_mode` reads; with them fixed, only numba's importability
+#: decides its answer.
+_INTERPRETER_SWITCHES = ("REPRO_DISABLE_NUMBA", "REPRO_COMPILED_FORCE_PYTHON")
 
 
 # ---------------------------------------------------------------- grouping
@@ -97,39 +111,61 @@ def _driver_family(spec) -> str:
     return "generic"
 
 
+@functools.lru_cache(maxsize=None)
+def _interpreter_on(switches: Tuple[Optional[str], ...]) -> bool:
+    """``interpreter_mode() != "off"`` for one setting of its ``switches``,
+    asked once: without numba each ask is a failed import, which searches
+    the whole import path, and :func:`fusion_key` asks for every point."""
+    from .compiled import interpreter_mode
+
+    return interpreter_mode() != "off"
+
+
 def fusion_key(spec) -> Optional[Tuple]:
     """The compatibility group of a spec, or ``None`` when it cannot fuse.
 
-    Points fuse when they share the protocol family (one program type, so
-    a single or composite program covers the group), the horizon and
-    early-stop policy (one slot loop), and the adversary driver family
-    (one merged driver).  Trace retention, metric pipelines, streaming
-    memory policy, unseeded studies and explicit per-trial/reference
-    backend pins all opt out, and so do points the batched study kernel
-    takes on their own (a vector-eligible protocol against a precompilable
-    adversary under ``auto`` or ``batched-study``): its one-pass array
-    resolution beats a fused slot loop on them.
+    Points fuse when they share the canonical protocol spec (one program),
+    the early-stop policy and the adversary driver family (one merged
+    driver).  Horizons may differ: every trial stops at its own.  Only
+    when the compiled tier could take the group — interpreter on, program
+    with compiled tables, backend allowing ``lockstep-jit`` — does the key
+    keep the horizon, since that tier runs one horizon.  Trace retention,
+    unseeded studies and explicit batched-study, reference and per-trial
+    backend pins opt out, and so do points the batched study kernel takes
+    on their own (a vector-eligible protocol against a precompilable
+    adversary under ``auto``): its one-pass array resolution beats a fused
+    slot loop on them.
     """
-    if spec.keep_trace or spec.streaming or spec.pipeline is not None:
-        return None
-    if spec.seed is None or spec.horizon >= 2**31:
+    if spec.keep_trace or spec.seed is None or spec.horizon >= 2**31:
         return None
     if spec.backend not in _FUSIBLE_BACKENDS:
         return None
     try:
         protocol = spec.protocol.build()()
-        if protocol.lockstep_program() is None:
+        program = protocol.lockstep_program()
+        if program is None:
             return None
         family = _driver_family(spec)
+        key = (
+            canonical_key(spec.protocol.to_dict()),
+            spec.stop_when_drained,
+            family,
+        )
     except Exception:
         return None
     if (
-        spec.backend in _BATCHED_BACKENDS
+        spec.backend == "auto"
         and protocol.vector_eligible
         and family == "precompiled"
     ):
         return None
-    return (spec.protocol.kind, spec.horizon, spec.stop_when_drained, family)
+    if (
+        spec.backend in _COMPILED_BACKENDS
+        and _interpreter_on(tuple(map(os.environ.get, _INTERPRETER_SWITCHES)))
+        and program.compiled_tables(spec.horizon) is not None
+    ):
+        key += (spec.horizon,)
+    return key
 
 
 def fusion_budget(horizon: int) -> int:
@@ -156,20 +192,22 @@ def plan_fusion_groups(
         buckets.setdefault(key, []).append((index, spec))
 
     groups: List[List[Tuple[int, Any]]] = []
-    for key, members in buckets.items():
-        budget = fusion_budget(key[1])
+    for members in buckets.values():
         chunk: List[Tuple[int, Any]] = []
-        chunk_trials = 0
+        chunk_trials = chunk_horizon = 0
         for member in members:
-            trials = member[1].trials
-            if trials > budget:
+            spec = member[1]
+            if spec.trials > fusion_budget(spec.horizon):
                 continue  # the solo path blocks internally; don't fuse it
-            if chunk and chunk_trials + trials > budget:
+            # One fused run binds every trial at the chunk's largest horizon.
+            horizon = max(spec.horizon, chunk_horizon)
+            if chunk and chunk_trials + spec.trials > fusion_budget(horizon):
                 if len(chunk) >= 2:
                     groups.append(chunk)
-                chunk, chunk_trials = [], 0
+                chunk, chunk_trials, horizon = [], 0, spec.horizon
             chunk.append(member)
-            chunk_trials += trials
+            chunk_trials += spec.trials
+            chunk_horizon = horizon
         if len(chunk) >= 2:
             groups.append(chunk)
     return groups
@@ -348,15 +386,28 @@ class _CompositeLockstepProgram:
 # ---------------------------------------------------------- driver merging
 
 
+def _stack_schedules(schedules: List[np.ndarray], horizon: int) -> np.ndarray:
+    """Member schedules stacked along trials, padded with empty slots."""
+    out = np.zeros(
+        (sum(len(s) for s in schedules), horizon + 1), dtype=schedules[0].dtype
+    )
+    row = 0
+    for schedule in schedules:
+        out[row : row + len(schedule), : schedule.shape[1]] = schedule
+        row += len(schedule)
+    return out
+
+
 def _merge_drivers(
-    drivers: List[LockstepAdversaryDriver],
+    drivers: List[LockstepAdversaryDriver], horizon: int
 ) -> Optional[LockstepAdversaryDriver]:
     """One driver over the stacked trials, or ``None`` when types mix.
 
     All four driver families keep strictly per-trial state (schedules,
     counters, adversary instances), so merging is concatenation along the
-    trial axis; merged mutable state starts zeroed exactly as each member's
-    fresh driver's does.
+    trial axis, each schedule padded with empty slots up to the run's
+    ``horizon``; merged mutable state starts zeroed exactly as each
+    member's fresh driver's does.
     """
     first = type(drivers[0])
     if any(type(driver) is not first for driver in drivers):
@@ -365,13 +416,13 @@ def _merge_drivers(
     if first is PrecompiledLockstepDriver:
         return PrecompiledLockstepDriver(
             adversaries,
-            np.concatenate([d.arrival_schedule for d in drivers], axis=0),
-            np.concatenate([d._jammed for d in drivers], axis=0),
+            _stack_schedules([d.arrival_schedule for d in drivers], horizon),
+            _stack_schedules([d._jammed for d in drivers], horizon),
         )
     if first is ReactiveJammingLockstepDriver:
         return ReactiveJammingLockstepDriver(
             adversaries,
-            np.concatenate([d.arrival_schedule for d in drivers], axis=0),
+            _stack_schedules([d.arrival_schedule for d in drivers], horizon),
             np.concatenate([d._fraction for d in drivers]),
             np.concatenate([d._burst for d in drivers]),
         )
@@ -398,11 +449,11 @@ def run_fused_group(specs: Sequence[Any]) -> Optional[List[Any]]:
     faults.active_plan().maybe_raise("fused-group", points=len(specs))
     if not streams_verified():
         return None
-    first = specs[0]
+    horizons = [spec.horizon for spec in specs]
     config = SimulatorConfig(
-        horizon=first.horizon,
+        horizon=max(horizons),
         keep_trace=False,
-        stop_when_drained=first.stop_when_drained,
+        stop_when_drained=specs[0].stop_when_drained,
     )
 
     plans: List[SeedPlan] = []
@@ -416,11 +467,13 @@ def run_fused_group(specs: Sequence[Any]) -> Optional[List[Any]]:
         plan = SeedPlan.build(TrialSeedBatch(spec.seed, spec.trials))
         if not plan.fast:
             return None
-        # The member's driver is built with the member's own plan, so its
-        # setup/precompile consume the member's streams exactly as a solo
-        # run would.
+        # The member's driver is built with the member's own plan and
+        # horizon, so its setup/precompile consume the member's streams
+        # exactly as a solo run would.
         driver = build_lockstep_driver(
-            spec.adversary.factory(spec.horizon), config, plan
+            spec.adversary.factory(spec.horizon),
+            replace(config, horizon=spec.horizon),
+            plan,
         )
         if driver is None:
             return None
@@ -436,7 +489,7 @@ def run_fused_group(specs: Sequence[Any]) -> Optional[List[Any]]:
                 getattr(factory, "protocol_name", None) or "protocol"
             )
 
-    merged = _merge_drivers(drivers)
+    merged = _merge_drivers(drivers, config.horizon)
     if merged is None:
         return None
     fused_plan = _FusedSeedPlan(plans)
@@ -449,13 +502,21 @@ def run_fused_group(specs: Sequence[Any]) -> Optional[List[Any]]:
 
     start = time.perf_counter()
     results = None
-    if uniform and all(spec.backend in _COMPILED_BACKENDS for spec in specs):
+    mixed = len(set(horizons)) > 1
+    if (
+        uniform
+        and not mixed
+        and all(spec.backend in _COMPILED_BACKENDS for spec in specs)
+    ):
         results = _run_compiled_fused(
             program, merged, config, fused_plan, protocol_name
         )
     if results is None:
+        trial_horizons = (
+            np.repeat(horizons, [spec.trials for spec in specs]) if mixed else None
+        )
         results = _LockstepRun(
-            program, merged, config, fused_plan, protocol_name
+            program, merged, config, fused_plan, protocol_name, trial_horizons
         ).execute()
     elapsed = time.perf_counter() - start
     per_trial = elapsed / max(1, len(results))
@@ -518,6 +579,14 @@ def _split_studies(specs: Sequence[Any], results: List[Any]) -> List[Any]:
     for spec in specs:
         chunk = results[offset : offset + spec.trials]
         offset += spec.trials
+        # Each member reduces its own trials in order and, streaming,
+        # releases their columns, as TrialRunner._absorb does.
+        pipeline = spec.pipeline.build() if spec.pipeline is not None else None
+        for result in chunk:
+            if pipeline is not None:
+                pipeline.update(result)
+            if spec.streaming:
+                result.release_counters()
         health = RunHealth(
             requested_workers=spec.workers, effective_workers=1
         )
@@ -526,6 +595,7 @@ def _split_studies(specs: Sequence[Any], results: List[Any]) -> List[Any]:
                 results=chunk,
                 label=spec.display_label,
                 effective_workers=1,
+                pipeline=pipeline,
                 health=health,
             )
         )

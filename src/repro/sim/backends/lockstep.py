@@ -33,6 +33,17 @@ outweighs its element work.  The loop therefore counts with
 ``np.count_nonzero``, takes indices with ``.nonzero()[0]`` and shares
 read-only arrays across the slots without a sender or a success.
 
+Trials stop one by one.  Under ``stop_when_drained`` a trial stops once
+its system is empty and its arrivals are exhausted, which can newly happen
+only in a slot with a success; a drained trial whose adversary may still
+inject is checked every slot until it can.  A fused run
+(:mod:`~repro.sim.backends.fused`) may stack studies of different
+horizons: it binds at the largest, pads every shorter member's adversary
+schedule with empty slots, and stops each trial at the first visited slot
+that reaches its own horizon, the way a drained trial stops.  The stop
+step runs only on those slots, and each horizon's results are emitted from
+prefix planes cut to it.
+
 Bit-for-bit reproducibility
 ---------------------------
 
@@ -54,7 +65,7 @@ batched study kernel does not take runs here (or on the compiled tier).
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -242,6 +253,7 @@ class _LockstepRun:
         config,
         plan: SeedPlan,
         protocol_name: str,
+        horizons: Optional[np.ndarray] = None,
     ) -> None:
         self._program = program
         self._driver = driver
@@ -291,7 +303,18 @@ class _LockstepRun:
         self._active = _read_only(np.zeros(0, dtype=np.int64))
         self._active_trials = np.zeros(0, dtype=np.int64)
         self._trial_active = _read_only(np.ones(trials, dtype=bool))
-        self._simulated = np.full(trials, horizon, dtype=np.int64)
+        # A running trial's ``_simulated`` entry is its horizon.  A fused
+        # run of mixed horizons binds at the largest and passes them per
+        # trial; ``_next_end`` is the earliest one still running.
+        self._horizons = horizons
+        if horizons is None:
+            self._simulated = np.full(trials, horizon, dtype=np.int64)
+            self._next_end = horizon + 1
+        else:
+            self._simulated = np.array(horizons, dtype=np.int64)
+            self._next_end = int(horizons.min())
+        # A drained trial waits while its adversary may still inject.
+        self._waiting = False
         self._arrivals_m = np.zeros((trials, horizon + 1), dtype=np.int64)
         self._jam_m = np.zeros((trials, horizon + 1), dtype=bool)
         self._success_m = np.zeros((trials, horizon + 1), dtype=bool)
@@ -397,12 +420,10 @@ class _LockstepRun:
         while slot <= horizon:
             # An idle slot draws no stream and runs no program hook, and the
             # study matrices are already zero there, so the driver can jump
-            # the whole stretch.  Under stop_when_drained a running trial
-            # that holds nodes may stop in any slot of it; step those.
-            if not self._active.size and not (
-                drain
-                and np.count_nonzero(self._trial_active & (self._node_count > 0))
-            ):
+            # the whole stretch.  Under stop_when_drained a drained trial
+            # waiting for its arrivals to run out may stop in any slot of
+            # it; step those.
+            if not self._active.size and not self._waiting:
                 slot = driver.skip_idle(slot, self._trial_active, self._jam_m)
                 if slot > horizon:
                     break
@@ -443,48 +464,89 @@ class _LockstepRun:
                 keep = ~own
                 self._active = _read_only(rows[keep])
                 self._active_trials = self._active_trials[keep]
-            if drain and self._check_drained(slot):
-                break
+            # A trial stops once its horizon has passed, or when it drains,
+            # which it newly can only in a slot with a success.
+            if slot >= self._next_end or (
+                drain and (success is not no_success or self._waiting)
+            ):
+                if self._stop_trials(slot):
+                    break
             slot += 1
         return self._emit()
 
-    def _check_drained(self, slot: int) -> bool:
-        """Stop trials whose system is empty and arrivals exhausted.
+    def _stop_trials(self, slot: int) -> bool:
+        """Stop the trials whose horizon has passed or whose system drained.
 
-        Returns True when every trial has stopped.  A stopping trial has no
-        active rows by construction (occupancy is exactly its live node
-        count), so the active row set needs no pruning.
+        A trial past its horizon keeps the horizon as its length and leaves
+        the active row set.  A drained trial (system empty, arrivals
+        exhausted) stops at ``slot``; it has no active rows by construction
+        (occupancy is exactly its live node count).  Returns True when
+        every trial has stopped.
         """
-        drained = (
-            self._trial_active
-            & (self._node_count > 0)
-            & (self._node_count == self._success_count)
-        )
-        stopped = drained.nonzero()[0].tolist()
-        stopped = [t for t in stopped if self._driver.exhausted(t, slot)]
-        if stopped:
-            trial_active = self._trial_active.copy()
+        trial_active = self._trial_active.copy()
+        ended = slot >= self._next_end
+        if ended:
+            trial_active &= self._simulated > slot
+        if self._config.stop_when_drained:
+            drained = (
+                trial_active
+                & (self._node_count > 0)
+                & (self._node_count == self._success_count)
+            )
+            candidates = drained.nonzero()[0].tolist()
+            stopped = [t for t in candidates if self._driver.exhausted(t, slot)]
+            self._waiting = len(stopped) < len(candidates)
             trial_active[stopped] = False
-            self._trial_active = _read_only(trial_active)
             self._simulated[stopped] = slot
-        return not np.count_nonzero(self._trial_active)
+        if ended:
+            keep = trial_active[self._active_trials]
+            self._active = _read_only(self._active[keep])
+            self._active_trials = self._active_trials[keep]
+            self._next_end = int(
+                self._simulated[trial_active].min(initial=self._config.horizon + 1)
+            )
+        self._trial_active = _read_only(trial_active)
+        return not np.count_nonzero(trial_active)
 
     # ------------------------------------------------------------------ emit
 
     def _emit(self) -> List[SimulationResult]:
+        if self._horizons is None:
+            return self._emit_trials(slice(None))
+        # Each horizon's trials are emitted from copies cut to it, so no
+        # result views a column past its own horizon and the run's
+        # (trials, H + 1) matrices go with the run.
+        results: Dict[int, SimulationResult] = {}
+        for horizon in np.unique(self._horizons).tolist():
+            ids = (self._horizons == horizon).nonzero()[0]
+            results.update(zip(ids.tolist(), self._emit_trials(ids)))
+        return [results[t] for t in range(self._trials)]
+
+    def _emit_trials(self, ids) -> List[SimulationResult]:
+        """Results of the trials ``ids`` (a slice or an index array).
+
+        The prefix planes end at the longest of these trials: columns
+        after every trial stopped hold nothing a result reads.
+        """
+        longest = int(self._simulated[ids].max())
+        trials, cut = self._trials, np.s_[ids, : longest + 1]
+
+        def rows(column: np.ndarray) -> np.ndarray:
+            return column.reshape(trials, self._capacity)[ids].ravel()
+
         return emit_lockstep_results(
-            [self._driver.describe(t) for t in range(self._trials)],
-            self._config.horizon,
+            [self._driver.describe(t) for t in np.arange(trials)[ids].tolist()],
+            longest,
             self._capacity,
-            self._node_count,
-            self._arrival_col,
-            self._success_col,
-            self._broadcasts_col,
-            self._simulated,
-            self._arrivals_m,
-            self._jam_m,
-            self._success_m,
-            self._counts_m,
+            self._node_count[ids],
+            rows(self._arrival_col),
+            rows(self._success_col),
+            rows(self._broadcasts_col),
+            self._simulated[ids],
+            self._arrivals_m[cut],
+            self._jam_m[cut],
+            self._success_m[cut],
+            self._counts_m[cut],
             self._protocol_name,
             LockstepStudyKernel.name,
         )

@@ -227,7 +227,8 @@ class StudyPlan:
         ``store`` is anything with the :class:`~repro.spec.store.StudyStore`
         get/put surface — a plain store or a
         :class:`~repro.serve.ShardedStudyStore`; placement is invisible to
-        the plan.
+        the plan.  As in :meth:`StudySpec.run`, points that carry a metric
+        pipeline are neither served from nor written to it.
 
         ``dispatch_seconds`` covers everything the plan adds on top of the
         study itself (hashing, cache lookup, result registration);
@@ -279,7 +280,10 @@ class StudyPlan:
         ):
             dispatch_start = time.perf_counter()
             digest = spec.spec_hash()
-            study = store.get(spec) if store is not None else None
+            # As StudySpec.run: a stored summary has no counters to replay a
+            # pipeline over, so pipeline-carrying points bypass the store.
+            cacheable = store is not None and spec.pipeline is None
+            study = store.get(spec) if cacheable else None
             cached = study is not None
             if study is None and digest in completed:
                 # The journal says this point finished but the store no
@@ -316,7 +320,7 @@ class StudyPlan:
                     time.perf_counter() - run_start
                     + fused_seconds.pop(index, 0.0)
                 )
-                if study is not None and store is not None:
+                if study is not None and cacheable:
                     publish_start = time.perf_counter()
                     store.put(spec, study)
                     dispatch_elapsed += time.perf_counter() - publish_start
@@ -362,7 +366,11 @@ class StudyPlan:
 
         pending = []
         for index, spec in enumerate(self._specs):
-            if store is not None and store.get(spec) is not None:
+            if (
+                store is not None
+                and spec.pipeline is None
+                and store.get(spec) is not None
+            ):
                 continue
             pending.append((index, spec))
         studies: Dict[int, Any] = {}

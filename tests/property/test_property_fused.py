@@ -15,16 +15,20 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import faults
+from repro.metrics import EnergyReducer
 from repro.sim.backends.fused import (
     _CompositeLockstepProgram,
     fusion_key,
     plan_fusion_groups,
+    run_fused_group,
 )
-from repro.spec import StudyPlan, StudySpec, Sweep, sweep_rows
+from repro.sim.backends.lockstep import _LockstepRun
+from repro.spec import PipelineSpec, StudyPlan, StudySpec, Sweep, sweep_rows
 from repro.spec.store import result_record
 
 #: Row fields that legitimately differ between dispatch modes (timing only).
@@ -107,15 +111,43 @@ def _assert_studies_identical(fused_results, serial_results):
     assert len(fused_results) == len(serial_results)
     for fused, serial in zip(fused_results, serial_results):
         assert fused.failed == serial.failed
-        if fused.failed:
-            continue
-        for x, y in zip(fused.study.results, serial.study.results):
-            assert x.summary == y.summary
-            assert x.node_stats == y.node_stats
+        if not fused.failed:
+            _assert_trials_identical(fused.study, serial.study)
+
+
+def _assert_trials_identical(fused, serial):
+    """Per-trial equality of two studies; streamed studies hold no counters."""
+    assert len(fused.results) == len(serial.results)
+    for x, y in zip(fused.results, serial.results):
+        assert x.summary == y.summary
+        assert x.node_stats == y.node_stats
+        assert (x.counters is None) == (y.counters is None)
+        if x.counters is not None:
             assert np.array_equal(x.counters.active, y.counters.active)
             assert np.array_equal(x.counters.arrivals, y.counters.arrivals)
             assert np.array_equal(x.counters.jammed, y.counters.jammed)
             assert np.array_equal(x.counters.successes, y.counters.successes)
+    assert fused.metrics() == serial.metrics()
+
+
+def _reference(specs):
+    return StudyPlan(
+        [spec.with_execution(backend="reference") for spec in specs]
+    ).run(fuse=False)
+
+
+def _run_composite(specs):
+    """Run a mixed-parameter group through ``run_fused_group`` directly (the
+    planner splits it), asserting the composite program stepped it."""
+    for group in plan_fusion_groups(list(enumerate(specs))):
+        assert len({spec.protocol for _, spec in group}) == 1
+    real_step = _CompositeLockstepProgram.step
+    with mock.patch.object(
+        _CompositeLockstepProgram, "step", autospec=True, side_effect=real_step
+    ) as step:
+        studies = run_fused_group(specs)
+    assert step.called
+    return studies
 
 
 @st.composite
@@ -195,12 +227,8 @@ def test_age_profile_groups_identical_to_reference(
         )
         for param in (2, 3, 5)
     ]
-    assert [len(g) for g in plan_fusion_groups(list(enumerate(specs)))] == [3]
-    fused = StudyPlan(specs).run(fuse=True)
-    reference = StudyPlan(
-        [spec.with_execution(backend="reference") for spec in specs]
-    ).run(fuse=False)
-    _assert_studies_identical(fused, reference)
+    for fused, reference in zip(_run_composite(specs), _reference(specs)):
+        _assert_trials_identical(fused, reference.study)
 
 
 @given(
@@ -236,12 +264,8 @@ def test_groups_with_idle_members_identical_to_reference(
         )
         for param, slot in ((2, 10), (3, 260), (5, 260))
     ]
-    assert [len(g) for g in plan_fusion_groups(list(enumerate(specs)))] == [3]
-    fused = StudyPlan(specs).run(fuse=True)
-    reference = StudyPlan(
-        [spec.with_execution(backend="reference") for spec in specs]
-    ).run(fuse=False)
-    _assert_studies_identical(fused, reference)
+    for fused, reference in zip(_run_composite(specs), _reference(specs)):
+        _assert_trials_identical(fused, reference.study)
 
 
 @given(
@@ -266,12 +290,115 @@ def test_large_budget_cjz_in_a_heterogeneous_group_identical_to_reference(
             ("cjz", 2), ("cjz-large-budget", 4), ("cjz", 5)
         )
     ]
+    for fused, reference in zip(_run_composite(specs), _reference(specs)):
+        _assert_trials_identical(fused, reference.study)
+
+
+@given(
+    st.sampled_from(sorted(PROTOCOLS)),
+    st.sampled_from(sorted(JAMMING)),
+    st.integers(min_value=0, max_value=2**16),
+    st.booleans(),
+)
+@settings(max_examples=10, deadline=None)
+def test_mixed_horizon_plans_identical_to_per_point_and_reference(
+    protocol, jamming, seed, drained
+):
+    """One protocol spec over three horizons fuses into one run in which
+    every trial stops at its own horizon (or drains), on a program bound at
+    the largest; a pipeline point and a streaming point reduce, and
+    release, only their own trials."""
+    extras = (
+        {},
+        {"pipeline": PipelineSpec.of(EnergyReducer())},
+        {"streaming": True},
+    )
+    specs = [
+        _spec(
+            protocol, 4, "uniform-random", jamming, horizon, 2, seed + i,
+            stop_when_drained=drained, **extra,
+        )
+        for i, (horizon, extra) in enumerate(zip((70, 150, 230), extras))
+    ]
     assert [len(g) for g in plan_fusion_groups(list(enumerate(specs)))] == [3]
     fused = StudyPlan(specs).run(fuse=True)
-    reference = StudyPlan(
-        [spec.with_execution(backend="reference") for spec in specs]
-    ).run(fuse=False)
-    _assert_studies_identical(fused, reference)
+    _assert_studies_identical(fused, StudyPlan(specs).run(fuse=False))
+    _assert_studies_identical(fused, _reference(specs))
+    assert fused[1].study.metrics() is not None
+    assert all(r.counters is None for r in fused[2].study.results)
+
+
+@pytest.mark.parametrize("jamming", sorted(JAMMING))
+def test_trials_stop_at_their_own_horizons(jamming):
+    """Member A's horizon ends while its trials still hold live rows;
+    member B drains its batch early and idles until member C's late batch,
+    so the idle skip jumps past B's horizon, which stops B's trials there."""
+
+    def member(horizon, count, slot, seed):
+        adversary = {
+            "kind": "composed",
+            "arrivals": {"kind": "batch", "params": {"count": count, "slot": slot}},
+            "jamming": JAMMING[jamming],
+        }
+        return _spec("cjz", 4, "batch", jamming, horizon, 2, seed, adversary=adversary)
+
+    specs = [member(40, 8, 30, 1), member(100, 2, 1, 2), member(320, 3, 260, 3)]
+    stops = []  # (slot, horizons of the trials stopping, their live rows)
+    real_stop = _LockstepRun._stop_trials
+
+    def stop(run, slot):
+        if slot >= run._next_end:
+            ending = (run._trial_active & (run._simulated <= slot)).nonzero()[0]
+            live = np.isin(run._active_trials, ending)
+            stops.append(
+                (slot, run._simulated[ending].tolist(), np.count_nonzero(live))
+            )
+        return real_stop(run, slot)
+
+    with mock.patch.object(_LockstepRun, "_stop_trials", stop):
+        fused = StudyPlan(specs).run(fuse=True)
+    _assert_studies_identical(fused, StudyPlan(specs).run(fuse=False))
+    _assert_studies_identical(fused, _reference(specs))
+    assert any(
+        slot == 40 and horizons == [40, 40] and live
+        for slot, horizons, live in stops
+    )
+    assert any(slot > 100 and horizons == [100, 100] for slot, horizons, _ in stops)
+
+
+def test_fusion_key_drops_the_horizon_but_not_the_parameters():
+    short = _spec("cjz", 4, "batch", "none", 128, 2, 1)
+    assert fusion_key(short) == fusion_key(short.with_overrides({"horizon": 512}))
+    other = _spec("cjz-large-budget", 4, "batch", "none", 128, 2, 1)
+    assert fusion_key(short) != fusion_key(other)
+
+
+def test_fusion_key_keeps_the_horizon_when_the_compiled_tier_could_run(
+    monkeypatch,
+):
+    """The compiled tier runs one horizon, so groups it could take keep it."""
+    monkeypatch.delenv("REPRO_DISABLE_NUMBA", raising=False)
+    monkeypatch.setenv("REPRO_COMPILED_FORCE_PYTHON", "1")
+    short = _spec("cjz", 4, "batch", "none", 128, 2, 1, backend="auto")
+    assert fusion_key(short) is not None
+    assert fusion_key(short) != fusion_key(short.with_overrides({"horizon": 512}))
+
+
+def test_mixed_horizon_members_keep_only_their_own_columns():
+    specs = [
+        _spec("cjz", 4, "batch", "none", horizon, 2, 9) for horizon in (64, 256)
+    ]
+    for spec, study in zip(specs, run_fused_group(specs)):
+        for result in study.results:
+            counters = result.counters
+            for counter in (
+                counters.active,
+                counters.arrivals,
+                counters.jammed,
+                counters.successes,
+            ):
+                assert counter.shape == (spec.horizon + 1,)
+                assert counter.base.shape[-1] <= spec.horizon + 1
 
 
 def test_batched_study_points_stay_unfused():

@@ -5,7 +5,6 @@ import pytest
 
 import repro
 from repro.adversary import ReactiveJamming, ScheduleAdversary
-from repro.adversary.base import Adversary
 from repro.analysis.fitting import SHAPE_MODELS, fit_shape
 from repro.errors import (
     AdversaryError,
@@ -15,7 +14,7 @@ from repro.errors import (
     ProtocolError,
     ReproError,
 )
-from repro.experiments._helpers import batch_jam_adversary, log2, spread_jam_adversary
+from repro.experiments._helpers import log2
 from repro.protocols import make_factory
 from repro.protocols.aloha import SlottedAloha
 from repro.sim import Simulator, SimulatorConfig
@@ -89,20 +88,6 @@ class TestExperimentHelpers:
     def test_log2_floor(self):
         assert log2(1.0) == 1.0
         assert log2(8.0) == 3.0
-
-    def test_batch_jam_adversary_factory(self):
-        factory = batch_jam_adversary(5, jam_fraction=0.0, slot=2)
-        adversary = factory()
-        assert isinstance(adversary, Adversary)
-        adversary.setup(np.random.default_rng(0), 16)
-        assert adversary.action_for_slot(2).arrivals == 5
-
-    def test_spread_jam_adversary_factory(self):
-        factory = spread_jam_adversary(10, horizon=128, jam_fraction=0.5)
-        adversary = factory()
-        adversary.setup(np.random.default_rng(0), 128)
-        total = sum(adversary.action_for_slot(s).arrivals for s in range(1, 129))
-        assert total == 10
 
 
 class TestReactiveJammingEdgeCases:

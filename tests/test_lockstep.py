@@ -673,6 +673,90 @@ class TestIdleSkip:
             assert a.prefix_jammed == b.prefix_jammed
 
 
+class TestTrialStops:
+    def _spy(self, monkeypatch):
+        """Record the slots the stop step runs on (with the waiting flag it
+        leaves) and the slots the loop visits (one driver call each)."""
+        import repro.sim.backends.lockstep as lockstep_module
+
+        checks, visited = [], []
+        real_stop = lockstep_module._LockstepRun._stop_trials
+
+        def stop(run, slot):
+            stopped = real_stop(run, slot)
+            checks.append((slot, run._waiting))
+            return stopped
+
+        real_build = lockstep_module.build_lockstep_driver
+
+        def build(*args):
+            driver = real_build(*args)
+            real_actions = driver.actions
+
+            def counted(slot, trial_active):
+                visited.append(slot)
+                return real_actions(slot, trial_active)
+
+            driver.actions = counted
+            return driver
+
+        monkeypatch.setattr(lockstep_module._LockstepRun, "_stop_trials", stop)
+        monkeypatch.setattr(lockstep_module, "build_lockstep_driver", build)
+        return checks, visited
+
+    def test_stop_step_runs_only_where_a_trial_can_stop(self, monkeypatch):
+        """A trial newly drains only in a slot with a success, so the stop
+        step skips the visited slots without one."""
+        checks, visited = self._spy(monkeypatch)
+        kwargs = dict(
+            protocol_factory=cjz_factory(),
+            adversary_factory=lambda: ComposedAdversary(
+                BatchArrivals(6), RandomFractionJamming(0.2)
+            ),
+            horizon=2048,
+            trials=3,
+            seed=11,
+            stop_when_drained=True,
+        )
+        study = run_trials(backend="lockstep", **kwargs)
+        assert 0 < len(checks) < len(visited)
+        successes = {
+            slot
+            for result in study
+            for slot in (np.flatnonzero(np.diff(result.prefix_successes)) + 1)
+        }
+        assert {slot for slot, _ in checks} <= successes
+        reference = run_trials(backend="reference", **kwargs)
+        assert [r.summary for r in study] == [r.summary for r in reference]
+
+    def test_drained_trial_waits_for_its_arrivals_to_run_out(self, monkeypatch):
+        """Both nodes succeed long before the strategy reports itself
+        exhausted; the drained trial waits, checked every slot, and stops
+        at the reference's slot."""
+
+        class LateExhausted(ScheduledArrivals):
+            def exhausted(self, slot):
+                return slot >= 300
+
+        checks, _ = self._spy(monkeypatch)
+        kwargs = dict(
+            protocol_factory=cjz_factory(),
+            adversary_factory=lambda: ComposedAdversary(
+                LateExhausted({5: 2}), RandomFractionJamming(0.0)
+            ),
+            horizon=600,
+            trials=2,
+            seed=3,
+            stop_when_drained=True,
+        )
+        study = run_trials(backend="lockstep", **kwargs)
+        reference = run_trials(backend="reference", **kwargs)
+        assert [r.summary for r in study] == [r.summary for r in reference]
+        assert [r.summary.total_slots for r in study] == [300, 300]
+        assert any(waiting for _, waiting in checks)
+        assert checks[-1] == (300, False)
+
+
 class TestReadOnlySlotArguments:
     def test_observe_cannot_write_the_shared_winner_ids(self, monkeypatch):
         """Slots without a success share one read-only ``winner_ids``

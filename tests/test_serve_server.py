@@ -1,5 +1,6 @@
 """Tests for the sweep service: server, client, dedupe, faults, identity."""
 
+import asyncio
 import json
 import socket
 import time
@@ -12,9 +13,11 @@ from repro.serve import (
     BackgroundServer,
     ServeClient,
     ShardedStudyStore,
+    SweepServer,
     decode_line,
     encode_message,
 )
+from repro.sim.backends.fused import fusion_budget
 from repro.spec import (
     AdversarySpec,
     ProtocolSpec,
@@ -248,6 +251,28 @@ class TestFailures:
         assert stats["failed"] == 1
         assert stats["executed"] == 1
         assert calls == [0, 0]
+
+
+class TestFusableDrain:
+    def test_queued_jobs_of_different_horizons_fuse_within_the_budget(self):
+        """A queued job with a longer horizon joins the lead's group; the
+        group's trials stay within the budget at the larger horizon, so a
+        job that fits only the lead's own budget is left queued."""
+        wide_budget = fusion_budget(4096)
+
+        async def drain():
+            server = SweepServer(None, workers=1)
+            lead = server._submit_spec(cjz_spec(seed=1, trials=2), 0)
+            wide = server._submit_spec(cjz_spec(seed=2, horizon=4096, trials=2), 0)
+            server._submit_spec(cjz_spec(seed=3, trials=wide_budget - 3), 0)
+            server._queue.get_nowait()  # the lead's own entry
+            return lead, wide, server._drain_fusable(lead), server._queue.qsize()
+
+        lead, wide, group, queued = asyncio.run(drain())
+        assert lead.spec.horizon != wide.spec.horizon
+        assert group == [wide]
+        assert queued == 1
+        assert lead.spec.trials + wide.spec.trials <= wide_budget
 
 
 class TestEndToEndIdentity:

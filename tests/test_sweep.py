@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.errors import SpecError
+from repro.metrics import EnergyReducer
 from repro.spec import (
     AdversarySpec,
+    PipelineSpec,
     ProtocolSpec,
     StudyPlan,
     StudySpec,
@@ -180,6 +182,30 @@ class TestStudyPlan:
         assert all(point.cached for point in rerun)
         for cold, warm in zip(results, rerun):
             assert cold.study.summary_row() == warm.study.summary_row()
+
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_pipeline_points_bypass_the_store(self, tmp_path, points):
+        """A stored summary has no counters to replay a pipeline over, so a
+        plan re-runs pipeline-carrying points (fused or not) instead of
+        serving them from the store, as StudySpec.run does."""
+        specs = [
+            StudySpec(
+                protocol=ProtocolSpec(kind="cjz"),
+                adversary=AdversarySpec.batch(8, jam_fraction=0.25),
+                horizon=256,
+                trials=2,
+                seed=SEED + point,
+                pipeline=PipelineSpec.of(EnergyReducer()),
+            )
+            for point in range(points)
+        ]
+        store = StudyStore(tmp_path)
+        first = StudyPlan(specs).run(store=store)
+        second = StudyPlan(specs).run(store=store)
+        for a, b in zip(first, second):
+            assert not b.cached
+            assert b.study.metrics() is not None
+            assert b.study.metrics() == a.study.metrics()
 
     def test_progress_callback_sees_every_point(self):
         seen = []
