@@ -37,7 +37,7 @@ def _sweep() -> Sweep:
         {
             "protocol": {
                 "kind": "cjz",
-                "params": {"g": {"kind": "constant", "value": 4.0}},
+                "params": {"g": {"kind": "constant", "params": {"value": 4.0}}},
             },
             "adversary": {
                 "kind": "composed",

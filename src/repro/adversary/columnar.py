@@ -4,13 +4,14 @@ The lockstep kernel advances all ``T`` trials of a study one slot at a time,
 so it needs every trial's adversary decision per slot.  A *driver* supplies
 those decisions as ``(T,)`` arrays:
 
-* :class:`PrecompiledLockstepDriver` — oblivious adversaries whose whole
-  schedules were materialized up front (no per-slot work at all);
-* :class:`ReactiveJammingLockstepDriver` — oblivious arrivals composed with
-  :class:`~repro.adversary.jamming.ReactiveJamming`; the jammer's counters
-  (pending burst, budget spent) become int columns over trials, its slots
-  seen are the slot number, and every trial's ``jam_slot`` evaluates in one
-  vectorized expression;
+* :class:`ScheduledLockstepDriver` — oblivious arrivals, whose whole
+  schedules are materialized up front, with either a precompiled jam
+  schedule or :class:`~repro.adversary.jamming.ReactiveJamming`; the
+  jammer's counters (pending burst, budget spent) become int columns over
+  trials, its slots seen are the slot number, and every trial's
+  ``jam_slot`` evaluates in one vectorized expression.  An oblivious trial
+  is a reactive one whose burst is 0, so both kinds share one driver (and
+  one fused run);
 * :class:`AdaptiveChaserLockstepDriver` — the fully adaptive
   :class:`~repro.adversary.adaptive.AdaptiveSuccessChaser`, likewise
   vectorized over trials;
@@ -27,13 +28,12 @@ vectorized replay is trivially stream-identical.
 
 Idle stretches — slots in which no running trial holds a live node — need no
 node work, so the kernel asks the driver to jump them
-(:meth:`LockstepAdversaryDriver.skip_idle`).  The two schedule-backed
-drivers skip to their next scheduled arrival: the precompiled driver copies
-the skipped jam columns from its schedule, the reactive driver needs no
-update (it skips only while no burst is pending, since a pending burst jams
-in the coming slots).  The chaser and the generic driver step
-every slot: their next arrival depends on per-slot state or on the
-adversary's own code.
+(:meth:`LockstepAdversaryDriver.skip_idle`).  The scheduled driver skips to
+its next scheduled arrival and copies the skipped static jam columns, unless
+some running trial has a reactive burst pending: that burst jams in the
+coming slots, so it steps slot by slot until the burst is spent.  The chaser
+and the generic driver step every slot: their next arrival depends on
+per-slot state or on the adversary's own code.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ from .jamming import ReactiveJamming
 
 __all__ = [
     "LockstepAdversaryDriver",
-    "PrecompiledLockstepDriver",
-    "ReactiveJammingLockstepDriver",
+    "ScheduledLockstepDriver",
     "AdaptiveChaserLockstepDriver",
     "GenericLockstepDriver",
 ]
@@ -109,6 +108,16 @@ class LockstepAdversaryDriver(abc.ABC):
         return self.adversaries[trial].describe()
 
 
+def _reactive_schedulable(adversary: Adversary) -> bool:
+    """Whether the adversary is oblivious arrivals + :class:`ReactiveJamming`,
+    which :class:`ScheduledLockstepDriver` runs with the jammer columnar."""
+    return (
+        type(adversary) is ComposedAdversary
+        and not adversary.arrivals.adaptive
+        and type(adversary.jamming) is ReactiveJamming
+    )
+
+
 class _ScheduledLockstepDriver(LockstepAdversaryDriver):
     """Drivers whose ``(T, horizon+1)`` arrival schedule is known up front."""
 
@@ -132,55 +141,37 @@ class _ScheduledLockstepDriver(LockstepAdversaryDriver):
         return column
 
 
-class PrecompiledLockstepDriver(_ScheduledLockstepDriver):
-    """Oblivious adversaries: schedules fully materialized before slot 1."""
+class ScheduledLockstepDriver(_ScheduledLockstepDriver):
+    """Oblivious arrivals with a static jam schedule or reactive jamming.
+
+    Per trial: the arrival schedule, a static jam row and the columns of a
+    :class:`~repro.adversary.jamming.ReactiveJamming` jammer (pending
+    burst, budget spent, fraction, burst length).  An oblivious trial has
+    burst 0, so its jammer never has a burst pending; a reactive trial has
+    an all-False static row.  Every column is per trial, so studies of
+    both kinds stack into one driver by concatenation.  Without
+    ``fractions`` and ``bursts`` every trial is oblivious.
+    """
 
     def __init__(
         self,
         adversaries: List[Adversary],
         arrivals: np.ndarray,
         jammed: np.ndarray,
+        fractions: Optional[np.ndarray] = None,
+        bursts: Optional[np.ndarray] = None,
     ) -> None:
         super().__init__(adversaries, arrivals)
         self._jammed = jammed
-
-    def actions(self, slot: int, trial_active: np.ndarray) -> tuple:
-        return self._arrivals(slot, trial_active), self._jammed[:, slot] & trial_active
-
-    def skip_idle(
-        self, slot: int, trial_active: np.ndarray, jam_m: np.ndarray
-    ) -> int:
-        resume = self._next_arrival(slot)
-        np.logical_and(
-            self._jammed[:, slot:resume],
-            trial_active[:, None],
-            out=jam_m[:, slot:resume],
-        )
-        return resume
-
-
-class ReactiveJammingLockstepDriver(_ScheduledLockstepDriver):
-    """Oblivious arrivals + reactive jamming, with the jammer's state columnar."""
-
-    def __init__(
-        self,
-        adversaries: List[Adversary],
-        arrivals: np.ndarray,
-        fractions: np.ndarray,
-        bursts: np.ndarray,
-    ) -> None:
-        super().__init__(adversaries, arrivals)
-        self._fraction = fractions
-        self._burst = bursts
+        self._fraction = np.zeros(self.trials) if fractions is None else fractions
+        self._burst = np.zeros(self.trials, np.int64) if bursts is None else bursts
         self._pending = np.zeros(self.trials, dtype=np.int64)
         self._jammed_so_far = np.zeros(self.trials, dtype=np.int64)
-        self._no_jam = np.zeros(self.trials, dtype=bool)
-        self._no_jam.setflags(write=False)
 
     @classmethod
-    def try_build(
+    def try_reactive(
         cls, adversaries: List[Adversary], horizon: int
-    ) -> Optional["ReactiveJammingLockstepDriver"]:
+    ) -> Optional["ScheduledLockstepDriver"]:
         """Build when every trial is (oblivious arrivals) + ReactiveJamming.
 
         Must be called after every adversary's ``setup``; precompiling the
@@ -191,36 +182,34 @@ class ReactiveJammingLockstepDriver(_ScheduledLockstepDriver):
         rebuild the adversaries before falling back to a per-slot driver
         (see the ``None``-return contract).
         """
-        specs = []
-        for adversary in adversaries:
-            if type(adversary) is not ComposedAdversary:
-                return None
-            if adversary.arrivals.adaptive:
-                return None
-            if type(adversary.jamming) is not ReactiveJamming:
-                return None
-            specs.append(adversary.jamming.spec_params())
+        if not all(map(_reactive_schedulable, adversaries)):
+            return None
+        specs = [adversary.jamming.spec_params() for adversary in adversaries]
         arrivals = np.zeros((len(adversaries), horizon + 1), dtype=np.int64)
         for index, adversary in enumerate(adversaries):
             schedule = adversary.arrivals.precompile(horizon)
             if schedule is None:
                 return None
             arrivals[index] = schedule
-        fractions = np.array([spec["fraction"] for spec in specs], dtype=float)
-        bursts = np.array([spec["burst"] for spec in specs], dtype=np.int64)
-        return cls(adversaries, arrivals, fractions, bursts)
+        return cls(
+            adversaries,
+            arrivals,
+            np.zeros(arrivals.shape, dtype=bool),
+            np.array([spec["fraction"] for spec in specs], dtype=float),
+            np.array([spec["burst"] for spec in specs], dtype=np.int64),
+        )
 
     def actions(self, slot: int, trial_active: np.ndarray) -> tuple:
-        arrivals = self._arrivals(slot, trial_active)
+        jam = self._jammed[:, slot] & trial_active
         # jam_slot, vectorized over the running trials (which have seen
         # every slot): jam while a burst is pending and the budget allows.
-        if not np.count_nonzero(self._pending):
-            return arrivals, self._no_jam
-        budget = np.floor(self._fraction * slot).astype(np.int64)
-        jam = trial_active & (self._pending > 0) & (self._jammed_so_far < budget)
-        self._pending -= jam
-        self._jammed_so_far += jam
-        return arrivals, jam
+        if np.count_nonzero(self._pending):
+            budget = np.floor(self._fraction * slot).astype(np.int64)
+            burst = trial_active & (self._pending > 0) & (self._jammed_so_far < budget)
+            self._pending -= burst
+            self._jammed_so_far += burst
+            jam |= burst
+        return self._arrivals(slot, trial_active), jam
 
     def observe(self, slot, success, winner_ids, trial_active) -> None:
         if np.count_nonzero(success):
@@ -232,10 +221,17 @@ class ReactiveJammingLockstepDriver(_ScheduledLockstepDriver):
     ) -> int:
         # A pending burst may jam any coming slot, so step slot by slot
         # until it is spent.  Without one, an idle slot only counts towards
-        # the budget, and no success can refresh the burst.
+        # the budget, no success can refresh a burst, and the static jam
+        # columns up to the next arrival are copied in one step.
         if np.count_nonzero(self._pending[trial_active]):
             return slot
-        return self._next_arrival(slot)
+        resume = self._next_arrival(slot)
+        np.logical_and(
+            self._jammed[:, slot:resume],
+            trial_active[:, None],
+            out=jam_m[:, slot:resume],
+        )
+        return resume
 
 
 class AdaptiveChaserLockstepDriver(LockstepAdversaryDriver):

@@ -26,7 +26,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..functions import RateFunction
 from ..types import AdversaryAction
-from .base import Adversary
+from .base import Adversary, PrecompiledSchedule
 
 __all__ = ["LowerBoundAdversary", "NonAdaptiveKillerAdversary"]
 
@@ -80,6 +80,15 @@ class LowerBoundAdversary(Adversary):
         arrivals = self._initial_nodes if slot == 1 else 0
         jam = slot <= self._front_jam or slot in self._random_jam
         return AdversaryAction(arrivals=arrivals, jam=jam)
+
+    def precompile(self, horizon: int) -> PrecompiledSchedule:
+        arrivals = np.zeros(horizon + 1, dtype=np.int64)
+        jammed = np.zeros(horizon + 1, dtype=bool)
+        arrivals[1:2] = self._initial_nodes
+        jammed[1 : self._front_jam + 1] = True
+        random = np.fromiter(self._random_jam, dtype=np.int64)
+        jammed[random[random <= horizon]] = True
+        return PrecompiledSchedule(arrivals=arrivals, jammed=jammed)
 
     def arrivals_exhausted(self, slot: int) -> bool:
         return True  # all arrivals happen in slot 1
@@ -147,6 +156,16 @@ class NonAdaptiveKillerAdversary(Adversary):
             arrivals = self._late_arrivals
         jam = slot <= self._front_jam or slot == self._horizon
         return AdversaryAction(arrivals=arrivals, jam=jam)
+
+    def precompile(self, horizon: int) -> PrecompiledSchedule:
+        arrivals = np.zeros(horizon + 1, dtype=np.int64)
+        jammed = np.zeros(horizon + 1, dtype=bool)
+        jammed[1 : self._front_jam + 1] = True
+        if 1 <= self._horizon <= horizon:
+            arrivals[self._horizon] = self._late_arrivals
+            jammed[self._horizon] = True
+        arrivals[1:2] = 2  # slot 1 takes precedence, as in action_for_slot
+        return PrecompiledSchedule(arrivals=arrivals, jammed=jammed)
 
     def arrivals_exhausted(self, slot: int) -> bool:
         return slot >= self._horizon

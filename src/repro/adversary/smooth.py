@@ -21,7 +21,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..functions import RateFunction
 from ..types import AdversaryAction
-from .base import Adversary
+from .base import Adversary, PrecompiledSchedule
 
 __all__ = ["SmoothAdversary"]
 
@@ -87,6 +87,17 @@ class SmoothAdversary(Adversary):
             arrivals=self._arrival_schedule.get(slot, 0),
             jam=slot in self._jam_schedule,
         )
+
+    def precompile(self, horizon: int) -> PrecompiledSchedule:
+        arrivals = np.zeros(horizon + 1, dtype=np.int64)
+        jammed = np.zeros(horizon + 1, dtype=bool)
+        slots = np.fromiter(self._arrival_schedule.keys(), dtype=np.int64)
+        counts = np.fromiter(self._arrival_schedule.values(), dtype=np.int64)
+        keep = slots <= horizon
+        arrivals[slots[keep]] = counts[keep]
+        jams = np.fromiter(self._jam_schedule, dtype=np.int64)
+        jammed[jams[jams <= horizon]] = True
+        return PrecompiledSchedule(arrivals=arrivals, jammed=jammed)
 
     def arrivals_exhausted(self, slot: int) -> bool:
         return not self._arrival_schedule or slot >= max(self._arrival_schedule)

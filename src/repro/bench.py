@@ -773,7 +773,7 @@ def run_fused_sweep_suite(
         {
             "protocol": {
                 "kind": "cjz",
-                "params": {"g": {"kind": "constant", "value": 4.0}},
+                "params": {"g": {"kind": "constant", "params": {"value": 4.0}}},
             },
             "adversary": {
                 "kind": "composed",

@@ -12,7 +12,8 @@ else in the tree: the interpreter must first reproduce real ``default_rng``
 draws bit for bit (:func:`compiled_streams_ok`, replaying the same
 interleaved pattern :func:`repro.rng.lockstep_streams_ok` pins for the numpy
 pool).  Any missing piece — no numba, no compiled tables for the protocol, a
-driver outside the three columnar families, a failed self-test — **demotes
+driver the interpreter cannot lower (the generic one, or a scheduled one
+mixing static and reactive jamming), a failed self-test — **demotes
 the study to the numpy lockstep kernel** with identical results (seed
 derivation is read-only, so the rerun consumes the same streams).  Demoted
 results carry ``backend="lockstep"`` and a ``demotion`` health event.  Under
@@ -30,6 +31,7 @@ Environment switches:
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import os
 import time
@@ -40,10 +42,8 @@ import numpy as np
 from ...adversary.columnar import (
     AdaptiveChaserLockstepDriver,
     LockstepAdversaryDriver,
-    PrecompiledLockstepDriver,
-    ReactiveJammingLockstepDriver,
+    ScheduledLockstepDriver,
 )
-from ...errors import ConfigurationError
 from ...protocols.base import LOCKSTEP_SENTINEL
 from ...rng import pcg64_bulk_init
 from ..artifacts import streams_verified
@@ -55,7 +55,12 @@ from .lockstep import (
     build_lockstep_driver,
     emit_lockstep_results,
 )
-from .studysupport import MAX_BLOCK_ELEMENTS, SeedPlan, StudyProbe
+from .studysupport import (
+    MAX_BLOCK_ELEMENTS,
+    SeedPlan,
+    StudyProbe,
+    _cumulative_arrivals,
+)
 
 __all__ = ["CompiledStudyKernel", "compiled_streams_ok", "interpreter_mode"]
 
@@ -64,24 +69,31 @@ def _env_enabled(name: str) -> bool:
     return os.environ.get(name, "") not in ("", "0")
 
 
+@functools.lru_cache(maxsize=None)
+def _numba_importable() -> bool:
+    """Whether ``import numba`` succeeds, asked once per process: a failed
+    import searches the whole import path every time it is retried."""
+    try:
+        import numba  # noqa: F401
+    except Exception:
+        return False
+    return True
+
+
 def interpreter_mode() -> str:
     """Which interpreter the compiled kernel would use right now.
 
     ``"numba"`` (compiled), ``"python"`` (the same code path uncompiled,
     forced by ``REPRO_COMPILED_FORCE_PYTHON``) or ``"off"`` (numba missing
     or ``REPRO_DISABLE_NUMBA`` set — every study demotes to the numpy
-    lockstep kernel).  Read at dispatch time, so tests can flip the
-    environment per study.
+    lockstep kernel).  The switches are read on every call, so tests can
+    flip the environment per study; numba's importability is asked once.
     """
     if _env_enabled("REPRO_DISABLE_NUMBA"):
         return "off"
     if _env_enabled("REPRO_COMPILED_FORCE_PYTHON"):
         return "python"
-    try:
-        import numba  # noqa: F401
-    except Exception:
-        return "off"
-    return "numba"
+    return "numba" if _numba_importable() else "off"
 
 
 # -- interpreter materialization -------------------------------------------
@@ -366,29 +378,32 @@ def _lower_driver(
     """Flatten a columnar adversary driver into interpreter arrays.
 
     Returns ``(adv_mode, arr_sched, jam_sched, adv_i, adv_f, capacity)`` or
-    ``None`` for drivers outside the three columnar families (the generic
-    per-instance driver calls arbitrary Python per slot and cannot lower).
-    Schedule-backed modes raise the same :class:`ConfigurationError` the
-    numpy kernel would on a ``max_nodes`` violation.
+    ``None`` for drivers the interpreter cannot run: the generic
+    per-instance driver calls arbitrary Python per slot, and a scheduled
+    driver whose trials mix a static jam schedule (mode 0) with a reactive
+    burst (mode 1) fits neither mode.  Schedule-backed modes raise the same
+    :class:`ConfigurationError` the numpy kernel would on a ``max_nodes``
+    violation.
     """
     int_dummy = np.zeros((1, 1), dtype=np.int64)
     jam_dummy = np.zeros((1, 1), dtype=np.uint8)
-    if type(driver) is PrecompiledLockstepDriver:
+    if type(driver) is ScheduledLockstepDriver:
+        if driver._burst.any() and driver._jammed.any():
+            return None
         arr = np.ascontiguousarray(driver.arrival_schedule, dtype=np.int64)
-        jam = np.ascontiguousarray(driver._jammed).astype(np.uint8)
-        adv_i = np.zeros((trials, 1), dtype=np.int64)
-        adv_f = np.zeros((trials, 1), dtype=np.float64)
-        capacity = _schedule_capacity(arr, config, horizon)
-        return 0, arr, jam, adv_i, adv_f, capacity
-    if type(driver) is ReactiveJammingLockstepDriver:
-        arr = np.ascontiguousarray(driver.arrival_schedule, dtype=np.int64)
+        cum = _cumulative_arrivals(arr, config)
+        capacity = max(1, int(cum[:, horizon].max(initial=0)))
+        if not driver._burst.any():
+            jam = np.ascontiguousarray(driver._jammed).astype(np.uint8)
+            adv_i = np.zeros((trials, 1), dtype=np.int64)
+            adv_f = np.zeros((trials, 1), dtype=np.float64)
+            return 0, arr, jam, adv_i, adv_f, capacity
         # [seen, pending, jammed_so_far, burst]
         adv_i = np.zeros((trials, 4), dtype=np.int64)
         adv_i[:, 3] = driver._burst
         adv_f = np.ascontiguousarray(
             driver._fraction, dtype=np.float64
         ).reshape(trials, 1)
-        capacity = _schedule_capacity(arr, config, horizon)
         return 1, arr, jam_dummy, adv_i, adv_f, capacity
     if type(driver) is AdaptiveChaserLockstepDriver:
         # [pending_arr, pending_jam, injected, jammed, slots, per_success,
@@ -416,17 +431,6 @@ def _lower_driver(
     return None
 
 
-def _schedule_capacity(arr: np.ndarray, config, horizon: int) -> int:
-    cum = np.cumsum(arr, axis=1)
-    over_trials, over_slots = np.nonzero(cum > config.max_nodes)
-    if over_trials.size:
-        raise ConfigurationError(
-            f"adversary exceeded max_nodes={config.max_nodes} "
-            f"at slot {int(over_slots[0])}"
-        )
-    return max(1, int(cum[:, horizon].max())) if cum.size else 1
-
-
 def _run_block(
     kernels, mode, adversary_factory, config, plan, tables, protocol_name,
     driver: Optional[LockstepAdversaryDriver] = None,
@@ -443,8 +447,8 @@ def _run_block(
     lowered = _lower_driver(driver, config, horizon, trials)
     if lowered is None:
         _demote(
-            "adversary driver is outside the three lowerable columnar "
-            "families"
+            "adversary driver is generic, or mixes static and reactive "
+            "jamming"
         )
         return None
     adv_mode, arr_sched, jam_sched, adv_i, adv_f, capacity = lowered

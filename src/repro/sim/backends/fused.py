@@ -7,9 +7,12 @@ loop.  This module stacks *compatible* points along the existing trials
 axis and executes them as ONE lockstep (or compiled) run:
 
 * :func:`fusion_key` decides compatibility — same canonical protocol spec,
-  early-stop policy and columnar adversary driver family.  Horizons may
-  differ (each trial stops at its own), except where the compiled tier,
-  which runs one horizon, could take the group;
+  early-stop policy and columnar adversary driver family (scheduled,
+  chaser or generic; oblivious and reactive-jamming points are both
+  scheduled).  Horizons may differ (each trial stops at its own), except
+  where the compiled tier could take the group: it runs one horizon and
+  lowers oblivious and reactive jamming as separate modes, so there the
+  key keeps both apart;
 * :func:`plan_fusion_groups` partitions a plan's pending points into
   groups, bounded by the lockstep kernel's block trial budget at each
   group's largest horizon;
@@ -26,7 +29,8 @@ Fusion changes *layout*, never *streams*.  Each member study keeps its own
 ``m`` derives exactly the states its solo run would) and its own adversary
 driver, built with the member's plan and horizon (consuming member streams
 exactly as the solo path does) and padded with empty slots up to the run's
-horizon.  The group binds one program at its largest horizon; every
+horizon; the merged driver is their concatenation, and each member's
+results are emitted from its own trial slice.  The group binds one program at its largest horizon; every
 bundled program's tables agree, below that horizon, with the tables it
 binds at a shorter one.  The shared :class:`~repro.rng.NodeStreamPool`
 draws per-row independent streams, the slot loop's bookkeeping is
@@ -44,8 +48,6 @@ group's members then run exactly as they would have without fusion.
 
 from __future__ import annotations
 
-import functools
-import os
 import time
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -54,18 +56,22 @@ import numpy as np
 
 from ... import faults
 from ...adversary.adaptive import AdaptiveSuccessChaser
-from ...adversary.base import ComposedAdversary
 from ...adversary.columnar import (
     AdaptiveChaserLockstepDriver,
     GenericLockstepDriver,
     LockstepAdversaryDriver,
-    PrecompiledLockstepDriver,
-    ReactiveJammingLockstepDriver,
+    ScheduledLockstepDriver,
+    _reactive_schedulable,
 )
-from ...adversary.jamming import ReactiveJamming
 from ...rng import TrialSeedBatch
 from ..artifacts import canonical_key, streams_verified
 from ..engine import SimulatorConfig
+from .compiled import (
+    _kernels_for,
+    _run_block,
+    compiled_streams_ok,
+    interpreter_mode,
+)
 from .lockstep import _BLOCK_TRIAL_SLOTS, _LockstepRun, build_lockstep_driver
 from .studysupport import SeedPlan
 
@@ -79,46 +85,26 @@ _FUSIBLE_BACKENDS = ("auto", "lockstep", "lockstep-jit")
 #: Backends under which the group may take the compiled (lockstep-jit) tier.
 _COMPILED_BACKENDS = ("auto", "lockstep-jit")
 
-#: The environment switches :func:`~repro.sim.backends.compiled.
-#: interpreter_mode` reads; with them fixed, only numba's importability
-#: decides its answer.
-_INTERPRETER_SWITCHES = ("REPRO_DISABLE_NUMBA", "REPRO_COMPILED_FORCE_PYTHON")
-
 
 # ---------------------------------------------------------------- grouping
 
 
-def _driver_family(spec) -> str:
-    """Which columnar driver family the spec's adversary will build.
+def _driver_family(adversary) -> str:
+    """Which columnar driver family the adversary will build.
 
     Classified from a throwaway instance (never given a generator, so no
     stream is consumed).  Mirrors the ladder in
-    :func:`~repro.sim.backends.lockstep.build_lockstep_driver`; the merge
-    re-checks the *actual* built driver types, so a misprediction can only
-    cause a fallback, never a wrong merge.
+    :func:`~repro.sim.backends.lockstep.build_lockstep_driver`: oblivious
+    adversaries and oblivious arrivals under reactive jamming both build
+    the scheduled driver.  The merge re-checks the *actual* built driver
+    types, so a misprediction can only cause a fallback, never a wrong
+    merge.
     """
-    adversary = spec.adversary.factory(spec.horizon)()
-    if adversary.precompilable:
-        return "precompiled"
-    if (
-        type(adversary) is ComposedAdversary
-        and not adversary.arrivals.adaptive
-        and type(adversary.jamming) is ReactiveJamming
-    ):
-        return "reactive"
+    if adversary.precompilable or _reactive_schedulable(adversary):
+        return "scheduled"
     if type(adversary) is AdaptiveSuccessChaser:
         return "chaser"
     return "generic"
-
-
-@functools.lru_cache(maxsize=None)
-def _interpreter_on(switches: Tuple[Optional[str], ...]) -> bool:
-    """``interpreter_mode() != "off"`` for one setting of its ``switches``,
-    asked once: without numba each ask is a failed import, which searches
-    the whole import path, and :func:`fusion_key` asks for every point."""
-    from .compiled import interpreter_mode
-
-    return interpreter_mode() != "off"
 
 
 def fusion_key(spec) -> Optional[Tuple]:
@@ -126,15 +112,18 @@ def fusion_key(spec) -> Optional[Tuple]:
 
     Points fuse when they share the canonical protocol spec (one program),
     the early-stop policy and the adversary driver family (one merged
-    driver).  Horizons may differ: every trial stops at its own.  Only
-    when the compiled tier could take the group — interpreter on, program
-    with compiled tables, backend allowing ``lockstep-jit`` — does the key
-    keep the horizon, since that tier runs one horizon.  Trace retention,
-    unseeded studies and explicit batched-study, reference and per-trial
-    backend pins opt out, and so do points the batched study kernel takes
-    on their own (a vector-eligible protocol against a precompilable
-    adversary under ``auto``): its one-pass array resolution beats a fused
-    slot loop on them.
+    driver), so oblivious and reactive-jamming points fuse together.
+    Horizons may differ: every trial stops at its own.  Only when the
+    compiled tier could take the group — interpreter on, program with
+    compiled tables, backend allowing ``lockstep-jit`` — does the key keep
+    the horizon, since that tier runs one horizon, and whether the
+    adversary is oblivious, since it lowers a static jam schedule and a
+    reactive jammer as two modes.  Trace retention, unseeded studies and
+    explicit batched-study, reference and per-trial backend pins opt out,
+    and so do points the batched study kernel takes on their own (a
+    vector-eligible protocol against a precompilable adversary under
+    ``auto``): its one-pass array resolution beats a fused slot loop on
+    them.
     """
     if spec.keep_trace or spec.seed is None or spec.horizon >= 2**31:
         return None
@@ -145,26 +134,26 @@ def fusion_key(spec) -> Optional[Tuple]:
         program = protocol.lockstep_program()
         if program is None:
             return None
-        family = _driver_family(spec)
+        adversary = spec.adversary.factory(spec.horizon)()
         key = (
             canonical_key(spec.protocol.to_dict()),
             spec.stop_when_drained,
-            family,
+            _driver_family(adversary),
         )
     except Exception:
         return None
     if (
         spec.backend == "auto"
         and protocol.vector_eligible
-        and family == "precompiled"
+        and adversary.precompilable
     ):
         return None
     if (
         spec.backend in _COMPILED_BACKENDS
-        and _interpreter_on(tuple(map(os.environ.get, _INTERPRETER_SWITCHES)))
+        and interpreter_mode() != "off"
         and program.compiled_tables(spec.horizon) is not None
     ):
-        key += (spec.horizon,)
+        key += (spec.horizon, adversary.precompilable)
     return key
 
 
@@ -403,7 +392,7 @@ def _merge_drivers(
 ) -> Optional[LockstepAdversaryDriver]:
     """One driver over the stacked trials, or ``None`` when types mix.
 
-    All four driver families keep strictly per-trial state (schedules,
+    All three driver families keep strictly per-trial state (schedules,
     counters, adversary instances), so merging is concatenation along the
     trial axis, each schedule padded with empty slots up to the run's
     ``horizon``; merged mutable state starts zeroed exactly as each
@@ -413,16 +402,11 @@ def _merge_drivers(
     if any(type(driver) is not first for driver in drivers):
         return None
     adversaries = [a for driver in drivers for a in driver.adversaries]
-    if first is PrecompiledLockstepDriver:
-        return PrecompiledLockstepDriver(
+    if first is ScheduledLockstepDriver:
+        return ScheduledLockstepDriver(
             adversaries,
             _stack_schedules([d.arrival_schedule for d in drivers], horizon),
             _stack_schedules([d._jammed for d in drivers], horizon),
-        )
-    if first is ReactiveJammingLockstepDriver:
-        return ReactiveJammingLockstepDriver(
-            adversaries,
-            _stack_schedules([d.arrival_schedule for d in drivers], horizon),
             np.concatenate([d._fraction for d in drivers]),
             np.concatenate([d._burst for d in drivers]),
         )
@@ -490,6 +474,7 @@ def run_fused_group(specs: Sequence[Any]) -> Optional[List[Any]]:
             )
 
     merged = _merge_drivers(drivers, config.horizon)
+    del drivers  # the merged driver holds copies of their schedules
     if merged is None:
         return None
     fused_plan = _FusedSeedPlan(plans)
@@ -512,11 +497,16 @@ def run_fused_group(specs: Sequence[Any]) -> Optional[List[Any]]:
             program, merged, config, fused_plan, protocol_name
         )
     if results is None:
-        trial_horizons = (
-            np.repeat(horizons, [spec.trials for spec in specs]) if mixed else None
-        )
+        members = [spec.trials for spec in specs]
+        trial_horizons = np.repeat(horizons, members) if mixed else None
         results = _LockstepRun(
-            program, merged, config, fused_plan, protocol_name, trial_horizons
+            program,
+            merged,
+            config,
+            fused_plan,
+            protocol_name,
+            trial_horizons,
+            members,
         ).execute()
     elapsed = time.perf_counter() - start
     per_trial = elapsed / max(1, len(results))
@@ -535,13 +525,6 @@ def _run_compiled_fused(
     with the same (still untouched) merged driver — the interpreter only
     ever reads driver state into its own arrays before running.
     """
-    from .compiled import (
-        _kernels_for,
-        _run_block,
-        compiled_streams_ok,
-        interpreter_mode,
-    )
-
     mode = interpreter_mode()
     if mode == "off" or not compiled_streams_ok(mode):
         return None

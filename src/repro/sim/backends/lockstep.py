@@ -41,8 +41,15 @@ inject is checked every slot until it can.  A fused run
 horizons: it binds at the largest, pads every shorter member's adversary
 schedule with empty slots, and stops each trial at the first visited slot
 that reaches its own horizon, the way a drained trial stops.  The stop
-step runs only on those slots, and each horizon's results are emitted from
-prefix planes cut to it.
+step runs only on those slots.
+
+Each fused member's results are emitted from its own contiguous trial
+slice (a solo run is one member): views of the run's matrices cut at the
+member's longest trial, summed into prefix planes of the member's own.
+The per-slot matrices are lean: jam, success and "some node sent" are
+bool flags, and a schedule-backed run keeps no arrivals matrix of its
+own, since the driver's schedule already holds every column a result
+reads.
 
 Bit-for-bit reproducibility
 ---------------------------
@@ -65,7 +72,7 @@ batched study kernel does not take runs here (or on the compiled tier).
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -74,8 +81,7 @@ from ...adversary.columnar import (
     AdaptiveChaserLockstepDriver,
     GenericLockstepDriver,
     LockstepAdversaryDriver,
-    PrecompiledLockstepDriver,
-    ReactiveJammingLockstepDriver,
+    ScheduledLockstepDriver,
 )
 from ...errors import ConfigurationError
 from ...protocols.base import LockstepProgram
@@ -86,6 +92,7 @@ from .studysupport import (
     MAX_BLOCK_ELEMENTS,
     SeedPlan,
     StudyProbe,
+    _cumulative_arrivals,
     compile_adversary_schedules,
     emit_study_results,
 )
@@ -99,8 +106,8 @@ AdversaryFactory = Callable[[], Adversary]
 _INITIAL_CAPACITY = 16
 
 #: Trial-slot budget of one processing block.  The kernel's per-slot study
-#: matrices (arrivals/jam/success/counts plus the int64 prefix planes at
-#: emit) cost ~45 bytes per trial-slot, so bounding trial-slots per block
+#: matrices (the arrivals, three bool flags, plus the int64 prefix planes
+#: at emit) cost ~45 bytes per trial-slot, so bounding trial-slots per block
 #: bounds peak memory the way the batched kernel's element cap does;
 #: oversized studies run in contiguous trial blocks, which is semantically
 #: free (trials are independent) and keeps ``streaming=True`` peak memory
@@ -209,7 +216,7 @@ def build_lockstep_driver(
         )
         if compiled is None:
             return None
-        return PrecompiledLockstepDriver(*compiled)
+        return ScheduledLockstepDriver(*compiled)
 
     def fresh_adversaries(states):
         built = [adversary_factory() for _ in range(plan.trials)]
@@ -219,7 +226,7 @@ def build_lockstep_driver(
 
     states = plan.adversary_generator_states()
     adversaries = fresh_adversaries(states)
-    driver = ReactiveJammingLockstepDriver.try_build(adversaries, horizon)
+    driver = ScheduledLockstepDriver.try_reactive(adversaries, horizon)
     if driver is None:
         driver = AdaptiveChaserLockstepDriver.try_build(adversaries, horizon)
     if driver is None:
@@ -254,6 +261,7 @@ class _LockstepRun:
         plan: SeedPlan,
         protocol_name: str,
         horizons: Optional[np.ndarray] = None,
+        members: Optional[Sequence[int]] = None,
     ) -> None:
         self._program = program
         self._driver = driver
@@ -264,14 +272,8 @@ class _LockstepRun:
         horizon = config.horizon
         schedule = driver.arrival_schedule
         if schedule is not None:
-            cum = np.cumsum(schedule, axis=1)
-            over_trials, over_slots = np.nonzero(cum > config.max_nodes)
-            if over_trials.size:
-                raise ConfigurationError(
-                    f"adversary exceeded max_nodes={config.max_nodes} "
-                    f"at slot {int(over_slots[0])}"
-                )
-            self._capacity = max(1, int(cum[:, horizon].max())) if cum.size else 1
+            cum = _cumulative_arrivals(schedule, config)
+            self._capacity = max(1, int(cum[:, horizon].max(initial=0)))
         else:
             self._capacity = _INITIAL_CAPACITY
         trials = self._trials
@@ -306,19 +308,27 @@ class _LockstepRun:
         # A running trial's ``_simulated`` entry is its horizon.  A fused
         # run of mixed horizons binds at the largest and passes them per
         # trial; ``_next_end`` is the earliest one still running.
-        self._horizons = horizons
         if horizons is None:
             self._simulated = np.full(trials, horizon, dtype=np.int64)
             self._next_end = horizon + 1
         else:
             self._simulated = np.array(horizons, dtype=np.int64)
             self._next_end = int(horizons.min())
+        # Trial counts of the fused members, each emitted on its own.
+        self._members = [trials] if members is None else list(members)
         # A drained trial waits while its adversary may still inject.
         self._waiting = False
-        self._arrivals_m = np.zeros((trials, horizon + 1), dtype=np.int64)
-        self._jam_m = np.zeros((trials, horizon + 1), dtype=bool)
-        self._success_m = np.zeros((trials, horizon + 1), dtype=bool)
-        self._counts_m = np.zeros((trials, horizon + 1), dtype=np.int32)
+        shape = (trials, horizon + 1)
+        # A schedule-backed run reads its arrivals from the schedule: up to
+        # a trial's stop they are what the driver reported, and no result
+        # reads a column past its trial's stop.
+        self._arrivals_m = (
+            np.zeros(shape, dtype=np.int64) if schedule is None else None
+        )
+        self._jam_m = np.zeros(shape, dtype=bool)
+        self._success_m = np.zeros(shape, dtype=bool)
+        # Whether any node sent: only silence reads the senders.
+        self._sent_m = np.zeros(shape, dtype=bool)
 
     # --------------------------------------------------------------- seeding
 
@@ -397,12 +407,12 @@ class _LockstepRun:
             )
             self._arrival_col[rows] = slot
             self._program.arrive(rows, slot)
+            self._arrivals_m[:, slot] = arrivals
         self._active = _read_only(np.concatenate((self._active, rows)))
         self._active_trials = np.concatenate(
             (self._active_trials, rows // self._capacity)
         )
         self._node_count += arrivals
-        self._arrivals_m[:, slot] = arrivals
 
     # ------------------------------------------------------------------ loop
 
@@ -440,7 +450,7 @@ class _LockstepRun:
                 if send_positions.size:
                     send_trials = self._active_trials[send_positions]
                     counts = np.bincount(send_trials, minlength=trials)
-                    self._counts_m[:, slot] = counts
+                    self._sent_m[send_trials, slot] = True
                     self._broadcasts_col[rows[send_positions]] += 1
                     hits = (counts == 1) & ~jam & self._trial_active
                     if np.count_nonzero(hits):
@@ -511,31 +521,35 @@ class _LockstepRun:
     # ------------------------------------------------------------------ emit
 
     def _emit(self) -> List[SimulationResult]:
-        if self._horizons is None:
-            return self._emit_trials(slice(None))
-        # Each horizon's trials are emitted from copies cut to it, so no
-        # result views a column past its own horizon and the run's
-        # (trials, H + 1) matrices go with the run.
-        results: Dict[int, SimulationResult] = {}
-        for horizon in np.unique(self._horizons).tolist():
-            ids = (self._horizons == horizon).nonzero()[0]
-            results.update(zip(ids.tolist(), self._emit_trials(ids)))
-        return [results[t] for t in range(self._trials)]
+        """Each member's results from its own contiguous trial slice.
 
-    def _emit_trials(self, ids) -> List[SimulationResult]:
-        """Results of the trials ``ids`` (a slice or an index array).
-
-        The prefix planes end at the longest of these trials: columns
-        after every trial stopped hold nothing a result reads.
+        A member reads views of the run's matrices cut at its longest
+        trial and gets prefix planes of its own, so no member's counters
+        share memory with another's and each goes when its results go.
         """
+        results: List[SimulationResult] = []
+        lo = 0
+        for count in self._members:
+            results.extend(self._emit_trials(slice(lo, lo + count)))
+            lo += count
+        return results
+
+    def _emit_trials(self, ids: slice) -> List[SimulationResult]:
+        """Results of the trials ``ids``, from planes ending at the
+        longest of them: later columns hold nothing a result reads."""
         longest = int(self._simulated[ids].max())
         trials, cut = self._trials, np.s_[ids, : longest + 1]
+        arrivals_m = (
+            self._driver.arrival_schedule
+            if self._arrivals_m is None
+            else self._arrivals_m
+        )
 
         def rows(column: np.ndarray) -> np.ndarray:
             return column.reshape(trials, self._capacity)[ids].ravel()
 
         return emit_lockstep_results(
-            [self._driver.describe(t) for t in np.arange(trials)[ids].tolist()],
+            [self._driver.describe(t) for t in range(trials)[ids]],
             longest,
             self._capacity,
             self._node_count[ids],
@@ -543,10 +557,10 @@ class _LockstepRun:
             rows(self._success_col),
             rows(self._broadcasts_col),
             self._simulated[ids],
-            self._arrivals_m[cut],
+            arrivals_m[cut],
             self._jam_m[cut],
             self._success_m[cut],
-            self._counts_m[cut],
+            self._sent_m[cut],
             self._protocol_name,
             LockstepStudyKernel.name,
         )
@@ -564,7 +578,7 @@ def emit_lockstep_results(
     arrivals_m: np.ndarray,
     jam_m: np.ndarray,
     success_m: np.ndarray,
-    counts_m: np.ndarray,
+    sent_m: np.ndarray,
     protocol_name: str,
     backend_name: str,
 ) -> List[SimulationResult]:
@@ -573,7 +587,11 @@ def emit_lockstep_results(
     Shared by the numpy lockstep kernel and the compiled (``lockstep-jit``)
     kernel — both produce the same flat outcome columns and per-slot study
     matrices, so the prefix-plane construction and per-trial assembly are
-    identical.
+    identical.  ``sent_m`` is nonzero where some node sent (the numpy
+    kernel's flags, the compiled kernel's sender counts).  The only int64
+    arrays allocated are the planes the results keep: each cumulative sum
+    runs in place on its plane, and silence is counted per trial on bool
+    masks.
     """
     trials = len(adversary_names)
     nodes_per_trial = node_count
@@ -585,21 +603,21 @@ def emit_lockstep_results(
     )
 
     cum_arrivals = np.cumsum(arrivals_m, axis=1)
-    stacked = np.stack((success_m, jam_m))
-    stacked[:, :, 0] = False
     # int64 planes so each trial's counters are zero-copy views into the
     # shared study matrices, exactly as the batched kernel emits them.
     prefix = np.empty((3, trials, horizon + 1), dtype=np.int64)
-    np.cumsum(stacked, axis=2, out=prefix[:2])
-    successes_before = np.zeros_like(cum_arrivals)
-    successes_before[:, 1:] = prefix[0, :, :-1]
-    active_full = (cum_arrivals - successes_before) > 0
-    active_full[:, 0] = False
-    np.cumsum(active_full, axis=1, out=prefix[2])
-    silence = (~jam_m) & (counts_m == 0)
+    prefix[:, :, 0] = 0
+    prefix[0, :, 1:] = success_m[:, 1:]
+    prefix[1, :, 1:] = jam_m[:, 1:]
+    np.cumsum(prefix[:2], axis=2, out=prefix[:2])
+    # A slot is active when more nodes arrived by it than succeeded before it.
+    np.greater(cum_arrivals[:, 1:], prefix[0, :, :-1], out=prefix[2, :, 1:])
+    np.cumsum(prefix[2], axis=1, out=prefix[2])
+    silence = sent_m == 0
+    silence &= ~jam_m
     silence[:, 0] = False
-    silence_prefix = np.cumsum(silence, axis=1)
-    silence_at = silence_prefix[np.arange(trials), simulated]
+    silence &= np.arange(horizon + 1) <= simulated[:, None]
+    silence_at = np.count_nonzero(silence, axis=1)
 
     success_ordered = success_col[order]
     sim_per_row = np.repeat(simulated, nodes_per_trial)

@@ -404,17 +404,26 @@ def compile_adversary_schedules(
             arrivals_all[index] = schedule.arrivals
             jammed_all[index] = schedule.jammed
 
-    cum = np.cumsum(arrivals_all, axis=1)
+    _cumulative_arrivals(arrivals_all, config)
+    return adversaries, arrivals_all, jammed_all
+
+
+def _cumulative_arrivals(arrivals: np.ndarray, config) -> np.ndarray:
+    """Running node counts of ``(T, horizon+1)`` arrival schedules.
+
+    Raises the serial path's :class:`ConfigurationError` when a trial
+    exceeds ``max_nodes``: ``nonzero`` returns row-major order, so index 0
+    is the first violating trial's first violating slot — the same slot
+    the serial run of that trial would have raised on.
+    """
+    cum = np.cumsum(arrivals, axis=1)
     over_trials, over_slots = np.nonzero(cum > config.max_nodes)
     if over_trials.size:
-        # nonzero returns row-major order, so index 0 is the first
-        # violating trial's first violating slot — the same slot the
-        # serial run of that trial would have raised on.
         raise ConfigurationError(
             f"adversary exceeded max_nodes={config.max_nodes} "
             f"at slot {int(over_slots[0])}"
         )
-    return adversaries, arrivals_all, jammed_all
+    return cum
 
 
 def study_early_stops(

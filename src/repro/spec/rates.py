@@ -73,9 +73,19 @@ RATE_FUNCTIONS.register(
 
 
 def rate_function_from_spec(spec: Mapping[str, Any]) -> RateFunction:
-    """Build a :class:`RateFunction` from a ``{"kind", "params"}`` mapping."""
+    """Build a :class:`RateFunction` from a ``{"kind", "params"}`` mapping.
+
+    Any other key is an error: a parameter written beside ``params`` would
+    otherwise be dropped silently and the family's default used.
+    """
     if not isinstance(spec, Mapping) or "kind" not in spec:
         raise SpecError(f"rate-function spec must be a mapping with a 'kind': {spec!r}")
+    unknown = sorted(str(key) for key in spec if key not in ("kind", "params"))
+    if unknown:
+        raise SpecError(
+            f"rate-function spec has unknown key(s) {', '.join(unknown)}; "
+            f"parameters go under 'params': {spec!r}"
+        )
     return RATE_FUNCTIONS.build(str(spec["kind"]), spec.get("params"))
 
 

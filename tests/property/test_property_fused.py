@@ -20,14 +20,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import faults
+from repro.adversary.columnar import ScheduledLockstepDriver
 from repro.metrics import EnergyReducer
+from repro.rng import TrialSeedBatch
+from repro.sim.backends.compiled import _lower_driver, interpreter_mode
 from repro.sim.backends.fused import (
     _CompositeLockstepProgram,
+    _merge_drivers,
     fusion_key,
     plan_fusion_groups,
     run_fused_group,
 )
-from repro.sim.backends.lockstep import _LockstepRun
+from repro.sim.backends.lockstep import _LockstepRun, build_lockstep_driver
+from repro.sim.backends.studysupport import SeedPlan
+from repro.sim.engine import SimulatorConfig
 from repro.spec import PipelineSpec, StudyPlan, StudySpec, Sweep, sweep_rows
 from repro.spec.store import result_record
 
@@ -42,12 +48,15 @@ TIMING_FIELDS = {
 PROTOCOLS = {
     "cjz": lambda value: {
         "kind": "cjz",
-        "params": {"g": {"kind": "constant", "value": float(value)}},
+        "params": {"g": {"kind": "constant", "params": {"value": float(value)}}},
     },
     # Stages draw up to 20 send slots each, 2**k from 2**k at first.
     "cjz-large-budget": lambda value: {
         "kind": "cjz",
-        "params": {"g": {"kind": "constant", "value": float(value)}, "a": 0.05},
+        "params": {
+            "g": {"kind": "constant", "params": {"value": float(value)}},
+            "a": 0.05,
+        },
     },
     "two-channel": lambda value: {
         "kind": "two-channel-no-jamming",
@@ -88,6 +97,9 @@ JAMMING = {
     "none": {"kind": "no-jamming", "params": {}},
     "reactive": {"kind": "reactive", "params": {"fraction": 0.25, "burst": 2}},
 }
+
+#: An oblivious jammer with a nonzero static jam schedule.
+RANDOM_FRACTION = {"kind": "random-fraction", "params": {"fraction": 0.25}}
 
 
 def _spec(protocol, param, arrivals, jamming, horizon, trials, seed, **extra):
@@ -152,11 +164,12 @@ def _run_composite(specs):
 
 @st.composite
 def mixed_grids(draw):
-    """A plan mixing protocol families, params, seeds and adversaries."""
+    """A plan mixing protocol families, params, seeds and adversaries; the
+    jamming is drawn per spec, so a group may mix oblivious and reactive
+    members."""
     horizon = draw(st.integers(min_value=80, max_value=220))
     trials = draw(st.integers(min_value=2, max_value=4))
     arrivals = draw(st.sampled_from(sorted(ARRIVALS)))
-    jamming = draw(st.sampled_from(sorted(JAMMING)))
     seeds = draw(
         st.lists(
             st.integers(min_value=0, max_value=2**16),
@@ -178,33 +191,30 @@ def mixed_grids(draw):
             )
         ):
             for seed in seeds:
+                jamming = draw(st.sampled_from(sorted(JAMMING)))
                 specs.append(
                     _spec(protocol, param, arrivals, jamming, horizon, trials, seed)
                 )
     return specs
 
 
-@given(mixed_grids())
-@settings(max_examples=16, deadline=None)
-def test_fused_plan_identical_to_per_point(specs):
-    groups = plan_fusion_groups(list(enumerate(specs)))
-    mixed = any(len({spec.protocol for _, spec in group}) > 1 for group in groups)
-    composite_slots = []
-    real_arrive = _CompositeLockstepProgram.arrive
+def test_fused_plan_identical_to_per_point():
+    """Fused plans equal per-point dispatch, and some drawn plan fuses
+    oblivious and reactive members into one group."""
+    mixed_family_groups = []
 
-    def arrive(program, rows, slot):
-        real_arrive(program, rows, slot)
-        composite_slots.append(np.broadcast_to(slot, rows.shape))
-
-    with mock.patch.object(_CompositeLockstepProgram, "arrive", arrive):
+    @given(mixed_grids())
+    @settings(max_examples=16, deadline=None)
+    def check(specs):
+        for group in plan_fusion_groups(list(enumerate(specs))):
+            if len({spec.adversary.jamming.kind for _, spec in group}) > 1:
+                mixed_family_groups.append(group)
         fused = StudyPlan(specs).run(fuse=True)
-    serial = StudyPlan(specs).run(fuse=False)
-    _assert_studies_identical(fused, serial)
-    # A group that mixes parameters runs the composite program, which then
-    # splits the per-row arrival slots by member.
-    assert bool(composite_slots) == mixed
-    if mixed and specs[0].adversary.arrivals.kind == "uniform-random":
-        assert any(len(np.unique(slots)) > 1 for slots in composite_slots)
+        serial = StudyPlan(specs).run(fuse=False)
+        _assert_studies_identical(fused, serial)
+
+    check()
+    assert mixed_family_groups
 
 
 @given(
@@ -412,6 +422,150 @@ def test_batched_study_points_stay_unfused():
     assert fusion_key(spec("none", "batched-study")) is None
     assert fusion_key(spec("none", "lockstep")) is not None
     assert fusion_key(spec("reactive", "auto")) is not None
+
+
+def _batch_member(jamming, horizon, count, slot, seed, **extra):
+    """A CJZ point whose ``count`` nodes arrive together at ``slot``."""
+    adversary = {
+        "kind": "composed",
+        "arrivals": {"kind": "batch", "params": {"count": count, "slot": slot}},
+        "jamming": jamming,
+    }
+    return _spec(
+        "cjz", 4, "batch", "none", horizon, 2, seed, adversary=adversary, **extra
+    )
+
+
+@pytest.mark.parametrize("drained", [False, True], ids=["full", "drained"])
+def test_oblivious_and_reactive_members_fuse_into_one_run(drained):
+    """Random-fraction and reactive members of one protocol and mixed
+    horizons form one group whose members each equal their solo run and
+    the reference kernel.  The reactive member's nodes leave long before
+    the oblivious members' batches arrive.  Running every slot, its last
+    success leaves a burst pending while every member idles, so the idle
+    skip steps slot by slot; under ``stop_when_drained`` its drained trials
+    stop instead (a running trial can hold a burst only with live nodes or
+    while it waits for arrivals, and both step every slot), so the skip
+    jumps straight to the next batch."""
+    reactive = {"kind": "reactive", "params": {"fraction": 0.5, "burst": 40}}
+    specs = [
+        _batch_member(RANDOM_FRACTION, 260, 4, 200, 1, stop_when_drained=drained),
+        _batch_member(reactive, 400, 3, 1, 2, stop_when_drained=drained),
+        _batch_member(RANDOM_FRACTION, 330, 4, 300, 3, stop_when_drained=drained),
+    ]
+    assert [len(g) for g in plan_fusion_groups(list(enumerate(specs)))] == [3]
+    skips = []  # (slot, resume, a running trial holds a pending burst)
+    real_skip = ScheduledLockstepDriver.skip_idle
+
+    def skip_idle(driver, slot, trial_active, jam_m):
+        resume = real_skip(driver, slot, trial_active, jam_m)
+        pending = bool(np.count_nonzero(driver._pending[trial_active]))
+        skips.append((slot, resume, pending))
+        return resume
+
+    with mock.patch.object(ScheduledLockstepDriver, "skip_idle", skip_idle):
+        fused = StudyPlan(specs).run(fuse=True)
+    _assert_studies_identical(fused, StudyPlan(specs).run(fuse=False))
+    _assert_studies_identical(fused, _reference(specs))
+    reactive_end = max(r.summary.total_slots for r in fused[1].study.results)
+    if drained:
+        assert reactive_end < 200
+        assert not any(pending for _, _, pending in skips)
+        assert any(slot > reactive_end and resume == 200 for slot, resume, _ in skips)
+    else:
+        assert any(
+            pending and resume == slot and slot < 200
+            for slot, resume, pending in skips
+        )
+        assert any(resume > slot for slot, resume, _ in skips)
+
+
+def test_fused_members_share_no_counter_memory():
+    """Each member is emitted from its own trial slice into planes of its
+    own, so freeing one member's results frees its columns: no counter's
+    base array overlaps another member's (rows of one shared plane would)."""
+    specs = [
+        _spec("cjz", 4, "batch", jamming, 128, 2, seed)
+        for seed, jamming in ((1, "none"), (2, "reactive"), (3, "none"))
+    ]
+    counters = [
+        [
+            column
+            for result in study.results
+            for column in (
+                result.counters.active,
+                result.counters.arrivals,
+                result.counters.jammed,
+                result.counters.successes,
+            )
+        ]
+        for study in run_fused_group(specs)
+    ]
+    for m, mine in enumerate(counters):
+        for theirs in counters[m + 1 :]:
+            for x in mine:
+                assert not any(np.shares_memory(x.base, y.base) for y in theirs)
+
+
+def _scheduled_driver(jamming, horizon=96, seed=5):
+    spec = _spec("cjz", 4, "uniform-random", "none", horizon, 2, seed)
+    spec = spec.with_overrides({"adversary.jamming": jamming})
+    plan = SeedPlan.build(TrialSeedBatch(spec.seed, spec.trials))
+    config = SimulatorConfig(horizon=horizon)
+    return build_lockstep_driver(spec.adversary.factory(horizon), config, plan)
+
+
+def test_compiled_tier_keeps_oblivious_and_reactive_apart(monkeypatch):
+    """Where the compiled tier could take a group, oblivious and reactive
+    points key apart, since the interpreter lowers a static jam schedule
+    (mode 0) and a reactive jammer (mode 1) separately; a scheduled driver
+    mixing both lowers to neither and demotes."""
+    monkeypatch.delenv("REPRO_DISABLE_NUMBA", raising=False)
+    monkeypatch.setenv("REPRO_COMPILED_FORCE_PYTHON", "1")
+    oblivious = _spec("cjz", 4, "batch", "none", 128, 2, 1, backend="auto")
+    reactive = _spec("cjz", 4, "batch", "reactive", 128, 2, 1, backend="auto")
+    assert None not in (fusion_key(oblivious), fusion_key(reactive))
+    assert fusion_key(oblivious) != fusion_key(reactive)
+    monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
+    assert fusion_key(oblivious) == fusion_key(reactive)
+
+    config = SimulatorConfig(horizon=96)
+    static = _scheduled_driver(RANDOM_FRACTION)
+    bursts = _scheduled_driver(JAMMING["reactive"])
+    quiet = _scheduled_driver(JAMMING["none"])
+    assert type(static) is type(bursts) is ScheduledLockstepDriver
+    assert static._jammed.any() and bursts._burst.all()
+    assert _lower_driver(static, config, 96, 2)[0] == 0
+    assert _lower_driver(bursts, config, 96, 2)[0] == 1
+    assert _lower_driver(_merge_drivers([static, bursts], 96), config, 96, 4) is None
+    # Without a static jam, oblivious trials are reactive ones of burst 0.
+    assert _lower_driver(_merge_drivers([quiet, bursts], 96), config, 96, 4)[0] == 1
+
+
+@pytest.mark.parametrize("force_python", [False, True], ids=["env", "python"])
+@pytest.mark.parametrize("jamming", ["random-fraction", "reactive"])
+def test_auto_groups_take_the_compiled_tier_when_it_is_on(
+    monkeypatch, force_python, jamming
+):
+    """Single-family, single-horizon groups under ``auto`` run on the
+    compiled tier whenever the interpreter is on — through the JIT where
+    numba is importable, through the interpreter's python form when
+    forced — and on numpy lockstep otherwise, with identical results."""
+    if force_python:
+        monkeypatch.delenv("REPRO_DISABLE_NUMBA", raising=False)
+        monkeypatch.setenv("REPRO_COMPILED_FORCE_PYTHON", "1")
+    jammer = RANDOM_FRACTION if jamming == "random-fraction" else JAMMING["reactive"]
+    specs = [
+        _spec(
+            "cjz", 4, "uniform-random", "none", 120, 2, seed, backend="auto"
+        ).with_overrides({"adversary.jamming": jammer})
+        for seed in (11, 12, 13)
+    ]
+    assert [len(g) for g in plan_fusion_groups(list(enumerate(specs)))] == [3]
+    fused = StudyPlan(specs).run(fuse=True)
+    _assert_studies_identical(fused, _reference(specs))
+    expected = "lockstep-jit" if interpreter_mode() != "off" else "lockstep"
+    assert {r.backend for f in fused for r in f.study.results} == {expected}
 
 
 @given(

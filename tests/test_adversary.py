@@ -261,3 +261,64 @@ class TestSmoothAdversary:
         adversary = self.make()
         arrivals = sum(adversary.action_for_slot(s).arrivals for s in range(1, 2049))
         assert arrivals == adversary.total_arrivals
+
+
+class TestPaperAdversaryPrecompile:
+    """The proof adversaries fix their whole schedule in ``setup``, so they
+    precompile it with array writes; the arrays equal the generic
+    slot-by-slot replay of ``action_for_slot``."""
+
+    @staticmethod
+    def _factories(t):
+        params = AlgorithmParameters.from_g(constant_g(4.0))
+        return {
+            "lower-bound": lambda: LowerBoundAdversary(t, params.g, initial_nodes=3),
+            # jam_constant this small makes the front jam t - 1 slots.
+            "lower-bound-front": lambda: LowerBoundAdversary(
+                t, params.g, jam_constant=1e-3
+            ),
+            "killer": lambda: NonAdaptiveKillerAdversary(t, params.g, params.f),
+            "killer-front": lambda: NonAdaptiveKillerAdversary(
+                t, params.g, params.f, jam_constant=1e-3
+            ),
+            "smooth": lambda: SmoothAdversary(t, params.f, params.g),
+            "smooth-dense": lambda: SmoothAdversary(
+                t, params.f, params.g, arrival_constant=0.05, jam_constant=0.5
+            ),
+        }
+
+    @pytest.mark.parametrize("t", [4, 5, 37, 256])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_arrays_equal_the_generic_replay(self, monkeypatch, t, seed):
+        from repro.adversary.base import Adversary
+
+        for name, build in self._factories(t).items():
+            for horizon in sorted({1, 2, t - 1, t, t + 3, 2 * t}):
+                replayed = build()
+                replayed.setup(np.random.default_rng(seed), horizon)
+                expected = Adversary.precompile(replayed, horizon)
+                adversary = build()
+                adversary.setup(np.random.default_rng(seed), horizon)
+                with monkeypatch.context() as patch:
+                    # The override never replays the scalar API.
+                    patch.setattr(type(adversary), "action_for_slot", None)
+                    schedule = adversary.precompile(horizon)
+                for got, want in (
+                    (schedule.arrivals, expected.arrivals),
+                    (schedule.jammed, expected.jammed),
+                ):
+                    assert got.dtype == want.dtype, (name, horizon)
+                    assert np.array_equal(got, want), (name, horizon)
+
+    def test_front_jam_covers_all_but_the_last_slot(self):
+        t = 37
+        factories = self._factories(t)
+        for name in ("lower-bound-front", "killer-front"):
+            adversary = factories[name]()
+            adversary.setup(np.random.default_rng(0), t)
+            assert adversary.precompile(t).jammed[1:].all(), name
+        killer = factories["killer"]()
+        killer.setup(np.random.default_rng(0), t)
+        schedule = killer.precompile(t)
+        assert schedule.arrivals[1] == 2
+        assert schedule.arrivals[t] == killer.late_arrivals

@@ -571,3 +571,42 @@ class TestExplainMatchesDispatch:
             runner.run(2, seed=1)
         assert str(explained.value) == str(ran.value)
         assert f"backend {backend!r} unavailable" in str(ran.value)
+
+
+class TestInterpreterMode:
+    def test_numba_is_asked_for_once_and_switches_are_read_per_call(
+        self, monkeypatch
+    ):
+        """Without numba a retried import searches the whole import path,
+        so its importability is asked once; the two environment switches
+        still decide every call."""
+        import builtins
+
+        from repro.sim.backends import compiled
+
+        attempts = []
+        real_import = builtins.__import__
+
+        def counting_import(name, *args, **kwargs):
+            if name == "numba":
+                attempts.append(name)
+            return real_import(name, *args, **kwargs)
+
+        monkeypatch.delenv("REPRO_DISABLE_NUMBA", raising=False)
+        monkeypatch.delenv("REPRO_COMPILED_FORCE_PYTHON", raising=False)
+        compiled._numba_importable.cache_clear()
+        monkeypatch.setattr(builtins, "__import__", counting_import)
+        modes = {compiled.interpreter_mode() for _ in range(100)}
+        assert len(attempts) <= 1
+        (unswitched,) = modes
+        assert unswitched in ("numba", "off")
+
+        monkeypatch.setenv("REPRO_COMPILED_FORCE_PYTHON", "1")
+        assert compiled.interpreter_mode() == "python"
+        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
+        assert compiled.interpreter_mode() == "off"
+        monkeypatch.delenv("REPRO_COMPILED_FORCE_PYTHON")
+        assert compiled.interpreter_mode() == "off"
+        monkeypatch.delenv("REPRO_DISABLE_NUMBA")
+        assert compiled.interpreter_mode() == unswitched
+        assert len(attempts) <= 1

@@ -95,6 +95,20 @@ class TestRateFunctionSpecs:
         with pytest.raises(SpecError):
             rate_function_from_spec({"kind": "nope"})
 
+    def test_parameter_beside_params_rejected(self):
+        """A parameter written next to ``params`` is an error, not a
+        silent fall back to the family's default."""
+        with pytest.raises(SpecError, match="value"):
+            rate_function_from_spec({"kind": "constant", "value": 2.0})
+        with pytest.raises(SpecError, match="value"):
+            ProtocolSpec(
+                "cjz", {"g": {"kind": "constant", "value": 2.0}}
+            ).build()
+        rate = rate_function_from_spec(
+            {"kind": "constant", "params": {"value": 2.0}}
+        )
+        assert rate(1024.0) == 2.0
+
 
 class TestProtocolSpec:
     @pytest.mark.parametrize("kind", PROTOCOLS.kinds())
