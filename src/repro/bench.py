@@ -26,8 +26,9 @@ Two kinds of record are emitted:
 
 Micro records additionally carry the suite's **memory trajectory**:
 ``peak_bytes_per_slot`` (tracemalloc peak of the whole study run, normalized
-per simulated slot), ``result_bytes_per_slot`` (bytes retained by the
-columnar prefix counters after the study returns) and
+per simulated slot), ``result_bytes_per_slot`` (per-slot bytes the results
+retain after the study returns: their counter columns, or on the lockstep
+tiers, whose counters are derived on first read, their jam flags) and
 ``legacy_list_bytes_per_slot`` (what the same prefix data would occupy as
 the four Python int lists the columnar refactor replaced — measured, not
 estimated).  The comparison gate fails on memory growth beyond the
@@ -62,7 +63,7 @@ from .adversary import (
     UniformRandomArrivals,
 )
 from .core import cjz_factory
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ServeError
 from .protocols import ProbabilityBackoff, SlottedAloha, make_factory
 from .sim import run_trials
 from .sim.backends import available_study_backends
@@ -611,6 +612,31 @@ def run_dispatch_suite(
     return records
 
 
+#: The service suite's bound on each job's execution (the server's job
+#: deadline, no requeue); the client waits twice as long for any answer and
+#: does not re-send, so a job lost on the way fails the suite, naming it,
+#: instead of stalling it.
+_SERVICE_DEADLINE_S = 60.0
+
+
+def _service_submit(client, specs) -> None:
+    """Submit and wait; raise :class:`ConfigurationError` naming the jobs
+    when one fails or no answer comes within the client's timeout."""
+    try:
+        outcomes = client.submit(specs)
+    except ServeError as exc:
+        names = ", ".join(spec.spec_hash()[:12] for spec in specs)
+        raise ConfigurationError(
+            f"service bench submit of jobs {names} got no answer: {exc}"
+        ) from exc
+    for spec, outcome in zip(specs, outcomes):
+        if not outcome.ok:
+            raise ConfigurationError(
+                f"service bench job {spec.spec_hash()[:12]} failed: "
+                f"{outcome.error}"
+            )
+
+
 def run_service_suite(
     seed: int = 20210219, repeats: int = 3
 ) -> List[Dict[str, object]]:
@@ -636,20 +662,19 @@ def run_service_suite(
     )
     specs = [base.with_overrides({"seed": seed + index}) for index in range(4)]
     with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as root:
-        with BackgroundServer(root, shards=2, workers=2) as server:
-            client = ServeClient(*server.address)
+        with BackgroundServer(
+            root, shards=2, workers=2, deadline=_SERVICE_DEADLINE_S, requeues=0
+        ) as server:
+            client = ServeClient(
+                *server.address, timeout=2 * _SERVICE_DEADLINE_S, retries=0
+            )
             start = time.perf_counter()
-            outcomes = client.submit(specs)
+            _service_submit(client, specs)
             cold = time.perf_counter() - start
-            failed = [o for o in outcomes if not o.ok]
-            if failed:
-                raise ConfigurationError(
-                    f"service bench submit failed: {failed[0].error}"
-                )
             cached_best = float("inf")
             for _ in range(max(1, repeats)):
                 start = time.perf_counter()
-                client.submit(specs)
+                _service_submit(client, specs)
                 cached_best = min(cached_best, time.perf_counter() - start)
     return [
         {

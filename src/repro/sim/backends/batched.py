@@ -38,7 +38,7 @@ records; the runner falls back to the per-trial path for it).
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -286,8 +286,8 @@ class BatchedStudyKernel:
         cum_arrivals = np.cumsum(arrivals, axis=1)
         stacked = np.stack((eligible & (counts == 1), jammed))
         stacked[:, :, 0] = False  # index 0 is unused in every prefix array
-        # int64 so the per-trial row slices handed to PrefixCounters in
-        # _emit are zero-copy views into this shared study matrix; exactly
+        # int64 so the per-trial row slices handed to PrefixCounters at
+        # emission are zero-copy views into this shared study matrix; exactly
         # the three emitted planes (successes, jammed, active) share the
         # base array, so the views pin no dead plane.
         prefix = np.empty((3, block_trials, horizon + 1), dtype=np.int64)
@@ -317,20 +317,27 @@ class BatchedStudyKernel:
             :, 0
         ]
         del running_b, broadcasts
+        # A trial's rows are in arrival order, so those that arrived by its
+        # stop keep their node ids.
+        arrived_rows = arrival_slots <= sim_per_row
+        trial_of_row = np.repeat(np.arange(block_trials), nodes_per_trial)
 
-        return self._emit(
-            adversaries,
-            nodes_per_trial,
-            row_starts,
-            arrival_list,
-            success_slot.tolist(),
-            finished.tolist(),
-            broadcast_counts.tolist(),
+        return emit_study_results(
+            [adversary.describe() for adversary in adversaries],
+            np.bincount(trial_of_row[arrived_rows], minlength=block_trials),
+            arrival_slots[arrived_rows],
+            np.where(finished, success_slot, 0)[arrived_rows],
+            broadcast_counts[arrived_rows],
             simulated,
-            cum_arrivals,
-            prefix,
+            prefix[1, np.arange(block_trials), simulated],
             silence_at,
             protocol_name,
+            BatchedStudyKernel.name,
+            # Zero-copy views into the shared block planes.  Every plane
+            # is referenced by some trial's counters, so retention equals
+            # the columnar study data (early stops may truncate a view
+            # below its backing row, the one case nbytes under-counts).
+            prefix=(prefix[2], cum_arrivals, prefix[1], prefix[0]),
         )
 
     @staticmethod
@@ -379,40 +386,3 @@ class BatchedStudyKernel:
         return study_early_stops(
             config, adversaries, cum_arrivals, prefix_successes, horizon
         )
-
-    @staticmethod
-    def _emit(
-        adversaries: List[Adversary],
-        nodes_per_trial: np.ndarray,
-        row_starts: np.ndarray,
-        arrival_list: List[int],
-        success_list: List[int],
-        finished_list: List[bool],
-        bc_list: List[int],
-        simulated: np.ndarray,
-        cum_arrivals: np.ndarray,
-        prefix: np.ndarray,
-        silence_at: np.ndarray,
-        protocol_name: str,
-    ) -> List[SimulationResult]:
-        # Zero-copy views into the shared block matrices.  Every plane of
-        # the backing arrays is referenced by some trial's counters, so
-        # retention equals the columnar study data (early stops may truncate
-        # a view below its backing row, the one case nbytes under-counts).
-        return emit_study_results(
-            [adversary.describe() for adversary in adversaries],
-            nodes_per_trial,
-            row_starts,
-            arrival_list,
-            success_list,
-            finished_list,
-            bc_list,
-            simulated,
-            cum_arrivals,
-            prefix,
-            silence_at,
-            protocol_name,
-            BatchedStudyKernel.name,
-        )
-
-

@@ -35,7 +35,7 @@ import functools
 import importlib.util
 import os
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -434,12 +434,13 @@ def _lower_driver(
 def _run_block(
     kernels, mode, adversary_factory, config, plan, tables, protocol_name,
     driver: Optional[LockstepAdversaryDriver] = None,
+    members: Optional[Sequence[int]] = None,
 ) -> Optional[List[SimulationResult]]:
     horizon = config.horizon
     trials = plan.trials
     if driver is None:
-        # The fused dispatcher passes a pre-merged driver; the per-study
-        # path builds one from the factory as before.
+        # The fused dispatcher passes a pre-merged driver and its members'
+        # trial counts; the per-study path builds one from the factory.
         driver = build_lockstep_driver(adversary_factory, config, plan)
     if driver is None:
         _demote("no columnar lockstep driver for this adversary")
@@ -552,8 +553,8 @@ def _run_block(
 
     return emit_lockstep_results(
         [driver.describe(t) for t in range(trials)],
-        horizon, capacity, node_count,
+        capacity, node_count,
         arrival_col, success_col, broadcasts_col,
-        simulated, arrivals_m, jam_m, success_m, counts_m,
-        protocol_name, CompiledStudyKernel.name,
+        simulated, jam_m, counts_m,
+        protocol_name, CompiledStudyKernel.name, members,
     )

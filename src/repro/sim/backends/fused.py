@@ -488,16 +488,16 @@ def run_fused_group(specs: Sequence[Any]) -> Optional[List[Any]]:
     start = time.perf_counter()
     results = None
     mixed = len(set(horizons)) > 1
+    members = [spec.trials for spec in specs]
     if (
         uniform
         and not mixed
         and all(spec.backend in _COMPILED_BACKENDS for spec in specs)
     ):
         results = _run_compiled_fused(
-            program, merged, config, fused_plan, protocol_name
+            program, merged, config, fused_plan, protocol_name, members
         )
     if results is None:
-        members = [spec.trials for spec in specs]
         trial_horizons = np.repeat(horizons, members) if mixed else None
         results = _LockstepRun(
             program,
@@ -517,13 +517,14 @@ def run_fused_group(specs: Sequence[Any]) -> Optional[List[Any]]:
 
 
 def _run_compiled_fused(
-    program, driver, config, fused_plan, protocol_name
+    program, driver, config, fused_plan, protocol_name, members
 ) -> Optional[List[Any]]:
     """Try the lockstep-jit tier on the merged run (uniform groups only).
 
     Any bail-out returns ``None`` and the caller runs the numpy fused path
     with the same (still untouched) merged driver — the interpreter only
-    ever reads driver state into its own arrays before running.
+    ever reads driver state into its own arrays before running.  Each
+    member is emitted from its own trial slice, as on the numpy path.
     """
     mode = interpreter_mode()
     if mode == "off" or not compiled_streams_ok(mode):
@@ -543,6 +544,7 @@ def _run_compiled_fused(
         tables,
         protocol_name,
         driver=driver,
+        members=members,
     )
 
 

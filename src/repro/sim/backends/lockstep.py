@@ -43,13 +43,14 @@ schedule with empty slots, and stops each trial at the first visited slot
 that reaches its own horizon, the way a drained trial stops.  The stop
 step runs only on those slots.
 
-Each fused member's results are emitted from its own contiguous trial
-slice (a solo run is one member): views of the run's matrices cut at the
-member's longest trial, summed into prefix planes of the member's own.
-The per-slot matrices are lean: jam, success and "some node sent" are
-bool flags, and a schedule-backed run keeps no arrivals matrix of its
-own, since the driver's schedule already holds every column a result
-reads.
+The run keeps two per-slot matrices, both bool: the jam flags and whether
+some node sent.  Each fused member's results are emitted from its own
+contiguous trial slice (a solo run is one member): its node columns, its
+jammed and silent slot counts from the flags cut at each trial's stop, and
+its per-slot counters, which each result derives on first read from its
+node columns and its own copy of its jam flags
+(:class:`~repro.sim.results.SimulationResult`).  A sweep that reads only
+summaries, latencies and energy never builds a per-slot int64 column.
 
 Bit-for-bit reproducibility
 ---------------------------
@@ -106,12 +107,13 @@ AdversaryFactory = Callable[[], Adversary]
 _INITIAL_CAPACITY = 16
 
 #: Trial-slot budget of one processing block.  The kernel's per-slot study
-#: matrices (the arrivals, three bool flags, plus the int64 prefix planes
-#: at emit) cost ~45 bytes per trial-slot, so bounding trial-slots per block
-#: bounds peak memory the way the batched kernel's element cap does;
-#: oversized studies run in contiguous trial blocks, which is semantically
-#: free (trials are independent) and keeps ``streaming=True`` peak memory
-#: at one block rather than the whole study.
+#: data (two bool flag matrices, the bool masks emission counts silence and
+#: jamming on, each result's copy of its jam flags, and the driver's int64
+#: arrival schedule when it has one) grows with trial-slots, so bounding
+#: trial-slots per block bounds peak memory the way the batched kernel's
+#: element cap does; oversized studies run in contiguous trial blocks,
+#: which is semantically free (trials are independent) and keeps
+#: ``streaming=True`` peak memory at one block rather than the whole study.
 _BLOCK_TRIAL_SLOTS = MAX_BLOCK_ELEMENTS // 4
 
 
@@ -318,16 +320,10 @@ class _LockstepRun:
         self._members = [trials] if members is None else list(members)
         # A drained trial waits while its adversary may still inject.
         self._waiting = False
+        # Per-slot flags: the jam flags each result keeps for its counters,
+        # and whether any node sent, which only silence reads.
         shape = (trials, horizon + 1)
-        # A schedule-backed run reads its arrivals from the schedule: up to
-        # a trial's stop they are what the driver reported, and no result
-        # reads a column past its trial's stop.
-        self._arrivals_m = (
-            np.zeros(shape, dtype=np.int64) if schedule is None else None
-        )
         self._jam_m = np.zeros(shape, dtype=bool)
-        self._success_m = np.zeros(shape, dtype=bool)
-        # Whether any node sent: only silence reads the senders.
         self._sent_m = np.zeros(shape, dtype=bool)
 
     # --------------------------------------------------------------- seeding
@@ -407,7 +403,6 @@ class _LockstepRun:
             )
             self._arrival_col[rows] = slot
             self._program.arrive(rows, slot)
-            self._arrivals_m[:, slot] = arrivals
         self._active = _read_only(np.concatenate((self._active, rows)))
         self._active_trials = np.concatenate(
             (self._active_trials, rows // self._capacity)
@@ -459,7 +454,6 @@ class _LockstepRun:
                         winner_positions = send_positions[winning]
                         winner_rows = rows[winner_positions]
                         self._success_col[winner_rows] = slot
-                        self._success_m[:, slot] = success
                         self._success_count += success
                         winner_ids = no_winners.copy()
                         winner_ids[send_trials[winning]] = (
@@ -521,120 +515,78 @@ class _LockstepRun:
     # ------------------------------------------------------------------ emit
 
     def _emit(self) -> List[SimulationResult]:
-        """Each member's results from its own contiguous trial slice.
-
-        A member reads views of the run's matrices cut at its longest
-        trial and gets prefix planes of its own, so no member's counters
-        share memory with another's and each goes when its results go.
-        """
-        results: List[SimulationResult] = []
-        lo = 0
-        for count in self._members:
-            results.extend(self._emit_trials(slice(lo, lo + count)))
-            lo += count
-        return results
-
-    def _emit_trials(self, ids: slice) -> List[SimulationResult]:
-        """Results of the trials ``ids``, from planes ending at the
-        longest of them: later columns hold nothing a result reads."""
-        longest = int(self._simulated[ids].max())
-        trials, cut = self._trials, np.s_[ids, : longest + 1]
-        arrivals_m = (
-            self._driver.arrival_schedule
-            if self._arrivals_m is None
-            else self._arrivals_m
-        )
-
-        def rows(column: np.ndarray) -> np.ndarray:
-            return column.reshape(trials, self._capacity)[ids].ravel()
-
         return emit_lockstep_results(
-            [self._driver.describe(t) for t in range(trials)[ids]],
-            longest,
+            [self._driver.describe(t) for t in range(self._trials)],
             self._capacity,
-            self._node_count[ids],
-            rows(self._arrival_col),
-            rows(self._success_col),
-            rows(self._broadcasts_col),
-            self._simulated[ids],
-            arrivals_m[cut],
-            self._jam_m[cut],
-            self._success_m[cut],
-            self._sent_m[cut],
+            self._node_count,
+            self._arrival_col,
+            self._success_col,
+            self._broadcasts_col,
+            self._simulated,
+            self._jam_m,
+            self._sent_m,
             self._protocol_name,
             LockstepStudyKernel.name,
+            self._members,
         )
 
 
 def emit_lockstep_results(
     adversary_names: List[str],
-    horizon: int,
     capacity: int,
     node_count: np.ndarray,
     arrival_col: np.ndarray,
     success_col: np.ndarray,
     broadcasts_col: np.ndarray,
     simulated: np.ndarray,
-    arrivals_m: np.ndarray,
     jam_m: np.ndarray,
-    success_m: np.ndarray,
     sent_m: np.ndarray,
     protocol_name: str,
     backend_name: str,
+    members: Optional[Sequence[int]] = None,
 ) -> List[SimulationResult]:
     """Assemble results from the lockstep loop's columnar bookkeeping.
 
     Shared by the numpy lockstep kernel and the compiled (``lockstep-jit``)
-    kernel — both produce the same flat outcome columns and per-slot study
-    matrices, so the prefix-plane construction and per-trial assembly are
-    identical.  ``sent_m`` is nonzero where some node sent (the numpy
-    kernel's flags, the compiled kernel's sender counts).  The only int64
-    arrays allocated are the planes the results keep: each cumulative sum
-    runs in place on its plane, and silence is counted per trial on bool
-    masks.
+    kernel, which produce the same flat outcome columns and per-slot
+    flags: trial ``t``'s nodes are the first ``node_count[t]`` rows of its
+    ``capacity`` (every node that arrived by its stop, in arrival order,
+    success slot 0 while unfinished), and ``sent_m`` is nonzero where some
+    node sent (the numpy kernel's flags, the compiled kernel's sender
+    counts).  Each member of ``members`` (trial counts; default one) is
+    emitted from its own contiguous trial slice: node columns gathered for
+    it alone, flags cut at its longest trial, on which jammed and silent
+    slots are counted per trial.  No per-slot count is summed here; each
+    result derives its counters on first read from its own jam flags.
     """
-    trials = len(adversary_names)
-    nodes_per_trial = node_count
-    row_starts = np.concatenate(
-        ([0], np.cumsum(nodes_per_trial))
-    ).astype(np.int64)
-    order = _row_ranges(
-        np.arange(trials, dtype=np.int64) * capacity, nodes_per_trial
-    )
-
-    cum_arrivals = np.cumsum(arrivals_m, axis=1)
-    # int64 planes so each trial's counters are zero-copy views into the
-    # shared study matrices, exactly as the batched kernel emits them.
-    prefix = np.empty((3, trials, horizon + 1), dtype=np.int64)
-    prefix[:, :, 0] = 0
-    prefix[0, :, 1:] = success_m[:, 1:]
-    prefix[1, :, 1:] = jam_m[:, 1:]
-    np.cumsum(prefix[:2], axis=2, out=prefix[:2])
-    # A slot is active when more nodes arrived by it than succeeded before it.
-    np.greater(cum_arrivals[:, 1:], prefix[0, :, :-1], out=prefix[2, :, 1:])
-    np.cumsum(prefix[2], axis=1, out=prefix[2])
-    silence = sent_m == 0
-    silence &= ~jam_m
-    silence[:, 0] = False
-    silence &= np.arange(horizon + 1) <= simulated[:, None]
-    silence_at = np.count_nonzero(silence, axis=1)
-
-    success_ordered = success_col[order]
-    sim_per_row = np.repeat(simulated, nodes_per_trial)
-    finished = (success_ordered >= 1) & (success_ordered <= sim_per_row)
-
-    return emit_study_results(
-        adversary_names,
-        nodes_per_trial,
-        row_starts,
-        arrival_col[order].tolist(),
-        success_ordered.tolist(),
-        finished.tolist(),
-        broadcasts_col[order].tolist(),
-        simulated,
-        cum_arrivals,
-        prefix,
-        silence_at,
-        protocol_name,
-        backend_name,
-    )
+    results: List[SimulationResult] = []
+    lo = 0
+    for count in [len(adversary_names)] if members is None else members:
+        ids = slice(lo, lo + count)
+        lo += count
+        sim = simulated[ids]
+        cut = np.s_[ids, : int(sim.max()) + 1]
+        jam = jam_m[cut]
+        run = np.arange(jam.shape[1]) <= sim[:, None]  # slots 1..stop
+        run[:, 0] = False
+        silent = (sent_m[cut] == 0) & ~jam & run
+        order = _row_ranges(
+            np.arange(ids.start, ids.stop, dtype=np.int64) * capacity,
+            node_count[ids],
+        )
+        results.extend(
+            emit_study_results(
+                adversary_names[ids],
+                node_count[ids],
+                arrival_col[order],
+                success_col[order],
+                broadcasts_col[order],
+                sim,
+                np.count_nonzero(jam & run, axis=1),
+                np.count_nonzero(silent, axis=1),
+                protocol_name,
+                backend_name,
+                jam_m=jam,
+            )
+        )
+    return results

@@ -10,15 +10,16 @@ seed for seed.  The pieces they share live here:
 * :func:`compile_adversary_schedules` — per-trial adversary setup +
   whole-horizon precompilation with the pooled bulk-seeding fast path;
 * :func:`emit_study_results` — the per-trial
-  :class:`~repro.sim.results.SimulationResult` assembly from shared study
-  matrices (zero-copy prefix views);
+  :class:`~repro.sim.results.SimulationResult` assembly from node columns
+  and per-trial summary vectors (node columns are views of the study's
+  rows; counters are views of given planes or derived on first read);
 * :func:`study_early_stops` / :func:`iter_blocks` — early-stop resolution
   and block splitting helpers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,8 +37,8 @@ from ...rng import (
     pcg64_state_dict,
     seed_states_for_entropies,
 )
-from ...types import NodeStats, SimulationSummary
-from ..results import PrefixCounters, SimulationResult
+from ...types import SimulationSummary
+from ..results import NodeColumns, PrefixCounters, SimulationResult
 
 __all__ = [
     "SeedPlan",
@@ -452,57 +453,51 @@ def study_early_stops(
 
 def emit_study_results(
     adversary_names: List[str],
-    nodes_per_trial: np.ndarray,
-    row_starts: np.ndarray,
-    arrival_list: List[int],
-    success_list: List[int],
-    finished_list: List[bool],
-    bc_list: List[int],
+    arrived: np.ndarray,
+    arrival: np.ndarray,
+    success: np.ndarray,
+    broadcasts: np.ndarray,
     simulated: np.ndarray,
-    cum_arrivals: np.ndarray,
-    prefix: np.ndarray,
-    silence_at: np.ndarray,
+    jammed_slots: np.ndarray,
+    silent_slots: np.ndarray,
     protocol_name: str,
     backend_name: str,
+    jam_m: Optional[np.ndarray] = None,
+    prefix: Optional[Sequence[np.ndarray]] = None,
 ) -> List[SimulationResult]:
-    """Assemble per-trial results from shared study matrices.
+    """Assemble per-trial results from node columns and summary vectors.
 
-    ``prefix`` stacks the cumulative (successes, jammed, active) planes; the
-    per-trial counters handed out are zero-copy row views into it and into
-    ``cum_arrivals``, so retention equals the columnar study data.
+    Trial ``b`` owns the next ``arrived[b]`` rows of the node columns: the
+    nodes that arrived by its stop ``simulated[b]``, in arrival order,
+    with ``success`` 0 for the unfinished.  Its successes, active slots
+    and broadcasts reduce over those rows; its jammed and silent slots are
+    given.  Each result's node columns are views of its rows, and its
+    counters are either views of the ``prefix`` planes (active, arrivals,
+    jammed, successes) or derived on first read from its own copy of its
+    ``jam_m`` row.
     """
-    prefix_succ, prefix_jam, prefix_act = prefix
-    trial_axis = np.arange(len(adversary_names))
-    at_sim = lambda matrix: matrix[trial_axis, simulated].tolist()  # noqa: E731
-    succ_at = at_sim(prefix_succ)
-    jam_at = at_sim(prefix_jam)
-    sil_at = silence_at.tolist()
-    act_at = at_sim(prefix_act)
-    arr_at = at_sim(cum_arrivals)
+    bounds = np.zeros(len(adversary_names) + 1, dtype=np.int64)
+    np.cumsum(arrived, out=bounds[1:])
+    succ_at = _segment_sums(success > 0, bounds).tolist()
+    act_at = _segment_sums(
+        _newly_live_slots(arrived, arrival, success, simulated), bounds
+    ).tolist()
+    bc_at = _segment_sums(broadcasts, bounds).tolist()
+    jam_at = jammed_slots.tolist()
+    sil_at = silent_slots.tolist()
     sim_list = simulated.tolist()
-    start_list = row_starts.tolist()
+    bound_list = bounds.tolist()
     results: List[SimulationResult] = []
     for b, adversary_name in enumerate(adversary_names):
         sim = sim_list[b]
-        lo, hi = start_list[b], start_list[b + 1]
+        lo, hi = bound_list[b], bound_list[b + 1]
         successes = succ_at[b]
         silences = sil_at[b]
-        node_stats: Dict[int, NodeStats] = {}
-        total_broadcasts = 0
-        for row in range(lo, hi):
-            arrival = arrival_list[row]
-            if arrival > sim:
-                continue
-            done = finished_list[row]
-            count = bc_list[row]
-            total_broadcasts += count
-            node_id = row - lo
-            node_stats[node_id] = NodeStats(
-                node_id=node_id,
-                arrival_slot=arrival,
-                success_slot=success_list[row] if done else None,
-                broadcast_count=count,
-            )
+        counters = jammed = None
+        if prefix is None:
+            jammed = jam_m[b, : sim + 1].copy()
+        else:
+            counters = PrefixCounters(*(plane[b, : sim + 1] for plane in prefix))
         summary = SimulationSummary(
             total_slots=sim,
             active_slots=act_at[b],
@@ -510,25 +505,52 @@ def emit_study_results(
             collisions=sim - successes - silences,
             silent_slots=silences,
             jammed_slots=jam_at[b],
-            arrivals=arr_at[b],
-            total_broadcasts=total_broadcasts,
+            arrivals=hi - lo,
+            total_broadcasts=bc_at[b],
         )
         results.append(
             SimulationResult(
                 summary=summary,
-                node_stats=node_stats,
-                counters=PrefixCounters(
-                    active=prefix_act[b, : sim + 1],
-                    arrivals=cum_arrivals[b, : sim + 1],
-                    jammed=prefix_jam[b, : sim + 1],
-                    successes=prefix_succ[b, : sim + 1],
+                node_stats=NodeColumns(
+                    arrival[lo:hi], success[lo:hi], broadcasts[lo:hi]
                 ),
+                counters=counters,
                 protocol_name=protocol_name,
                 adversary_name=adversary_name,
                 horizon=sim,
-                seed=None,
-                trace=None,
                 backend=backend_name,
+                jammed=jammed,
             )
         )
     return results
+
+
+def _segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Sums of ``values`` over the row ranges between consecutive ``bounds``."""
+    running = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(values, out=running[1:])
+    return np.diff(running[bounds])
+
+
+def _newly_live_slots(
+    arrived: np.ndarray,
+    arrival: np.ndarray,
+    success: np.ndarray,
+    simulated: np.ndarray,
+) -> np.ndarray:
+    """Per row, the slots of its live interval no earlier row of its trial
+    covers; summed per trial, the slots in which some node was live.
+
+    A node is live from its arrival through its success (or its trial's
+    stop), and a slot is active when some node is live in it.  Rows are in
+    arrival order within a trial, so a running maximum of the interval
+    ends bounds what the earlier rows cover; offsetting each trial's slots
+    past the previous trial's keeps one running maximum for all trials.
+    """
+    trial = np.repeat(np.arange(len(arrived), dtype=np.int64), arrived)
+    offset = trial * (int(simulated.max(initial=0)) + 2)
+    end = np.where(success > 0, success, simulated[trial]) + offset
+    covered = np.full_like(end, -1)
+    np.maximum.accumulate(end[:-1], out=covered[1:])
+    fresh = end - np.maximum(arrival - 1 + offset, covered)
+    return np.maximum(fresh, 0, out=fresh)

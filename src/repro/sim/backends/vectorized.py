@@ -36,16 +36,16 @@ schedule through the reference slot loop instead.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from ...adversary.base import PrecompiledSchedule
 from ...channel.multiple_access import MultipleAccessChannel
 from ...errors import ConfigurationError
-from ...types import AdversaryAction, NodeStats, SimulationSummary, SlotOutcome, SlotRecord
+from ...types import AdversaryAction, SimulationSummary, SlotOutcome, SlotRecord
 from ..events import EventTrace
-from ..results import PrefixCounters, SimulationResult
+from ..results import NodeColumns, PrefixCounters, SimulationResult
 from .base import KernelContext, SlotKernel, age_probability_profile
 from .reference import run_slot_loop
 
@@ -210,15 +210,13 @@ class VectorizedKernel(SlotKernel):
             for i in range(n):
                 broadcast_counts[i] = int(broadcasts[i, : int(ends[i]) + 1].sum())
 
-        node_stats: Dict[int, NodeStats] = {}
-        for i in np.nonzero(exists)[0]:
-            i = int(i)
-            node_stats[i] = NodeStats(
-                node_id=i,
-                arrival_slot=int(arrival_slots[i]),
-                success_slot=int(success_slot[i]) if finished[i] else None,
-                broadcast_count=int(broadcast_counts[i]),
-            )
+        # Nodes are numbered in arrival order, so the existing ones keep
+        # their ids.
+        node_stats = NodeColumns(
+            arrival_slots[exists],
+            np.where(finished, success_slot, 0)[exists],
+            broadcast_counts[exists],
+        )
 
         summary = SimulationSummary(
             total_slots=simulated,

@@ -228,7 +228,8 @@ class TrialStudy:
         return self.pipeline.finalize()
 
     def memory_bytes(self) -> int:
-        """Bytes retained by the per-slot prefix columns of all results.
+        """Bytes of per-slot data retained by all results (see
+        :meth:`SimulationResult.memory_bytes`).
 
         0 for streamed studies (columns released after reduction) and for
         cache-rehydrated studies (summaries only).

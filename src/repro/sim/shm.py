@@ -4,10 +4,11 @@
 travelled back through the pool's pickle pipe — O(trials × horizon) int64
 prefix columns serialized byte by byte.  This module moves the bulk numeric
 payload through one ``multiprocessing.shared_memory`` block per worker
-instead: the worker lays every result's four prefix columns and per-node
-outcome arrays into the block, and the parent re-wraps them as zero-copy
-numpy views.  Only O(1) metadata per trial (summaries, names, provenance)
-still crosses the pickle boundary.
+instead: the worker lays every result's three node columns and either its
+four prefix columns (when the counters were built or handed over) or its
+jammed slots' indices (when they were never read) into the block, and the
+parent re-wraps them as zero-copy numpy views.  Only O(1) metadata per
+trial (summaries, names, provenance) still crosses the pickle boundary.
 
 Results that carry non-columnar payloads (released counters in streaming
 mode, retained event traces) fall back to the plain pickle path unchanged —
@@ -29,14 +30,19 @@ lifetime.
 from __future__ import annotations
 
 from multiprocessing import shared_memory
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 import numpy as np
 
 from .. import faults
-from ..types import NodeStats
 from . import health
-from .results import PrefixCounters, SimulationResult
+from .results import (
+    COLUMN_NAMES,
+    NODE_COLUMN_NAMES,
+    NodeColumns,
+    PrefixCounters,
+    SimulationResult,
+)
 
 try:  # pragma: no cover - stdlib, but keep the transport optional
     from multiprocessing import resource_tracker
@@ -44,13 +50,6 @@ except Exception:  # pragma: no cover
     resource_tracker = None
 
 __all__ = ["discard_payload", "export_study", "import_study"]
-
-#: Prefix columns per result, in PrefixCounters order.
-_PREFIX_FIELDS = ("active", "arrivals", "jammed", "successes")
-#: Per-node int64 arrays per result: node id, arrival slot, success slot
-#: (-1 encodes "unfinished"), broadcast count.
-_NODE_FIELDS = 4
-
 
 class _PinnedBlock(shared_memory.SharedMemory):
     """An attached segment whose mapping outlives interpreter teardown.
@@ -94,7 +93,8 @@ def export_study(results: List[SimulationResult], force_pickle: bool = False):
     the returned tuple through the pool either way.
     """
     if force_pickle or not results or any(
-        result.counters is None or result.trace is not None
+        result.trace is not None
+        or (result.cached_counters is None and result.jam_flags is None)
         for result in results
     ):
         return ("pickle", results)
@@ -110,10 +110,17 @@ def export_study(results: List[SimulationResult], force_pickle: bool = False):
 def _export_shm(results: List[SimulationResult]):
     faults.active_plan().maybe_raise("shm-export", trials=len(results))
     headers: List[Dict[str, Any]] = []
-    total_words = 0
+    columns: List[np.ndarray] = []
     for result in results:
-        prefix_len = len(result.counters)
-        node_count = len(result.node_stats)
+        own = [getattr(result.node_stats, name) for name in NODE_COLUMN_NAMES]
+        counters = result.cached_counters
+        if counters is not None:
+            own.extend(getattr(counters, name) for name in COLUMN_NAMES)
+        else:
+            # Counters never read ship as the jammed slots they derive from.
+            jammed = result.jam_flags
+            own.append(np.flatnonzero(jammed) if jammed.dtype == bool else jammed)
+        columns.extend(own)
         headers.append(
             {
                 "summary": result.summary,
@@ -124,12 +131,10 @@ def _export_shm(results: List[SimulationResult]):
                 "extra": result.extra,
                 "backend": result.backend,
                 "wall_time_seconds": result.wall_time_seconds,
-                "prefix_len": prefix_len,
-                "node_count": node_count,
+                "lengths": [column.shape[0] for column in own],
             }
         )
-        total_words += len(_PREFIX_FIELDS) * prefix_len
-        total_words += _NODE_FIELDS * node_count
+    total_words = sum(column.shape[0] for column in columns)
 
     shm = shared_memory.SharedMemory(
         create=True, size=max(8, total_words * 8)
@@ -137,27 +142,9 @@ def _export_shm(results: List[SimulationResult]):
     try:
         block = np.frombuffer(shm.buf, dtype=np.int64)
         cursor = 0
-        for result in results:
-            counters = result.counters
-            for name in _PREFIX_FIELDS:
-                column = getattr(counters, name)
-                block[cursor : cursor + column.shape[0]] = column
-                cursor += column.shape[0]
-            stats = list(result.node_stats.values())
-            count = len(stats)
-            for offset, value in enumerate(
-                (
-                    [s.node_id for s in stats],
-                    [s.arrival_slot for s in stats],
-                    [
-                        -1 if s.success_slot is None else s.success_slot
-                        for s in stats
-                    ],
-                    [s.broadcast_count for s in stats],
-                )
-            ):
-                block[cursor + offset * count : cursor + (offset + 1) * count] = value
-            cursor += _NODE_FIELDS * count
+        for column in columns:
+            block[cursor : cursor + column.shape[0]] = column
+            cursor += column.shape[0]
         name = shm.name
         del block
     except BaseException:
@@ -209,33 +196,17 @@ def import_study(payload) -> List[SimulationResult]:
     cursor = 0
     results: List[SimulationResult] = []
     for header in headers:
-        prefix_len = header["prefix_len"]
-        columns = {}
-        for field in _PREFIX_FIELDS:
-            columns[field] = block[cursor : cursor + prefix_len]
-            cursor += prefix_len
-        count = header["node_count"]
-        per_node: Tuple[np.ndarray, ...] = tuple(
-            block[cursor + offset * count : cursor + (offset + 1) * count]
-            for offset in range(_NODE_FIELDS)
-        )
-        cursor += _NODE_FIELDS * count
-        ids, arrivals, successes, broadcasts = (
-            column.tolist() for column in per_node
-        )
-        node_stats = {
-            node_id: NodeStats(
-                node_id=node_id,
-                arrival_slot=arrivals[i],
-                success_slot=None if successes[i] < 0 else successes[i],
-                broadcast_count=broadcasts[i],
-            )
-            for i, node_id in enumerate(ids)
-        }
+        columns = []
+        for length in header["lengths"]:
+            columns.append(block[cursor : cursor + length])
+            cursor += length
+        # Four prefix columns, or the jammed slots the counters derive from.
+        per_slot = columns[len(NODE_COLUMN_NAMES) :]
+        counters = PrefixCounters(*per_slot) if len(per_slot) > 1 else None
         result = SimulationResult(
             summary=header["summary"],
-            node_stats=node_stats,
-            counters=PrefixCounters(**columns),
+            node_stats=NodeColumns(*columns[: len(NODE_COLUMN_NAMES)]),
+            counters=counters,
             protocol_name=header["protocol_name"],
             adversary_name=header["adversary_name"],
             horizon=header["horizon"],
@@ -243,8 +214,9 @@ def import_study(payload) -> List[SimulationResult]:
             extra=header["extra"],
             backend=header["backend"],
             wall_time_seconds=header["wall_time_seconds"],
+            jammed=None if counters is not None else per_slot[0],
         )
-        # Pin the mapping: the counters are views into it.
+        # Pin the mapping: the columns are views into it.
         result._shm_block = shm
         results.append(result)
     return results

@@ -394,21 +394,47 @@ def test_fusion_key_keeps_the_horizon_when_the_compiled_tier_could_run(
     assert fusion_key(short) != fusion_key(short.with_overrides({"horizon": 512}))
 
 
+def _columns(result):
+    """Every column a result holds: its counters and its node columns."""
+    counters, nodes = result.counters, result.node_stats
+    return [
+        counters.active,
+        counters.arrivals,
+        counters.jammed,
+        counters.successes,
+        nodes.arrival,
+        nodes.success,
+        nodes.broadcasts,
+    ]
+
+
+def _assert_members_share_no_memory(studies):
+    """No column of one member's results shares memory with another's,
+    down to the arrays they are views of."""
+
+    def owner(column):
+        return column if column.base is None else column.base
+
+    columns = [
+        [owner(column) for result in study.results for column in _columns(result)]
+        for study in studies
+    ]
+    for m, mine in enumerate(columns):
+        for theirs in columns[m + 1 :]:
+            for x in mine:
+                assert not any(np.shares_memory(x, y) for y in theirs)
+
+
 def test_mixed_horizon_members_keep_only_their_own_columns():
     specs = [
         _spec("cjz", 4, "batch", "none", horizon, 2, 9) for horizon in (64, 256)
     ]
-    for spec, study in zip(specs, run_fused_group(specs)):
+    studies = run_fused_group(specs)
+    for spec, study in zip(specs, studies):
         for result in study.results:
-            counters = result.counters
-            for counter in (
-                counters.active,
-                counters.arrivals,
-                counters.jammed,
-                counters.successes,
-            ):
+            for counter in _columns(result)[:4]:
                 assert counter.shape == (spec.horizon + 1,)
-                assert counter.base.shape[-1] <= spec.horizon + 1
+    _assert_members_share_no_memory(studies)
 
 
 def test_batched_study_points_stay_unfused():
@@ -480,31 +506,26 @@ def test_oblivious_and_reactive_members_fuse_into_one_run(drained):
         assert any(resume > slot for slot, resume, _ in skips)
 
 
-def test_fused_members_share_no_counter_memory():
-    """Each member is emitted from its own trial slice into planes of its
-    own, so freeing one member's results frees its columns: no counter's
-    base array overlaps another member's (rows of one shared plane would)."""
-    specs = [
+def test_fused_members_share_no_counter_memory(monkeypatch):
+    """Each member is emitted from its own trial slice, so freeing one
+    member's results frees its columns: no counter or node column shares
+    memory with another member's, on the numpy tier and on the compiled
+    tier (its interpreter's python form, which an ``auto`` group of one
+    family and horizon takes)."""
+    numpy_specs = [
         _spec("cjz", 4, "batch", jamming, 128, 2, seed)
         for seed, jamming in ((1, "none"), (2, "reactive"), (3, "none"))
     ]
-    counters = [
-        [
-            column
-            for result in study.results
-            for column in (
-                result.counters.active,
-                result.counters.arrivals,
-                result.counters.jammed,
-                result.counters.successes,
-            )
-        ]
-        for study in run_fused_group(specs)
+    monkeypatch.delenv("REPRO_DISABLE_NUMBA", raising=False)
+    monkeypatch.setenv("REPRO_COMPILED_FORCE_PYTHON", "1")
+    auto_specs = [
+        _spec("cjz", 4, "uniform-random", "none", 96, 2, seed, backend="auto")
+        for seed in (1, 2, 3)
     ]
-    for m, mine in enumerate(counters):
-        for theirs in counters[m + 1 :]:
-            for x in mine:
-                assert not any(np.shares_memory(x.base, y.base) for y in theirs)
+    for specs, tier in ((numpy_specs, "lockstep"), (auto_specs, "lockstep-jit")):
+        studies = run_fused_group(specs)
+        assert {r.backend for study in studies for r in study.results} == {tier}
+        _assert_members_share_no_memory(studies)
 
 
 def _scheduled_driver(jamming, horizon=96, seed=5):

@@ -207,6 +207,22 @@ class TestServiceSuite:
         ids = {b["id"] for b in bench_data["benchmarks"]}
         assert "service-submit-roundtrip" not in ids
 
+    def test_hung_job_fails_the_suite_within_its_deadline(self, monkeypatch):
+        """A job whose group never finishes fails the suite, naming the
+        job, once the server's job deadline passes: the suite neither
+        re-queues it nor re-sends the submit."""
+        import time
+
+        from repro import bench, faults
+
+        monkeypatch.setattr(bench, "_SERVICE_DEADLINE_S", 0.5)
+        start = time.perf_counter()
+        with faults.injected({"rules": [{"site": "dispatcher-hang"}]}):
+            with pytest.raises(ConfigurationError, match="deadline") as caught:
+                bench.run_service_suite(seed=7, repeats=1)
+        assert time.perf_counter() - start < 30.0
+        assert "service bench job" in str(caught.value)
+
 
 class TestDispatchSuite:
     @pytest.fixture(scope="class")
