@@ -2,7 +2,8 @@
 
 Tracks the cost of whole multi-trial studies across the backend ladder
 (reference → vectorized → batched-study) so study-level regressions are
-visible independently of the per-experiment benchmarks.  The speedup floors
+visible independently of the per-experiment benchmarks, and checks that
+lockstep, which ``auto`` picks for these studies, reproduces them.  The speedup floors
 asserted here are deliberately looser than the figures recorded in the
 committed ``BENCH_*.json`` (generated via ``python -m repro.cli bench``) to
 stay robust on noisy shared runners.
@@ -72,3 +73,17 @@ def test_batched_study_matches_vectorized_results():
     batched = _study("batched-study", trials=12)
     assert [r.summary for r in vectorized] == [r.summary for r in batched]
     assert [r.node_stats for r in vectorized] == [r.node_stats for r in batched]
+
+
+def test_lockstep_matches_batched_study_results():
+    """``auto`` runs this age-profile study on lockstep, whose rows draw
+    their sends on arrival; it must reproduce batched-study trial for
+    trial.  Equality only: the committed bench records time the two."""
+    lockstep = _study("lockstep", trials=40)
+    batched = _study("batched-study", trials=40)
+    assert {r.backend for r in lockstep} == {"lockstep"}
+    assert [r.summary for r in lockstep] == [r.summary for r in batched]
+    assert [r.node_stats for r in lockstep] == [r.node_stats for r in batched]
+    assert [r.prefix_successes for r in lockstep] == [
+        r.prefix_successes for r in batched
+    ]

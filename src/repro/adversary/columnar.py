@@ -27,13 +27,15 @@ None of the columnar adversaries consume randomness after ``setup``, so the
 vectorized replay is trivially stream-identical.
 
 Idle stretches — slots in which no running trial holds a live node — need no
-node work, so the kernel asks the driver to jump them
+node work, and neither do quiet ones, in which the live nodes are known not
+to send until a given slot, so the kernel asks the driver to jump them
 (:meth:`LockstepAdversaryDriver.skip_idle`).  The scheduled driver skips to
-its next scheduled arrival and copies the skipped static jam columns, unless
-some running trial has a reactive burst pending: that burst jams in the
-coming slots, so it steps slot by slot until the burst is spent.  The chaser
-and the generic driver step every slot: their next arrival depends on
-per-slot state or on the adversary's own code.
+its next scheduled arrival (or the end of the quiet stretch) and copies the
+skipped static jam columns, unless some running trial has a reactive burst
+pending: that burst jams in the coming slots, so it steps slot by slot
+until the burst is spent.  The chaser and the generic driver step every
+slot: their next arrival depends on per-slot state or on the adversary's
+own code.
 """
 
 from __future__ import annotations
@@ -87,15 +89,22 @@ class LockstepAdversaryDriver(abc.ABC):
         """
 
     def skip_idle(
-        self, slot: int, trial_active: np.ndarray, jam_m: np.ndarray
+        self,
+        slot: int,
+        trial_active: np.ndarray,
+        jam_m: np.ndarray,
+        until: Optional[int] = None,
     ) -> int:
-        """Jump an idle stretch starting at ``slot``; the slot to resume at.
+        """Jump a stretch without a sender starting at ``slot``; the slot to
+        resume at.
 
-        Called only when no running trial holds a live node.  A driver that
-        knows the following slots need no per-slot decision accounts for
-        them in one step — its counters, and the skipped columns of the
-        ``(T, horizon+1)`` jam matrix ``jam_m`` — and returns the first slot
-        that does (``horizon + 1`` when none is left).  The default skips
+        Called when no running trial holds a live node, or when none of the
+        live nodes sends before ``until``.  Either way no slot of the
+        stretch has a success.  A driver that knows the following slots
+        need no per-slot decision accounts for them in one step — its
+        counters, and the skipped columns of the ``(T, horizon+1)`` jam
+        matrix ``jam_m`` — and returns the first slot that does, at most
+        ``until`` (``horizon + 1`` when none is left).  The default skips
         nothing.
         """
         return slot
@@ -217,15 +226,22 @@ class ScheduledLockstepDriver(_ScheduledLockstepDriver):
             self._pending[refresh] = self._burst[refresh]
 
     def skip_idle(
-        self, slot: int, trial_active: np.ndarray, jam_m: np.ndarray
+        self,
+        slot: int,
+        trial_active: np.ndarray,
+        jam_m: np.ndarray,
+        until: Optional[int] = None,
     ) -> int:
         # A pending burst may jam any coming slot, so step slot by slot
-        # until it is spent.  Without one, an idle slot only counts towards
-        # the budget, no success can refresh a burst, and the static jam
-        # columns up to the next arrival are copied in one step.
+        # until it is spent.  Without one, a slot without a sender only
+        # counts towards the budget, no success can refresh a burst, and
+        # the static jam columns up to the next arrival are copied in one
+        # step.
         if np.count_nonzero(self._pending[trial_active]):
             return slot
         resume = self._next_arrival(slot)
+        if until is not None:
+            resume = min(resume, until)
         np.logical_and(
             self._jammed[:, slot:resume],
             trial_active[:, None],

@@ -95,8 +95,10 @@ _SCALES: Dict[str, Tuple[int, int, int]] = {
 }
 
 #: Study backends timed by the micro suite, reference first (it anchors the
-#: normalized speedups).
-_BACKENDS = ("reference", "vectorized", "batched-study")
+#: normalized speedups).  Lockstep, which ``auto`` now picks for these
+#: age-profile studies, is timed beside batched-study, so the trajectory
+#: carries the ratio of the two.
+_BACKENDS = ("reference", "vectorized", "batched-study", "lockstep")
 
 #: Backends eligible for the feedback-driven CJZ workloads: the protocol is
 #: not vector-eligible, so only the reference path and the lockstep study
@@ -227,8 +229,9 @@ def run_micro_suite(
 
     ``backends`` restricts the timed set; each workload only runs the
     backends that support it (the feedback-driven CJZ workloads run on
-    reference + lockstep, the rest on the array ladder), and a workload
-    whose backend set is disjoint from the restriction is skipped.
+    reference + lockstep, the rest on the array ladder and lockstep), and
+    a workload whose backend set is disjoint from the restriction is
+    skipped.
     """
     if scale not in _SCALES:
         raise ConfigurationError(

@@ -442,8 +442,9 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         choices=available_study_backends(),
         default="auto",
         help=(
-            "simulation backend (auto escalates batched-study -> "
-            "lockstep -> vectorized -> reference per study)"
+            "simulation backend (auto escalates lockstep-jit -> "
+            "lockstep -> vectorized -> reference per study; batched-study "
+            "runs only when pinned)"
         ),
     )
     parser.add_argument(

@@ -29,10 +29,11 @@ class ExperimentConfig:
     / ``lockstep`` / ``reference`` / ``vectorized``) and ``workers`` the
     number of trial worker processes; both are set on every
     :class:`~repro.spec.StudySpec` an experiment runs.  ``auto`` runs each
-    whole study through the batched study kernel when eligible, else the
-    lockstep kernel (feedback-driven protocols such as the paper's own
-    algorithm, adaptive adversaries included), else the per-trial ladder;
+    whole study through the lockstep kernel when the protocol has a
+    columnar program (the paper's own algorithm, the baselines' age-profile
+    senders, adaptive adversaries included), else the per-trial ladder;
     an experiment's plan fuses the studies that share a lockstep program.
+    ``batched-study`` runs only when pinned.
 
     ``streaming`` asks pipeline-based experiments to release per-slot
     prefix columns once their reducers have consumed each trial (memory

@@ -77,6 +77,10 @@ class MetricReducer:
 
     kind: str = "reducer"
 
+    #: Whether :meth:`reduce` reads the per-slot counters.  A pipeline whose
+    #: reducers all say no never makes a result derive them.
+    reads_counters: bool = True
+
     @property
     def name(self) -> str:
         """Key of this reducer's value in the pipeline output (default: kind)."""
@@ -307,6 +311,7 @@ class LatencyReducer(MetricReducer):
     """Slots-to-success distribution over all nodes of all trials."""
 
     kind = "latency"
+    reads_counters = False
 
     def __init__(self) -> None:
         self.latencies: List[int] = []
@@ -351,6 +356,7 @@ class EnergyReducer(MetricReducer):
     """Per-node broadcast-count (energy) distribution across trials."""
 
     kind = "energy"
+    reads_counters = False
 
     def __init__(self) -> None:
         self.counts: List[int] = []
@@ -402,6 +408,7 @@ class ScalarSummaryReducer(MetricReducer):
     """
 
     kind = "scalar"
+    reads_counters = False
 
     def __init__(self, metric: str) -> None:
         if metric not in SCALAR_METRICS:
@@ -464,6 +471,7 @@ class MetricPipeline:
                 f"duplicate reducer name(s): {', '.join(duplicates)}"
             )
         self._reducers: Tuple[MetricReducer, ...] = tuple(reducers)
+        self._reads_counters = any(r.reads_counters for r in reducers)
         self._trials = 0
 
     @property
@@ -493,7 +501,10 @@ class MetricPipeline:
         return MetricPipeline([reducer.fresh() for reducer in self._reducers])
 
     def update(self, result: SimulationResult) -> None:
-        counters = getattr(result, "counters", None)
+        # Reading ``counters`` derives them on a lockstep result.
+        counters = (
+            getattr(result, "counters", None) if self._reads_counters else None
+        )
         for reducer in self._reducers:
             reducer.reduce(counters, result)
         self._trials += 1

@@ -197,6 +197,13 @@ class LockstepProgram(abc.ABC):
     the probe's generator (probes never own one).
     """
 
+    #: Optional hook of programs that know their sends ahead:
+    #: ``next_event(rows, slot)`` returns the first slot from ``slot`` on in
+    #: which one of the live ``rows`` may send or change state.  The kernel
+    #: then skips the slots before it in which no node arrives and no trial
+    #: stops; without the hook (``None``) it visits every busy slot.
+    next_event = None
+
     def compiled_tables(self, horizon: int) -> Optional[CompiledProgramTables]:
         """Numeric lowering for the fused compiled interpreter, or ``None``.
 
@@ -258,16 +265,38 @@ class LockstepProgram(abc.ABC):
         """
 
 
+#: Narrowest draw window of :class:`AgeProfileLockstepProgram`.  Each window
+#: costs every row a native reseed, so a batch too large for the draw budget
+#: at this width draws in row chunks rather than in narrower windows.
+_MIN_DRAW_WINDOW = 256
+
+
 class AgeProfileLockstepProgram(LockstepProgram):
-    """Columnar state of the age-profile protocols: one arrival slot per node.
+    """Columnar state of the age-profile protocols: each node's send slots.
 
     Serves the :attr:`Protocol.vector_eligible` protocols, whose broadcast
     probability is a pure function of the node's age and which draw exactly
-    one ``random()`` double per active slot while ignoring feedback.  The
-    per-age probabilities are the table the batched and vectorized kernels
-    use (:func:`~repro.sim.backends.base.age_probability_profile`), probed on
-    copies of the program's prototype instance, so every ``uniform < p``
-    comparison is float-identical to the per-node ``wants_to_broadcast``.
+    one ``random()`` double per active slot while ignoring feedback.  A
+    node's sends therefore follow from its stream and its arrival slot
+    alone: it sends at age ``a`` when its ``a``-th double is below the
+    table's entry for ``a``.  The table is the one the batched and
+    vectorized kernels use (:func:`~repro.sim.backends.base.
+    age_probability_profile`), probed on copies of the program's prototype
+    instance, so every comparison is float-identical to the per-node
+    ``wants_to_broadcast``.
+
+    Rows draw their doubles when they arrive, natively
+    (:meth:`~repro.rng.NodeStreamPool.native_doubles`: the doubles the
+    reference draws one per live slot, and those past a node's departure
+    are never read), and keep only the send slots they give.  A batch of
+    rows draws one ``rows × window`` block within
+    :data:`~repro.sim.backends.studysupport.DRAW_BLOCK_ELEMENTS`; a row that
+    outlives its window refills at the window's end, in bulk with the rows
+    due there.  A row's window is one segment of a flat event array, its
+    send slots in order and then its window end (a sentinel when the window
+    reaches the horizon); ``_next`` holds the index of the row's next
+    event and ``_due`` its slot.  :meth:`step` returns the rows due to send,
+    and :meth:`next_event` tells the kernel which slots it may skip.
     """
 
     def __init__(self, prototype: "Protocol") -> None:
@@ -277,26 +306,131 @@ class AgeProfileLockstepProgram(LockstepProgram):
     def bind(self, trials: int, capacity: int, pool, horizon: int) -> None:
         # Imported lazily: the simulation layer imports this module.
         from ..sim.backends.base import age_probability_profile
+        from ..sim.backends.studysupport import DRAW_BLOCK_ELEMENTS
 
         self._pool = pool
+        self._horizon = horizon
+        self._budget = DRAW_BLOCK_ELEMENTS
         self._table = age_probability_profile(
             lambda: copy.copy(self._prototype), horizon
         )[1:]  # by age - 1: the profile's entry 0 is unused
-        self._arrival = np.zeros(trials * capacity, dtype=np.int64)
+        rows = trials * capacity
+        self._arrival = np.zeros(rows, dtype=np.int64)
+        self._next = np.zeros(rows, dtype=np.int64)
+        self._due = np.full(rows, LOCKSTEP_SENTINEL)
+        self._window_end = np.full(rows, LOCKSTEP_SENTINEL)
+        self._events = np.zeros(0, dtype=np.int64)
+        self._used = 0
+        # Slots holding an event of some row, departed rows' included, and
+        # the slots in which some window ends.
+        self._marked = np.zeros(horizon + 2, dtype=bool)
+        self._window_ends: set = set()
 
     def grow(self, trials: int, old_capacity: int, new_capacity: int) -> None:
-        self._arrival = grow_flat_column(
-            self._arrival, trials, old_capacity, new_capacity
+        args = (trials, old_capacity, new_capacity)
+        self._arrival = grow_flat_column(self._arrival, *args)
+        self._next = grow_flat_column(self._next, *args)
+        self._due = grow_flat_column(self._due, *args, fill=LOCKSTEP_SENTINEL)
+        self._window_end = grow_flat_column(
+            self._window_end, *args, fill=LOCKSTEP_SENTINEL
         )
 
     def arrive(self, rows: np.ndarray, slot: int | np.ndarray) -> None:
         self._arrival[rows] = slot
+        self._draw(rows, 0)
 
     def step(self, rows: np.ndarray, slot: int) -> np.ndarray:
-        return self._pool.doubles(rows) < self._table[slot - self._arrival[rows]]
+        sends = self._due[rows] == slot
+        if slot in self._window_ends:
+            self._refill(rows, sends, slot)
+        senders = rows[sends]
+        if senders.size:
+            following = self._next[senders] + 1
+            self._next[senders] = following
+            self._due[senders] = self._events[following]
+        return sends
+
+    def next_event(self, rows: np.ndarray, slot: int) -> int:
+        """The first slot from ``slot`` on in which one of ``rows`` is due.
+
+        ``rows`` are the live rows; none is due before ``slot``.  When some
+        row, live or not, has an event in ``slot`` itself the answer is
+        ``slot``, which spares a gather over every live row in the studies
+        that send in most slots.
+        """
+        if self._marked[slot]:
+            return slot
+        return int(self._due[rows].min())
 
     def feedback(self, slot, rows, sends, trial_success, own_success) -> None:
         return None
+
+    def _refill(self, rows: np.ndarray, sends: np.ndarray, slot: int) -> None:
+        """Draw the next window of the ``rows`` whose window ends at ``slot``
+        (they are among the due ``sends``), and mark which of them send."""
+        due = sends.nonzero()[0]
+        ending = due[self._window_end[rows[due]] == slot]
+        if not ending.size:
+            return
+        ending_rows = rows[ending]
+        drawn = slot - self._arrival[ending_rows]
+        for offset in np.unique(drawn).tolist():
+            self._draw(ending_rows[drawn == offset], offset)
+        sends[ending] = self._due[ending_rows] == slot
+
+    def _draw(self, rows: np.ndarray, offset: int) -> None:
+        """Draw one window of send slots for ``rows``, from age ``offset + 1``.
+
+        Each row has drawn ``offset`` doubles before; its window opens at
+        slot ``arrival + offset`` and is as wide as the draw budget allows
+        the batch, but no wider than the horizon leaves its earliest row.
+        """
+        if not rows.size:
+            return
+        horizon = self._horizon
+        opens = self._arrival[rows] + offset
+        width = min(
+            horizon + 1 - int(opens.min()),
+            max(_MIN_DRAW_WINDOW, self._budget // rows.size),
+        )
+        table = self._table[offset : offset + width]
+        chunk = max(1, self._budget // width)
+        for lo in range(0, rows.size, chunk):
+            part, starts = rows[lo : lo + chunk], opens[lo : lo + chunk]
+            block = np.empty((part.size, width))
+            self._pool.native_doubles(part, block, offset)
+            hit_rows, ages = np.less(block, table).nonzero()
+            del block
+            slots = starts[hit_rows] + ages
+            kept = slots <= horizon
+            hit_rows, slots = hit_rows[kept], slots[kept]
+            ends = starts + width
+            refills = ends[ends <= horizon]
+            ends[ends > horizon] = LOCKSTEP_SENTINEL
+            # Row i's segment: its sends, then its window end.
+            counts = np.bincount(hit_rows, minlength=part.size)
+            terminal = np.cumsum(counts) + np.arange(part.size)
+            events = np.empty(slots.size + part.size, dtype=np.int64)
+            events[np.arange(slots.size) + hit_rows] = slots
+            events[terminal] = ends
+            first = terminal - counts
+            self._next[part] = self._append(events) + first
+            self._due[part] = events[first]
+            self._window_end[part] = ends
+            self._marked[slots] = True
+            self._marked[refills] = True
+            self._window_ends.update(np.unique(refills).tolist())
+
+    def _append(self, events: np.ndarray) -> int:
+        """Store ``events`` at the end of the flat event array; their index."""
+        start = self._used
+        self._used += events.size
+        if self._used > self._events.size:
+            grown = np.empty(max(self._used, 2 * self._events.size), np.int64)
+            grown[:start] = self._events[:start]
+            self._events = grown
+        self._events[start : self._used] = events
+        return start
 
 
 class Protocol(abc.ABC):

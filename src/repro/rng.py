@@ -319,11 +319,17 @@ class ReusableGenerator:
         self._template["uinteger"] = 0
 
     def reseed(self, words: Sequence[int]) -> np.random.Generator:
-        state, inc = _pcg64_seeded_state(words)
+        return self.restore(*_pcg64_seeded_state(words))
+
+    def restore(self, state: int, inc: int, skip: int = 0) -> np.random.Generator:
+        """Set the 128-bit PCG64 ``state`` and ``inc``, then advance past
+        ``skip`` draws."""
         template = self._template
         template["state"]["state"] = state
         template["state"]["inc"] = inc
         self._bit_generator.state = template
+        if skip:
+            self._bit_generator.advance(skip)
         return self.generator
 
 
@@ -437,6 +443,9 @@ class NodeStreamPool:
     * :meth:`bounded_scalar` — arbitrary ranges for a single row, including
       the 64-bit Lemire path for ranges beyond 32 bits.
 
+    :meth:`native_doubles` instead hands a row's state to numpy's own
+    generator and reads a run of doubles ahead, without moving the row.
+
     The replication is pinned by :func:`lockstep_streams_ok`, which checks an
     interleaved call pattern against real ``numpy`` generators at runtime;
     callers must consult it before trusting the pool.
@@ -455,6 +464,7 @@ class NodeStreamPool:
         self._inc_lo = np.zeros(0, dtype=np.uint64)
         self._has32 = np.zeros(0, dtype=bool)
         self._buf32 = np.zeros(0, dtype=np.uint64)
+        self._native: Optional[ReusableGenerator] = None
         if capacity:
             self.ensure_capacity(capacity)
 
@@ -519,6 +529,28 @@ class NodeStreamPool:
     def doubles(self, rows: np.ndarray) -> np.ndarray:
         """One ``Generator.random()`` double per row."""
         return (self.raw64(rows) >> _SHIFT11) * _TWO_POW_M53
+
+    def native_doubles(self, rows: np.ndarray, out: np.ndarray, skip: int = 0) -> None:
+        """Fill row ``i`` of ``out`` with stream ``rows[i]``'s next doubles.
+
+        The doubles are the ones :meth:`doubles` would return from the
+        row's current state on, past the first ``skip``, but numpy's own
+        generator draws them, one native ``random(out=...)`` per row.  The
+        rows' states do not move: a later call reads from the same origin,
+        so a row is read either this way or by replay, never both.
+        """
+        native = self._native
+        if native is None:
+            native = self._native = ReusableGenerator()
+        restore = native.restore
+        for shi, slo, ihi, ilo, row in zip(
+            self._state_hi[rows].tolist(),
+            self._state_lo[rows].tolist(),
+            self._inc_hi[rows].tolist(),
+            self._inc_lo[rows].tolist(),
+            out,
+        ):
+            restore((shi << 64) | slo, (ihi << 64) | ilo, skip).random(out=row)
 
     def next_u32(self, rows: np.ndarray) -> np.ndarray:
         """One buffered ``next_uint32`` per row, as uint64 values < 2**32."""

@@ -15,7 +15,7 @@ Study-level backends (valid for :class:`~repro.sim.runner.TrialRunner` /
 * ``"batched-study"`` — all trials of a study stacked into one numpy pass
   (:class:`BatchedStudyKernel`); requires a vector-eligible protocol and a
   precompilable adversary; seed-for-seed identical to running the trials
-  serially.
+  serially.  It runs only when pinned.
 * ``"lockstep-jit"`` — the same trial-lockstep semantics lowered into one
   fused slot loop (:class:`CompiledStudyKernel`), compiled with numba when
   it is installed; runtime stream verification with automatic demotion to
@@ -28,13 +28,13 @@ Study-level backends (valid for :class:`~repro.sim.runner.TrialRunner` /
   the vector-eligible protocols) against *any* adversary, adaptive ones
   included; seed-for-seed identical to serial reference.
 
-``"auto"`` escalates down the ladder: the trial runner picks the batched
-study kernel when the whole study is eligible, else the compiled lockstep
-kernel (which itself demotes to the numpy lockstep kernel when it cannot
-run; ``auto`` skips it outright when the interpreter is off or the program
-has no compiled tables), else the numpy lockstep kernel when the protocol
-has a program, else each trial runs the vectorized kernel when eligible,
-else the reference kernel.
+``"auto"`` escalates down the ladder: the trial runner skips the batched
+study kernel, then picks the compiled lockstep kernel (which itself demotes
+to the numpy lockstep kernel when it cannot run; ``auto`` skips it
+outright when the interpreter is off or the program has no compiled
+tables), else the numpy lockstep kernel when the protocol has a program
+(the vector-eligible protocols included), else each trial runs the
+vectorized kernel when eligible, else the reference kernel.
 """
 
 from __future__ import annotations

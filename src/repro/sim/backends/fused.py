@@ -119,19 +119,15 @@ def fusion_key(spec) -> Optional[Tuple]:
     the horizon, since that tier runs one horizon, and whether the
     adversary is oblivious, since it lowers a static jam schedule and a
     reactive jammer as two modes.  Trace retention, unseeded studies and
-    explicit batched-study, reference and per-trial backend pins opt out,
-    and so do points the batched study kernel takes on their own (a
-    vector-eligible protocol against a precompilable adversary under
-    ``auto``): its one-pass array resolution beats a fused slot loop on
-    them.
+    explicit batched-study, reference and per-trial backend pins opt out;
+    under ``auto`` the age-profile protocols fuse like any other program.
     """
     if spec.keep_trace or spec.seed is None or spec.horizon >= 2**31:
         return None
     if spec.backend not in _FUSIBLE_BACKENDS:
         return None
     try:
-        protocol = spec.protocol.build()()
-        program = protocol.lockstep_program()
+        program = spec.protocol.build()().lockstep_program()
         if program is None:
             return None
         adversary = spec.adversary.factory(spec.horizon)()
@@ -141,12 +137,6 @@ def fusion_key(spec) -> Optional[Tuple]:
             _driver_family(adversary),
         )
     except Exception:
-        return None
-    if (
-        spec.backend == "auto"
-        and protocol.vector_eligible
-        and adversary.precompilable
-    ):
         return None
     if (
         spec.backend in _COMPILED_BACKENDS
@@ -280,6 +270,9 @@ class _OffsetStreamPool:
 
     def doubles(self, rows):
         return self._pool.doubles(rows + self._shift)
+
+    def native_doubles(self, rows, out, skip=0):
+        self._pool.native_doubles(rows + self._shift, out, skip)
 
     def next_u32(self, rows):
         return self._pool.next_u32(rows + self._shift)

@@ -10,6 +10,12 @@ Python iteration per busy slot instead of ``T × N × horizon``.  Slots in
 which no running trial holds a live node are idle: the adversary driver
 jumps each such stretch to the next slot that needs the per-slot path
 (:meth:`~repro.adversary.columnar.LockstepAdversaryDriver.skip_idle`).
+A program that knows its sends ahead (the age-profile protocols draw each
+node's sends when it arrives) reports its next one
+(:attr:`~repro.protocols.base.LockstepProgram.next_event`), and the
+driver jumps the quiet slots before it the same way, stopping at the next
+arrival and at the next trial horizon; it does not skip while a reactive
+burst is pending or a drained trial waits for its arrivals to run out.
 
 Three columnar sub-systems cooperate:
 
@@ -66,8 +72,8 @@ a lockstep program, across oblivious and adaptive adversaries.
 Eligibility: a protocol exposing :meth:`~repro.protocols.base.Protocol.
 lockstep_program`, no trace retention, and the runtime-verified RNG
 replication (:func:`repro.rng.lockstep_streams_ok`).  Any adversary is
-accepted, and any trial count: under ``auto`` every eligible study the
-batched study kernel does not take runs here (or on the compiled tier).
+accepted, and any trial count: under ``auto`` every eligible study runs
+here (or on the compiled tier), the age-profile ones included.
 """
 
 from __future__ import annotations
@@ -418,6 +424,8 @@ class _LockstepRun:
         program = self._program
         driver = self._driver
         trials = self._trials
+        # Read once: programs without the hook visit every busy slot.
+        next_event = getattr(program, "next_event", None)
         # Slots without a success share these.
         no_success = _read_only(np.zeros(trials, dtype=bool))
         no_winners = _read_only(np.full(trials, -1, dtype=np.int64))
@@ -425,11 +433,20 @@ class _LockstepRun:
         while slot <= horizon:
             # An idle slot draws no stream and runs no program hook, and the
             # study matrices are already zero there, so the driver can jump
-            # the whole stretch.  Under stop_when_drained a drained trial
-            # waiting for its arrivals to run out may stop in any slot of
-            # it; step those.
-            if not self._active.size and not self._waiting:
-                slot = driver.skip_idle(slot, self._trial_active, self._jam_m)
+            # the whole stretch.  So can a quiet one, in which the program
+            # knows no live row sends: no success, no state change.  A
+            # quiet skip stops where a trial's horizon ends.  Under
+            # stop_when_drained a drained trial waiting for its arrivals to
+            # run out may stop in any slot; step those.
+            if not self._waiting:
+                if not self._active.size:
+                    slot = driver.skip_idle(slot, self._trial_active, self._jam_m)
+                elif next_event is not None:
+                    until = min(next_event(self._active, slot), self._next_end)
+                    if until > slot:
+                        slot = driver.skip_idle(
+                            slot, self._trial_active, self._jam_m, until
+                        )
                 if slot > horizon:
                     break
             arrivals, jam = driver.actions(slot, self._trial_active)
@@ -447,7 +464,12 @@ class _LockstepRun:
                     counts = np.bincount(send_trials, minlength=trials)
                     self._sent_m[send_trials, slot] = True
                     self._broadcasts_col[rows[send_positions]] += 1
-                    hits = (counts == 1) & ~jam & self._trial_active
+                    # A lone sender is rare in a crowded slot: test for
+                    # one before masking jammed and stopped trials.
+                    hits = counts == 1
+                    if np.count_nonzero(hits):
+                        hits &= ~jam
+                        hits &= self._trial_active
                     if np.count_nonzero(hits):
                         success = hits
                         winning = success[send_trials]

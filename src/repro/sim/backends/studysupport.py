@@ -56,6 +56,12 @@ __all__ = [
 #: has its own replay fallback).
 MAX_BLOCK_ELEMENTS = 1 << 24
 
+#: Element cap (rows × slots) of one block of native draws in the lockstep
+#: age-profile program (:class:`~repro.protocols.base.
+#: AgeProfileLockstepProgram`): 4 MB of doubles, live only while a batch of
+#: arriving or refilling rows turns its draws into send slots.
+DRAW_BLOCK_ELEMENTS = 1 << 19
+
 
 class StudyProbe:
     """Memoized eligibility probe shared by every rung of the study ladder.

@@ -30,6 +30,7 @@ Backends
 * ``"batched-study"`` — the whole study (or each worker's shard of it) is
   executed by :class:`~repro.sim.backends.BatchedStudyKernel` in one numpy
   pass; requires a vector-eligible protocol and a precompilable adversary.
+  It runs only when pinned: ``auto`` skips it.
 * ``"lockstep-jit"`` — the lockstep semantics lowered into one fused slot
   loop (:class:`~repro.sim.backends.CompiledStudyKernel`), numba-compiled
   when numba is installed; demotes automatically (and silently) to the
@@ -41,11 +42,13 @@ Backends
   paper's CJZ algorithm and its variants, windowed/sawtooth/polynomial
   backoff, the vector-eligible protocols) against any adversary, adaptive
   ones included.
-* ``"auto"`` (default) — batched-study when the study is eligible, else the
-  lockstep tiers when the protocol has a columnar program — compiled
-  first, unless the interpreter is off or the program has no compiled
-  tables — else per trial the vectorized kernel when eligible, else the
-  reference kernel.  No rung depends on the trial count.
+* ``"auto"`` (default) — the lockstep tiers when the protocol has a
+  columnar program — compiled first, unless the interpreter is off or the
+  program has no compiled tables — else per trial the vectorized kernel
+  when eligible, else the reference kernel.  No rung depends on the trial
+  count.  The age-profile (vector-eligible) protocols run lockstep too:
+  their program draws each node's sends when it arrives, so the loop
+  skips the slots in which none of them sends.
 * ``"vectorized"`` / ``"reference"`` — per-trial kernels, forwarded to every
   :class:`~repro.sim.engine.Simulator`.
 
@@ -445,9 +448,9 @@ class TrialRunner:
         Study-level backend selection (see the module docstring).
     workers:
         Number of forked worker processes; 1 means serial execution.  Trials
-        are sharded contiguously across workers (batched within each shard
-        when the batched study kernel applies).  Results are returned in
-        trial order and are seed-for-seed identical to a serial run.
+        are sharded contiguously across workers, and each shard walks the
+        backend ladder.  Results are returned in trial order and are
+        seed-for-seed identical to a serial run.
     supervisor:
         The :class:`SupervisorPolicy` governing shard timeouts, retries and
         degradation under ``workers > 1``.  Defaults to
@@ -578,6 +581,12 @@ class TrialRunner:
             if self._backend not in (AUTO_BACKEND, name):
                 requested = f"backend={self._backend!r} requested"
                 yield kernel, name, "skipped", requested
+                continue
+            if self._backend == AUTO_BACKEND and name == BatchedStudyKernel.name:
+                yield kernel, name, "skipped", (
+                    "runs only when pinned with backend='batched-study'; "
+                    "auto sends its studies to lockstep"
+                )
                 continue
             if self._backend == AUTO_BACKEND and name == COMPILED_BACKEND:
                 skip = kernel.auto_skip_reason(self._config, probe)

@@ -438,16 +438,29 @@ def test_mixed_horizon_members_keep_only_their_own_columns():
 
 
 def test_batched_study_points_stay_unfused():
-    """Points the batched study kernel takes on their own never fuse under
-    ``auto``; an explicit lockstep pin and an adaptive jammer still do."""
+    """Points pinned to the batched study kernel never fuse.  Under
+    ``auto`` the same age-profile points fuse, oblivious and reactive
+    jamming alike, and the fused lockstep run equals the pinned
+    batched-study runs and the reference kernel."""
 
-    def spec(jamming, backend):
-        return _spec("aloha", 2, "batch", jamming, 128, 2, 7, backend=backend)
+    def spec(jamming, backend, seed=7):
+        return _spec("aloha", 2, "batch", jamming, 128, 2, seed, backend=backend)
 
-    assert fusion_key(spec("none", "auto")) is None
     assert fusion_key(spec("none", "batched-study")) is None
     assert fusion_key(spec("none", "lockstep")) is not None
-    assert fusion_key(spec("reactive", "auto")) is not None
+    assert fusion_key(spec("none", "auto")) == fusion_key(spec("reactive", "auto"))
+    specs = [spec("none", "auto", seed) for seed in (7, 8, 9)]
+    assert [len(g) for g in plan_fusion_groups(list(enumerate(specs)))] == [3]
+    fused = StudyPlan(specs).run(fuse=True)
+    pinned = StudyPlan(
+        [s.with_execution(backend="batched-study") for s in specs]
+    ).run(fuse=True)
+    assert {r.backend for p in fused for r in p.study.results} == {"lockstep"}
+    assert {r.backend for p in pinned for r in p.study.results} == {
+        "batched-study"
+    }
+    _assert_studies_identical(fused, pinned)
+    _assert_studies_identical(fused, _reference(specs))
 
 
 def _batch_member(jamming, horizon, count, slot, seed, **extra):

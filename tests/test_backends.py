@@ -510,7 +510,7 @@ class TestExplainMatchesDispatch:
                 _aloha_batch,
                 2,
                 False,
-                "batched-study",
+                "lockstep",
                 id="aloha-oblivious",
             ),
             pytest.param(
@@ -548,11 +548,12 @@ class TestExplainMatchesDispatch:
             adversary,
             SimulatorConfig(horizon=60, keep_trace=keep_trace),
         )
-        selected = [
-            row["backend"]
-            for row in runner.explain_backend()
-            if row["status"] == "selected"
-        ]
+        rows = runner.explain_backend()
+        selected = [row["backend"] for row in rows if row["status"] == "selected"]
+        # auto never takes the batched rung: it runs only when pinned.
+        (batched,) = [row for row in rows if row["backend"] == "batched-study"]
+        assert batched["status"] == "skipped"
+        assert "only when pinned" in batched["reason"]
         study = runner.run(trials, seed=3)
         assert {r.backend for r in study} == {executed}
         assert selected in ([executed], [f"per-trial ({executed})"])

@@ -15,7 +15,13 @@ import pytest
 
 from repro.adversary import ScheduleAdversary
 from repro.core import cjz_factory
-from repro.metrics.pipeline import MetricPipeline, SuccessTimelineReducer
+from repro.metrics.pipeline import (
+    EnergyReducer,
+    LatencyReducer,
+    MetricPipeline,
+    ScalarSummaryReducer,
+    SuccessTimelineReducer,
+)
 from repro.sim import run_trials
 from repro.sim.backends import compiled, lockstep
 from repro.sim.backends.fused import plan_fusion_groups, run_fused_group
@@ -155,6 +161,40 @@ class TestDerivedCounters:
             _assert_same_outcomes(point.study.results, reference.results)
         assert derivations == [r.horizon for r in results]
         assert all(r.jam_flags is None for r in results)
+
+    def test_pipeline_derives_counters_only_for_reducers_that_read_them(
+        self, derivations
+    ):
+        """Latency, energy and scalar reducers read node columns and
+        summaries only, so a pipeline of them derives no counters; one
+        counter-reading reducer makes every trial derive its own.  The
+        outputs equal the reference kernel's."""
+        outcomes = [
+            EnergyReducer(),
+            LatencyReducer(),
+            ScalarSummaryReducer("successes"),
+        ]
+        kwargs = dict(
+            protocol_factory=cjz_factory(),
+            adversary_factory=lambda: ScheduleAdversary({1: 6, 40: 4}),
+            horizon=256,
+            trials=6,
+            seed=8,
+        )
+
+        def study(backend, reducers):
+            return run_trials(
+                backend=backend, pipeline=MetricPipeline(reducers), **kwargs
+            )
+
+        lean = study("lockstep", outcomes)
+        assert derivations == []
+        assert all(r.cached_counters is None for r in lean.results)
+        assert lean.metrics() == study("reference", outcomes).metrics()
+        timeline = [*outcomes, SuccessTimelineReducer()]
+        full = study("lockstep", timeline)
+        assert derivations == [256] * 6
+        assert full.metrics() == study("reference", timeline).metrics()
 
     @pytest.mark.parametrize("tier", ["lockstep", "lockstep-jit"])
     def test_drained_trial_scheduled_past_its_stop(

@@ -106,3 +106,22 @@ class TestSmokeRuns:
         content = path.read_text()
         assert "E5" in content
         assert "measured vs paper" in content.lower()
+
+
+class TestMemory:
+    def test_e5_peak_stays_off_horizon_sized_planes(self):
+        """E5's 1/i-batch study (n = 64, horizon 16,384 at smoke scale)
+        runs lockstep, whose age-profile rows keep only their send slots:
+        a warm run's tracemalloc peak stays under 24 MB, where one
+        ``(rows × horizon)`` plane of doubles alone takes about 40 MB."""
+        import tracemalloc
+
+        config = ExperimentConfig(scale="smoke", trials=5)
+        run_experiment("E5", config)
+        tracemalloc.start()
+        try:
+            run_experiment("E5", config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, f"E5 peak {peak / 2**20:.1f} MB"

@@ -322,16 +322,26 @@ class TestAutoLadder:
         )
         assert all(r.backend == "lockstep" for r in study)
 
-    def test_auto_keeps_batched_study_for_vector_protocols(self):
-        study = run_trials(
+    def test_auto_runs_vector_protocols_on_lockstep(self):
+        """An age-profile study against an oblivious adversary runs lockstep
+        under ``auto`` and equals an explicit batched-study run and the
+        reference kernel."""
+        kwargs = dict(
             protocol_factory=make_factory(SlottedAloha, 0.2),
             adversary_factory=batch_jam_factory,
             horizon=80,
             trials=3,
             seed=5,
-            backend="auto",
         )
-        assert all(r.backend == "batched-study" for r in study)
+        study = run_trials(backend="auto", **kwargs)
+        assert all(r.backend == "lockstep" for r in study)
+        for backend in ("batched-study", "reference"):
+            other = run_trials(backend=backend, **kwargs)
+            assert [r.summary for r in study] == [r.summary for r in other]
+            assert [r.node_stats for r in study] == [r.node_stats for r in other]
+            assert [r.prefix_successes for r in study] == [
+                r.prefix_successes for r in other
+            ]
 
     def test_auto_serves_adaptive_adversaries_via_lockstep(self):
         study = run_trials(
@@ -996,3 +1006,265 @@ class TestCJZProgramEvents:
         assert worked == events
         # Stages 0-7 and at least eight sends, out of 400 slots.
         assert sum(sends) >= 8 and len(worked) < horizon // 16
+
+
+def _assert_same_results(study, reference):
+    assert len(study) == len(reference)
+    for a, b in zip(reference, study):
+        assert a.summary == b.summary
+        assert a.node_stats == b.node_stats
+        assert a.prefix_successes == b.prefix_successes
+        assert a.prefix_jammed == b.prefix_jammed
+
+
+def _backoff_spec(horizon, seed, scale=1.0, **extra):
+    """``scale``/i senders (``probability-backoff``): a node sends ever
+    more rarely as it ages."""
+    from repro.spec import StudySpec
+
+    return StudySpec.from_dict(
+        {
+            "protocol": {"kind": "probability-backoff", "params": {"scale": scale}},
+            "adversary": {
+                "kind": "composed",
+                "arrivals": {"kind": "batch", "params": {"count": 6}},
+                "jamming": {"kind": "random-fraction", "params": {"fraction": 0.2}},
+            },
+            "horizon": horizon,
+            "trials": 3,
+            "seed": seed,
+            **extra,
+        }
+    )
+
+
+class TestAgeProfileEvents:
+    """The age-profile program draws each row's sends when it arrives, and
+    the loop jumps the quiet slots between them.  Each test spies on the
+    branch it names and checks the results against the reference kernel."""
+
+    @staticmethod
+    def _spy_driver(monkeypatch):
+        """The visited slots (one ``actions`` call each) and every
+        ``skip_idle`` call as ``(slot, until, resume, burst pending)``."""
+        from repro.adversary.columnar import ScheduledLockstepDriver
+
+        visited, skips = [], []
+        real_actions = ScheduledLockstepDriver.actions
+        real_skip = ScheduledLockstepDriver.skip_idle
+
+        def actions(driver, slot, trial_active):
+            visited.append(slot)
+            return real_actions(driver, slot, trial_active)
+
+        def skip_idle(driver, slot, trial_active, jam_m, until=None):
+            resume = real_skip(driver, slot, trial_active, jam_m, until)
+            pending = bool(np.count_nonzero(driver._pending[trial_active]))
+            skips.append((slot, until, resume, pending))
+            return resume
+
+        monkeypatch.setattr(ScheduledLockstepDriver, "actions", actions)
+        monkeypatch.setattr(ScheduledLockstepDriver, "skip_idle", skip_idle)
+        return visited, skips
+
+    def test_native_draws_equal_the_replayed_stream(self):
+        pool = NodeStreamPool(3)
+        sequences = [np.random.SeedSequence(7, spawn_key=(i,)) for i in range(3)]
+        pool.seed_rows(
+            np.arange(3), np.stack([s.generate_state(4, np.uint64) for s in sequences])
+        )
+        rows = np.array([2, 0])
+        head, tail = np.empty((2, 5)), np.empty((2, 4))
+        pool.native_doubles(rows, head)
+        pool.native_doubles(rows, tail, skip=5)
+        for i, row in enumerate(rows.tolist()):
+            expected = np.random.default_rng(sequences[row]).random(9)
+            assert np.array_equal(np.concatenate((head[i], tail[i])), expected)
+        # The rows did not move: the replay still starts at the first double.
+        assert np.array_equal(pool.doubles(rows), head[:, 0])
+
+    def test_send_after_a_long_quiet_gap(self, monkeypatch):
+        visited, skips = self._spy_driver(monkeypatch)
+        kwargs = dict(
+            protocol_factory=make_factory(ProbabilityBackoff, 0.3),
+            adversary_factory=batch_jam_factory,
+            horizon=3000,
+            trials=3,
+            seed=4,
+        )
+        study = run_trials(backend="lockstep", **kwargs)
+        quiet = [resume - slot for slot, until, resume, _ in skips if until]
+        assert max(quiet) >= 200
+        assert len(visited) < 3000 // 4
+        _assert_same_results(study, run_trials(backend="reference", **kwargs))
+
+    def test_window_refill(self, monkeypatch):
+        """A 64-element draw budget and 16-slot windows: the batch draws in
+        chunks of four rows, and rows that outlive a window refill at its
+        end."""
+        from repro.protocols import base
+        from repro.sim.backends import studysupport
+
+        monkeypatch.setattr(studysupport, "DRAW_BLOCK_ELEMENTS", 64)
+        monkeypatch.setattr(base, "_MIN_DRAW_WINDOW", 16)
+        draws, blocks = [], []
+        real_draw = AgeProfileLockstepProgram._draw
+        real_native = NodeStreamPool.native_doubles
+
+        def draw(program, rows, offset):
+            draws.append((offset, rows.size))
+            return real_draw(program, rows, offset)
+
+        def native(pool, rows, out, skip=0):
+            blocks.append(out.size)
+            return real_native(pool, rows, out, skip)
+
+        monkeypatch.setattr(AgeProfileLockstepProgram, "_draw", draw)
+        monkeypatch.setattr(NodeStreamPool, "native_doubles", native)
+        kwargs = dict(
+            protocol_factory=make_factory(ProbabilityBackoff, 1.0),
+            adversary_factory=batch_jam_factory,
+            horizon=600,
+            trials=3,
+            seed=2,
+        )
+        study = run_trials(backend="lockstep", **kwargs)
+        assert draws[0] == (0, 18)
+        assert any(offset >= 16 for offset, _ in draws)
+        assert max(blocks) <= 64 and len(blocks) > len(draws)
+        _assert_same_results(study, run_trials(backend="reference", **kwargs))
+
+    def test_pending_burst_blocks_the_quiet_skip(self, monkeypatch):
+        visited, skips = self._spy_driver(monkeypatch)
+        kwargs = dict(
+            protocol_factory=make_factory(ProbabilityBackoff, 1.0),
+            adversary_factory=lambda: ComposedAdversary(
+                BatchArrivals(6), ReactiveJamming(0.5, burst=40)
+            ),
+            horizon=1500,
+            trials=3,
+            seed=6,
+        )
+        study = run_trials(backend="lockstep", **kwargs)
+        assert any(
+            pending and until and resume == slot
+            for slot, until, resume, pending in skips
+        )
+        assert any(until and resume > slot for slot, until, resume, _ in skips)
+        _assert_same_results(study, run_trials(backend="reference", **kwargs))
+
+    def test_member_horizon_inside_a_quiet_stretch(self, monkeypatch):
+        """A fused run of horizons 400 and 3000: a quiet skip stops at 400,
+        where the short member's trials end, and both members equal the
+        reference."""
+        from repro.spec import StudyPlan
+
+        visited, skips = self._spy_driver(monkeypatch)
+        specs = [_backoff_spec(400, 1, 0.3), _backoff_spec(3000, 2, 0.3)]
+        fused = StudyPlan(specs).run(fuse=True)
+        assert any(
+            until == 400 and resume == 400 and slot < 400
+            for slot, until, resume, _ in skips
+        )
+        assert [r.summary.total_slots for r in fused[0].study] == [400] * 3
+        reference = StudyPlan(
+            [spec.with_execution(backend="reference") for spec in specs]
+        ).run(fuse=False)
+        for point, expected in zip(fused, reference):
+            assert {r.backend for r in point.study} == {"lockstep"}
+            _assert_same_results(point.study, expected.study)
+
+    def test_waiting_drained_trial_blocks_the_quiet_skip(self, monkeypatch):
+        """A drained trial waits for its arrivals to run out at slot 300,
+        while another trial's live rows have no send due: the loop still
+        steps every slot, and the waiting trial stops where the
+        reference's does."""
+        import repro.sim.backends.lockstep as lockstep_module
+
+        class LateExhausted(ScheduledArrivals):
+            def exhausted(self, slot):
+                return slot >= 300
+
+        checks = []  # (slot, waiting, live rows quiet in the next slot)
+        real_stop = lockstep_module._LockstepRun._stop_trials
+
+        def stop(run, slot):
+            stopped = real_stop(run, slot)
+            rows = run._active
+            quiet = bool(rows.size) and (
+                run._program.next_event(rows, slot + 1) > slot + 1
+            )
+            checks.append((slot, run._waiting, quiet))
+            return stopped
+
+        monkeypatch.setattr(lockstep_module._LockstepRun, "_stop_trials", stop)
+        kwargs = dict(
+            protocol_factory=make_factory(ProbabilityBackoff, 1.0),
+            adversary_factory=lambda: ComposedAdversary(
+                LateExhausted({5: 3}), RandomFractionJamming(0.0)
+            ),
+            horizon=600,
+            trials=4,
+            seed=3,
+            stop_when_drained=True,
+        )
+        study = run_trials(backend="lockstep", **kwargs)
+        checked = {slot for slot, _, _ in checks}
+        held = [slot for slot, waiting, quiet in checks if waiting and quiet]
+        assert held and all(slot + 1 in checked for slot in held)
+        _assert_same_results(study, run_trials(backend="reference", **kwargs))
+        assert 300 in [r.summary.total_slots for r in study]
+
+    def test_capacity_growth_remaps_the_event_pointers(self, monkeypatch):
+        """Adaptive arrivals grow the columns after earlier rows drew their
+        windows; their events keep pointing at their own sends."""
+        grown = []
+        real_grow = AgeProfileLockstepProgram.grow
+
+        def grow(program, trials, old, new):
+            grown.append(program._used)
+            return real_grow(program, trials, old, new)
+
+        monkeypatch.setattr(AgeProfileLockstepProgram, "grow", grow)
+        kwargs = dict(
+            protocol_factory=make_factory(SlottedAloha, 0.2),
+            adversary_factory=lambda: AdaptiveSuccessChaser(
+                jam_fraction=0.1,
+                arrival_budget_per_success=3,
+                total_arrival_budget=60,
+                jam_burst=2,
+                seed_arrivals=10,
+            ),
+            horizon=300,
+            trials=2,
+            seed=9,
+        )
+        study = run_trials(backend="lockstep", **kwargs)
+        assert grown and all(used > 0 for used in grown)
+        _assert_same_results(study, run_trials(backend="reference", **kwargs))
+
+    def test_composite_members_draw_through_the_offset_pool(self, monkeypatch):
+        """Mixed-parameter members keep their own programs, which seed
+        their native draws through their shifted view of the shared pool."""
+        from repro.sim.backends.fused import _OffsetStreamPool, run_fused_group
+        from repro.spec import StudyPlan
+
+        shifts = []
+        real_native = _OffsetStreamPool.native_doubles
+
+        def native(adapter, rows, out, skip=0):
+            shifts.append(adapter._shift)
+            return real_native(adapter, rows, out, skip)
+
+        monkeypatch.setattr(_OffsetStreamPool, "native_doubles", native)
+        specs = [
+            _backoff_spec(500, seed, scale)
+            for seed, scale in ((1, 1.0), (2, 2.0), (3, 0.5))
+        ]
+        studies = run_fused_group(specs)
+        assert len(set(shifts)) == len(specs)  # one trial block each
+        reference = StudyPlan(
+            [spec.with_execution(backend="reference") for spec in specs]
+        ).run(fuse=False)
+        for study, expected in zip(studies, reference):
+            _assert_same_results(study, expected.study)

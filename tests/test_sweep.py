@@ -17,6 +17,7 @@ from repro.spec import (
     Sweep,
     sweep_rows,
 )
+from repro.sim.backends.fused import plan_fusion_groups
 from repro.spec.store import payload_checksum
 
 SEED = 11
@@ -154,14 +155,15 @@ class TestStudyStore:
 
 class TestStudyPlan:
     def test_twelve_point_grid_on_batched_study_backend(self, tmp_path):
-        """The acceptance grid: >= 12 points, batched-study, low dispatch cost."""
-        sweep = Sweep(
-            aloha_spec(horizon=4096, trials=3),
-            {
-                "adversary.jamming.params.fraction": [0.05, 0.15, 0.25, 0.35],
-                "adversary.arrivals.params.count": [16, 32, 64],
-            },
-        )
+        """The acceptance grid: >= 12 points, batched-study, low dispatch
+        cost.  ``auto`` leaves batched-study to an explicit pin: there the
+        same grid fuses into one lockstep run with the same results."""
+        axes = {
+            "adversary.jamming.params.fraction": [0.05, 0.15, 0.25, 0.35],
+            "adversary.arrivals.params.count": [16, 32, 64],
+        }
+        base = aloha_spec(horizon=4096, trials=3)
+        sweep = Sweep(base.with_execution(backend="batched-study"), axes)
         assert sweep.size == 12
         store = StudyStore(tmp_path)
         results = StudyPlan.from_sweep(sweep).run(store=store)
@@ -182,6 +184,18 @@ class TestStudyPlan:
         assert all(point.cached for point in rerun)
         for cold, warm in zip(results, rerun):
             assert cold.study.summary_row() == warm.study.summary_row()
+
+        auto = StudyPlan.from_sweep(Sweep(base, axes))
+        groups = plan_fusion_groups(list(enumerate(auto.specs)))
+        assert [len(group) for group in groups] == [12]
+        for pinned, point in zip(results, auto.run()):
+            assert {r.backend for r in point.study} == {"lockstep"}
+            assert [r.summary for r in point.study] == [
+                r.summary for r in pinned.study
+            ]
+            assert [r.node_stats for r in point.study] == [
+                r.node_stats for r in pinned.study
+            ]
 
     @pytest.mark.parametrize("points", [1, 2])
     def test_pipeline_points_bypass_the_store(self, tmp_path, points):
