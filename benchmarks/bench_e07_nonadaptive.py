@@ -4,7 +4,7 @@ Regenerates experiment E7 from the DESIGN.md per-experiment index at the
 smoke scale and records its headline findings in the benchmark's extra info.
 """
 
-from .conftest import run_and_record
+from experiment_bench import run_and_record
 
 
 def test_e07_nonadaptive(benchmark):

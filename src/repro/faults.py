@@ -4,8 +4,8 @@ The paper's subject is robustness against adversarial interference; this
 module gives the *harness* the same adversary.  A :class:`FaultPlan` is a
 seeded, JSON-round-trippable description of which failures to inject where,
 so every failure mode the resilience layer handles — worker crashes, worker
-hangs, shared-memory attach failures, kernel exceptions mid-study, store
-file corruption — is replayable bit for bit in tests and CI.
+hangs, kernel exceptions mid-study, store file corruption — is replayable
+bit for bit in tests and CI.
 
 Injection sites (the string each instrumented component asks about):
 
@@ -15,11 +15,6 @@ Injection sites (the string each instrumented component asks about):
                        ``trials``)
 ``worker-hang``        the shard worker sleeps past any reasonable deadline
                        (same coords)
-``shm-export``         the worker's shared-memory staging fails; the shard
-                       falls back to the pickle transport (same coords)
-``shm-attach``         the parent's attach to a worker's shared-memory block
-                       fails; the supervisor retries the shard with the
-                       pickle transport (same coords)
 ``kernel``             a simulated kernel exception mid-study
                        (:class:`~repro.errors.FaultInjected` raised from the
                        study dispatch path; coords: ``trials``)
@@ -91,8 +86,6 @@ __all__ = [
 KNOWN_SITES = (
     "worker-crash",
     "worker-hang",
-    "shm-export",
-    "shm-attach",
     "kernel",
     "sweep-point",
     "store-corrupt",

@@ -376,7 +376,7 @@ def fused_loop(
     adv_mode, arr_sched, jam_sched, adv_i, adv_f, exhaust_from,
     arrival_col, success_col, broadcasts_col,
     node_count, success_count, simulated,
-    arrivals_m, jam_m, success_m, counts_m,
+    jam_m, sent_m,
 ):
     total_rows = trials * capacity
     active_rows = np.empty(total_rows, np.int64)
@@ -454,7 +454,6 @@ def fused_loop(
                     active_trials[n_active] = t
                     n_active += 1
                 node_count[t] = after
-            arrivals_m[t, slot] = arrivals
 
         # ----------------------------------------------------------- step
         for t in range(trials):
@@ -475,7 +474,7 @@ def fused_loop(
             else:
                 sends[idx] = 0
         for t in range(trials):
-            counts_m[t, slot] = np.int32(counts[t])
+            sent_m[t, slot] = counts[t] > 0
 
         # ----------------------------------------------------- resolution
         any_success = False
@@ -486,7 +485,6 @@ def fused_loop(
                 success_f[t] = 1
                 winner_row = active_rows[winner_idx[t]]
                 success_col[winner_row] = slot
-                success_m[t, slot] = True
                 success_count[t] += 1
             else:
                 success_f[t] = 0

@@ -489,10 +489,8 @@ def _run_block(
     node_count = np.zeros(trials, dtype=np.int64)
     success_count = np.zeros(trials, dtype=np.int64)
     simulated = np.full(trials, horizon, dtype=np.int64)
-    arrivals_m = np.zeros((trials, horizon + 1), dtype=np.int64)
     jam_m = np.zeros((trials, horizon + 1), dtype=bool)
-    success_m = np.zeros((trials, horizon + 1), dtype=bool)
-    counts_m = np.zeros((trials, horizon + 1), dtype=np.int32)
+    sent_m = np.zeros((trials, horizon + 1), dtype=bool)
 
     # Schedule-backed drivers answer exhaustion as a monotone threshold in
     # the slot (all arrival strategies are "done after slot s"), so the
@@ -525,7 +523,7 @@ def _run_block(
             exhaust_from,
             arrival_col, success_col, broadcasts_col,
             node_count, success_count, simulated,
-            arrivals_m, jam_m, success_m, counts_m,
+            jam_m, sent_m,
         )
 
     try:
@@ -555,6 +553,6 @@ def _run_block(
         [driver.describe(t) for t in range(trials)],
         capacity, node_count,
         arrival_col, success_col, broadcasts_col,
-        simulated, jam_m, counts_m,
+        simulated, jam_m, sent_m,
         protocol_name, CompiledStudyKernel.name, members,
     )

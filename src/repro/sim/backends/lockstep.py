@@ -573,12 +573,12 @@ def emit_lockstep_results(
     kernel, which produce the same flat outcome columns and per-slot
     flags: trial ``t``'s nodes are the first ``node_count[t]`` rows of its
     ``capacity`` (every node that arrived by its stop, in arrival order,
-    success slot 0 while unfinished), and ``sent_m`` is nonzero where some
-    node sent (the numpy kernel's flags, the compiled kernel's sender
-    counts).  Each member of ``members`` (trial counts; default one) is
-    emitted from its own contiguous trial slice: node columns gathered for
-    it alone, flags cut at its longest trial, on which jammed and silent
-    slots are counted per trial.  No per-slot count is summed here; each
+    success slot 0 while unfinished), and ``jam_m`` and ``sent_m`` are
+    bool planes, true where the slot was jammed and where some node sent.
+    Each member of ``members`` (trial counts; default one) is emitted from
+    its own contiguous trial slice: node columns gathered for it alone,
+    flags cut at its longest trial, on which jammed and silent slots are
+    counted per trial.  No per-slot count is summed here; each
     result derives its counters on first read from its own jam flags.
     """
     results: List[SimulationResult] = []
@@ -591,7 +591,7 @@ def emit_lockstep_results(
         jam = jam_m[cut]
         run = np.arange(jam.shape[1]) <= sim[:, None]  # slots 1..stop
         run[:, 0] = False
-        silent = (sent_m[cut] == 0) & ~jam & run
+        silent = ~sent_m[cut] & ~jam & run
         order = _row_ranges(
             np.arange(ids.start, ids.stop, dtype=np.int64) * capacity,
             node_count[ids],

@@ -2,20 +2,18 @@
 
 Every :class:`~repro.sim.TrialStudy` now carries a :class:`RunHealth`
 record: shard retries and failures, backend demotion events with their
-reasons, transport fallbacks, and the effective degree of parallelism.
+reasons, in-process fallbacks, and the effective degree of parallelism.
 What used to be silent — the compiled tier quietly demoting to the numpy
-lockstep kernel, a study kernel bailing to the per-trial ladder, shared
-memory falling back to pickle — is recorded here and surfaced through
-``TrialStudy.summary_row()``, ``repro sweep`` output and
-``repro simulate --explain-backend``.
+lockstep kernel, a study kernel bailing to the per-trial ladder — is
+recorded here and surfaced through ``TrialStudy.summary_row()``,
+``repro sweep`` output and ``repro simulate --explain-backend``.
 
-Deeply nested code (kernel dispatch, the shm transport) reports through a
-context-local collector rather than threading a ``health`` parameter
-through every signature: the runner installs its study's record with
-:func:`collecting`, and :func:`note` / :func:`note_demotion` append to
-whichever record is active (no-ops otherwise).  Worker processes collect
-into their own record and ship the events back to the parent alongside the
-shard results.
+Deeply nested code (kernel dispatch, the study stores) reports through a context-local
+collector rather than threading a ``health`` parameter through every
+signature: the runner installs its study's record with :func:`collecting`,
+and :func:`note` / :func:`note_demotion` append to whichever record is
+active (no-ops otherwise).  Worker processes collect into their own record
+and ship the events back to the parent alongside the shard results.
 """
 
 from __future__ import annotations
@@ -34,20 +32,20 @@ __all__ = [
 ]
 
 #: Event kinds counted as shard failures by :attr:`RunHealth.shard_failures`.
-_FAILURE_KINDS = ("crash", "hang", "error", "import-error")
+_FAILURE_KINDS = ("crash", "hang", "error")
 
 
 @dataclass(frozen=True)
 class HealthEvent:
     """One thing that went wrong (or was silently worked around) during a run.
 
-    ``kind`` is one of: ``crash`` / ``hang`` / ``error`` / ``import-error``
-    (shard failures), ``retry`` (a shard re-dispatched), ``degrade`` (the
-    pool reduced its concurrency), ``fallback`` (a shard ran in-process, or
-    a transport fell back to pickle), ``demotion`` (a backend handed the
-    study to a slower tier), ``quarantine`` (a corrupt store entry was
-    moved aside), ``shard-loss`` (a sharded-store shard was unreadable or
-    missing: reads degraded to misses, writes to no-ops).
+    ``kind`` is one of: ``crash`` / ``hang`` / ``error`` (shard
+    failures), ``retry`` (a shard re-dispatched), ``degrade`` (the pool
+    reduced its concurrency), ``fallback`` (a shard ran in-process),
+    ``demotion`` (a backend handed the study to a slower tier),
+    ``quarantine`` (a corrupt store entry was moved aside), ``shard-loss``
+    (a sharded-store shard was unreadable or missing: reads degraded to
+    misses, writes to no-ops).
     """
 
     kind: str

@@ -151,18 +151,16 @@ class PrefixCounters:
         """The counters of a run of ``slots`` slots from its outcomes.
 
         ``nodes`` holds every node that arrived by the last slot and
-        ``jammed`` the run's jam flags (bool, index 0 False) or its jammed
-        slots' indices.  Arrivals and successes count nodes per slot, and a
-        slot is active when more nodes arrived by it than succeeded before
-        it, as in the reference loop.
+        ``jammed`` the run's jam flags (bool, index 0 False).  Arrivals and
+        successes count nodes per slot, and a slot is active when more
+        nodes arrived by it than succeeded before it, as in the reference
+        loop.
         """
         length = slots + 1
         arrivals = np.cumsum(np.bincount(nodes.arrival, minlength=length))
         per_slot = np.bincount(nodes.success, minlength=length)
         per_slot[0] = 0  # unfinished nodes
         successes = np.cumsum(per_slot)
-        if jammed.dtype != bool:
-            jammed = np.bincount(jammed, minlength=length)
         active = np.zeros(length, dtype=np.int64)
         np.cumsum(arrivals[1:] > successes[:-1], out=active[1:])
         return cls(
@@ -343,8 +341,8 @@ class SimulationResult:
             else NodeColumns.from_stats(node_stats)
         )
         self._counters = counters
-        # The jam flags (bool, index 0 False) or jammed slots' indices the
-        # counters derive from while they are not built.
+        # The jam flags (bool, index 0 False) the counters derive from
+        # while they are not built.
         self._jammed = None if counters is not None else jammed
         self.protocol_name = protocol_name
         self.adversary_name = adversary_name

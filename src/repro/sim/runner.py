@@ -5,9 +5,9 @@ Trials are independent by construction (each gets its own root seed from
 ``workers=N`` to fan trials out over ``N`` forked worker processes.  Seeds are
 derived identically in the serial and parallel paths, so a parallel study is
 seed-for-seed identical to a serial one — only wall-clock changes.  Each
-worker returns its shard's bulk prefix/node columns through one
-``multiprocessing.shared_memory`` block (:mod:`repro.sim.shm`); only O(1)
-metadata per trial crosses the pickle pipe.
+worker pickles its shard's results back through the pipe it was started
+with: a lockstep result carries its node columns and one bool jam flag per
+slot, and derives its counters in the parent when something reads them.
 
 Worker shards run under a *supervisor* (:class:`SupervisorPolicy`): each
 shard is dispatched asynchronously to its own forked process, crashes are
@@ -104,9 +104,8 @@ from .backends import (
 )
 from .backends.studysupport import StudyProbe
 from .engine import Simulator, SimulatorConfig
-from .health import RunHealth, collecting, note_demotion
+from .health import _FAILURE_KINDS, RunHealth, collecting, note_demotion
 from .results import SimulationResult
-from .shm import discard_payload, export_study, import_study
 
 __all__ = [
     "SupervisorPolicy",
@@ -165,7 +164,7 @@ class TrialStudy:
     are summary-level :class:`~repro.spec.CachedResult` objects.  ``health``
     is the structured :class:`~repro.sim.health.RunHealth` record of the
     run: shard retries/failures, backend demotion events with reasons,
-    transport fallbacks and pool degradation (empty = clean run).
+    in-process fallbacks and pool degradation (empty = clean run).
     """
 
     results: List[SimulationResult] = field(default_factory=list)
@@ -369,7 +368,6 @@ class _ShardTask:
     trial_lo: int
     trial_hi: int
     attempt: int = 0
-    force_pickle: bool = False
 
 
 def _shard_entry(
@@ -378,13 +376,12 @@ def _shard_entry(
     conn,
     index: int,
     attempt: int,
-    force_pickle: bool,
 ) -> None:
     """Worker-process entry point for one shard.
 
     Runs in a forked child, so the runner (with its possibly unpicklable
     closures) arrives by memory copy — nothing but the result payload ever
-    crosses a pickle boundary.  Sends ``("ok", payload, pipeline, events)``
+    crosses a pickle boundary.  Sends ``("ok", results, pipeline, events)``
     on success or ``("error", description)`` on a deterministic exception;
     a crash sends nothing and is detected by the supervisor through the
     process sentinel.
@@ -407,11 +404,7 @@ def _shard_entry(
         shard_health = RunHealth()
         with collecting(shard_health):
             results = runner._run_chunk(chunk, shard_pipeline)
-            # Bulk columns travel through a shared-memory block (pickle only
-            # carries O(1) metadata per trial); ineligible shards — and
-            # retries after a parent-side attach failure — use plain pickle.
-            payload = export_study(results, force_pickle=force_pickle)
-        conn.send(("ok", payload, shard_pipeline, shard_health.events))
+        conn.send(("ok", results, shard_pipeline, shard_health.events))
     except BaseException as exc:  # noqa: BLE001 - report, parent decides
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -771,7 +764,6 @@ class TrialRunner:
                             child_conn,
                             task.index,
                             task.attempt,
-                            task.force_pickle,
                         ),
                         daemon=True,
                     )
@@ -845,27 +837,10 @@ class TrialRunner:
                     failure = ("crash", _exit_detail(process))
                 else:
                     if message[0] == "ok":
-                        _, payload, pipeline, events = message
-                        plan = faults.active_plan()
-                        try:
-                            if plan.fires(
-                                "shm-attach",
-                                shard=task.index,
-                                attempt=task.attempt,
-                                trials=len(task.chunk),
-                            ):
-                                raise OSError("injected shm attach failure")
-                            shard_results[task.index] = import_study(payload)
-                        except Exception as exc:
-                            discard_payload(payload)
-                            failure = (
-                                "import-error",
-                                f"shard result import failed ({exc}); "
-                                "retrying with the pickle transport",
-                            )
-                        else:
-                            shard_pipelines[task.index] = pipeline
-                            health.extend(list(events), shard=task.index)
+                        _, results, pipeline, events = message
+                        shard_results[task.index] = results
+                        shard_pipelines[task.index] = pipeline
+                        health.extend(list(events), shard=task.index)
                     else:
                         failure = ("error", message[1])
             elif not was_alive:
@@ -886,13 +861,7 @@ class TrialRunner:
             health.record(
                 kind, "worker", detail, shard=task.index, attempt=task.attempt
             )
-            pending.append(
-                replace(
-                    task,
-                    attempt=task.attempt + 1,
-                    force_pickle=task.force_pickle or kind == "import-error",
-                )
-            )
+            pending.append(replace(task, attempt=task.attempt + 1))
 
     def _apply_degradation(
         self, health: RunHealth, limit: int, total: int
@@ -928,8 +897,7 @@ class TrialRunner:
             (
                 e.detail
                 for e in reversed(health.events)
-                if e.shard == task.index and e.kind in
-                ("crash", "hang", "error", "import-error")
+                if e.shard == task.index and e.kind in _FAILURE_KINDS
             ),
             "",
         )

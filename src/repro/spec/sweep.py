@@ -272,8 +272,10 @@ class StudyPlan:
         attempts_allowed = 1 + (retries if on_error == "retry" else 0)
         prefused: Dict[int, Any] = {}
         fused_seconds: Dict[int, float] = {}
+        lookups: Dict[int, Tuple[Any, float]] = {}
         if fuse:
-            prefused, fused_seconds = self._prefuse(store)
+            prefused, fused_seconds, lookups = self._prefuse(store)
+        published = set()
         results: List[PlanResult] = []
         for index, (spec, overrides) in enumerate(
             zip(self._specs, self._overrides)
@@ -283,14 +285,21 @@ class StudyPlan:
             # As StudySpec.run: a stored summary has no counters to replay a
             # pipeline over, so pipeline-carrying points bypass the store.
             cacheable = store is not None and spec.pipeline is None
-            study = store.get(spec) if cacheable else None
+            looked_up = lookups.pop(index, None)
+            if looked_up is None or digest in published:
+                # Not read while planning, or an earlier duplicate of this
+                # point was written since that read.
+                looked_up = (store.get(spec) if cacheable else None, 0.0)
+            study, lookup_seconds = looked_up
             cached = study is not None
             if study is None and digest in completed:
                 # The journal says this point finished but the store no
                 # longer has it (different store, pruned entry, quarantined
                 # corruption): fall through and re-run it.
                 completed.discard(digest)
-            dispatch_elapsed = time.perf_counter() - dispatch_start
+            dispatch_elapsed = (
+                time.perf_counter() - dispatch_start + lookup_seconds
+            )
             run_elapsed = 0.0
             attempts = 0
             error = ""
@@ -323,6 +332,7 @@ class StudyPlan:
                 if study is not None and cacheable:
                     publish_start = time.perf_counter()
                     store.put(spec, study)
+                    published.add(digest)
                     dispatch_elapsed += time.perf_counter() - publish_start
             result = PlanResult(
                 spec=spec,
@@ -352,26 +362,31 @@ class StudyPlan:
 
     def _prefuse(
         self, store: Optional[Any]
-    ) -> Tuple[Dict[int, Any], Dict[int, float]]:
+    ) -> Tuple[
+        Dict[int, Any], Dict[int, float], Dict[int, Tuple[Any, float]]
+    ]:
         """Run compatible pending points as fused groups, keyed by index.
 
         Only points the store cannot serve are considered.  A group that
         raises (including injected ``fused-group`` faults) or turns out not
         to be fusable contributes nothing — its members run per-point in
         the main loop, so a fused failure can never corrupt or lose a
-        sibling point.  Returns per-index studies plus each point's share
-        of its group's wall time (pro-rated by trials).
+        sibling point.  Returns per-index studies, each point's share of
+        its group's wall time (pro-rated by trials), and every store
+        lookup made (the stored study or ``None``, and its seconds), which
+        the main loop serves instead of reading the store again.
         """
         from ..sim.backends.fused import plan_fusion_groups, run_fused_group
 
         pending = []
+        lookups: Dict[int, Tuple[Any, float]] = {}
         for index, spec in enumerate(self._specs):
-            if (
-                store is not None
-                and spec.pipeline is None
-                and store.get(spec) is not None
-            ):
-                continue
+            if store is not None and spec.pipeline is None:
+                start = time.perf_counter()
+                stored = store.get(spec)
+                lookups[index] = (stored, time.perf_counter() - start)
+                if stored is not None:
+                    continue
             pending.append((index, spec))
         studies: Dict[int, Any] = {}
         seconds: Dict[int, float] = {}
@@ -388,7 +403,7 @@ class StudyPlan:
             for (index, spec), study in zip(group, fused):
                 studies[index] = study
                 seconds[index] = elapsed * spec.trials / max(1, total)
-        return studies, seconds
+        return studies, seconds, lookups
 
 
 def _journal_record(

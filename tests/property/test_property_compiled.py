@@ -7,8 +7,8 @@ tables (the paper's CJZ algorithm, its global-clock ablation, the two-channel
 no-jamming variant — whose parameters have no spec recipe, so its tables
 build uncached — windowed binary-exponential, sawtooth and polynomial
 backoff) against the full arrival × jamming grid plus the
-adaptive success chaser — including early stops and ``workers=4``
-shared-memory shard merges.
+adaptive success chaser — including early stops and ``workers=4`` shard
+merges.
 
 numba is an optional dependency, so the suite pins the interpreter to its
 pure-python mode (``REPRO_COMPILED_FORCE_PYTHON=1``): the same source
@@ -138,7 +138,7 @@ class TestCompiledEquivalence:
         trials=st.integers(min_value=4, max_value=7),
     )
     def test_workers_shard_merge_identical(self, named_adversary, seed, trials):
-        """workers=4 compiled shards (shared-memory transport) match serial."""
+        """workers=4 compiled shards, pickled back to the parent, match serial."""
         _, adversary_factory = named_adversary
 
         def study(workers, backend):

@@ -1,9 +1,8 @@
 """Property tests: injected faults never change results, only wall-clock.
 
 The resilience contract of the supervised worker pool: for any workload and
-seed, a parallel study that loses a worker (crash), loses a shared-memory
-attach, or loses the shm export entirely produces results — and merged
-pipeline metrics — bit-identical to the serial run.  Faults are injected
+seed, a parallel study that loses a worker (crash) produces results — and
+merged pipeline metrics — bit-identical to the serial run.  Faults are injected
 through deterministic :class:`repro.faults.FaultPlan` rules, so every
 counterexample hypothesis finds is replayable.
 """
@@ -97,31 +96,3 @@ def test_killed_worker_with_retry_is_bit_identical_to_serial(study):
     assert parallel.health.retries == 1
     assert parallel.health.shard_failures == 1
 
-
-@settings(max_examples=6, deadline=None)
-@given(studies())
-def test_shm_attach_failure_is_bit_identical_to_serial(study):
-    (_, factory), arrivals, jam, horizon, trials, seed, shard = study
-    serial = _run(factory, arrivals, jam, horizon, trials, seed)
-    with faults.injected(
-        {"rules": [{"site": "shm-attach", "shard": shard, "attempt": 0}]}
-    ):
-        parallel = _run(
-            factory, arrivals, jam, horizon, trials, seed, workers=4
-        )
-    _assert_identical(serial, parallel)
-    assert parallel.health.retries == 1
-
-
-@settings(max_examples=6, deadline=None)
-@given(studies())
-def test_shm_export_fallback_is_bit_identical_to_serial(study):
-    (_, factory), arrivals, jam, horizon, trials, seed, _ = study
-    serial = _run(factory, arrivals, jam, horizon, trials, seed)
-    with faults.injected({"rules": [{"site": "shm-export"}]}):
-        parallel = _run(
-            factory, arrivals, jam, horizon, trials, seed, workers=4
-        )
-    _assert_identical(serial, parallel)
-    # The worker recovers on its own; no shard is ever re-dispatched.
-    assert parallel.health.retries == 0

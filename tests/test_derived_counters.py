@@ -8,8 +8,6 @@ the derivation has to get right, and check that a sweep which reads only
 summaries, latencies and energy never derives them.
 """
 
-from unittest import mock
-
 import numpy as np
 import pytest
 
@@ -290,51 +288,3 @@ class TestDerivedCounters:
         ]
         _assert_same_outcomes(sibling.results, reference[1].results)
 
-
-class TestSharedMemoryTransport:
-    @staticmethod
-    def _study(workers, pipeline=None):
-        return run_trials(
-            protocol_factory=cjz_factory(),
-            adversary_factory=lambda: ScheduleAdversary(
-                {1: 4, 30: 3}, jammed_slots=[2, 3, 40]
-            ),
-            horizon=120,
-            trials=4,
-            seed=9,
-            workers=workers,
-            backend="lockstep",
-            pipeline=pipeline,
-        )
-
-    @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
-    def test_worker_results_ship_what_they_hold(self, read):
-        """A sharded lockstep study equals its serial run, and its columns
-        are views into the shared block.  The block carries no prefix
-        column for counters nobody read, only the jammed slots; counters a
-        worker's pipeline read ship as they are."""
-        from repro.sim import runner
-
-        payloads = []
-        real_import = runner.import_study
-
-        def capture(payload):
-            payloads.append(payload)
-            return real_import(payload)
-
-        pipeline = MetricPipeline([SuccessTimelineReducer()]) if read else None
-        with mock.patch.object(runner, "import_study", capture):
-            parallel = self._study(2, pipeline)
-        assert parallel.effective_workers == 2
-        assert [payload[0] for payload in payloads] == ["shm", "shm"]
-        headers = [h for payload in payloads for h in payload[2]]
-        # Three node columns of 7 nodes, then the 3 jammed slots or the
-        # four prefix columns of 121 slots.
-        per_slot = [121] * 4 if read else [3]
-        assert [h["lengths"] for h in headers] == [[7, 7, 7] + per_slot] * 4
-        for result in parallel:
-            block = np.frombuffer(result._shm_block.buf, dtype=np.int64)
-            assert np.shares_memory(result.node_stats.arrival, block)
-            held = result.cached_counters.active if read else result.jam_flags
-            assert np.shares_memory(held, block)
-        _assert_same_outcomes(parallel.results, self._study(1).results)

@@ -86,7 +86,7 @@ class TestFaultPlan:
         plan = FaultPlan(
             rules=[
                 {"site": "worker-crash", "shard": 1, "attempt": 0},
-                {"site": "shm-export", "rate": 0.25, "times": 3},
+                {"site": "worker-hang", "rate": 0.25, "times": 3},
             ],
             seed=42,
         )
@@ -125,11 +125,11 @@ class TestActivation:
 
     def test_env_file_reference(self, monkeypatch, tmp_path):
         path = tmp_path / "plan.json"
-        path.write_text(json.dumps({"seed": 9, "rules": [{"site": "shm-attach"}]}))
+        path.write_text(json.dumps({"seed": 9, "rules": [{"site": "store-corrupt"}]}))
         monkeypatch.setenv("REPRO_FAULTS", f"@{path}")
         plan = faults.active_plan()
         assert plan.seed == 9
-        assert plan.rules[0].site == "shm-attach"
+        assert plan.rules[0].site == "store-corrupt"
 
     def test_programmatic_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(

@@ -1,4 +1,5 @@
-"""Supervised worker pool: crash/hang/attach-failure recovery (fork only).
+"""Supervised worker pool: crash and hang recovery, and shard results
+that outgrow the pipe's buffer (fork only).
 
 Every test injects faults through a deterministic :class:`repro.faults.FaultPlan`
 and asserts the recovered parallel study is bit-identical to the serial one —
@@ -27,13 +28,13 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def study(trials=12, seed=7, **kwargs):
+def study(trials=12, seed=7, horizon=200, **kwargs):
     return run_trials(
         protocol_factory=make_factory(ProbabilityBackoff, 1.0),
         adversary_factory=lambda: ComposedAdversary(
             BatchArrivals(8), RandomFractionJamming(0.2)
         ),
-        horizon=200,
+        horizon=horizon,
         trials=trials,
         seed=seed,
         **kwargs,
@@ -141,30 +142,34 @@ class TestHangRecovery:
         assert parallel.health.retries == 1
 
 
-class TestTransportRecovery:
-    def test_shm_attach_failure_retries_with_pickle(self):
-        serial = study()
-        with faults.injected(
-            {"rules": [{"site": "shm-attach", "shard": 0, "attempt": 0}]}
-        ):
-            parallel = study(workers=4)
-        assert summaries(parallel) == summaries(serial)
-        assert any(e.kind == "import-error" for e in parallel.health.events)
-        assert parallel.health.retries == 1
+class TestLargeShardPayload:
+    def test_payload_far_past_the_pipe_buffer_matches_serial(self):
+        """Each shard pickles its results back through its pipe.  Counters a
+        worker's pipeline read travel as four int64 columns per slot, so at
+        this horizon a shard sends megabytes against the pipe's 64 KiB
+        buffer: the parent must drain it without a hang or a crash, and the
+        results equal the serial run's."""
+        horizon = 65_536
 
-    def test_shm_export_failure_falls_back_to_pickle_in_worker(self):
-        """Worker-side staging failure never fails the shard: it re-exports
-        through pickle and records a fallback event."""
-        serial = study()
-        # The export site fires inside the worker (coords carry only the
-        # shard's trial count), so this rule makes every shard fall back.
-        with faults.injected({"rules": [{"site": "shm-export"}]}):
-            parallel = study(workers=4)
+        def run(**kwargs):
+            return study(
+                trials=4,
+                horizon=horizon,
+                pipeline=MetricPipeline([SuccessTimelineReducer()]),
+                **kwargs,
+            )
+
+        serial = run()
+        parallel = run(workers=2, supervisor=SupervisorPolicy(timeout=120.0))
+        assert parallel.health.clean
+        assert parallel.effective_workers == 2
+        payload = sum(r.memory_bytes() for r in parallel.results[:2])
+        assert payload > 32 * 64 * 1024
         assert summaries(parallel) == summaries(serial)
-        fallbacks = [e for e in parallel.health.events if e.kind == "fallback"]
-        assert any(e.site == "shm" for e in fallbacks)
-        # No retry needed: the worker recovered on its own.
-        assert parallel.health.retries == 0
+        for mine, theirs in zip(parallel.results, serial.results):
+            assert mine.node_stats == theirs.node_stats
+            assert mine.counters == theirs.counters
+        assert parallel.metrics() == serial.metrics()
 
 
 class TestHealthPlumbing:

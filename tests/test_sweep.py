@@ -153,6 +153,26 @@ class TestStudyStore:
         assert store.entries() == [spec.spec_hash()]
 
 
+class _CountingStore(StudyStore):
+    """A study store that counts its reads per spec hash."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.reads = {}
+
+    def get(self, spec):
+        digest = spec.spec_hash()
+        self.reads[digest] = self.reads.get(digest, 0) + 1
+        return super().get(spec)
+
+
+def _untimed(rows):
+    timing = {
+        "mean_wall_time_s", "mean_slots_per_s", "dispatch_seconds", "run_seconds"
+    }
+    return [{k: v for k, v in row.items() if k not in timing} for row in rows]
+
+
 class TestStudyPlan:
     def test_twelve_point_grid_on_batched_study_backend(self, tmp_path):
         """The acceptance grid: >= 12 points, batched-study, low dispatch
@@ -220,6 +240,44 @@ class TestStudyPlan:
             assert not b.cached
             assert b.study.metrics() is not None
             assert b.study.metrics() == a.study.metrics()
+
+    def test_one_store_lookup_per_point(self, tmp_path):
+        """Fusion planning reads the store once per point and the main
+        loop serves those reads, cold and warm, with the rows and cached
+        flags of per-point dispatch."""
+        sweep = Sweep(
+            aloha_spec(horizon=256),
+            {"adversary.jamming.params.fraction": [0.0, 0.25], "seed": [1, 2, 3]},
+        )
+        plan = StudyPlan.from_sweep(sweep)
+        store = _CountingStore(tmp_path / "fused")
+        cold = plan.run(store=store)
+        assert store.reads == {spec.spec_hash(): 1 for spec in plan.specs}
+        store.reads.clear()
+        warm = plan.run(store=store)
+        assert store.reads == {spec.spec_hash(): 1 for spec in plan.specs}
+        assert [p.cached for p in cold] == [False] * 6
+        assert [p.cached for p in warm] == [True] * 6
+        unfused = StudyStore(tmp_path / "unfused")
+        for fused_pass in (cold, warm):
+            expected = plan.run(store=unfused, fuse=False)
+            assert _untimed(sweep_rows(fused_pass)) == _untimed(
+                sweep_rows(expected)
+            )
+
+    def test_duplicate_point_reads_what_its_twin_wrote(self, tmp_path):
+        """A point repeated in one plan is served from the store entry its
+        first occurrence wrote, as under per-point dispatch: the planning
+        read missed, so the main loop reads it again after the write."""
+        twin, other = aloha_spec(horizon=128), aloha_spec(horizon=256)
+        store = _CountingStore(tmp_path / "fused")
+        points = StudyPlan([twin, other, twin]).run(store=store)
+        assert [p.cached for p in points] == [False, False, True]
+        assert store.reads == {twin.spec_hash(): 3, other.spec_hash(): 1}
+        unfused = StudyPlan([twin, other, twin]).run(
+            store=StudyStore(tmp_path / "unfused"), fuse=False
+        )
+        assert _untimed(sweep_rows(points)) == _untimed(sweep_rows(unfused))
 
     def test_progress_callback_sees_every_point(self):
         seen = []
