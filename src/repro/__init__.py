@@ -154,8 +154,8 @@ def quick_run(
         from .workloads import get_scenario
 
         named = get_scenario(scenario)
-        adversary_spec = named.adversary_spec()
-        horizon = horizon or named.spec.horizon
+        adversary_spec = named.adversary
+        horizon = horizon or named.horizon
     horizon = horizon or 4096
     if adversary_spec is None:
         adversary_spec = AdversarySpec.batch(arrivals, jam_fraction=jam_fraction)

@@ -533,8 +533,8 @@ def _simulate_runner(args: argparse.Namespace, horizon: Optional[int]):
         from .workloads import get_scenario
 
         named = get_scenario(args.scenario)
-        adversary_spec = named.adversary_spec()
-        horizon = horizon or named.spec.horizon
+        adversary_spec = named.adversary
+        horizon = horizon or named.horizon
     else:
         adversary_spec = AdversarySpec.batch(
             args.arrivals, jam_fraction=args.jam
@@ -582,12 +582,12 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     for scenario in STANDARD_SCENARIOS.values():
-        spec = scenario.spec
+        adversary = scenario.adversary
         print(f"{scenario.key}")
         print(f"  {scenario.description}")
         print(
-            f"  workload: {spec.arrival_kind} arrivals + {spec.jamming_kind} "
-            f"jamming over {spec.horizon} slots"
+            f"  workload: {adversary.arrivals.kind} + {adversary.jamming.kind} "
+            f"over {scenario.horizon} slots"
         )
     print(
         "\nrun one with: repro simulate --scenario <key>   "

@@ -127,16 +127,3 @@ class AlgorithmParameters:
                 "and cannot be serialized (its f is not the one derived from g)"
             )
         return {"g": g_spec, "a": self.a, "c2": self.c2, "c3": self.c3}
-
-    @classmethod
-    def from_spec_params(cls, params: dict) -> "AlgorithmParameters":
-        """Inverse of :meth:`to_spec_params` (rebuilds through :meth:`from_g`)."""
-        from ..spec.rates import rate_function_from_spec
-
-        g = rate_function_from_spec(params["g"]) if "g" in params else None
-        return cls.from_g(
-            g,
-            a=float(params.get("a", 1.0)),
-            c2=float(params.get("c2", 1.0)),
-            c3=float(params.get("c3", 4.0)),
-        )

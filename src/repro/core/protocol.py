@@ -158,38 +158,6 @@ class ChenJiangZhengProtocol(Protocol):
             return self._data_batch.should_send(self._data_view.local_index(slot))
         return False
 
-    def broadcast_probability(self, slot: int) -> Optional[float]:
-        """Marginal sending probability in ``slot`` given the current phase.
-
-        Computed from the subroutines' population-level rates (the a-priori
-        stage marginal for ``h``-backoff, the rate function for ``h``-batch).
-        The protocol remains feedback-adaptive, so it does **not** opt into
-        the vectorized kernel; this hook feeds analysis and diagnostics.
-        """
-        if self._rng is None:
-            return None
-        if self._phase is Phase.SYNCHRONIZE:
-            assert self._phase1_view is not None and self._phase1_backoff is not None
-            if self._phase1_view.contains(slot):
-                return self._phase1_backoff.marginal_probability(
-                    self._phase1_view.local_index(slot)
-                )
-            return 0.0
-        if self._phase is Phase.WAIT_CONTROL:
-            assert self._phase2_view is not None and self._phase2_backoff is not None
-            if self._phase2_view.contains(slot):
-                return self._phase2_backoff.marginal_probability(
-                    self._phase2_view.local_index(slot)
-                )
-            return 0.0
-        assert self._ctrl_view is not None and self._data_view is not None
-        assert self._ctrl_batch is not None and self._data_batch is not None
-        if self._ctrl_view.contains(slot):
-            return self._ctrl_batch.probability(self._ctrl_view.local_index(slot))
-        if self._data_view.contains(slot):
-            return self._data_batch.probability(self._data_view.local_index(slot))
-        return 0.0
-
     def on_feedback(
         self, slot: int, feedback: Feedback, broadcast: bool, success_was_own: bool
     ) -> None:

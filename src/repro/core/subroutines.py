@@ -86,24 +86,6 @@ class HBackoff:
             self._enter_stage(stage)
         return local_index in self._send_indices
 
-    def marginal_probability(self, local_index: int) -> float:
-        """A-priori probability that ``local_index`` is one of the stage's send slots.
-
-        A stage of length ``L`` draws ``count`` indices uniformly with
-        replacement, so a fixed index is chosen with probability
-        ``1 - (1 - 1/L)^count``.  This is the population-level sending rate the
-        vectorized/analysis layers use; it deliberately ignores the already
-        realized plan of the current stage.
-        """
-        if local_index < 1:
-            raise ConfigurationError("local index must be >= 1")
-        stage = local_index.bit_length() - 1
-        length = 2**stage
-        count = max(0, min(self._budget(length), length))
-        if count == 0:
-            return 0.0
-        return 1.0 - (1.0 - 1.0 / length) ** count
-
     def expected_sends_up_to(self, local_index: int) -> int:
         """Upper bound on the number of sends in local slots ``1..local_index``.
 

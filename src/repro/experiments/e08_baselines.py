@@ -12,11 +12,12 @@ simpler baselines remain competitive only on benign workloads.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict
 
 from ..analysis.comparison import compare_protocols, comparison_table
 from ..functions import constant_g
-from ..spec import ProtocolSpec, StudySpec
+from ..spec import ProtocolSpec, StrategySpec, StudySpec
 from ..workloads import STANDARD_SCENARIOS
 from ._helpers import cjz_protocol_spec, run_studies
 from .base import Experiment, ExperimentResult, register
@@ -48,29 +49,25 @@ class BaselineComparisonExperiment(Experiment):
 
         specs = []
         for key, scenario in STANDARD_SCENARIOS.items():
-            spec = scenario.spec
             # Scale the horizon and the arrival volume together so the offered
             # load per slot (and hence feasibility) is preserved across scales.
             factor = config.scale_factor
-            horizon = max(1024, int(spec.horizon * factor))
-            arrival_params = dict(spec.arrival_params)
+            horizon = max(1024, int(scenario.horizon * factor))
+            arrivals = scenario.adversary.arrivals
+            arrival_params = dict(arrivals.params)
             for volume_key in ("count", "total", "burst_size"):
                 if volume_key in arrival_params:
                     arrival_params[volume_key] = max(
                         4, int(arrival_params[volume_key] * factor)
                     )
-            spec_scaled = spec.__class__(
-                horizon=horizon,
-                arrival_kind=spec.arrival_kind,
-                arrival_params=arrival_params,
-                jamming_kind=spec.jamming_kind,
-                jamming_params=spec.jamming_params,
-                label=spec.label,
+            adversary = replace(
+                scenario.adversary,
+                arrivals=StrategySpec(arrivals.kind, arrival_params),
             )
             specs += [
                 StudySpec(
                     protocol=protocol,
-                    adversary=spec_scaled.to_adversary_spec(),
+                    adversary=adversary,
                     horizon=horizon,
                     trials=config.trials,
                     seed=config.seed,

@@ -44,9 +44,6 @@ class SlottedAloha(Protocol):
     ) -> None:
         return None
 
-    def broadcast_probability(self, slot: int) -> float:
-        return self._p
-
     def age_probability_vector(self, max_age: int) -> np.ndarray:
         probabilities = np.full(max_age + 1, self._p)
         probabilities[0] = 0.0

@@ -16,24 +16,17 @@ protocol instance through three hooks per slot:
 A node halts automatically when its own message goes through; the simulator
 stops calling its hooks afterwards.
 
-Population-level API
---------------------
+Age profiles
+------------
 
-Protocols may additionally expose their *marginal broadcast probability*:
-
-* :meth:`Protocol.broadcast_probability` reports, given the instance's current
-  state, the probability that the node broadcasts in a global slot.  It is a
-  diagnostic/analysis hook and is meaningful for every protocol that can
-  compute it (including adaptive ones, where it is conditional on the current
-  state).
-* :attr:`Protocol.vector_eligible` declares the much stronger contract the
-  vectorized simulation backend relies on: the node's broadcast decisions are
-  independent Bernoulli draws whose probability depends *only* on the node's
-  age (slots since arrival), all channel feedback is ignored until the node's
-  own success, and exactly one ``rng.random()`` uniform is consumed per active
-  slot.  Protocols satisfying it opt in by setting the flag and implementing
-  :meth:`Protocol.broadcast_probability`; the vectorized kernel then
-  reproduces the per-node reference execution bit for bit from batched draws.
+:attr:`Protocol.vector_eligible` declares the contract the array kernels rely
+on: the node's broadcast decisions are independent Bernoulli draws whose
+probability depends *only* on the node's age (slots since arrival), all
+channel feedback is ignored until the node's own success, and exactly one
+``rng.random()`` uniform is consumed per active slot.  Protocols satisfying
+it opt in by setting the flag and implementing
+:meth:`Protocol.age_probability_vector`; the kernels then reproduce the
+per-node reference execution bit for bit from batched draws.
 """
 
 from __future__ import annotations
@@ -482,15 +475,6 @@ class Protocol(abc.ABC):
             call.
         """
 
-    def broadcast_probability(self, slot: int) -> Optional[float]:
-        """Marginal probability of broadcasting in global ``slot``.
-
-        The answer is conditional on the instance's current state (for
-        adaptive protocols it changes as feedback arrives).  Returns ``None``
-        when the protocol cannot compute it — the default.
-        """
-        return None
-
     def lockstep_program(self) -> Optional["LockstepProgram"]:
         """Columnar state program for the lockstep study kernel, or ``None``.
 
@@ -509,21 +493,12 @@ class Protocol(abc.ABC):
         ``k``-th active slot (1-based; index 0 unused).
 
         Only meaningful for :attr:`vector_eligible` protocols, whose
-        probability is a pure function of age.  Callers must have invoked
-        :meth:`on_arrival` with arrival slot 1 first, so that global slot
-        indices coincide with ages.  Returns ``None`` for ineligible
-        protocols.  Subclasses with a closed form should override this to
-        avoid the per-age Python loop.
+        probability is a pure function of age; they override this.  Callers
+        must have invoked :meth:`on_arrival` with arrival slot 1 first, so
+        that global slot indices coincide with ages.  Returns ``None`` — the
+        default — for protocols without an age profile.
         """
-        if not self.vector_eligible:
-            return None
-        probabilities = np.zeros(max_age + 1, dtype=float)
-        for age in range(1, max_age + 1):
-            p = self.broadcast_probability(age)
-            if p is None:
-                return None
-            probabilities[age] = p
-        return probabilities
+        return None
 
     # ------------------------------------------------------------ spec layer
 

@@ -88,11 +88,6 @@ class WindowedBinaryExponentialBackoff(Protocol):
             # happen in normal operation), reschedule without growing.
             self._schedule_next(slot + 1)
 
-    def broadcast_probability(self, slot: int) -> float:
-        # The attempt slot is already realized, so conditional on the current
-        # state the decision is deterministic.
-        return 1.0 if slot == self._next_attempt_slot else 0.0
-
     def spec_params(self) -> dict:
         return {
             "initial_window": self._initial_window,
@@ -262,9 +257,6 @@ class ProbabilityBackoff(Protocol):
         # Non-adaptive in the sense of the paper: the sending probability only
         # depends on the time since arrival, not on the feedback history.
         return None
-
-    def broadcast_probability(self, slot: int) -> float:
-        return self._probability(slot)
 
     def age_probability_vector(self, max_age: int) -> np.ndarray:
         ages = np.arange(max_age + 1, dtype=float)

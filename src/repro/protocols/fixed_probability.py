@@ -58,8 +58,11 @@ class FixedProbabilityProtocol(Protocol):
     ) -> None:
         return None
 
-    def broadcast_probability(self, slot: int) -> float:
-        return self.probability(slot - self._arrival_slot + 1)
+    def age_probability_vector(self, max_age: int) -> np.ndarray:
+        probabilities = np.zeros(max_age + 1, dtype=float)
+        for age in range(1, max_age + 1):
+            probabilities[age] = self.probability(age)
+        return probabilities
 
     def lockstep_program(self) -> Optional[LockstepProgram]:
         if type(self) not in (FixedProbabilityProtocol, LogUniformFixedProtocol):

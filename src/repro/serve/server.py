@@ -589,9 +589,10 @@ class SweepServer:
         failure accounting.  Two or more jobs that pass their fault check
         and miss the store run as one fused lockstep run; when it fails (or
         declines), or when only one job misses, each runs on its own through
-        ``StudySpec.run(store=...)``, so a fused failure can never corrupt
-        or lose a sibling job.  Outcomes are ``("done", payload, health)``
-        or ``("failed", error_text, {})``, aligned with ``items``.
+        ``StudySpec.run()``, so a fused failure can never corrupt or lose a
+        sibling job.  Either way each missed job is written to the store
+        once.  Outcomes are ``("done", payload, health)`` or
+        ``("failed", error_text, {})``, aligned with ``items``.
         """
         from ..sim.backends.fused import run_fused_group
 
@@ -630,12 +631,12 @@ class SweepServer:
         for offset, pos in enumerate(misses):
             spec = items[pos][0]
             try:
-                if studies is not None:
-                    study = studies[offset]
-                    if self._store is not None:
-                        self._store.put(spec, study)
-                else:
-                    study = spec.run(store=self._store)
+                # The claim above already missed the store, so a solo run
+                # skips StudySpec.run's own lookup and is written back like
+                # a fused member.
+                study = studies[offset] if studies is not None else spec.run()
+                if self._store is not None:
+                    self._store.put(spec, study)
                 health = getattr(study, "health", None)
                 fields = (
                     dict(health.summary_fields()) if health is not None else {}

@@ -57,7 +57,7 @@ from .adversary import (
 from .pipeline import METRIC_REDUCERS, PipelineSpec
 from .protocol import PROTOCOLS, ProtocolSpec
 from .rates import RATE_FUNCTIONS, rate_function_from_spec, rate_function_to_spec
-from .registry import ParamField, RegistryEntry, SpecRegistry
+from .registry import SpecRegistry
 from .store import CachedResult, StudyStore
 from .study import StudySpec, canonical_json
 from .sweep import PlanJournal, PlanResult, StudyPlan, Sweep, sweep_rows
@@ -72,12 +72,10 @@ __all__ = [
     "RATE_FUNCTIONS",
     "AdversarySpec",
     "CachedResult",
-    "ParamField",
     "PipelineSpec",
     "PlanJournal",
     "PlanResult",
     "ProtocolSpec",
-    "RegistryEntry",
     "SpecRegistry",
     "StrategySpec",
     "StudyPlan",

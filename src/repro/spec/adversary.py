@@ -4,15 +4,16 @@ Two shapes are supported, mirroring how the library builds adversaries:
 
 * **Composed** (the default, ``kind="composed"``): an arrival-strategy spec
   plus a jamming-strategy spec, assembled into a
-  :class:`~repro.adversary.ComposedAdversary`.  This is the serialized form
-  of every workload the old ``repro.workloads.WorkloadSpec`` could express.
+  :class:`~repro.adversary.ComposedAdversary`.  Every named scenario of
+  :mod:`repro.workloads` is one of these.
 * **Monolithic**: one of the paper's proof adversaries (``lower-bound``,
   ``non-adaptive-killer``, ``smooth``, ``adaptive-success-chaser``,
   ``schedule``), registered in :data:`ADVERSARIES`.
 
-Adversary specs are *horizon-free*: strategies whose constructors need the
-horizon (the proof adversaries, window/period defaults) receive it at
-:meth:`AdversarySpec.build` time from the study that runs them.
+Adversary specs are *horizon-free*: every builder of the three registries
+receives the horizon of the study that runs it as a context argument at
+:meth:`AdversarySpec.build` time, which the proof adversaries and the
+window/period defaults need.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from ..adversary import (
 )
 from ..errors import SpecError
 from ..functions import derive_f
-from .rates import rate_function_from_spec
-from .registry import ParamField, SpecRegistry
+from .rates import DEFAULT_G, rate_function_from_spec
+from .registry import SpecRegistry
 
 __all__ = [
     "ADVERSARIES",
@@ -57,9 +58,9 @@ __all__ = [
 
 COMPOSED_KIND = "composed"
 
-ARRIVAL_STRATEGIES = SpecRegistry("arrival strategy")
-JAMMING_STRATEGIES = SpecRegistry("jamming strategy")
-ADVERSARIES = SpecRegistry("adversary")
+ARRIVAL_STRATEGIES = SpecRegistry("arrival strategy", context=("horizon",))
+JAMMING_STRATEGIES = SpecRegistry("jamming strategy", context=("horizon",))
+ADVERSARIES = SpecRegistry("adversary", context=("horizon",))
 
 
 def _optional_int(value: Any) -> Optional[int]:
@@ -68,129 +69,100 @@ def _optional_int(value: Any) -> Optional[int]:
 
 # --------------------------------------------------------------- arrivals
 
-ARRIVAL_STRATEGIES.register(
-    "no-arrivals",
-    lambda p, horizon=None: NoArrivals(),
-    description="no nodes ever arrive",
-)
-ARRIVAL_STRATEGIES.register(
-    "batch",
-    lambda p, horizon=None: BatchArrivals(
-        count=int(p.get("count", 32)), slot=int(p.get("slot", 1))
-    ),
-    params=(ParamField("count", "int", 32), ParamField("slot", "int", 1)),
-    description="inject `count` nodes simultaneously at `slot` (the paper's batch setting)",
-)
-ARRIVAL_STRATEGIES.register(
-    "poisson",
-    lambda p, horizon=None: PoissonArrivals(
-        rate=float(p.get("rate", 0.05)), last_slot=_optional_int(p.get("last_slot"))
-    ),
-    params=(ParamField("rate", "float", 0.05), ParamField("last_slot", "int", None)),
-    description="independent Poisson arrivals with mean `rate` per slot",
-)
-ARRIVAL_STRATEGIES.register(
-    "uniform-random",
-    lambda p, horizon=None: UniformRandomArrivals(
-        total=int(p.get("total", 32)),
-        window=(
-            int(p.get("start", 1)),
-            int(p["end"]) if p.get("end") is not None else int(horizon or 1),
-        ),
-    ),
-    params=(
-        ParamField("total", "int", 32),
-        ParamField("start", "int", 1),
-        ParamField("end", "int", None),
-    ),
-    description="scatter `total` arrivals uniformly over [start, end] (end defaults to the horizon)",
-)
-ARRIVAL_STRATEGIES.register(
-    "bursty",
-    lambda p, horizon=None: BurstyArrivals(
-        burst_size=int(p.get("burst_size", 16)),
+
+@ARRIVAL_STRATEGIES.register("no-arrivals")
+def _no_arrivals(horizon):
+    """no nodes ever arrive"""
+    return NoArrivals()
+
+
+@ARRIVAL_STRATEGIES.register("batch")
+def _batch(horizon, count=32, slot=1):
+    """inject `count` nodes simultaneously at `slot` (the paper's batch setting)"""
+    return BatchArrivals(count=int(count), slot=int(slot))
+
+
+@ARRIVAL_STRATEGIES.register("poisson")
+def _poisson(horizon, rate=0.05, last_slot=None):
+    """independent Poisson arrivals with mean `rate` per slot"""
+    return PoissonArrivals(rate=float(rate), last_slot=_optional_int(last_slot))
+
+
+@ARRIVAL_STRATEGIES.register("uniform-random")
+def _uniform_random(horizon, total=32, start=1, end=None):
+    """scatter `total` arrivals uniformly over [start, end] (end defaults to the horizon)"""
+    return UniformRandomArrivals(
+        total=int(total),
+        window=(int(start), int(end) if end is not None else int(horizon or 1)),
+    )
+
+
+@ARRIVAL_STRATEGIES.register("bursty")
+def _bursty(
+    horizon, burst_size=16, period=None, jitter=True, first_burst_slot=1, last_slot=None
+):
+    """a burst of `burst_size` nodes every `period` slots (Ethernet-like)"""
+    return BurstyArrivals(
+        burst_size=int(burst_size),
         period=(
-            int(p["period"])
-            if p.get("period") is not None
-            else max(2, int(horizon or 16) // 8)
+            int(period) if period is not None else max(2, int(horizon or 16) // 8)
         ),
-        jitter=bool(p.get("jitter", True)),
-        first_burst_slot=int(p.get("first_burst_slot", 1)),
-        last_slot=_optional_int(p.get("last_slot")),
-    ),
-    params=(
-        ParamField("burst_size", "int", 16),
-        ParamField("period", "int", None),
-        ParamField("jitter", "bool", True),
-        ParamField("first_burst_slot", "int", 1),
-        ParamField("last_slot", "int", None),
-    ),
-    description="a burst of `burst_size` nodes every `period` slots (Ethernet-like)",
-)
-ARRIVAL_STRATEGIES.register(
-    "scheduled",
-    lambda p, horizon=None: ScheduledArrivals(
-        schedule=[(int(slot), int(count)) for slot, count in p.get("schedule", [])]
-    ),
-    params=(ParamField("schedule", "list", ()),),
-    description="replay an explicit [[slot, count], ...] arrival schedule",
-)
+        jitter=bool(jitter),
+        first_burst_slot=int(first_burst_slot),
+        last_slot=_optional_int(last_slot),
+    )
+
+
+@ARRIVAL_STRATEGIES.register("scheduled")
+def _scheduled(horizon, schedule=()):
+    """replay an explicit [[slot, count], ...] arrival schedule"""
+    return ScheduledArrivals(
+        schedule=[(int(slot), int(count)) for slot, count in schedule]
+    )
+
 
 # ---------------------------------------------------------------- jamming
 
-JAMMING_STRATEGIES.register(
-    "no-jamming",
-    lambda p, horizon=None: NoJamming(),
-    description="the benign channel",
-)
-JAMMING_STRATEGIES.register(
-    "random-fraction",
-    lambda p, horizon=None: RandomFractionJamming(
-        fraction=float(p.get("fraction", 0.25)),
-        last_slot=_optional_int(p.get("last_slot")),
-    ),
-    params=(
-        ParamField("fraction", "float", 0.25),
-        ParamField("last_slot", "int", None),
-    ),
-    description="jam each slot independently with probability `fraction` (worst-case regime)",
-)
-JAMMING_STRATEGIES.register(
-    "periodic",
-    lambda p, horizon=None: PeriodicJamming(
-        period=int(p.get("period", 4)), offset=int(p.get("offset", 0))
-    ),
-    params=(ParamField("period", "int", 4), ParamField("offset", "int", 0)),
-    description="jam every `period`-th slot deterministically",
-)
-JAMMING_STRATEGIES.register(
-    "front-loaded",
-    lambda p, horizon=None: FrontLoadedJamming(count=int(p.get("count", 0))),
-    params=(ParamField("count", "int", 0),),
-    description="jam the first `count` slots (the lower-bound proofs' opening move)",
-)
-JAMMING_STRATEGIES.register(
-    "budgeted",
-    lambda p, horizon=None: BudgetedJamming(
-        g=rate_function_from_spec(
-            p.get("g", {"kind": "constant", "params": {"value": 4.0}})
-        ),
-        budget_constant=float(p.get("budget_constant", 4.0)),
-    ),
-    params=(
-        ParamField("g", "rate", {"kind": "constant", "params": {"value": 4.0}}),
-        ParamField("budget_constant", "float", 4.0),
-    ),
-    description="random jamming within the paper's budget t/(c*g(t))",
-)
-JAMMING_STRATEGIES.register(
-    "reactive",
-    lambda p, horizon=None: ReactiveJamming(
-        fraction=float(p.get("fraction", 0.2)), burst=int(p.get("burst", 8))
-    ),
-    params=(ParamField("fraction", "float", 0.2), ParamField("burst", "int", 8)),
-    description="adaptive: jam a burst after every observed success, fraction-capped",
-)
+
+@JAMMING_STRATEGIES.register("no-jamming")
+def _no_jamming(horizon):
+    """the benign channel"""
+    return NoJamming()
+
+
+@JAMMING_STRATEGIES.register("random-fraction")
+def _random_fraction(horizon, fraction=0.25, last_slot=None):
+    """jam each slot independently with probability `fraction` (worst-case regime)"""
+    return RandomFractionJamming(
+        fraction=float(fraction), last_slot=_optional_int(last_slot)
+    )
+
+
+@JAMMING_STRATEGIES.register("periodic")
+def _periodic(horizon, period=4, offset=0):
+    """jam every `period`-th slot deterministically"""
+    return PeriodicJamming(period=int(period), offset=int(offset))
+
+
+@JAMMING_STRATEGIES.register("front-loaded")
+def _front_loaded(horizon, count=0):
+    """jam the first `count` slots (the lower-bound proofs' opening move)"""
+    return FrontLoadedJamming(count=int(count))
+
+
+@JAMMING_STRATEGIES.register("budgeted")
+def _budgeted(horizon, g=DEFAULT_G, budget_constant=4.0):
+    """random jamming within the paper's budget t/(c*g(t))"""
+    return BudgetedJamming(
+        g=rate_function_from_spec(g), budget_constant=float(budget_constant)
+    )
+
+
+@JAMMING_STRATEGIES.register("reactive")
+def _reactive(horizon, fraction=0.2, burst=8):
+    """adaptive: jam a burst after every observed success, fraction-capped"""
+    return ReactiveJamming(fraction=float(fraction), burst=int(burst))
+
 
 # ------------------------------------------------------- whole adversaries
 
@@ -203,97 +175,76 @@ def _require_horizon(horizon: Optional[int], kind: str) -> int:
     return int(horizon)
 
 
-def _g_param(p: Mapping[str, Any]):
-    return rate_function_from_spec(
-        p.get("g", {"kind": "constant", "params": {"value": 4.0}})
+def _f_rate(f: Optional[Mapping[str, Any]], g: Mapping[str, Any]):
+    """The explicit ``f`` spec, or the paper's ``f`` derived from ``g``."""
+    if f is not None:
+        return rate_function_from_spec(f)
+    return derive_f(rate_function_from_spec(g))
+
+
+@ADVERSARIES.register("lower-bound")
+def _lower_bound(horizon, g=DEFAULT_G, initial_nodes=1, jam_constant=4.0):
+    """Lemma 4.1 / Theorem 1.3 adversary: jammed prefix + random tail jamming"""
+    return LowerBoundAdversary(
+        horizon=_require_horizon(horizon, "lower-bound"),
+        g=rate_function_from_spec(g),
+        initial_nodes=int(initial_nodes),
+        jam_constant=float(jam_constant),
     )
 
 
-def _f_param(p: Mapping[str, Any]):
-    if "f" in p and p["f"] is not None:
-        return rate_function_from_spec(p["f"])
-    return derive_f(_g_param(p))
-
-
-ADVERSARIES.register(
-    "lower-bound",
-    lambda p, horizon=None: LowerBoundAdversary(
-        horizon=_require_horizon(horizon, "lower-bound"),
-        g=_g_param(p),
-        initial_nodes=int(p.get("initial_nodes", 1)),
-        jam_constant=float(p.get("jam_constant", 4.0)),
-    ),
-    params=(
-        ParamField("g", "rate", {"kind": "constant", "params": {"value": 4.0}}),
-        ParamField("initial_nodes", "int", 1),
-        ParamField("jam_constant", "float", 4.0),
-    ),
-    description="Lemma 4.1 / Theorem 1.3 adversary: jammed prefix + random tail jamming",
-)
-ADVERSARIES.register(
-    "non-adaptive-killer",
-    lambda p, horizon=None: NonAdaptiveKillerAdversary(
+@ADVERSARIES.register("non-adaptive-killer")
+def _non_adaptive_killer(
+    horizon, g=DEFAULT_G, f=None, jam_constant=4.0, arrival_constant=4.0
+):
+    """Theorem 4.2 adversary against pre-defined sending sequences"""
+    return NonAdaptiveKillerAdversary(
         horizon=_require_horizon(horizon, "non-adaptive-killer"),
-        g=_g_param(p),
-        f=_f_param(p),
-        jam_constant=float(p.get("jam_constant", 4.0)),
-        arrival_constant=float(p.get("arrival_constant", 4.0)),
-    ),
-    params=(
-        ParamField("g", "rate", {"kind": "constant", "params": {"value": 4.0}}),
-        ParamField("f", "rate", None),
-        ParamField("jam_constant", "float", 4.0),
-        ParamField("arrival_constant", "float", 4.0),
-    ),
-    description="Theorem 4.2 adversary against pre-defined sending sequences",
-)
-ADVERSARIES.register(
-    "smooth",
-    lambda p, horizon=None: SmoothAdversary(
+        g=rate_function_from_spec(g),
+        f=_f_rate(f, g),
+        jam_constant=float(jam_constant),
+        arrival_constant=float(arrival_constant),
+    )
+
+
+@ADVERSARIES.register("smooth")
+def _smooth(horizon, g=DEFAULT_G, f=None, arrival_constant=8.0, jam_constant=8.0):
+    """Corollary 3.6 smooth adversary: evenly spread arrivals and jamming"""
+    return SmoothAdversary(
         horizon=_require_horizon(horizon, "smooth"),
-        f=_f_param(p),
-        g=_g_param(p),
-        arrival_constant=float(p.get("arrival_constant", 8.0)),
-        jam_constant=float(p.get("jam_constant", 8.0)),
-    ),
-    params=(
-        ParamField("g", "rate", {"kind": "constant", "params": {"value": 4.0}}),
-        ParamField("f", "rate", None),
-        ParamField("arrival_constant", "float", 8.0),
-        ParamField("jam_constant", "float", 8.0),
-    ),
-    description="Corollary 3.6 smooth adversary: evenly spread arrivals and jamming",
-)
-ADVERSARIES.register(
-    "adaptive-success-chaser",
-    lambda p, horizon=None: AdaptiveSuccessChaser(
-        jam_fraction=float(p.get("jam_fraction", 0.2)),
-        arrival_budget_per_success=int(p.get("arrival_budget_per_success", 2)),
-        total_arrival_budget=_optional_int(p.get("total_arrival_budget")),
-        jam_burst=int(p.get("jam_burst", 4)),
-        seed_arrivals=int(p.get("seed_arrivals", 1)),
-    ),
-    params=(
-        ParamField("jam_fraction", "float", 0.2),
-        ParamField("arrival_budget_per_success", "int", 2),
-        ParamField("total_arrival_budget", "int", None),
-        ParamField("jam_burst", "int", 4),
-        ParamField("seed_arrivals", "int", 1),
-    ),
-    description="adaptive adversary injecting nodes and jamming after each success",
-)
-ADVERSARIES.register(
-    "schedule",
-    lambda p, horizon=None: ScheduleAdversary(
-        arrivals=[(int(s), int(c)) for s, c in p.get("arrivals", [])],
-        jammed_slots=[int(s) for s in p.get("jammed_slots", [])],
-    ),
-    params=(
-        ParamField("arrivals", "list", ()),
-        ParamField("jammed_slots", "list", ()),
-    ),
-    description="replay explicit arrival and jamming schedules (fully deterministic)",
-)
+        f=_f_rate(f, g),
+        g=rate_function_from_spec(g),
+        arrival_constant=float(arrival_constant),
+        jam_constant=float(jam_constant),
+    )
+
+
+@ADVERSARIES.register("adaptive-success-chaser")
+def _adaptive_success_chaser(
+    horizon,
+    jam_fraction=0.2,
+    arrival_budget_per_success=2,
+    total_arrival_budget=None,
+    jam_burst=4,
+    seed_arrivals=1,
+):
+    """adaptive adversary injecting nodes and jamming after each success"""
+    return AdaptiveSuccessChaser(
+        jam_fraction=float(jam_fraction),
+        arrival_budget_per_success=int(arrival_budget_per_success),
+        total_arrival_budget=_optional_int(total_arrival_budget),
+        jam_burst=int(jam_burst),
+        seed_arrivals=int(seed_arrivals),
+    )
+
+
+@ADVERSARIES.register("schedule")
+def _schedule(horizon, arrivals=(), jammed_slots=()):
+    """replay explicit arrival and jamming schedules (fully deterministic)"""
+    return ScheduleAdversary(
+        arrivals=[(int(s), int(c)) for s, c in arrivals],
+        jammed_slots=[int(s) for s in jammed_slots],
+    )
 
 
 @dataclass(frozen=True)
@@ -338,8 +289,8 @@ class AdversarySpec:
         if self.kind == COMPOSED_KIND:
             arrivals = self.arrivals or StrategySpec("batch")
             jamming = self.jamming or StrategySpec("no-jamming")
-            ARRIVAL_STRATEGIES.get(arrivals.kind).validate(arrivals.params)
-            JAMMING_STRATEGIES.get(jamming.kind).validate(jamming.params)
+            ARRIVAL_STRATEGIES.validate(arrivals.kind, arrivals.params)
+            JAMMING_STRATEGIES.validate(jamming.kind, jamming.params)
             object.__setattr__(self, "arrivals", arrivals)
             object.__setattr__(self, "jamming", jamming)
             if self.params:
@@ -350,7 +301,7 @@ class AdversarySpec:
                     f"adversary kind {self.kind!r} does not compose arrival/jamming "
                     "strategies"
                 )
-            ADVERSARIES.get(self.kind).validate(self.params)
+            ADVERSARIES.validate(self.kind, self.params)
         object.__setattr__(self, "params", dict(self.params))
 
     def __hash__(self) -> int:

@@ -35,57 +35,53 @@ from ..metrics.pipeline import (
     WindowedRateReducer,
 )
 from .rates import rate_function_from_spec, rate_function_to_spec
-from .registry import ParamField, SpecRegistry
+from .registry import SpecRegistry
 
 __all__ = ["METRIC_REDUCERS", "PipelineSpec"]
 
 METRIC_REDUCERS = SpecRegistry("metric reducer")
 
-METRIC_REDUCERS.register(
-    "success-timeline",
-    lambda p: SuccessTimelineReducer(),
-    description="per-trial success-slot timelines from the successes column",
-)
-METRIC_REDUCERS.register(
-    "windowed-rate",
-    lambda p: WindowedRateReducer(int(p["window"])),
-    params=(ParamField("window", "int", required=True),),
-    description="success counts over consecutive fixed-length windows",
-)
-METRIC_REDUCERS.register(
-    "fg-throughput",
-    lambda p: FGThroughputReducer(
-        f=rate_function_from_spec(p["f"]),
-        g=rate_function_from_spec(p["g"]),
-        slack=float(p.get("slack", 1.0)),
-        min_prefix=int(p.get("min_prefix", 16)),
-        additive_grace=float(p.get("additive_grace", 0.0)),
-    ),
-    params=(
-        ParamField("f", "rate", required=True),
-        ParamField("g", "rate", required=True),
-        ParamField("slack", "float", 1.0),
-        ParamField("min_prefix", "int", 16),
-        ParamField("additive_grace", "float", 0.0),
-    ),
-    description="Definition 1.1 verdicts per trial via the columnar checker",
-)
-METRIC_REDUCERS.register(
-    "latency",
-    lambda p: LatencyReducer(),
-    description="slots-to-success distribution over all nodes of all trials",
-)
-METRIC_REDUCERS.register(
-    "energy",
-    lambda p: EnergyReducer(),
-    description="per-node broadcast-count (energy) distribution",
-)
-METRIC_REDUCERS.register(
-    "scalar",
-    lambda p: ScalarSummaryReducer(str(p["metric"])),
-    params=(ParamField("metric", "str", required=True),),
-    description="mean/std/min/max of one named per-trial scalar",
-)
+
+@METRIC_REDUCERS.register("success-timeline")
+def _success_timeline():
+    """per-trial success-slot timelines from the successes column"""
+    return SuccessTimelineReducer()
+
+
+@METRIC_REDUCERS.register("windowed-rate")
+def _windowed_rate(window):
+    """success counts over consecutive fixed-length windows"""
+    return WindowedRateReducer(int(window))
+
+
+@METRIC_REDUCERS.register("fg-throughput")
+def _fg_throughput(f, g, slack=1.0, min_prefix=16, additive_grace=0.0):
+    """Definition 1.1 verdicts per trial via the columnar checker"""
+    return FGThroughputReducer(
+        f=rate_function_from_spec(f),
+        g=rate_function_from_spec(g),
+        slack=float(slack),
+        min_prefix=int(min_prefix),
+        additive_grace=float(additive_grace),
+    )
+
+
+@METRIC_REDUCERS.register("latency")
+def _latency():
+    """slots-to-success distribution over all nodes of all trials"""
+    return LatencyReducer()
+
+
+@METRIC_REDUCERS.register("energy")
+def _energy():
+    """per-node broadcast-count (energy) distribution"""
+    return EnergyReducer()
+
+
+@METRIC_REDUCERS.register("scalar")
+def _scalar(metric):
+    """mean/std/min/max of one named per-trial scalar"""
+    return ScalarSummaryReducer(str(metric))
 
 
 def _canonical(data: Any) -> str:
@@ -122,7 +118,7 @@ class PipelineSpec:
                 )
             kind = str(entry["kind"])
             params = dict(entry.get("params") or {})
-            METRIC_REDUCERS.get(kind).validate(params)
+            METRIC_REDUCERS.validate(kind, params)
             normalized.append({"kind": kind, "params": params})
         if not normalized:
             raise SpecError("a pipeline spec needs at least one reducer")

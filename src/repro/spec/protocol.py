@@ -34,7 +34,8 @@ from ..protocols import (
     make_factory,
 )
 from ..protocols.base import ProtocolFactory
-from .registry import ParamField, SpecRegistry
+from .rates import DEFAULT_G, rate_function_from_spec
+from .registry import SpecRegistry
 
 __all__ = ["PROTOCOLS", "ProtocolSpec"]
 
@@ -45,117 +46,97 @@ def _optional_int(value: Any) -> Any:
     return None if value is None else int(value)
 
 
-PROTOCOLS.register(
-    "cjz",
-    lambda p: cjz_factory(AlgorithmParameters.from_spec_params(p)),
-    params=(
-        ParamField("g", "rate", {"kind": "constant", "params": {"value": 4.0}}),
-        ParamField("a", "float", 1.0),
-        ParamField("c2", "float", 1.0),
-        ParamField("c3", "float", 4.0),
-    ),
-    description="the paper's three-phase algorithm, parameterized by the jamming budget g",
-)
-PROTOCOLS.register(
-    "cjz-global-clock",
-    lambda p: cjz_factory(AlgorithmParameters.from_spec_params(p), global_clock=True),
-    params=(
-        ParamField("g", "rate", {"kind": "constant", "params": {"value": 4.0}}),
-        ParamField("a", "float", 1.0),
-        ParamField("c2", "float", 1.0),
-        ParamField("c3", "float", 4.0),
-    ),
-    description="global-clock ablation of the paper's algorithm (skips Phase 1)",
-)
-PROTOCOLS.register(
-    "two-channel-no-jamming",
-    lambda p: make_factory(
+def _cjz_parameters(g, a, c2, c3) -> AlgorithmParameters:
+    return AlgorithmParameters.from_g(
+        rate_function_from_spec(g), a=float(a), c2=float(c2), c3=float(c3)
+    )
+
+
+@PROTOCOLS.register("cjz")
+def _cjz(g=DEFAULT_G, a=1.0, c2=1.0, c3=4.0):
+    """the paper's three-phase algorithm, parameterized by the jamming budget g"""
+    return cjz_factory(_cjz_parameters(g, a, c2, c3))
+
+
+@PROTOCOLS.register("cjz-global-clock")
+def _cjz_global_clock(g=DEFAULT_G, a=1.0, c2=1.0, c3=4.0):
+    """global-clock ablation of the paper's algorithm (skips Phase 1)"""
+    return cjz_factory(_cjz_parameters(g, a, c2, c3), global_clock=True)
+
+
+@PROTOCOLS.register("two-channel-no-jamming")
+def _two_channel_no_jamming(backoff_sends_per_stage=2.0, c3=4.0):
+    """the framework with a constant per-stage budget (no-jamming regime)"""
+    return make_factory(
         TwoChannelNoJamming,
-        backoff_sends_per_stage=float(p.get("backoff_sends_per_stage", 2.0)),
-        c3=float(p.get("c3", 4.0)),
-    ),
-    params=(
-        ParamField("backoff_sends_per_stage", "float", 2.0),
-        ParamField("c3", "float", 4.0),
-    ),
-    description="the framework with a constant per-stage budget (no-jamming regime)",
-)
-PROTOCOLS.register(
-    "binary-exponential-backoff",
-    lambda p: make_factory(
+        backoff_sends_per_stage=float(backoff_sends_per_stage),
+        c3=float(c3),
+    )
+
+
+@PROTOCOLS.register("binary-exponential-backoff")
+def _binary_exponential_backoff(initial_window=2, max_window=None):
+    """Ethernet-style windowed binary exponential backoff"""
+    return make_factory(
         WindowedBinaryExponentialBackoff,
-        initial_window=int(p.get("initial_window", 2)),
-        max_window=_optional_int(p.get("max_window")),
-    ),
-    params=(
-        ParamField("initial_window", "int", 2),
-        ParamField("max_window", "int", None),
-    ),
-    description="Ethernet-style windowed binary exponential backoff",
-)
-PROTOCOLS.register(
-    "probability-backoff",
-    lambda p: make_factory(ProbabilityBackoff, scale=float(p.get("scale", 1.0))),
-    params=(ParamField("scale", "float", 1.0),),
-    description="broadcast with probability min(1, scale/i) in the i-th active slot",
-)
-PROTOCOLS.register(
-    "polynomial-backoff",
-    lambda p: make_factory(
-        PolynomialBackoff,
-        degree=float(p.get("degree", 2.0)),
-        initial_window=int(p.get("initial_window", 2)),
-    ),
-    params=(
-        ParamField("degree", "float", 2.0),
-        ParamField("initial_window", "int", 2),
-    ),
-    description="windowed backoff with window (failures+1)^degree",
-)
-PROTOCOLS.register(
-    "sawtooth-backoff",
-    lambda p: make_factory(
+        initial_window=int(initial_window),
+        max_window=_optional_int(max_window),
+    )
+
+
+@PROTOCOLS.register("probability-backoff")
+def _probability_backoff(scale=1.0):
+    """broadcast with probability min(1, scale/i) in the i-th active slot"""
+    return make_factory(ProbabilityBackoff, scale=float(scale))
+
+
+@PROTOCOLS.register("polynomial-backoff")
+def _polynomial_backoff(degree=2.0, initial_window=2):
+    """windowed backoff with window (failures+1)^degree"""
+    return make_factory(
+        PolynomialBackoff, degree=float(degree), initial_window=int(initial_window)
+    )
+
+
+@PROTOCOLS.register("sawtooth-backoff")
+def _sawtooth_backoff(initial_window=4, max_window=None):
+    """repeated doubling runs ramping the sending probability to 1/2"""
+    return make_factory(
         SawtoothBackoff,
-        initial_window=int(p.get("initial_window", 4)),
-        max_window=_optional_int(p.get("max_window")),
-    ),
-    params=(
-        ParamField("initial_window", "int", 4),
-        ParamField("max_window", "int", None),
-    ),
-    description="repeated doubling runs ramping the sending probability to 1/2",
-)
-PROTOCOLS.register(
-    "slotted-aloha",
-    lambda p: make_factory(SlottedAloha, probability=float(p.get("probability", 0.1))),
-    params=(ParamField("probability", "float", 0.1),),
-    description="constant sending probability (the naive baseline)",
-)
-PROTOCOLS.register(
-    "log-uniform-fixed",
-    lambda p: make_factory(LogUniformFixedProtocol, scale=float(p.get("scale", 1.0))),
-    params=(ParamField("scale", "float", 1.0),),
-    description="non-adaptive slow-decay sequence min(1, scale*log(i+1)/(i+1))",
-)
-PROTOCOLS.register(
-    "backon-backoff-cd",
-    lambda p: make_factory(
+        initial_window=int(initial_window),
+        max_window=_optional_int(max_window),
+    )
+
+
+@PROTOCOLS.register("slotted-aloha")
+def _slotted_aloha(probability=0.1):
+    """constant sending probability (the naive baseline)"""
+    return make_factory(SlottedAloha, probability=float(probability))
+
+
+@PROTOCOLS.register("log-uniform-fixed")
+def _log_uniform_fixed(scale=1.0):
+    """non-adaptive slow-decay sequence min(1, scale*log(i+1)/(i+1))"""
+    return make_factory(LogUniformFixedProtocol, scale=float(scale))
+
+
+@PROTOCOLS.register("backon-backoff-cd")
+def _backon_backoff_cd(
+    initial_probability=0.5,
+    backoff_factor=0.5,
+    backon_factor=1.2,
+    min_probability=1e-6,
+    max_probability=1.0,
+):
+    """multiplicative backon/backoff driven by collision-detection feedback"""
+    return make_factory(
         BackonBackoffCD,
-        initial_probability=float(p.get("initial_probability", 0.5)),
-        backoff_factor=float(p.get("backoff_factor", 0.5)),
-        backon_factor=float(p.get("backon_factor", 1.2)),
-        min_probability=float(p.get("min_probability", 1e-6)),
-        max_probability=float(p.get("max_probability", 1.0)),
-    ),
-    params=(
-        ParamField("initial_probability", "float", 0.5),
-        ParamField("backoff_factor", "float", 0.5),
-        ParamField("backon_factor", "float", 1.2),
-        ParamField("min_probability", "float", 1e-6),
-        ParamField("max_probability", "float", 1.0),
-    ),
-    description="multiplicative backon/backoff driven by collision-detection feedback",
-)
+        initial_probability=float(initial_probability),
+        backoff_factor=float(backoff_factor),
+        backon_factor=float(backon_factor),
+        min_probability=float(min_probability),
+        max_probability=float(max_probability),
+    )
 
 
 @dataclass(frozen=True)
@@ -166,8 +147,7 @@ class ProtocolSpec:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        entry = PROTOCOLS.get(self.kind)
-        entry.validate(self.params)
+        PROTOCOLS.validate(self.kind, self.params)
         object.__setattr__(self, "params", dict(self.params))
 
     def __hash__(self) -> int:

@@ -20,56 +20,46 @@ from ..functions import (
     log_g,
     polylog_g,
 )
-from .registry import ParamField, SpecRegistry
+from .registry import SpecRegistry
 
 __all__ = ["RATE_FUNCTIONS", "rate_function_from_spec", "rate_function_to_spec"]
 
 RATE_FUNCTIONS = SpecRegistry("rate function")
 
-RATE_FUNCTIONS.register(
-    "constant",
-    lambda p: constant_g(float(p.get("value", 4.0))),
-    params=(ParamField("value", "float", 4.0),),
-    description="g(x) = value: constant-fraction jamming budget (worst case)",
-)
-RATE_FUNCTIONS.register(
-    "log",
-    lambda p: log_g(base=float(p.get("base", 2.0)), floor=float(p.get("floor", 2.0))),
-    params=(ParamField("base", "float", 2.0), ParamField("floor", "float", 2.0)),
-    description="g(x) = max(floor, log_base x)",
-)
-RATE_FUNCTIONS.register(
-    "polylog",
-    lambda p: polylog_g(
-        power=float(p.get("power", 2.0)), floor=float(p.get("floor", 2.0))
-    ),
-    params=(ParamField("power", "float", 2.0), ParamField("floor", "float", 2.0)),
-    description="g(x) = max(floor, (log2 x)^power)",
-)
-RATE_FUNCTIONS.register(
-    "exp-sqrt-log",
-    lambda p: exp_sqrt_log_g(
-        scale=float(p.get("scale", 1.0)), floor=float(p.get("floor", 2.0))
-    ),
-    params=(ParamField("scale", "float", 1.0), ParamField("floor", "float", 2.0)),
-    description="g(x) = max(floor, 2^(scale*sqrt(log2 x))): largest admissible family",
-)
-RATE_FUNCTIONS.register(
-    "derived-f",
-    lambda p: derive_f(
-        rate_function_from_spec(p["g"]),
-        a=float(p.get("a", 1.0)),
-        c2=float(p.get("c2", 1.0)),
-        floor=float(p.get("floor", 1.0)),
-    ),
-    params=(
-        ParamField("g", "rate", required=True),
-        ParamField("a", "float", 1.0),
-        ParamField("c2", "float", 1.0),
-        ParamField("floor", "float", 1.0),
-    ),
-    description="the paper's f(x) = a*c2*log(x)/log^2(g(x)/a), derived from a g spec",
-)
+#: The default jamming budget ``g`` of every kind that takes one.
+DEFAULT_G = {"kind": "constant", "params": {"value": 4.0}}
+
+
+@RATE_FUNCTIONS.register("constant")
+def _constant(value=4.0):
+    """g(x) = value: constant-fraction jamming budget (worst case)"""
+    return constant_g(float(value))
+
+
+@RATE_FUNCTIONS.register("log")
+def _log(base=2.0, floor=2.0):
+    """g(x) = max(floor, log_base x)"""
+    return log_g(base=float(base), floor=float(floor))
+
+
+@RATE_FUNCTIONS.register("polylog")
+def _polylog(power=2.0, floor=2.0):
+    """g(x) = max(floor, (log2 x)^power)"""
+    return polylog_g(power=float(power), floor=float(floor))
+
+
+@RATE_FUNCTIONS.register("exp-sqrt-log")
+def _exp_sqrt_log(scale=1.0, floor=2.0):
+    """g(x) = max(floor, 2^(scale*sqrt(log2 x))): largest admissible family"""
+    return exp_sqrt_log_g(scale=float(scale), floor=float(floor))
+
+
+@RATE_FUNCTIONS.register("derived-f")
+def _derived_f(g, a=1.0, c2=1.0, floor=1.0):
+    """the paper's f(x) = a*c2*log(x)/log^2(g(x)/a), derived from a g spec"""
+    return derive_f(
+        rate_function_from_spec(g), a=float(a), c2=float(c2), floor=float(floor)
+    )
 
 
 def rate_function_from_spec(spec: Mapping[str, Any]) -> RateFunction:

@@ -1,102 +1,66 @@
 """Generic key → builder registries backing the declarative spec layer.
 
 Every spec-able family (protocols, arrival strategies, jamming strategies,
-whole adversaries, rate functions) is described by one :class:`SpecRegistry`:
-a mapping from a stable string *kind* to a :class:`RegistryEntry` holding the
-builder, the declared parameter schema and a one-line description.  The
-registries are what make specs *data*: validation, listing (``repro
-scenarios`` / docs) and construction all go through them, and nothing in the
-execution path needs to import concrete classes to interpret a spec.
+whole adversaries, rate functions, metric reducers) is one
+:class:`SpecRegistry`: a mapping from a stable string *kind* to its builder.
+A kind's parameters are its builder's keyword parameters, with their
+defaults; a parameter without a default is required, and the builder's
+docstring describes the kind.  Validation and construction both go through
+the registries, so nothing in the execution path needs to import concrete
+classes to interpret a spec.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+import inspect
+from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple
 
 from ..errors import SpecError
 
-__all__ = ["ParamField", "RegistryEntry", "SpecRegistry"]
+__all__ = ["SpecRegistry"]
 
-
-@dataclass(frozen=True)
-class ParamField:
-    """Schema of one spec parameter: name, JSON type tag and default.
-
-    ``kind`` is a documentation-level tag (``"int"``, ``"float"``, ``"bool"``,
-    ``"str"``, ``"rate"`` for a nested rate-function spec, ``"list"`` for
-    schedule-style payloads); builders remain the source of truth for strict
-    validation.  ``required`` fields have no usable default.
-    """
-
-    name: str
-    kind: str = "float"
-    default: Any = None
-    required: bool = False
-
-    def describe(self) -> str:
-        tag = f"{self.name}: {self.kind}"
-        if self.required:
-            return f"{tag} (required)"
-        return f"{tag} = {self.default!r}"
-
-
-@dataclass(frozen=True)
-class RegistryEntry:
-    """One registered kind: how to build it and what parameters it takes."""
-
-    kind: str
-    builder: Callable[..., Any]
-    params: Tuple[ParamField, ...] = ()
-    description: str = ""
-
-    def param_names(self) -> Tuple[str, ...]:
-        return tuple(f.name for f in self.params)
-
-    def validate(self, params: Mapping[str, Any]) -> None:
-        known = set(self.param_names())
-        unknown = sorted(set(params) - known)
-        if unknown:
-            raise SpecError(
-                f"unknown parameter(s) {', '.join(unknown)} for kind "
-                f"{self.kind!r}; known: {', '.join(sorted(known)) or '(none)'}"
-            )
-        missing = sorted(
-            f.name for f in self.params if f.required and f.name not in params
-        )
-        if missing:
-            raise SpecError(
-                f"kind {self.kind!r} requires parameter(s): {', '.join(missing)}"
-            )
+#: builder, its parameter names, and the required ones (sorted)
+_Entry = Tuple[Callable[..., Any], FrozenSet[str], Tuple[str, ...]]
 
 
 class SpecRegistry:
-    """Name-indexed collection of :class:`RegistryEntry` values."""
+    """Name-indexed collection of spec builders.
 
-    def __init__(self, label: str) -> None:
+    ``context`` names builder arguments that every build passes from
+    outside the spec (the adversary registries' ``horizon``); they are not
+    spec parameters.
+    """
+
+    def __init__(self, label: str, context: Tuple[str, ...] = ()) -> None:
         self._label = label
-        self._entries: Dict[str, RegistryEntry] = {}
+        self._context = frozenset(context)
+        self._entries: Dict[str, _Entry] = {}
 
-    @property
-    def label(self) -> str:
-        return self._label
+    def register(self, kind: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
+        """Decorator registering a builder under ``kind``.
 
-    def register(
-        self,
-        kind: str,
-        builder: Callable[..., Any],
-        params: Tuple[ParamField, ...] = (),
-        description: str = "",
-    ) -> RegistryEntry:
-        if kind in self._entries:
-            raise SpecError(f"duplicate {self._label} kind {kind!r}")
-        entry = RegistryEntry(
-            kind=kind, builder=builder, params=params, description=description
-        )
-        self._entries[kind] = entry
-        return entry
+        The signature is read once, here: binding it on every validation
+        would cost more than the check itself.
+        """
 
-    def get(self, kind: str) -> RegistryEntry:
+        def decorate(builder: Callable[..., Any]) -> Callable[..., Any]:
+            if kind in self._entries:
+                raise SpecError(f"duplicate {self._label} kind {kind!r}")
+            params = [
+                param
+                for param in inspect.signature(builder).parameters.values()
+                if param.name not in self._context
+            ]
+            self._entries[kind] = (
+                builder,
+                frozenset(param.name for param in params),
+                tuple(sorted(p.name for p in params if p.default is p.empty)),
+            )
+            return builder
+
+        return decorate
+
+    def _entry(self, kind: str) -> _Entry:
         try:
             return self._entries[kind]
         except KeyError as exc:
@@ -105,16 +69,26 @@ class SpecRegistry:
                 f"{', '.join(sorted(self._entries))}"
             ) from exc
 
-    def build(self, kind: str, params: Optional[Mapping[str, Any]] = None, **extra):
-        """Validate ``params`` against the schema and invoke the builder.
+    def validate(self, kind: str, params: Mapping[str, Any]) -> None:
+        """Raise :class:`SpecError` unless ``params`` fit ``kind``'s builder."""
+        _, known, required = self._entry(kind)
+        unknown = sorted(set(params) - known)
+        if unknown:
+            raise SpecError(
+                f"unknown parameter(s) {', '.join(unknown)} for kind "
+                f"{kind!r}; known: {', '.join(sorted(known)) or '(none)'}"
+            )
+        missing = [name for name in required if name not in params]
+        if missing:
+            raise SpecError(
+                f"kind {kind!r} requires parameter(s): {', '.join(missing)}"
+            )
 
-        ``extra`` carries context the spec itself does not store (currently
-        only ``horizon`` for adversaries whose constructors need it).
-        """
-        entry = self.get(kind)
+    def build(self, kind: str, params: Optional[Mapping[str, Any]] = None, **context):
+        """Validate ``params`` and call the builder with ``context`` beside them."""
         params = dict(params or {})
-        entry.validate(params)
-        return entry.builder(params, **extra)
+        self.validate(kind, params)
+        return self._entries[kind][0](**params, **context)
 
     def kinds(self) -> Tuple[str, ...]:
         return tuple(sorted(self._entries))

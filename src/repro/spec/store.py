@@ -50,6 +50,14 @@ __all__ = [
 _SCHEMA_VERSION = 1
 
 
+def _canonical_text(payload: Mapping[str, Any]) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def payload_checksum(payload: Mapping[str, Any]) -> str:
     """sha256 of an entry's canonical JSON, ``checksum`` field excluded.
 
@@ -59,8 +67,7 @@ def payload_checksum(payload: Mapping[str, Any]) -> str:
     caught on read.
     """
     body = {key: value for key, value in payload.items() if key != "checksum"}
-    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _sha256(_canonical_text(body))
 
 
 @dataclass
@@ -255,9 +262,10 @@ class StudyStore:
             if not hasattr(result, "latencies"):
                 raise SpecError("study results lack the summary surface to cache")
         health = getattr(study, "health", None)
+        digest = spec.spec_hash()
         payload = {
             "schema": _SCHEMA_VERSION,
-            "hash": spec.spec_hash(),
+            "hash": digest,
             "spec": spec.to_dict(),
             "label": study.label,
             "effective_workers": study.effective_workers,
@@ -267,8 +275,12 @@ class StudyStore:
             # health_retries/failures/demotions as the run that filled it.
             "health": health.to_dict() if health is not None else {},
         }
-        payload["checksum"] = payload_checksum(payload)
-        path = self.path_for(spec)
+        # The entry is its canonical text with the checksum spliced in
+        # first ("checksum" sorts before every other key), so the payload
+        # is serialized once; readers parse it and recompute the same sum.
+        body = _canonical_text(payload)
+        text = f'{{"checksum":"{_sha256(body)}",{body[1:]}'
+        path = self.path_for(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         # Atomic publish: a concurrent reader sees either nothing or a
         # complete entry, never a torn write.
@@ -277,9 +289,7 @@ class StudyStore:
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                # One dumps call runs the C encoder; json.dump would stream
-                # the same text through the pure-Python one.
-                handle.write(json.dumps(payload, sort_keys=True))
+                handle.write(text)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -288,7 +298,7 @@ class StudyStore:
                 pass
             raise
         plan = faults.active_plan()
-        if plan.fires("store-corrupt", hash=payload["hash"]):
+        if plan.fires("store-corrupt", hash=digest):
             # Injected fault: truncate the just-published entry mid-JSON,
             # simulating a torn write from a crashed process.
             path.write_text(path.read_text()[: max(1, path.stat().st_size // 2)])

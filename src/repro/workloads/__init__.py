@@ -1,19 +1,15 @@
 """Named workload scenarios motivated by the paper's introduction.
 
-Scenarios fold into the unified spec layer (:mod:`repro.spec`): each one
-exposes its adversary as an :class:`~repro.spec.AdversarySpec` and a
-complete runnable :class:`~repro.spec.StudySpec` via
-:func:`scenario_study` / :meth:`Scenario.study_spec`.
+Each scenario is a horizon plus an :class:`~repro.spec.AdversarySpec`, and
+:func:`scenario_study` / :meth:`Scenario.study_spec` turn it into a complete
+runnable :class:`~repro.spec.StudySpec`.
 """
 
 from .scenarios import Scenario, STANDARD_SCENARIOS, get_scenario, scenario_study
-from .generator import WorkloadSpec, build_adversary_factory
 
 __all__ = [
     "Scenario",
     "STANDARD_SCENARIOS",
     "get_scenario",
     "scenario_study",
-    "WorkloadSpec",
-    "build_adversary_factory",
 ]

@@ -3,7 +3,7 @@
 The introduction motivates contention resolution with congestion control in
 Ethernet / 802.11 networks, concurrency control (locking) and shared devices
 suffering external interference.  Each scenario below maps one of those
-settings onto a :class:`~repro.workloads.generator.WorkloadSpec`.
+settings onto a horizon and a composed :class:`~repro.spec.AdversarySpec`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
-from .generator import WorkloadSpec
+from ..spec.adversary import AdversarySpec
 
 __all__ = ["Scenario", "STANDARD_SCENARIOS", "get_scenario", "scenario_study"]
 
@@ -21,7 +21,7 @@ __all__ = ["Scenario", "STANDARD_SCENARIOS", "get_scenario", "scenario_study"]
 class Scenario:
     """A named workload with a short story explaining what it models.
 
-    Scenarios are first-class runnable specs: :meth:`adversary_spec` is the
+    Scenarios are first-class runnable specs: :attr:`adversary` is the
     serializable adversary description and :meth:`study_spec` the complete
     :class:`~repro.spec.StudySpec` (paper's algorithm by default), ready for
     ``.run()``, JSON export or a sweep.
@@ -29,11 +29,8 @@ class Scenario:
 
     key: str
     description: str
-    spec: WorkloadSpec
-
-    def adversary_spec(self):
-        """The scenario's workload as a first-class AdversarySpec."""
-        return self.spec.to_adversary_spec()
+    horizon: int
+    adversary: AdversarySpec
 
     def study_spec(
         self,
@@ -53,8 +50,8 @@ class Scenario:
 
         return StudySpec(
             protocol=protocol or ProtocolSpec(),
-            adversary=self.adversary_spec(),
-            horizon=self.spec.horizon,
+            adversary=self.adversary,
+            horizon=self.horizon,
             trials=trials,
             seed=seed,
             backend=backend,
@@ -72,11 +69,10 @@ def _make_standard_scenarios() -> Tuple[Scenario, ...]:
                 "Ethernet-style traffic: periodic bursts of stations waking up "
                 "with frames to send on an otherwise clean channel."
             ),
-            spec=WorkloadSpec(
-                horizon=8192,
-                arrival_kind="bursty",
+            horizon=8192,
+            adversary=AdversarySpec.composed(
+                "bursty",
                 arrival_params={"burst_size": 24, "period": 1024},
-                jamming_kind="none",
                 label="ethernet-burst",
             ),
         ),
@@ -86,12 +82,12 @@ def _make_standard_scenarios() -> Tuple[Scenario, ...]:
                 "Wireless link with electromagnetic interference: Poisson node "
                 "arrivals while a quarter of all slots are unusable."
             ),
-            spec=WorkloadSpec(
-                horizon=8192,
-                arrival_kind="poisson",
-                arrival_params={"rate": 0.02},
-                jamming_kind="random",
-                jamming_params={"fraction": 0.25},
+            horizon=8192,
+            adversary=AdversarySpec.composed(
+                "poisson",
+                "random-fraction",
+                {"rate": 0.02},
+                {"fraction": 0.25},
                 label="wireless-interference",
             ),
         ),
@@ -102,15 +98,15 @@ def _make_standard_scenarios() -> Tuple[Scenario, ...]:
                 "acquire the same lock at once; the lock manager occasionally "
                 "stalls (reactive jamming after each grant)."
             ),
-            spec=WorkloadSpec(
-                horizon=8192,
-                arrival_kind="batch",
+            horizon=8192,
+            adversary=AdversarySpec.composed(
+                "batch",
+                "reactive",
                 # Large enough that fixed-probability senders (ALOHA) generate
                 # hopeless contention, yet well within the Θ(log t)-per-arrival
                 # capacity of the paper's algorithm over this horizon.
-                arrival_params={"count": 192},
-                jamming_kind="reactive",
-                jamming_params={"fraction": 0.1, "burst": 4},
+                {"count": 192},
+                {"fraction": 0.1, "burst": 4},
                 label="lock-convoy",
             ),
         ),
@@ -120,15 +116,15 @@ def _make_standard_scenarios() -> Tuple[Scenario, ...]:
                 "Worst-case regime of the paper: steady arrivals with a constant "
                 "fraction of all slots jammed."
             ),
-            spec=WorkloadSpec(
-                horizon=8192,
-                arrival_kind="uniform",
+            horizon=8192,
+            adversary=AdversarySpec.composed(
+                "uniform-random",
+                "random-fraction",
                 # The offered load is kept below the algorithm's sustainable
                 # throughput of roughly one arrival per Θ(log t) slots so the
                 # comparison measures robustness, not overload behaviour.
-                arrival_params={"total": 160},
-                jamming_kind="random",
-                jamming_params={"fraction": 0.25},
+                {"total": 160},
+                {"fraction": 0.25},
                 label="adversarial-jam",
             ),
         ),

@@ -14,7 +14,6 @@ from repro.adversary import (
     ScheduleAdversary,
 )
 from repro.core import cjz_factory
-from repro.core.subroutines import HBackoff
 from repro.errors import ConfigurationError
 from repro.protocols import (
     BackonBackoffCD,
@@ -218,45 +217,21 @@ class TestPopulationApi:
     def test_aloha_probability_is_constant(self):
         protocol = SlottedAloha(0.25)
         protocol.on_arrival(1, np.random.default_rng(0))
-        assert protocol.broadcast_probability(10) == 0.25
         vector = protocol.age_probability_vector(16)
         assert np.allclose(vector[1:], 0.25) and vector[0] == 0.0
 
     def test_probability_backoff_decays(self):
         protocol = ProbabilityBackoff(1.0)
         protocol.on_arrival(1, np.random.default_rng(0))
-        assert protocol.broadcast_probability(1) == 1.0
-        assert protocol.broadcast_probability(4) == 0.25
         vector = protocol.age_probability_vector(8)
+        assert vector[1] == 1.0 and vector[4] == 0.25
         assert vector[8] == pytest.approx(1 / 8)
 
     def test_windowed_beb_reports_state_conditional_probability(self):
         protocol = WindowedBinaryExponentialBackoff(initial_window=1)
         protocol.on_arrival(5, np.random.default_rng(0))
-        # window=1 forces the first attempt into the arrival slot itself
-        assert protocol.broadcast_probability(5) == 1.0
-        assert protocol.broadcast_probability(6) == 0.0
         assert not protocol.vector_eligible
         assert protocol.age_probability_vector(8) is None
-
-    def test_cjz_probability_from_subroutines(self):
-        protocol = cjz_factory()()
-        assert protocol.broadcast_probability(1) is None  # before arrival
-        protocol.on_arrival(1, np.random.default_rng(0))
-        p = protocol.broadcast_probability(1)
-        assert p is not None and 0.0 <= p <= 1.0
-        # Off-channel slots never broadcast in Phase 1.
-        assert protocol.broadcast_probability(2) == 0.0
-        assert not protocol.vector_eligible
-
-    def test_hbackoff_marginal_probability(self):
-        backoff = HBackoff(lambda length: 1, np.random.default_rng(0))
-        # Stage of length 1 with one planned send: certainty.
-        assert backoff.marginal_probability(1) == 1.0
-        # Stage of length 4 with one planned send: 1 - (3/4)^1.
-        assert backoff.marginal_probability(4) == pytest.approx(0.25)
-        with pytest.raises(ConfigurationError):
-            backoff.marginal_probability(0)
 
 
 class TestExhaustedHooks:

@@ -1,5 +1,8 @@
 """Edge-case and regression tests that cut across modules."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
@@ -39,8 +42,16 @@ class TestPackageSurface:
         assert repro.__version__ == "1.0.0"
 
     def test_public_names_importable(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+        """Every ``__all__`` name of every ``repro`` module resolves, so a
+        deleted name cannot linger in a subpackage's export list."""
+        modules = ["repro"] + [
+            info.name
+            for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+        ]
+        for module_name in modules:
+            module = importlib.import_module(module_name)
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"{module_name}.{name}"
 
     def test_lazy_two_channel_export(self):
         from repro import protocols

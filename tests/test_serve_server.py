@@ -4,6 +4,7 @@ import asyncio
 import json
 import socket
 import time
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.serve import (
     decode_line,
     encode_message,
 )
+from repro.sim.backends import fused as fused_module
 from repro.sim.backends.fused import fusion_budget
 from repro.spec import (
     AdversarySpec,
@@ -251,6 +253,67 @@ class TestFailures:
         assert stats["failed"] == 1
         assert stats["executed"] == 1
         assert calls == [0, 0]
+
+
+class TestStoreTraffic:
+    """A cold served job reads its store entry twice, at submit and at
+    claim, and writes it once, whether it runs alone or fused."""
+
+    @staticmethod
+    def count_store_calls(monkeypatch):
+        gets, puts = Counter(), Counter()
+        get, put = ShardedStudyStore.get, ShardedStudyStore.put
+
+        def counting_get(store, spec):
+            gets[spec.spec_hash()] += 1
+            return get(store, spec)
+
+        def counting_put(store, spec, study):
+            puts[spec.spec_hash()] += 1
+            return put(store, spec, study)
+
+        monkeypatch.setattr(ShardedStudyStore, "get", counting_get)
+        monkeypatch.setattr(ShardedStudyStore, "put", counting_put)
+        return gets, puts
+
+    @staticmethod
+    def record_fused_groups(monkeypatch):
+        sizes = []
+        run_group = fused_module.run_fused_group
+
+        def recording_run_group(specs, *args, **kwargs):
+            sizes.append(len(specs))
+            return run_group(specs, *args, **kwargs)
+
+        monkeypatch.setattr(fused_module, "run_fused_group", recording_run_group)
+        return sizes
+
+    def serve(self, tmp_path, specs):
+        with BackgroundServer(tmp_path / "store", workers=1) as bg:
+            return ServeClient(*bg.address, timeout=60.0).submit(specs)
+
+    def test_cold_solo_job_reads_twice_and_writes_once(self, tmp_path, monkeypatch):
+        gets, puts = self.count_store_calls(monkeypatch)
+        spec = aloha_spec(seed=6001)
+        outcome = self.serve(tmp_path, spec)[0]
+        assert outcome.ok
+        assert semantic_records(outcome.study) == semantic_records(spec.run())
+        assert gets == {spec.spec_hash(): 2}
+        assert puts == {spec.spec_hash(): 1}
+
+    def test_cold_fused_pair_reads_twice_and_writes_once(
+        self, tmp_path, monkeypatch
+    ):
+        gets, puts = self.count_store_calls(monkeypatch)
+        groups = self.record_fused_groups(monkeypatch)
+        pair = [cjz_spec(seed=6002), cjz_spec(seed=6003)]
+        outcomes = self.serve(tmp_path, pair)
+        assert groups == [2]
+        for spec, outcome in zip(pair, outcomes):
+            assert outcome.ok
+            assert semantic_records(outcome.study) == semantic_records(spec.run())
+        assert gets == {spec.spec_hash(): 2 for spec in pair}
+        assert puts == {spec.spec_hash(): 1 for spec in pair}
 
 
 class TestFusableDrain:

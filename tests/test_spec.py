@@ -343,6 +343,170 @@ class TestStudySpecRoundTrip:
             StudySpec(backend="gpu")
 
 
+G4 = {"kind": "constant", "params": {"value": 4.0}}
+F_OF_G4 = {"kind": "derived-f", "params": {"g": G4, "a": 1.0, "c2": 1.0, "floor": 1.0}}
+
+#: What every registered kind builds from ``{}`` (adversary kinds at horizon
+#: 1024; required parameters from ``REQUIRED_PARAMS``), as ``spec_params()``
+#: of the built object, or ``.spec`` for rate functions.  A moved builder
+#: default changes a row here, and nothing else would notice: ``ProtocolSpec
+#: (kind)`` round-trips through ``to_spec()`` whatever the default is.
+PINNED_DEFAULTS = {
+    "protocol": {
+        "backon-backoff-cd": {
+            "initial_probability": 0.5,
+            "backoff_factor": 0.5,
+            "backon_factor": 1.2,
+            "min_probability": 1e-06,
+            "max_probability": 1.0,
+        },
+        "binary-exponential-backoff": {"initial_window": 2, "max_window": None},
+        "cjz": {"g": G4, "a": 1.0, "c2": 1.0, "c3": 4.0},
+        "cjz-global-clock": {"g": G4, "a": 1.0, "c2": 1.0, "c3": 4.0},
+        "log-uniform-fixed": {"scale": 1.0},
+        "polynomial-backoff": {"degree": 2.0, "initial_window": 2},
+        "probability-backoff": {"scale": 1.0},
+        "sawtooth-backoff": {"initial_window": 4, "max_window": None},
+        "slotted-aloha": {"probability": 0.1},
+        "two-channel-no-jamming": {"backoff_sends_per_stage": 2.0, "c3": 4.0},
+    },
+    "arrivals": {
+        "batch": {"count": 32, "slot": 1},
+        "bursty": {
+            "burst_size": 16,
+            "period": 128,
+            "jitter": True,
+            "first_burst_slot": 1,
+            "last_slot": None,
+        },
+        "no-arrivals": {},
+        "poisson": {"rate": 0.05, "last_slot": None},
+        "scheduled": {"schedule": []},
+        "uniform-random": {"total": 32, "start": 1, "end": 1024},
+    },
+    "jamming": {
+        "budgeted": {"g": G4, "budget_constant": 4.0},
+        "front-loaded": {"count": 0},
+        "no-jamming": {},
+        "periodic": {"period": 4, "offset": 0},
+        "random-fraction": {"fraction": 0.25, "last_slot": None},
+        "reactive": {"fraction": 0.2, "burst": 8},
+    },
+    "adversary": {
+        "adaptive-success-chaser": {
+            "jam_fraction": 0.2,
+            "arrival_budget_per_success": 2,
+            "total_arrival_budget": None,
+            "jam_burst": 4,
+            "seed_arrivals": 1,
+        },
+        "lower-bound": {"g": G4, "initial_nodes": 1, "jam_constant": 4.0},
+        "non-adaptive-killer": {
+            "g": G4,
+            "f": F_OF_G4,
+            "jam_constant": 4.0,
+            "arrival_constant": 4.0,
+        },
+        "schedule": {"arrivals": [], "jammed_slots": []},
+        "smooth": {
+            "f": F_OF_G4,
+            "g": G4,
+            "arrival_constant": 8.0,
+            "jam_constant": 8.0,
+        },
+    },
+    "rate": {
+        "constant": G4,
+        "derived-f": F_OF_G4,
+        "exp-sqrt-log": {"kind": "exp-sqrt-log", "params": {"scale": 1.0, "floor": 2.0}},
+        "log": {"kind": "log", "params": {"base": 2.0, "floor": 2.0}},
+        "polylog": {"kind": "polylog", "params": {"power": 2.0, "floor": 2.0}},
+    },
+    "reducer": {
+        "energy": {},
+        "fg-throughput": {
+            "f": F_OF_G4,
+            "g": G4,
+            "slack": 1.0,
+            "min_prefix": 16,
+            "additive_grace": 0.0,
+        },
+        "latency": {},
+        "scalar": {"metric": "successes"},
+        "success-timeline": {},
+        "windowed-rate": {"window": 64},
+    },
+}
+
+REQUIRED_PARAMS = {
+    "derived-f": {"g": G4},
+    "windowed-rate": {"window": 64},
+    "fg-throughput": {"f": {"kind": "derived-f", "params": {"g": G4}}, "g": G4},
+    "scalar": {"metric": "successes"},
+}
+
+#: spec_hash() of each standard scenario's default StudySpec.
+PINNED_SCENARIO_HASHES = {
+    "ethernet-burst": "83ebcc6ad66e9ea652191f5118f08f9f4ca9bed2a9afab2b32e6586b076d8d53",
+    "wireless-interference": "7785bd82aecf61b37aa6b90194fef48816518dbf3ca407b6ffc954d362bdd7b4",
+    "lock-convoy": "36708641ea44f7ed970ee83c0f39fb77ff69aba7bf45aa0ec466345fd0669487",
+    "adversarial-jam": "d7aab886173a28f8ac9407a1c47c67cb640953cb9c71140d5fc079fa24229d3a",
+}
+
+
+def _as_specs(params):
+    return {
+        key: value.spec if isinstance(value, RateFunction) else value
+        for key, value in params.items()
+    }
+
+
+class TestPinnedDefaults:
+    def _built(self, family):
+        from repro.spec import METRIC_REDUCERS, RATE_FUNCTIONS
+
+        if family == "protocol":
+            return {
+                kind: ProtocolSpec(kind).build()().spec_params()
+                for kind in PROTOCOLS.kinds()
+            }
+        if family == "rate":
+            return {
+                kind: RATE_FUNCTIONS.build(kind, REQUIRED_PARAMS.get(kind, {})).spec
+                for kind in RATE_FUNCTIONS.kinds()
+            }
+        if family == "reducer":
+            return {
+                kind: _as_specs(
+                    METRIC_REDUCERS.build(
+                        kind, REQUIRED_PARAMS.get(kind, {})
+                    ).spec_params()
+                )
+                for kind in METRIC_REDUCERS.kinds()
+            }
+        registry = {
+            "arrivals": ARRIVAL_STRATEGIES,
+            "jamming": JAMMING_STRATEGIES,
+            "adversary": ADVERSARIES,
+        }[family]
+        return {
+            kind: _as_specs(registry.build(kind, {}, horizon=1024).spec_params())
+            for kind in registry.kinds()
+        }
+
+    @pytest.mark.parametrize("family", sorted(PINNED_DEFAULTS))
+    def test_every_kind_builds_its_pinned_defaults(self, family):
+        assert self._built(family) == PINNED_DEFAULTS[family]
+
+    def test_standard_scenario_hashes_are_pinned(self):
+        from repro.workloads import STANDARD_SCENARIOS
+
+        assert {
+            key: scenario.study_spec().spec_hash()
+            for key, scenario in STANDARD_SCENARIOS.items()
+        } == PINNED_SCENARIO_HASHES
+
+
 class TestRunnerSpecSupport:
     def test_run_trials_accepts_specs_directly(self):
         study = run_trials(
@@ -356,29 +520,6 @@ class TestRunnerSpecSupport:
 
 
 class TestWorkloadFoldIn:
-    def test_workload_spec_converts_and_matches(self):
-        from repro.workloads import WorkloadSpec, build_adversary_factory
-
-        workload = WorkloadSpec(
-            horizon=256,
-            arrival_kind="uniform",
-            arrival_params={"total": 20, "start": 1, "end": 128},
-            jamming_kind="random",
-            jamming_params={"fraction": 0.3},
-            label="legacy",
-        )
-        spec = workload.to_adversary_spec()
-        assert spec.arrivals.kind == "uniform-random"
-        assert spec.jamming.kind == "random-fraction"
-        assert spec.label == "legacy"
-        built = build_adversary_factory(workload)()
-        rebuilt = AdversarySpec.from_dict(spec.to_dict()).build(workload.horizon)
-        built.setup(np.random.default_rng(3), workload.horizon)
-        rebuilt.setup(np.random.default_rng(3), workload.horizon)
-        for slot in range(1, 129):
-            a, b = built.action_for_slot(slot), rebuilt.action_for_slot(slot)
-            assert (a.arrivals, a.jam) == (b.arrivals, b.jam)
-
     def test_every_scenario_is_a_runnable_study_spec(self):
         from repro.workloads import STANDARD_SCENARIOS, scenario_study
 
