@@ -717,6 +717,7 @@ def run_recovery_suite(
     import tempfile
 
     from .serve import ServeJournal, ShardedStudyStore, SweepServer
+    from .spec import StudyPlan
     from .workloads import scenario_study
 
     horizon = 128
@@ -728,8 +729,7 @@ def run_recovery_suite(
     specs = [base.with_overrides({"seed": seed + index}) for index in range(jobs)]
     with tempfile.TemporaryDirectory(prefix="repro-bench-recovery-") as root:
         store = ShardedStudyStore(Path(root) / "store", shards=2)
-        for spec in specs:
-            spec.run(store=store)
+        StudyPlan(specs).run(store=store)
 
         async def _replay(journal_path: Path) -> float:
             server = SweepServer(

@@ -171,29 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--on-error",
-        choices=["raise", "skip", "retry"],
+        choices=["raise", "skip"],
         default="raise",
-        help="per-point failure policy: raise immediately (default), record "
-        "the failure and continue, or retry the point first",
-    )
-    sweep_parser.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        help="extra attempts per point under --on-error retry (default: 1)",
-    )
-    sweep_parser.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="append per-point outcomes to this JSONL journal "
-        "(default with --resume: <store>/sweep-journal.jsonl)",
-    )
-    sweep_parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip points the journal marks done (served from the store) "
-        "and re-attempt failed ones",
+        help="per-point failure policy: raise immediately (default), or "
+        "record the failure and continue (exit status 1); a re-run against "
+        "the same store serves finished points and re-runs the rest",
     )
     sweep_parser.add_argument(
         "--server",
@@ -218,12 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--workers",
         type=int,
-        default=None,
+        default=2,
         help="concurrent job executions (default 2)",
     )
     serve_parser.add_argument(
         "--store-root",
-        default=None,
+        default=".repro-store",
         help="sharded store directory (default .repro-store)",
     )
     serve_parser.add_argument(
@@ -252,8 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="write-ahead journal of job transitions; a restarted server "
-        "re-queues accepted-but-unfinished jobs from it "
-        "(default: REPRO_SERVE_JOURNAL, else no journal)",
+        "re-queues accepted-but-unfinished jobs from it (default: none)",
     )
     serve_parser.add_argument(
         "--deadline",
@@ -261,14 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="per-job execution deadline; overruns are re-queued then "
-        "failed (default: REPRO_SERVE_DEADLINE, else unlimited)",
+        "failed (default: unlimited)",
     )
     serve_parser.add_argument(
         "--requeues",
         type=int,
-        default=None,
+        default=1,
         help="times a deadline/hang-hit job is re-queued before failing "
-        "(default: REPRO_SERVE_REQUEUES, else 1)",
+        "(default: 1)",
     )
     serve_parser.set_defaults(func=_cmd_serve)
 
@@ -716,16 +697,6 @@ def _env_int(name: str, fallback: int) -> int:
         raise SpecError(f"{name} must be an integer, got {value!r}") from exc
 
 
-def _env_float(name: str, fallback: Optional[float]) -> Optional[float]:
-    value = os.environ.get(name)
-    if value is None or value == "":
-        return fallback
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise SpecError(f"{name} must be a number, got {value!r}") from exc
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .spec import StudyPlan, StudyStore, Sweep, sweep_rows
 
@@ -738,18 +709,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             client.run_plan(plan.specs, overrides=sweep.points()), args
         )
     store = None if args.no_store else StudyStore(args.store)
-    journal = args.journal
-    if journal is None and args.resume:
-        if store is None:
-            raise SpecError("--resume needs --journal or an enabled store")
-        journal = store.root / "sweep-journal.jsonl"
-    results = plan.run(
-        store=store,
-        on_error=args.on_error,
-        retries=args.retries,
-        journal=journal,
-        resume=args.resume,
-    )
+    results = plan.run(store=store, on_error=args.on_error)
     rows = sweep_rows(results)
     print(_render_sweep_rows(rows, args.format))
     if args.format == "table":
@@ -765,9 +725,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{dispatch * 1000:.0f}ms; store: {where}"
         )
         _print_health(results)
-        if journal is not None:
-            print(f"journal: {journal}")
-    return 0
+    return 1 if any(r.failed for r in results) else 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -779,33 +737,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     host = args.host or os.environ.get("REPRO_SERVE_HOST") or "127.0.0.1"
     port = args.port if args.port is not None else _env_int("REPRO_SERVE_PORT", 7421)
-    workers = (
-        args.workers
-        if args.workers is not None
-        else _env_int("REPRO_SERVE_WORKERS", 2)
-    )
-    store_root = (
-        args.store_root or os.environ.get("REPRO_SERVE_STORE") or ".repro-store"
-    )
-    shards = (
-        args.shards if args.shards is not None else _env_int("REPRO_SERVE_SHARDS", 2)
-    )
-    budget = args.store_budget
-    if budget is None and os.environ.get("REPRO_STORE_BUDGET"):
-        budget = _env_int("REPRO_STORE_BUDGET", 0)
-    journal = args.journal or os.environ.get("REPRO_SERVE_JOURNAL") or None
-    deadline = (
-        args.deadline
-        if args.deadline is not None
-        else _env_float("REPRO_SERVE_DEADLINE", None)
-    )
-    requeues = (
-        args.requeues
-        if args.requeues is not None
-        else _env_int("REPRO_SERVE_REQUEUES", 1)
-    )
     store = ShardedStudyStore(
-        store_root, shards=shards, virtual_nodes=args.virtual_nodes
+        args.store_root, shards=args.shards, virtual_nodes=args.virtual_nodes
     )
 
     async def _daemon() -> None:
@@ -813,11 +746,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             store,
             host=host,
             port=port,
-            workers=workers,
-            store_budget=budget,
-            journal=journal,
-            deadline=deadline,
-            requeues=requeues,
+            workers=args.workers,
+            store_budget=args.store_budget,
+            journal=args.journal,
+            deadline=args.deadline,
+            requeues=args.requeues,
         )
         await server.start()
         loop = asyncio.get_running_loop()
@@ -830,13 +763,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         bound_host, bound_port = server.address
         extras = ""
-        if journal is not None:
-            extras = f", journal @ {journal}"
+        if args.journal is not None:
+            extras = f", journal @ {args.journal}"
             if server.stats.recovered:
                 extras += f", recovered {server.stats.recovered} jobs"
         print(
             f"repro serve: listening on {bound_host}:{bound_port} "
-            f"({workers} workers, {len(store.shards)} shards @ {store.root}"
+            f"({args.workers} workers, {len(store.shards)} shards @ {store.root}"
             f"{extras})",
             flush=True,
         )

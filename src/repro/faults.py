@@ -18,13 +18,13 @@ Injection sites (the string each instrumented component asks about):
 ``kernel``             a simulated kernel exception mid-study
                        (:class:`~repro.errors.FaultInjected` raised from the
                        study dispatch path; coords: ``trials``)
-``sweep-point``        a sweep point fails before execution (coords:
-                       ``point``, ``attempt``)
+``sweep-point``        a point of a :class:`~repro.spec.StudyPlan` run — a
+                       local sweep point or a sweep-service job — fails
+                       before execution and is never stored (coords:
+                       ``point``, its index in the plan or claimed job
+                       group, and ``hash``, its spec hash)
 ``store-corrupt``      a just-written study-store entry is truncated on disk
                        (coords: ``hash``)
-``serve-job``          a sweep-service job fails before execution (coords:
-                       ``hash``, ``attempt``) — the server records the job
-                       as failed and reports the error to waiting clients
 ``fused-group``        a fused multi-study dispatch fails before execution
                        (coords: ``points``) — every member falls back to
                        per-point dispatch; nothing was stored, so sibling
@@ -89,7 +89,6 @@ KNOWN_SITES = (
     "kernel",
     "sweep-point",
     "store-corrupt",
-    "serve-job",
     "fused-group",
     "conn-drop",
     "wal-torn",

@@ -14,9 +14,9 @@ promotes it into a small serving subsystem, four layers deep:
   bounded executor pool.  Identical in-flight specs are hash-deduped: N
   submitters of the same spec attach to one execution and all receive the
   result; a spec already in the store is answered instantly without
-  touching the queue.  Execution goes through ``StudySpec.run`` and
-  therefore the exact same backend ladder and supervised worker pool as a
-  local run — results are seed-for-seed identical, and
+  touching the queue.  Each claimed job group runs as one
+  :class:`~repro.spec.StudyPlan` against the store, the same code as a
+  local sweep — results are seed-for-seed identical, and
   :class:`~repro.sim.health.RunHealth` events (retries, crashes,
   demotions) surface in job status.
 * **Sharded store** (:mod:`repro.serve.sharded`) —

@@ -13,19 +13,19 @@ execution model:
   first, FIFO within a priority) and are drained by ``workers`` dispatcher
   tasks.  A dispatcher claims its lead job together with every queued job
   sharing the lead's :func:`~repro.sim.backends.fused.fusion_key` and runs
-  the group, of one job or many, in one thread.  Two or more store misses
-  in a group run as one fused lockstep run; every job keeps its own status
-  row, health fields, dedupe entry and ``executed`` / ``failed``
-  accounting, and a fused failure degrades each member to its own
-  ``StudySpec.run``.
-* A job that runs on its own executes through ``StudySpec.run(store=...)``
-  — the exact same backend ladder, supervised worker pool
-  (:class:`~repro.sim.runner.SupervisorPolicy` retries/backoff/degradation)
-  and content-addressed store as a local run, so served results are
-  seed-for-seed identical to ``StudyPlan.run`` and
-  :class:`~repro.sim.health.RunHealth` events (crashes, retries,
-  demotions) surface in job status as ``health_retries`` /
-  ``health_failures`` / ``health_demotions``.
+  the group, of one job or many, in one thread.
+* A claimed group runs as one :class:`~repro.spec.StudyPlan` against the
+  server's store with ``on_error="skip"`` — the same code as a local
+  sweep, so served results are seed-for-seed identical to
+  ``StudyPlan.run``.  Two or more store misses run as one fused lockstep
+  run (a fused failure degrades each member to its own
+  ``StudySpec.run``), each executed job is written back once unless its
+  spec carries a metric pipeline, and a job whose run raises fails alone.
+  Every job keeps its own status row, dedupe entry and ``executed`` /
+  ``failed`` accounting, and :class:`~repro.sim.health.RunHealth` events
+  of the supervised worker pool (crashes, retries, demotions) surface in
+  job status as ``health_retries`` / ``health_failures`` /
+  ``health_demotions``.
 * With a ``store_budget``, the store is brought back under its byte budget
   after every executed job (LRU-by-atime eviction; entries written during
   the current server session are never evicted).
@@ -63,7 +63,7 @@ from .. import faults
 from ..errors import ReproError, ServeError
 from ..spec.store import result_record
 from ..spec.study import StudySpec
-from ..spec.sweep import Sweep
+from ..spec.sweep import StudyPlan, Sweep
 from .protocol import (
     KNOWN_OPS,
     MAX_LINE_BYTES,
@@ -498,9 +498,7 @@ class SweepServer:
             try:
                 outcomes = await self._await_deadline(
                     self._run_in_thread(
-                        self._execute,
-                        [(member.spec, member.attempts - 1) for member in group],
-                        wedged,
+                        self._execute, [member.spec for member in group], wedged
                     )
                 )
             except asyncio.TimeoutError:
@@ -581,73 +579,31 @@ class SweepServer:
         return group
 
     def _execute(
-        self, items: Sequence[Tuple[StudySpec, int]], wedged: bool
+        self, specs: Sequence[StudySpec], wedged: bool
     ) -> List[Tuple[str, Any, Dict[str, float]]]:
         """Run a claimed job group in its thread; one outcome per job.
 
-        Every job keeps its own ``serve-job`` fault check, store row and
-        failure accounting.  Two or more jobs that pass their fault check
-        and miss the store run as one fused lockstep run; when it fails (or
-        declines), or when only one job misses, each runs on its own through
-        ``StudySpec.run()``, so a fused failure can never corrupt or lose a
-        sibling job.  Either way each missed job is written to the store
-        once.  Outcomes are ``("done", payload, health)`` or
-        ``("failed", error_text, {})``, aligned with ``items``.
+        The group is one :class:`~repro.spec.StudyPlan` run against the
+        server's store with ``on_error="skip"``, so a job that raises
+        (including an injected ``sweep-point`` fault) fails alone.
+        Outcomes are ``("done", payload, health)`` or
+        ``("failed", error_text, {})``, aligned with ``specs``.
         """
-        from ..sim.backends.fused import run_fused_group
-
         if wedged:
             # Injected dispatcher-hang: the group stops making progress, and
             # only its deadline recovers the jobs.
             time.sleep(3600.0)
-        outcomes: List[Optional[Tuple[str, Any, Dict[str, float]]]] = [
-            None
-        ] * len(items)
-        misses: List[int] = []
-        for pos, (spec, attempt) in enumerate(items):
-            try:
-                faults.active_plan().maybe_raise(
-                    "serve-job", hash=spec.spec_hash(), attempt=attempt
-                )
-            except Exception as exc:  # noqa: BLE001 — job isolation boundary
-                outcomes[pos] = ("failed", f"{type(exc).__name__}: {exc}", {})
-                continue
-            cached = self._store_get(spec)
-            if cached is not None:
-                health = getattr(cached, "health", None)
-                fields = (
-                    dict(health.summary_fields()) if health is not None else {}
-                )
-                outcomes[pos] = ("done", study_payload(cached), fields)
-                continue
-            misses.append(pos)
-
-        studies = None
-        if len(misses) >= 2:
-            try:
-                studies = run_fused_group([items[pos][0] for pos in misses])
-            except Exception:  # noqa: BLE001 — degrade to per-job execution
-                studies = None
-        for offset, pos in enumerate(misses):
-            spec = items[pos][0]
-            try:
-                # The claim above already missed the store, so a solo run
-                # skips StudySpec.run's own lookup and is written back like
-                # a fused member.
-                study = studies[offset] if studies is not None else spec.run()
-                if self._store is not None:
-                    self._store.put(spec, study)
-                health = getattr(study, "health", None)
-                fields = (
-                    dict(health.summary_fields()) if health is not None else {}
-                )
-                outcomes[pos] = ("done", study_payload(study), fields)
-            except Exception as exc:  # noqa: BLE001 — job isolation boundary
-                outcomes[pos] = ("failed", f"{type(exc).__name__}: {exc}", {})
+        outcomes: List[Tuple[str, Any, Dict[str, float]]] = []
+        for point in StudyPlan(specs).run(store=self._store, on_error="skip"):
+            if point.failed:
+                outcomes.append(("failed", point.error, {}))
+            else:
+                health = point.study.health.summary_fields()
+                outcomes.append(("done", study_payload(point.study), health))
         if self._budget is not None and hasattr(self._store, "evict"):
             report = self._store.evict(self._budget)
             self._stats.evicted += len(report["evicted"])
-        return [outcome for outcome in outcomes if outcome is not None]
+        return outcomes
 
     # --------------------------------------------------------- connections
 

@@ -10,19 +10,21 @@ spec of every job whose spec was ever journaled, and the server re-queues
 whatever is not terminal (answering already-completed jobs from the study
 store).
 
-The file format is the torn-line-tolerant JSONL idiom of
-:class:`~repro.spec.sweep.PlanJournal` (which this class extends): a
-process killed mid-append leaves a torn trailing line that the next load
-simply drops.  The ``wal-torn`` fault site simulates exactly that tear
-deterministically for tests and the chaos CI leg.
+The file is torn-line-tolerant JSONL: a process killed mid-append leaves
+a torn trailing line that the next read simply drops, and the next append
+starts on a fresh line instead of welding onto the tear.  The ``wal-torn``
+fault site simulates exactly that tear deterministically for tests and the
+chaos CI leg.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Tuple
+import json
+import os
+from pathlib import Path
+from typing import Any, Dict, List, Mapping, Tuple, Union
 
 from .. import faults
-from ..spec.sweep import PlanJournal
 
 __all__ = ["JOB_TERMINAL_STATES", "ServeJournal"]
 
@@ -30,7 +32,7 @@ __all__ = ["JOB_TERMINAL_STATES", "ServeJournal"]
 JOB_TERMINAL_STATES = ("done", "failed", "cached")
 
 
-class ServeJournal(PlanJournal):
+class ServeJournal:
     """Append-only WAL of job transitions, keyed by spec hash.
 
     Last-record-wins per hash for the *status*; the *spec* payload is
@@ -38,6 +40,46 @@ class ServeJournal(PlanJournal):
     ``accepted`` record), so a later status-only append never erases the
     information needed to re-queue the job.
     """
+
+    def __init__(self, path: Union[str, Path]) -> None:
+        self._path = Path(path)
+
+    def append(self, record: Mapping[str, Any]) -> None:
+        self._path.parent.mkdir(parents=True, exist_ok=True)
+        line = json.dumps(dict(record), sort_keys=True) + "\n"
+        with self._path.open("a+b") as handle:
+            # A crashed writer can leave a torn final line with no newline;
+            # appending straight after it would weld this record onto the
+            # tear and lose both.  Start on a fresh line instead.
+            if handle.seek(0, os.SEEK_END) > 0:
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
+                    handle.write(b"\n")
+            handle.write(line.encode("utf-8"))
+
+    def records(self) -> List[Dict[str, Any]]:
+        """Every parseable record in append order.
+
+        A missing file is an empty journal, blank lines are skipped, and an
+        unparseable line — a torn trailing append from a crashed writer —
+        is dropped rather than poisoning the load.
+        """
+        records: List[Dict[str, Any]] = []
+        try:
+            lines = self._path.read_text().splitlines()
+        except OSError:
+            return records
+        for line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                continue  # torn trailing line from a crashed writer
+            if isinstance(record, dict):
+                records.append(record)
+        return records
 
     def record(
         self,

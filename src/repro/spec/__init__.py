@@ -60,7 +60,7 @@ from .rates import RATE_FUNCTIONS, rate_function_from_spec, rate_function_to_spe
 from .registry import SpecRegistry
 from .store import CachedResult, StudyStore
 from .study import StudySpec, canonical_json
-from .sweep import PlanJournal, PlanResult, StudyPlan, Sweep, sweep_rows
+from .sweep import PlanResult, StudyPlan, Sweep, sweep_rows
 
 __all__ = [
     "ADVERSARIES",
@@ -73,7 +73,6 @@ __all__ = [
     "AdversarySpec",
     "CachedResult",
     "PipelineSpec",
-    "PlanJournal",
     "PlanResult",
     "ProtocolSpec",
     "SpecRegistry",

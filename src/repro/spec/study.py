@@ -84,27 +84,15 @@ class StudySpec:
 
     # ------------------------------------------------------------ execution
 
-    def run(self, *, store: Optional[Any] = None) -> "TrialStudy":
-        """Execute the study (or return the cached result from ``store``).
+    def run(self) -> "TrialStudy":
+        """Execute the study through :func:`repro.sim.run_trials`.
 
-        ``store`` is duck-typed on the get/put surface: a plain
-        :class:`~repro.spec.store.StudyStore` or a sharded
-        :class:`~repro.serve.ShardedStudyStore` behave identically here.
-
-        Cache lookups key on :meth:`spec_hash`; pipeline-carrying runs are
-        never served from the cache because a cached summary carries no
-        per-slot counters to replay the pipeline over (streaming-only runs
-        still cache: the stored summary surface is exactly what a streamed
-        study retains).
+        To serve and fill a result store, run the spec through
+        :class:`~repro.spec.StudyPlan`, the one place specs meet a store.
         """
         from ..sim.runner import run_trials
 
-        uncacheable = self.pipeline is not None
-        if store is not None and not uncacheable:
-            cached = store.get(self)
-            if cached is not None:
-                return cached
-        study = run_trials(
+        return run_trials(
             protocol_factory=self.protocol.build(),
             adversary_factory=self.adversary.factory(self.horizon),
             horizon=self.horizon,
@@ -118,9 +106,6 @@ class StudySpec:
             pipeline=self.pipeline,
             streaming=self.streaming,
         )
-        if store is not None and not uncacheable:
-            store.put(self, study)
-        return study
 
     @property
     def display_label(self) -> str:

@@ -9,31 +9,25 @@ from disk.  Per-point dispatch bookkeeping (expansion, hashing, cache
 lookup) is timed separately from simulation so the overhead stays
 observable — the design target is dispatch < 10% of study runtime.
 
-Long sweeps are *resumable*: :meth:`StudyPlan.run` can journal every
-point's outcome (done/failed) to an append-only JSONL file, tolerate
-per-point failures (``on_error="skip"`` records the failure and moves on;
-``"retry"`` re-attempts the point before giving up), and on a later
-invocation with ``resume=True`` skip the points the journal marks done
-(served from the store) while re-attempting the failed ones.  The journal
-is keyed by spec hash, so editing unrelated points of a sweep never
-invalidates completed work.
+:meth:`StudyPlan.run` is the one place specs meet a store: a local sweep,
+an experiment and each job group the sweep service claims all run through
+it.  Long sweeps resume through the store alone: ``on_error="skip"``
+records a failed point and moves on, and a re-run against the same store
+serves every finished point and re-runs the rest.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import faults
 from ..errors import SpecError
 from .study import StudySpec
 
-__all__ = ["PlanJournal", "PlanResult", "StudyPlan", "Sweep", "sweep_rows"]
+__all__ = ["PlanResult", "StudyPlan", "Sweep", "sweep_rows"]
 
 
 @dataclass(frozen=True)
@@ -101,10 +95,10 @@ def _point_label(base: StudySpec, overrides: Mapping[str, Any]) -> str:
 class PlanResult:
     """One executed grid point: spec, study, provenance and timing.
 
-    ``study`` is ``None`` — and ``failed`` / ``error`` are set — for points
-    that exhausted their attempts under ``on_error="skip"`` / ``"retry"``.
-    ``attempts`` counts executions of this point in this run (0 when the
-    point was served from the cache or the resume journal).
+    ``study`` is ``None`` — and ``failed`` / ``error`` are set — for a
+    point that raised under ``on_error="skip"``.  ``attempts`` counts
+    executions of the point: 0 when the store served it, 1 when a local
+    run executed (or tried) it, and one per claim for a served job.
     """
 
     spec: StudySpec
@@ -116,72 +110,6 @@ class PlanResult:
     failed: bool = False
     error: str = ""
     attempts: int = 0
-
-
-class PlanJournal:
-    """Append-only JSONL record of per-point sweep outcomes.
-
-    One record per completed or failed point, keyed by spec hash; the last
-    record for a hash wins, so re-running a sweep with the same journal
-    simply appends the new outcomes.  The file is human-greppable and
-    crash-tolerant: a torn final line (the writing process died mid-append)
-    is ignored on load.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self._path = Path(path)
-
-    @property
-    def path(self) -> Path:
-        return self._path
-
-    def append(self, record: Mapping[str, Any]) -> None:
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(dict(record), sort_keys=True) + "\n"
-        with self._path.open("a+b") as handle:
-            # A crashed writer can leave a torn final line with no newline;
-            # appending straight after it would weld this record onto the
-            # tear and lose both.  Start on a fresh line instead.
-            if handle.seek(0, os.SEEK_END) > 0:
-                handle.seek(-1, os.SEEK_END)
-                if handle.read(1) != b"\n":
-                    handle.write(b"\n")
-            handle.write(line.encode("utf-8"))
-
-    def records(self) -> List[Dict[str, Any]]:
-        """Every parseable record in append order.
-
-        The torn-line-tolerant read shared by every JSONL journal in the
-        library (this one and the serve WAL): a missing file is an empty
-        journal, blank lines are skipped, and an unparseable line — a torn
-        trailing append from a crashed writer — is dropped rather than
-        poisoning the load.
-        """
-        records: List[Dict[str, Any]] = []
-        try:
-            lines = self._path.read_text().splitlines()
-        except OSError:
-            return records
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn trailing line from a crashed writer
-            if isinstance(record, dict):
-                records.append(record)
-        return records
-
-    def load(self) -> Dict[str, Dict[str, Any]]:
-        """Latest record per spec hash (empty when the file doesn't exist)."""
-        state: Dict[str, Dict[str, Any]] = {}
-        for record in self.records():
-            digest = record.get("hash")
-            if digest:
-                state[str(digest)] = record
-        return state
 
 
 class StudyPlan:
@@ -215,11 +143,7 @@ class StudyPlan:
     def run(
         self,
         store: Optional[Any] = None,
-        progress: Optional[Callable[[PlanResult], None]] = None,
         on_error: str = "raise",
-        retries: int = 1,
-        journal: Optional[Union[str, Path, PlanJournal]] = None,
-        resume: bool = False,
         fuse: bool = True,
     ) -> List[PlanResult]:
         """Execute every point in order, consulting ``store`` first.
@@ -227,8 +151,9 @@ class StudyPlan:
         ``store`` is anything with the :class:`~repro.spec.store.StudyStore`
         get/put surface — a plain store or a
         :class:`~repro.serve.ShardedStudyStore`; placement is invisible to
-        the plan.  As in :meth:`StudySpec.run`, points that carry a metric
-        pipeline are neither served from nor written to it.
+        the plan.  Points that carry a metric pipeline are neither served
+        from nor written to it: a stored summary has no counters to replay
+        a pipeline over.  Every other point that runs is written back once.
 
         ``dispatch_seconds`` covers everything the plan adds on top of the
         study itself (hashing, cache lookup, result registration);
@@ -236,12 +161,9 @@ class StudyPlan:
 
         ``on_error`` governs per-point failures: ``"raise"`` (default)
         propagates immediately, ``"skip"`` records a failed
-        :class:`PlanResult` and continues, ``"retry"`` re-attempts the
-        point up to ``retries`` extra times before treating it like
-        ``"skip"``.  With a ``journal``, every point's outcome is appended
-        as it happens; ``resume=True`` then skips points the journal marks
-        done (serving them from ``store`` when possible) and re-attempts
-        only the failed/unseen ones.
+        :class:`PlanResult` and continues.  A failed point is never stored,
+        so a later run against the same store serves the finished points
+        and re-runs only the rest.
 
         ``fuse=True`` (default) batches compatible pending points into
         single fused lockstep runs (see :mod:`repro.sim.backends.fused`)
@@ -250,26 +172,10 @@ class StudyPlan:
         to per-point execution.  ``fuse=False`` restores strict per-point
         dispatch, the reference fused runs are checked against.
         """
-        if on_error not in ("raise", "skip", "retry"):
+        if on_error not in ("raise", "skip"):
             raise SpecError(
-                f"on_error must be 'raise', 'skip' or 'retry', got {on_error!r}"
+                f"on_error must be 'raise' or 'skip', got {on_error!r}"
             )
-        if retries < 0:
-            raise SpecError(f"retries must be >= 0, got {retries!r}")
-        if journal is not None and not isinstance(journal, PlanJournal):
-            journal = PlanJournal(journal)
-        if resume and journal is None:
-            raise SpecError("resume=True requires a journal")
-        completed = (
-            {
-                digest
-                for digest, record in journal.load().items()
-                if record.get("status") == "done"
-            }
-            if resume
-            else set()
-        )
-        attempts_allowed = 1 + (retries if on_error == "retry" else 0)
         prefused: Dict[int, Any] = {}
         fused_seconds: Dict[int, float] = {}
         lookups: Dict[int, Tuple[Any, float]] = {}
@@ -282,8 +188,6 @@ class StudyPlan:
         ):
             dispatch_start = time.perf_counter()
             digest = spec.spec_hash()
-            # As StudySpec.run: a stored summary has no counters to replay a
-            # pipeline over, so pipeline-carrying points bypass the store.
             cacheable = store is not None and spec.pipeline is None
             looked_up = lookups.pop(index, None)
             if looked_up is None or digest in published:
@@ -292,11 +196,6 @@ class StudyPlan:
                 looked_up = (store.get(spec) if cacheable else None, 0.0)
             study, lookup_seconds = looked_up
             cached = study is not None
-            if study is None and digest in completed:
-                # The journal says this point finished but the store no
-                # longer has it (different store, pruned entry, quarantined
-                # corruption): fall through and re-run it.
-                completed.discard(digest)
             dispatch_elapsed = (
                 time.perf_counter() - dispatch_start + lookup_seconds
             )
@@ -304,27 +203,18 @@ class StudyPlan:
             attempts = 0
             error = ""
             if study is None:
+                attempts = 1
                 run_start = time.perf_counter()
-                plan = faults.active_plan()
-                for attempt in range(attempts_allowed):
-                    attempts = attempt + 1
-                    try:
-                        plan.maybe_raise(
-                            "sweep-point", point=index, attempt=attempt
-                        )
-                        fused = prefused.pop(index, None)
-                        study = fused if fused is not None else spec.run()
-                        break
-                    except Exception as exc:
-                        error = f"{type(exc).__name__}: {exc}"
-                        if on_error == "raise":
-                            if journal is not None:
-                                journal.append(
-                                    _journal_record(
-                                        spec, digest, "failed", error, attempts
-                                    )
-                                )
-                            raise
+                try:
+                    faults.active_plan().maybe_raise(
+                        "sweep-point", point=index, hash=digest
+                    )
+                    fused = prefused.pop(index, None)
+                    study = fused if fused is not None else spec.run()
+                except Exception as exc:
+                    if on_error == "raise":
+                        raise
+                    error = f"{type(exc).__name__}: {exc}"
                 run_elapsed = (
                     time.perf_counter() - run_start
                     + fused_seconds.pop(index, 0.0)
@@ -342,22 +232,10 @@ class StudyPlan:
                 dispatch_seconds=dispatch_elapsed,
                 run_seconds=run_elapsed,
                 failed=study is None,
-                error=error if study is None else "",
+                error=error,
                 attempts=attempts,
             )
-            if journal is not None:
-                journal.append(
-                    _journal_record(
-                        spec,
-                        digest,
-                        "failed" if result.failed else "done",
-                        result.error,
-                        attempts,
-                    )
-                )
             results.append(result)
-            if progress is not None:
-                progress(result)
         return results
 
     def _prefuse(
@@ -406,24 +284,10 @@ class StudyPlan:
         return studies, seconds, lookups
 
 
-def _journal_record(
-    spec: StudySpec, digest: str, status: str, error: str, attempts: int
-) -> Dict[str, Any]:
-    record: Dict[str, Any] = {
-        "hash": digest,
-        "label": spec.display_label,
-        "status": status,
-        "attempts": attempts,
-    }
-    if error:
-        record["error"] = error
-    return record
-
-
 def sweep_rows(results: Sequence[PlanResult]) -> List[Dict[str, Any]]:
     """Flat per-point rows (overrides + aggregates) for tables/CSV/JSON.
 
-    Failed points (``on_error="skip"``/``"retry"``) contribute a row with
+    Failed points (``on_error="skip"``) contribute a row with
     ``status="failed"`` and their error text instead of aggregates.  Rows
     are normalized to the union of all keys (first-seen order, missing
     values blank), so a sweep mixing failed and successful points still

@@ -34,7 +34,14 @@ from repro.sim.backends.fused import (
 from repro.sim.backends.lockstep import _LockstepRun, build_lockstep_driver
 from repro.sim.backends.studysupport import SeedPlan
 from repro.sim.engine import SimulatorConfig
-from repro.spec import PipelineSpec, StudyPlan, StudySpec, Sweep, sweep_rows
+from repro.spec import (
+    PipelineSpec,
+    StudyPlan,
+    StudySpec,
+    StudyStore,
+    Sweep,
+    sweep_rows,
+)
 from repro.spec.store import result_record
 
 #: Row fields that legitimately differ between dispatch modes (timing only).
@@ -684,15 +691,19 @@ def test_fused_group_fault_degrades_without_corrupting_siblings(seed):
 def test_sweep_point_faults_with_fusion_on(seed):
     """Per-point sweep faults keep their exact semantics under fusion: the
     faulted point fails (its prefused study is discarded unstored), the
-    siblings keep their fused results, and a retry succeeds."""
+    siblings keep their fused results, and a re-run against the same store
+    serves the siblings and re-runs only the failed point."""
     specs = [
         _spec("cjz", 4, "batch", "none", 120, 2, seed + i) for i in range(4)
     ]
     serial = StudyPlan(specs).run(fuse=False)
-    plan = {"rules": [{"site": "sweep-point", "point": 1, "attempt": 0}]}
-    with faults.injected(plan):
-        skipped = StudyPlan(specs).run(fuse=True, on_error="skip")
-        retried = StudyPlan(specs).run(fuse=True, on_error="retry", retries=1)
+    with tempfile.TemporaryDirectory() as root:
+        store = StudyStore(root)
+        with faults.injected({"rules": [{"site": "sweep-point", "point": 1}]}):
+            skipped = StudyPlan(specs).run(
+                store=store, fuse=True, on_error="skip"
+            )
+        rerun = StudyPlan(specs).run(store=store, fuse=True)
     assert skipped[1].failed and "FaultInjected" in skipped[1].error
     for index in (0, 2, 3):
         assert not skipped[index].failed
@@ -700,4 +711,13 @@ def test_sweep_point_faults_with_fusion_on(seed):
         [r for i, r in enumerate(skipped) if i != 1],
         [r for i, r in enumerate(serial) if i != 1],
     )
-    _assert_studies_identical(retried, serial)
+    assert [r.cached for r in rerun] == [True, False, True, True]
+    _assert_studies_identical([rerun[1]], [serial[1]])
+
+    def records(point):
+        wire = [result_record(r) for r in point.study.results]
+        for record in wire:
+            record.pop("wall_time_seconds")
+        return wire
+
+    assert [records(r) for r in rerun] == [records(r) for r in serial]

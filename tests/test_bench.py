@@ -224,6 +224,26 @@ class TestServiceSuite:
         assert "service bench job" in str(caught.value)
 
 
+class TestRecoverySuite:
+    def test_replays_the_backlog_from_the_store(self):
+        from repro.bench import run_recovery_suite
+
+        (record,) = run_recovery_suite(seed=7, repeats=1)
+        assert record["id"] == "service-recovery"
+        assert record["params"]["jobs"] == 64
+        assert record["jobs_per_second"] > 0
+
+
+class TestFusedSweepSuite:
+    def test_fused_rows_equal_per_point_rows(self):
+        # The suite raises when the fused rows differ from per-point ones.
+        from repro.bench import run_fused_sweep_suite
+
+        (record,) = run_fused_sweep_suite(seed=7, repeats=1)
+        assert record["id"] == "sweep-fused-grid"
+        assert record["fused_speedup"] > 0
+
+
 class TestDispatchSuite:
     @pytest.fixture(scope="class")
     def dispatch_records(self):

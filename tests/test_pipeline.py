@@ -503,7 +503,7 @@ class TestStudySpecIntegration:
         assert study.memory_bytes() == 0
 
     def test_pipeline_runs_skip_store(self, tmp_path):
-        from repro.spec import StudyStore
+        from repro.spec import StudyPlan, StudyStore
 
         store = StudyStore(tmp_path)
         spec = StudySpec(
@@ -511,9 +511,9 @@ class TestStudySpecIntegration:
             trials=2,
             pipeline=PipelineSpec(reducers=({"kind": "latency"},)),
         )
-        spec.run(store=store)
+        StudyPlan([spec]).run(store=store)
         assert store.entries() == []
         # Streaming-only runs still cache (the summary surface is intact).
         plain = StudySpec(horizon=128, trials=2, streaming=True)
-        plain.run(store=store)
+        StudyPlan([plain]).run(store=store)
         assert store.entries() == [plain.spec_hash()]

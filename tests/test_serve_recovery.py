@@ -163,7 +163,7 @@ class TestRestartRecovery:
         from repro.serve import ShardedStudyStore
 
         store = ShardedStudyStore(store_root, shards=2)
-        spec.run(store=store)
+        StudyPlan([spec]).run(store=store)
         journal = ServeJournal(journal_path)
         journal.record(spec.spec_hash(), "accepted", spec=spec.to_dict())
         journal.record(spec.spec_hash(), "running")
@@ -217,7 +217,7 @@ class TestDeadline:
             assert outcome.status == "failed"
             assert "deadline" in outcome.error
             assert bg.server.stats.requeued == 1
-        state = ServeJournal(tmp_path / "wal.jsonl").load()
+        state = ServeJournal(tmp_path / "wal.jsonl").replay()[0]
         statuses = [r["status"] for r in state.values()]
         assert statuses == ["failed"]
 
@@ -525,6 +525,6 @@ class TestDaemonCrashRestart:
         assert code == 0
         # Every accepted job reached a terminal, journaled state.
         assert ServeJournal(journal).unfinished() == {}
-        state = ServeJournal(journal).load()
+        state = ServeJournal(journal).replay()[0]
         for spec in specs:
             assert state[spec.spec_hash()]["status"] in ("done", "cached")

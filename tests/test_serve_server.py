@@ -22,6 +22,7 @@ from repro.sim.backends import fused as fused_module
 from repro.sim.backends.fused import fusion_budget
 from repro.spec import (
     AdversarySpec,
+    PipelineSpec,
     ProtocolSpec,
     StudyPlan,
     StudySpec,
@@ -185,7 +186,7 @@ class TestFailures:
             {
                 "rules": [
                     {
-                        "site": "serve-job",
+                        "site": "sweep-point",
                         "hash": spec.spec_hash(),
                         "times": 1,
                     }
@@ -314,6 +315,45 @@ class TestStoreTraffic:
             assert semantic_records(outcome.study) == semantic_records(spec.run())
         assert gets == {spec.spec_hash(): 2 for spec in pair}
         assert puts == {spec.spec_hash(): 1 for spec in pair}
+
+    def test_failed_member_of_a_fused_group_is_never_stored(
+        self, tmp_path, monkeypatch
+    ):
+        """A fault pinned to the middle job of a fused group fails that
+        job alone: its siblings keep their fused results and are each
+        written once, and the failed job is never written."""
+        gets, puts = self.count_store_calls(monkeypatch)
+        groups = self.record_fused_groups(monkeypatch)
+        trio = [cjz_spec(seed=6004), cjz_spec(seed=6005), cjz_spec(seed=6006)]
+        failing = trio[1].spec_hash()
+        with faults.injected(
+            {"rules": [{"site": "sweep-point", "hash": failing}]}
+        ):
+            outcomes = self.serve(tmp_path, trio)
+        assert groups == [3]
+        assert outcomes[1].status == "failed"
+        assert "FaultInjected" in outcomes[1].error
+        for index in (0, 2):
+            assert outcomes[index].ok
+            assert semantic_records(outcomes[index].study) == semantic_records(
+                trio[index].run()
+            )
+        assert gets == {spec.spec_hash(): 2 for spec in trio}
+        assert puts == {trio[0].spec_hash(): 1, trio[2].spec_hash(): 1}
+
+    def test_pipeline_job_is_served_but_never_stored(self, tmp_path, monkeypatch):
+        """A stored summary has no counters to replay a pipeline over, so
+        an executed job whose spec carries one is not written back."""
+        gets, puts = self.count_store_calls(monkeypatch)
+        spec = cjz_spec(seed=6007).with_pipeline(
+            PipelineSpec(reducers=({"kind": "latency"},))
+        )
+        outcome = self.serve(tmp_path, spec)[0]
+        assert outcome.ok
+        assert semantic_records(outcome.study) == semantic_records(spec.run())
+        # Read once, at submit; the claimed plan neither reads nor writes it.
+        assert gets == {spec.spec_hash(): 1}
+        assert puts == {}
 
 
 class TestFusableDrain:

@@ -89,17 +89,17 @@ class TestStudyStore:
         store = StudyStore(tmp_path)
         spec = aloha_spec(horizon=256)
         assert store.get(spec) is None
-        study = spec.run(store=store)
+        study = StudyPlan([spec]).run(store=store)[0].study
         assert not study.from_cache
-        cached = spec.run(store=store)
+        cached = StudyPlan([spec]).run(store=store)[0].study
         assert cached.from_cache
         assert cached.summary_row() == study.summary_row()
 
     def test_cached_study_preserves_per_trial_metrics(self, tmp_path):
         store = StudyStore(tmp_path)
         spec = aloha_spec(horizon=256, trials=3)
-        live = spec.run(store=store)
-        cached = spec.run(store=store)
+        live = StudyPlan([spec]).run(store=store)[0].study
+        cached = StudyPlan([spec]).run(store=store)[0].study
         assert [r.total_successes for r in cached] == [
             r.total_successes for r in live
         ]
@@ -140,7 +140,7 @@ class TestStudyStore:
     def test_cached_result_refuses_prefix_throughput(self, tmp_path):
         store = StudyStore(tmp_path)
         spec = aloha_spec(horizon=256)
-        spec.run(store=store)
+        StudyPlan([spec]).run(store=store)
         cached = store.get(spec).results[0]
         assert cached.classical_throughput() == cached.classical_throughput(256)
         with pytest.raises(SpecError):
@@ -149,7 +149,7 @@ class TestStudyStore:
     def test_entries_lists_hashes(self, tmp_path):
         store = StudyStore(tmp_path)
         spec = aloha_spec(horizon=256)
-        spec.run(store=store)
+        StudyPlan([spec]).run(store=store)
         assert store.entries() == [spec.spec_hash()]
 
 
@@ -279,12 +279,6 @@ class TestStudyPlan:
         )
         assert _untimed(sweep_rows(points)) == _untimed(sweep_rows(unfused))
 
-    def test_progress_callback_sees_every_point(self):
-        seen = []
-        sweep = Sweep(aloha_spec(horizon=128), {"horizon": [128, 256]})
-        StudyPlan.from_sweep(sweep).run(progress=seen.append)
-        assert [p.spec.horizon for p in seen] == [128, 256]
-
     def test_rows_carry_overrides_and_aggregates(self):
         sweep = Sweep(aloha_spec(horizon=128), {"trials": [1, 2]})
         rows = sweep_rows(StudyPlan.from_sweep(sweep).run())
@@ -346,6 +340,34 @@ class TestSweepCli:
         assert out.startswith("label,")
         assert "adversarial-jam" in out
 
+    def test_cli_sweep_exits_1_when_a_point_failed(self, capsys, monkeypatch):
+        from repro.cli import main
+
+        monkeypatch.setenv(
+            "REPRO_FAULTS", '{"rules": [{"site": "sweep-point", "point": 0}]}'
+        )
+        code = main(
+            [
+                "sweep",
+                "--scenario",
+                "adversarial-jam",
+                "--axis",
+                "seed=1,2",
+                "--axis",
+                "horizon=256",
+                "--trials",
+                "1",
+                "--no-store",
+                "--on-error",
+                "skip",
+                "--format",
+                "json",
+            ]
+        )
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["status"] for row in rows] == ["failed", "ok"]
+        assert code == 1
+
     def test_cli_bad_axis_reports_error(self, capsys):
         from repro.cli import main
 
@@ -390,10 +412,10 @@ class TestStoreQuarantine:
     def test_quarantined_point_reruns_and_heals(self, tmp_path):
         store = StudyStore(tmp_path)
         spec = aloha_spec(horizon=256)
-        live = spec.run(store=store)
+        live = StudyPlan([spec]).run(store=store)[0].study
         store.path_for(spec).write_text("{torn")
         with pytest.warns(RuntimeWarning):
-            healed = spec.run(store=store)
+            healed = StudyPlan([spec]).run(store=store)[0].study
         assert not healed.from_cache
         timing = ("mean_wall_time_s", "mean_slots_per_s")
         assert {
@@ -433,19 +455,6 @@ class TestResumableSweep:
         assert "FaultInjected" in results[1].error
         assert results[1].attempts == 1
 
-    def test_on_error_retry_reattempts_before_skipping(self, tmp_path):
-        from repro import faults
-
-        # attempt 0 fails, attempt 1 succeeds (the rule pins attempt=0).
-        with faults.injected(
-            {"rules": [{"site": "sweep-point", "point": 1, "attempt": 0}]}
-        ):
-            results = self._plan().run(
-                store=StudyStore(tmp_path), on_error="retry", retries=1
-            )
-        assert not any(r.failed for r in results)
-        assert results[1].attempts == 2
-
     def test_on_error_raise_propagates(self):
         from repro import faults
         from repro.errors import FaultInjected
@@ -458,54 +467,22 @@ class TestResumableSweep:
         with pytest.raises(SpecError, match="on_error"):
             self._plan().run(on_error="explode")
 
-    def test_resume_requires_journal(self):
-        with pytest.raises(SpecError, match="journal"):
-            self._plan().run(resume=True)
-
-    def test_journal_records_outcomes(self, tmp_path):
-        from repro import faults
-        from repro.spec import PlanJournal
-
-        journal = PlanJournal(tmp_path / "journal.jsonl")
-        with faults.injected({"rules": [{"site": "sweep-point", "point": 2}]}):
-            self._plan().run(
-                store=StudyStore(tmp_path / "store"),
-                on_error="skip",
-                journal=journal,
-            )
-        state = journal.load()
-        statuses = sorted(record["status"] for record in state.values())
-        assert statuses == ["done", "done", "failed"]
-
     def test_resume_skips_done_and_reattempts_failed(self, tmp_path):
         from repro import faults
-        from repro.spec import PlanJournal
 
         store = StudyStore(tmp_path / "store")
-        journal = PlanJournal(tmp_path / "journal.jsonl")
         with faults.injected({"rules": [{"site": "sweep-point", "point": 1}]}):
-            first = self._plan().run(
-                store=store, on_error="skip", journal=journal
-            )
+            first = self._plan().run(store=store, on_error="skip")
         assert first[1].failed
-        # No faults now: the resumed run serves done points from the store
-        # (attempts == 0) and re-runs only the failed one.
-        second = self._plan().run(store=store, journal=journal, resume=True)
+        assert store.entries() == sorted(
+            first[i].spec.spec_hash() for i in (0, 2)
+        )
+        # No faults now: a re-run against the same store serves the done
+        # points from it (attempts == 0) and re-runs only the failed one.
+        second = self._plan().run(store=store)
         assert not any(r.failed for r in second)
         assert [r.attempts for r in second] == [0, 1, 0]
         assert [r.cached for r in second] == [True, False, True]
-        assert all(
-            record["status"] == "done" for record in journal.load().values()
-        )
-
-    def test_journal_tolerates_torn_trailing_line(self, tmp_path):
-        from repro.spec import PlanJournal
-
-        journal = PlanJournal(tmp_path / "journal.jsonl")
-        journal.append({"hash": "abc", "status": "done"})
-        with journal.path.open("a") as handle:
-            handle.write('{"hash": "def", "sta')  # writer died mid-append
-        assert list(journal.load()) == ["abc"]
 
     def test_failed_rows_stay_rectangular(self, tmp_path):
         from repro import faults
