@@ -666,7 +666,7 @@ def run_service_suite(
     specs = [base.with_overrides({"seed": seed + index}) for index in range(4)]
     with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as root:
         with BackgroundServer(
-            root, shards=2, workers=2, deadline=_SERVICE_DEADLINE_S, requeues=0
+            root, workers=2, deadline=_SERVICE_DEADLINE_S, requeues=0
         ) as server:
             client = ServeClient(
                 *server.address, timeout=2 * _SERVICE_DEADLINE_S, retries=0

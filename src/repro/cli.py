@@ -34,7 +34,7 @@ Run the benchmark suite and persist the performance trajectory::
 
 Serve StudySpec JSON over TCP (deduped async job queue + sharded store)::
 
-    python -m repro.cli serve --port 7421 --workers 4 --shards 4
+    python -m repro.cli serve --port 7421 --workers 4
     python -m repro.cli submit --server :7421 --scenario adversarial-jam \\
         --axis horizon=4096,8192
     python -m repro.cli sweep --server :7421 --scenario adversarial-jam \\
@@ -206,20 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--store-root",
         default=".repro-store",
-        help="sharded store directory (default .repro-store)",
-    )
-    serve_parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard directories behind the consistent-hash ring (default 2; "
-        "an existing store keeps its ring.json topology)",
-    )
-    serve_parser.add_argument(
-        "--virtual-nodes",
-        type=int,
-        default=None,
-        help="virtual nodes per shard on the ring (default 128)",
+        help="sharded store directory; an existing store keeps its ring.json "
+        "topology, a new one gets 2 shards (default .repro-store)",
     )
     serve_parser.add_argument(
         "--store-budget",
@@ -307,11 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     store_parser = subparsers.add_parser(
         "store",
         help="inspect and maintain a sharded study store "
-        "(stats / evict / rebalance / scrub)",
+        "(stats / evict / scrub)",
     )
-    store_parser.add_argument(
-        "action", choices=["stats", "evict", "rebalance", "scrub"]
-    )
+    store_parser.add_argument("action", choices=["stats", "evict", "scrub"])
     store_parser.add_argument(
         "--root",
         default=".repro-store",
@@ -323,18 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="BYTES",
         help="per-shard byte budget for evict",
-    )
-    store_parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="new shard count for rebalance (default: keep current)",
-    )
-    store_parser.add_argument(
-        "--virtual-nodes",
-        type=int,
-        default=None,
-        help="new virtual-node count for rebalance",
     )
     store_parser.add_argument(
         "--format", choices=["text", "json"], default="text"
@@ -737,9 +711,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     host = args.host or os.environ.get("REPRO_SERVE_HOST") or "127.0.0.1"
     port = args.port if args.port is not None else _env_int("REPRO_SERVE_PORT", 7421)
-    store = ShardedStudyStore(
-        args.store_root, shards=args.shards, virtual_nodes=args.virtual_nodes
-    )
+    store = ShardedStudyStore(args.store_root)
 
     async def _daemon() -> None:
         server = SweepServer(
@@ -851,19 +823,15 @@ def _cmd_client(args: argparse.Namespace) -> int:
 def _cmd_store(args: argparse.Namespace) -> int:
     from .serve import ShardedStudyStore
 
-    store = ShardedStudyStore(args.root, shards=None, virtual_nodes=None)
+    store = ShardedStudyStore(args.root)
     if args.action == "stats":
         report = store.stats()
     elif args.action == "evict":
         if args.budget is None:
             raise SpecError("repro store evict needs --budget BYTES")
         report = store.evict(args.budget)
-    elif args.action == "scrub":
+    else:  # scrub
         report = store.scrub()
-    else:  # rebalance
-        report = store.rebalance(
-            shards=args.shards, virtual_nodes=args.virtual_nodes
-        )
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
@@ -886,7 +854,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
             f"{report['budget_bytes']:,} bytes/shard"
             + (f"; still over budget: {', '.join(over)}" if over else "")
         )
-    elif args.action == "scrub":
+    else:
         lost = report["lost_shards"]
         print(
             f"scrubbed {report['scanned']} entries: {report['ok']} verified, "
@@ -896,12 +864,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
         )
         for digest in report["quarantined"]:
             print(f"  quarantined {digest}")
-    else:
-        print(
-            f"rebalanced to {len(report['shards'])} shards "
-            f"({report['virtual_nodes']} vnodes): {report['moved']} moved, "
-            f"{report['kept']} kept"
-        )
     return 0
 
 

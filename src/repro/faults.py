@@ -40,10 +40,6 @@ Injection sites (the string each instrumented component asks about):
                        wedges (coords: ``hash`` of the lead job,
                        ``worker``) — the job deadline must requeue the
                        group's jobs, then fail them once requeues run out
-``shard-loss``         one shard of a sharded study store is unavailable
-                       (coords: ``shard``) — reads become misses and
-                       writes no-ops, each with a health event, never a
-                       crash
 =====================  ======================================================
 
 Rules either name exact coordinates (``{"site": "worker-crash", "shard": 1,
@@ -93,7 +89,6 @@ KNOWN_SITES = (
     "conn-drop",
     "wal-torn",
     "dispatcher-hang",
-    "shard-loss",
 )
 
 

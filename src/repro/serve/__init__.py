@@ -22,9 +22,10 @@ promotes it into a small serving subsystem, four layers deep:
 * **Sharded store** (:mod:`repro.serve.sharded`) —
   :class:`ShardedStudyStore` implements the :class:`~repro.spec.StudyStore`
   surface but routes each ``spec_hash()`` to one of K shard directories via
-  a consistent-hash ring (:class:`ConsistentHashRing`, configurable virtual
-  nodes), with an LRU-by-atime eviction policy under a byte budget and
-  ``repro store stats|evict|rebalance`` maintenance commands.
+  a consistent-hash ring (:class:`ConsistentHashRing`) whose topology is
+  fixed when the store is created, with an LRU-by-atime eviction policy
+  under a byte budget and ``repro store stats|evict|scrub`` maintenance
+  commands.
 * **Client** (:mod:`repro.serve.client`) — :class:`ServeClient`, the
   synchronous library client behind ``repro submit`` / ``repro client``
   and ``repro sweep --server host:port``: per-request socket timeouts and
@@ -40,7 +41,7 @@ seed-for-seed the same summaries as ``StudyPlan.run`` with a plain
 ``StudyStore``.
 """
 
-from .client import JobOutcome, ServeClient, study_from_payload
+from .client import JobOutcome, ServeClient
 from .protocol import PROTOCOL_VERSION, decode_line, encode_message
 from .ring import ConsistentHashRing
 from .server import BackgroundServer, ServerStats, SweepServer
@@ -60,5 +61,4 @@ __all__ = [
     "SweepServer",
     "decode_line",
     "encode_message",
-    "study_from_payload",
 ]

@@ -4,10 +4,10 @@
 client`` and ``repro sweep --server``: a blocking, connection-per-request
 TCP client that speaks the protocol of :mod:`repro.serve.protocol` with
 nothing beyond the stdlib.  Results arrive as the store's summary records
-and are rehydrated into :class:`~repro.sim.TrialStudy` objects
-(:func:`study_from_payload`), so everything downstream — ``summary_row()``,
-``sweep_rows``, the analysis tables — works identically on served and
-local studies.
+and are rehydrated into :class:`~repro.sim.TrialStudy` objects by the
+store's own decoder (:func:`~repro.spec.store.study_from_record`), so
+everything downstream — ``summary_row()``, ``sweep_rows``, the analysis
+tables — works identically on served and local studies.
 
 The client is *resilient by default*: every socket operation carries a
 timeout (``REPRO_SERVE_TIMEOUT``, default 300 s — a dead server can never
@@ -33,6 +33,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .. import faults
 from ..errors import ServeError, ServeRetriable, ServeTimeout, ServeUnavailable
+from ..spec.store import study_from_record
 from ..spec.study import StudySpec
 from ..spec.sweep import PlanResult, Sweep
 from .protocol import decode_line, encode_message
@@ -43,7 +44,6 @@ __all__ = [
     "DEFAULT_TIMEOUT",
     "JobOutcome",
     "ServeClient",
-    "study_from_payload",
 ]
 
 #: Socket timeout when neither the constructor nor the env overrides it.
@@ -78,22 +78,6 @@ def _env_int(name: str, default: int) -> int:
         raise ServeError(f"{name} must be an integer, got {raw!r}") from None
 
 
-def study_from_payload(payload: Mapping[str, Any]):
-    """Rehydrate a study from its wire payload (summary surface only)."""
-    from ..sim.health import RunHealth
-    from ..sim.runner import TrialStudy
-    from ..spec.store import record_result
-
-    health_data = payload.get("health") or {}
-    return TrialStudy(
-        results=[record_result(r) for r in payload.get("results", [])],
-        label=str(payload.get("label", "")),
-        effective_workers=int(payload.get("effective_workers", 1)),
-        from_cache=bool(payload.get("from_cache", False)),
-        health=RunHealth.from_dict(health_data),
-    )
-
-
 @dataclass
 class JobOutcome:
     """One job's terminal report as received from the server."""
@@ -115,8 +99,11 @@ class JobOutcome:
     @classmethod
     def from_event(cls, event: Mapping[str, Any]) -> "JobOutcome":
         study = None
-        if event.get("study") is not None:
-            study = study_from_payload(event["study"])
+        payload = event.get("study")
+        if payload is not None:
+            study = study_from_record(
+                payload, from_cache=bool(payload.get("from_cache", False))
+            )
         return cls(
             hash=str(event.get("hash", "")),
             status=str(event.get("status", "unknown")),

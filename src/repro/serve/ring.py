@@ -3,12 +3,9 @@
 Each shard contributes ``virtual_nodes`` points on a 64-bit ring (the
 first 8 bytes of ``sha256("<shard>#<v>")``); a key routes to the owner of
 the first point at or after its own hash, wrapping around.  Virtual nodes
-smooth the load split, and — the property the sharded store relies on —
-adding or removing one shard only remaps the keys whose successor point
-belonged to that shard: an expected ``1/K`` of the keyspace, never keys
-between two surviving shards.  Membership and placement are pure functions
-of the shard names, so every process that knows the topology computes the
-same routing without coordination.
+smooth the load split.  Membership and placement are pure functions of the
+shard names, so every process that knows the topology computes the same
+routing without coordination.
 """
 
 from __future__ import annotations
@@ -84,12 +81,3 @@ class ConsistentHashRing:
         for key in keys:
             counts[self.node_for(key)] += 1
         return counts
-
-    def with_nodes(
-        self, nodes: Iterable[str], virtual_nodes: int | None = None
-    ) -> "ConsistentHashRing":
-        """A ring over a different membership, same vnode count by default."""
-        return ConsistentHashRing(
-            nodes,
-            self._virtual_nodes if virtual_nodes is None else virtual_nodes,
-        )

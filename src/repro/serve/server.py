@@ -19,8 +19,10 @@ execution model:
   sweep, so served results are seed-for-seed identical to
   ``StudyPlan.run``.  Two or more store misses run as one fused lockstep
   run (a fused failure degrades each member to its own
-  ``StudySpec.run``), each executed job is written back once unless its
-  spec carries a metric pipeline, and a job whose run raises fails alone.
+  ``StudySpec.run``), each executed job is written back once, and a job
+  whose run raises fails alone.  A submit carrying a spec with a metric
+  pipeline is refused whole: the wire payload is the store's summary
+  record, which keeps no per-slot counters for a pipeline to reduce.
   Every job keeps its own status row, dedupe entry and ``executed`` /
   ``failed`` accounting, and :class:`~repro.sim.health.RunHealth` events
   of the supervised worker pool (crashes, retries, demotions) surface in
@@ -57,11 +59,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .. import faults
 from ..errors import ReproError, ServeError
-from ..spec.store import result_record
+from ..spec.store import study_record
 from ..spec.study import StudySpec
 from ..spec.sweep import StudyPlan, Sweep
 from .protocol import (
@@ -89,14 +91,10 @@ JOB_STATES = ("queued", "running", "done", "failed", "cached")
 
 
 def study_payload(study) -> Dict[str, Any]:
-    """Wire form of a study: the store's summary records + provenance."""
-    health = getattr(study, "health", None)
+    """Wire form of a study: the store's summary record + provenance."""
     return {
-        "label": study.label,
-        "effective_workers": int(getattr(study, "effective_workers", 1)),
+        **study_record(study),
         "from_cache": bool(getattr(study, "from_cache", False)),
-        "results": [result_record(result) for result in study.results],
-        "health": health.to_dict() if health is not None else {},
     }
 
 
@@ -311,14 +309,15 @@ class SweepServer:
         if self._journal is None:
             return 0
         recovered = 0
-        for entry in self._journal.unfinished().values():
+        for accepted in self._journal.unfinished().values():
             try:
-                spec = StudySpec.from_dict(entry["spec"])
+                spec = StudySpec.from_dict(accepted["spec"])
             except ReproError:
                 continue  # an unparseable journaled spec cannot be re-run
-            record = entry.get("record", {})
+            if spec.pipeline is not None:
+                continue  # refused at submit; only an older journal holds one
             try:
-                priority = int(record.get("priority", 0))
+                priority = int(accepted.get("priority", 0))
             except (TypeError, ValueError):
                 priority = 0
             self._submit_spec(spec, priority)
@@ -674,22 +673,32 @@ class SweepServer:
 
     def _specs_from_message(self, message: Dict[str, Any]) -> List[StudySpec]:
         if "spec" in message:
-            raw: Iterable[Any] = [message["spec"]]
+            specs = [StudySpec.from_dict(message["spec"])]
         elif "specs" in message:
             raw = message["specs"]
             if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
                 raise ServeError("'specs' must be a list of study specs")
+            specs = [StudySpec.from_dict(entry) for entry in raw]
         elif "sweep" in message:
             sweep = message["sweep"]
             if not isinstance(sweep, dict):
                 raise ServeError("'sweep' must be {'base': ..., 'axes': ...}")
             base = StudySpec.from_dict(sweep.get("base", {}))
-            return Sweep(base, sweep.get("axes", {})).expand()
+            specs = Sweep(base, sweep.get("axes", {})).expand()
         else:
             raise ServeError("submit needs 'spec', 'specs' or 'sweep'")
-        specs = [StudySpec.from_dict(entry) for entry in raw]
         if not specs:
             raise ServeError("submit carried no specs")
+        # A served study is the store's summary record, which keeps no
+        # per-slot counters to reduce, and a pipeline spec hashes like its
+        # plain twin, so the daemon would answer it with the twin's result.
+        for spec in specs:
+            if spec.pipeline is not None:
+                raise ServeError(
+                    f"spec {spec.display_label!r} carries a metric pipeline; "
+                    "the sweep service does not serve pipelines — run it "
+                    "locally through StudyPlan.run"
+                )
         return specs
 
     async def _op_submit(
@@ -818,9 +827,11 @@ async def _cancel_all(tasks: List[asyncio.Task]) -> None:
 class BackgroundServer:
     """A :class:`SweepServer` on its own event loop in a daemon thread.
 
-    Context-manager harness for tests, benchmarks and library embedding::
+    It opens ``store_root`` as its ``ring.json`` describes, or creates the
+    default 2-shard store there.  Context-manager harness for tests,
+    benchmarks and library embedding::
 
-        with BackgroundServer(store_root, shards=2, workers=2) as server:
+        with BackgroundServer(store_root, workers=2) as server:
             client = ServeClient(*server.address)
             ...
     """
@@ -828,9 +839,7 @@ class BackgroundServer:
     def __init__(
         self,
         store_root: Union[str, Path],
-        shards: int = 2,
         workers: int = 2,
-        virtual_nodes: Optional[int] = None,
         store_budget: Optional[int] = None,
         host: str = "127.0.0.1",
         journal: Optional[Union[str, Path]] = None,
@@ -839,9 +848,7 @@ class BackgroundServer:
         port: int = 0,
     ) -> None:
         self._store_root = store_root
-        self._shards = shards
         self._workers = workers
-        self._virtual_nodes = virtual_nodes
         self._budget = store_budget
         self._host = host
         self._journal = journal
@@ -895,13 +902,8 @@ class BackgroundServer:
 
     async def _main(self, started: threading.Event) -> None:
         self._loop = asyncio.get_running_loop()
-        store = ShardedStudyStore(
-            self._store_root,
-            shards=self._shards,
-            virtual_nodes=self._virtual_nodes,
-        )
         self._server = SweepServer(
-            store,
+            ShardedStudyStore(self._store_root),
             host=self._host,
             port=self._port,
             workers=self._workers,

@@ -1,27 +1,29 @@
-"""Consistent-hash sharded study store with eviction and rebalancing.
+"""Consistent-hash sharded study store with eviction.
 
-:class:`ShardedStudyStore` implements the exact get/put/contains/entries
-surface of :class:`~repro.spec.StudyStore`, but routes each study's
+:class:`ShardedStudyStore` implements the get/put/contains/entries surface
+of :class:`~repro.spec.StudyStore`, but routes each study's
 ``spec_hash()`` to one of K shard directories through a
 :class:`~repro.serve.ring.ConsistentHashRing`.  Each shard directory *is* a
 plain ``StudyStore`` (same layout, same atomic writes, same corruption
 quarantine), so a shard can always be opened, inspected or salvaged as an
 ordinary store.
 
-The topology (shard names + virtual-node count) is persisted to
-``<root>/ring.json`` when the store is first created, and every later open
-loads it — two processes over the same root always agree on placement.
-Changing the shard count is an explicit :meth:`rebalance`, which rewrites
-the topology and moves only the entries whose owner changed (the
-consistent-hash property: an expected ``1/K`` of them).
+The topology is fixed when the store is created: the shard names and the
+virtual-node count are written to ``<root>/ring.json`` then, and every
+later open loads them, so two processes over the same root always agree on
+placement.  A different shard count needs a different store root.
+
+A shard whose own calls raise ``OSError`` (permissions, a yanked mount)
+degrades instead of failing: its reads become misses and its writes
+no-ops, each recorded as a ``shard-loss`` health event, so heavy traffic
+over a sick disk does not take the service down.
 
 Because a cache of millions of studies cannot grow unbounded, the store has
 an eviction policy: :meth:`evict` brings every shard under a byte budget by
 deleting entries LRU-by-atime — except entries written through *this* store
 instance (or newer on disk than its open time), which are never evicted:
 a long sweep can trim the cache behind itself without cannibalising its own
-run.  ``repro store stats|evict|rebalance`` expose all of this from the
-shell.
+run.  ``repro store stats|evict|scrub`` expose all of this from the shell.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from .. import faults
 from ..errors import SpecError
 from ..sim import health
 from ..spec.store import StudyStore
@@ -50,18 +51,11 @@ _DEFAULT_SHARDS = 2
 _MTIME_GRANULARITY_S = 2.0
 
 
-def _shard_names(count: int) -> List[str]:
-    return [f"shard-{index:02d}" for index in range(count)]
-
-
 class ShardedStudyStore:
     """K shard directories behind one ``StudyStore``-shaped facade."""
 
     def __init__(
-        self,
-        root: Union[str, Path],
-        shards: Optional[int] = None,
-        virtual_nodes: Optional[int] = None,
+        self, root: Union[str, Path], shards: Optional[int] = None
     ) -> None:
         self._root = Path(root)
         config = self._load_ring_config()
@@ -71,24 +65,15 @@ class ShardedStudyStore:
             if shards is not None and int(shards) != len(names):
                 raise SpecError(
                     f"store at {self._root} is sharded {len(names)} ways "
-                    f"(ring.json); requested {int(shards)} — use rebalance "
-                    "to change the topology"
-                )
-            if virtual_nodes is not None and int(virtual_nodes) != vnodes:
-                raise SpecError(
-                    f"store at {self._root} uses {vnodes} virtual nodes "
-                    f"(ring.json); requested {int(virtual_nodes)} — use "
-                    "rebalance to change the topology"
+                    f"(ring.json); requested {int(shards)} — a different "
+                    "shard count needs a different store root"
                 )
         else:
-            names = _shard_names(_DEFAULT_SHARDS if shards is None else int(shards))
-            vnodes = (
-                DEFAULT_VIRTUAL_NODES
-                if virtual_nodes is None
-                else int(virtual_nodes)
-            )
-            if not names:
+            count = _DEFAULT_SHARDS if shards is None else int(shards)
+            if count < 1:
                 raise SpecError("a sharded store needs at least one shard")
+            names = [f"shard-{index:02d}" for index in range(count)]
+            vnodes = DEFAULT_VIRTUAL_NODES
             self._write_ring_config(names, vnodes)
         self._ring = ConsistentHashRing(names, vnodes)
         self._stores = {name: StudyStore(self._root / name) for name in names}
@@ -170,33 +155,8 @@ class ShardedStudyStore:
     def __contains__(self, spec_or_hash: Union[StudySpec, str]) -> bool:
         return self.path_for(spec_or_hash).exists()
 
-    def _shard_lost(self, name: str) -> bool:
-        """Whether a shard is unavailable (injected fault or unreadable dir).
-
-        A shard directory that exists but cannot be listed (permissions,
-        yanked mount) is *lost*, not corrupt: its entries degrade to misses
-        and its writes to no-ops, each recorded as a ``shard-loss`` health
-        event — heavy traffic over a sick disk must not take the service
-        down.  A merely *absent* directory is a healthy empty shard.
-        """
-        if faults.active_plan().fires("shard-loss", shard=name):
-            return True
-        root = self._stores[name].root
-        try:
-            if root.exists():
-                with os.scandir(root) as entries:
-                    next(entries, None)
-        except OSError:
-            return True
-        return False
-
     def get(self, spec: StudySpec):
         name = self.shard_for(spec)
-        if self._shard_lost(name):
-            health.note(
-                "shard-loss", "store", f"{name} unavailable; reading as a miss"
-            )
-            return None
         try:
             return self._stores[name].get(spec)
         except OSError as exc:
@@ -209,11 +169,6 @@ class ShardedStudyStore:
         digest = spec.spec_hash()
         name = self._ring.node_for(digest)
         path = self._stores[name].path_for(digest)
-        if self._shard_lost(name):
-            health.note(
-                "shard-loss", "store", f"{name} unavailable; result not cached"
-            )
-            return path
         try:
             path = self._stores[name].put(spec, study)
         except OSError as exc:
@@ -247,10 +202,11 @@ class ShardedStudyStore:
             "lost_shards": [],
         }
         for name, store in self._stores.items():
-            if self._shard_lost(name):
-                report["lost_shards"].append(name)
-                continue
             try:
+                # Path.glob silently skips a directory it may not read, so
+                # list the shard once to tell a lost shard from an empty one.
+                if store.root.exists():
+                    os.scandir(store.root).close()
                 shard_report = store.scrub()
             except OSError:
                 report["lost_shards"].append(name)
@@ -359,52 +315,4 @@ class ShardedStudyStore:
             "freed_bytes": freed,
             "budget_bytes": int(budget_bytes),
             "over_budget_shards": over_budget,
-        }
-
-    # ------------------------------------------------------- rebalancing
-
-    def rebalance(
-        self,
-        shards: Optional[int] = None,
-        virtual_nodes: Optional[int] = None,
-    ) -> Dict[str, Any]:
-        """Move entries to their home shards (optionally changing topology).
-
-        With ``shards``/``virtual_nodes`` the ring is rewritten first; the
-        consistent-hash property keeps the move set to the expected 1/K of
-        entries on a one-shard change.  Without arguments it repairs
-        placement (e.g. after files were copied in by hand).  Moves are
-        atomic per entry (``os.replace`` within one filesystem), so readers
-        racing a rebalance see each entry at exactly one of its two homes.
-        """
-        names = self.shards
-        vnodes = self._ring.virtual_nodes
-        if shards is not None:
-            if int(shards) < 1:
-                raise SpecError("a sharded store needs at least one shard")
-            names = _shard_names(int(shards))
-        if virtual_nodes is not None:
-            vnodes = int(virtual_nodes)
-        new_ring = ConsistentHashRing(names, vnodes)
-        new_stores = {name: StudyStore(self._root / name) for name in names}
-        moved = 0
-        kept = 0
-        for store in self._stores.values():
-            for path in self._entry_paths(store):
-                digest = path.stem
-                target = new_stores[new_ring.node_for(digest)].path_for(digest)
-                if target == path:
-                    kept += 1
-                    continue
-                target.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(path, target)
-                moved += 1
-        self._write_ring_config(list(names), vnodes)
-        self._ring = new_ring
-        self._stores = new_stores
-        return {
-            "shards": list(names),
-            "virtual_nodes": vnodes,
-            "moved": moved,
-            "kept": kept,
         }

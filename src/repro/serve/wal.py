@@ -6,9 +6,9 @@ transition (``accepted`` / ``running`` / ``requeued`` / ``done`` /
 ``failed``) keyed by ``spec_hash()``.  Every *accepted* record carries the
 full spec JSON, so the journal alone is enough to reconstruct the backlog
 after a crash — :meth:`replay` returns the latest status per job plus the
-spec of every job whose spec was ever journaled, and the server re-queues
-whatever is not terminal (answering already-completed jobs from the study
-store).
+``accepted`` record (spec and priority) of every job that has one, and the
+server re-queues whatever is not terminal at its accepted priority
+(answering already-completed jobs from the study store).
 
 The file is torn-line-tolerant JSONL: a process killed mid-append leaves
 a torn trailing line that the next read simply drops, and the next append
@@ -35,9 +35,9 @@ JOB_TERMINAL_STATES = ("done", "failed", "cached")
 class ServeJournal:
     """Append-only WAL of job transitions, keyed by spec hash.
 
-    Last-record-wins per hash for the *status*; the *spec* payload is
-    remembered from whichever record carried it (normally the first
-    ``accepted`` record), so a later status-only append never erases the
+    Last-record-wins per hash for the *status*; the record that carried
+    the *spec* (the ``accepted`` record, with its priority) is remembered
+    separately, so a later status-only append never erases the
     information needed to re-queue the job.
     """
 
@@ -98,43 +98,42 @@ class ServeJournal:
             self._tear_trailing_line()
 
     def replay(self) -> Tuple[Dict[str, Dict[str, Any]], Dict[str, Dict[str, Any]]]:
-        """(latest record per hash, spec payload per hash).
+        """(latest record per hash, latest spec-carrying record per hash).
 
-        A hash whose latest status is not terminal and whose spec was
-        journaled is a job the restarted server must re-queue; a hash with
-        no surviving spec record (torn away mid-accept) never reached an
-        acknowledged state, so dropping it is correct — the client never
-        heard ``accepted`` and will resubmit.
+        The spec-carrying record is the ``accepted`` record: it holds the
+        spec and the priority, which the ``running`` and ``requeued``
+        records that follow it do not.  A hash whose latest status is not
+        terminal and whose spec was journaled is a job the restarted server
+        must re-queue; a hash with no surviving spec record (torn away
+        mid-accept) never reached an acknowledged state, so dropping it is
+        correct — the client never heard ``accepted`` and will resubmit.
         """
         state: Dict[str, Dict[str, Any]] = {}
-        specs: Dict[str, Dict[str, Any]] = {}
+        accepted: Dict[str, Dict[str, Any]] = {}
         for record in self.records():
             digest = record.get("hash")
             if not digest:
                 continue
             digest = str(digest)
             state[digest] = record
-            spec = record.get("spec")
-            if isinstance(spec, dict):
-                specs[digest] = spec
-        return state, specs
+            if isinstance(record.get("spec"), dict):
+                accepted[digest] = record
+        return state, accepted
 
     def unfinished(self) -> Dict[str, Dict[str, Any]]:
-        """Spec payloads of accepted-but-unfinished jobs, with their records.
+        """The ``accepted`` records of accepted-but-unfinished jobs.
 
-        Returns ``{hash: {"spec": ..., "record": ...}}`` for every job the
-        journal accepted that never reached a terminal state.
+        Returns ``{hash: accepted record}`` (with its ``spec`` and
+        ``priority``) for every job the journal accepted that never reached
+        a terminal state.
         """
-        state, specs = self.replay()
-        backlog: Dict[str, Dict[str, Any]] = {}
-        for digest, record in state.items():
-            if record.get("status") in JOB_TERMINAL_STATES:
-                continue
-            spec = specs.get(digest)
-            if spec is None:
-                continue
-            backlog[digest] = {"spec": spec, "record": record}
-        return backlog
+        state, accepted = self.replay()
+        return {
+            digest: accepted[digest]
+            for digest, record in state.items()
+            if record.get("status") not in JOB_TERMINAL_STATES
+            and digest in accepted
+        }
 
     def _tear_trailing_line(self) -> None:
         """Injected ``wal-torn`` fault: truncate the file mid-final-line,

@@ -44,8 +44,8 @@ class HealthEvent:
     reduced its concurrency), ``fallback`` (a shard ran in-process),
     ``demotion`` (a backend handed the study to a slower tier),
     ``quarantine`` (a corrupt store entry was moved aside), ``shard-loss``
-    (a sharded-store shard was unreadable or missing: reads degraded to
-    misses, writes to no-ops).
+    (a sharded-store shard's own call raised ``OSError``: reads degraded
+    to misses, writes to no-ops).
     """
 
     kind: str

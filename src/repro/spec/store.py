@@ -45,6 +45,8 @@ __all__ = [
     "payload_checksum",
     "record_result",
     "result_record",
+    "study_from_record",
+    "study_record",
 ]
 
 _SCHEMA_VERSION = 1
@@ -169,6 +171,34 @@ def record_result(record: Mapping[str, Any]) -> CachedResult:
     )
 
 
+def study_record(study) -> Dict[str, Any]:
+    """JSON record of a study's summary fields, as stored and as served."""
+    health = getattr(study, "health", None)
+    return {
+        "label": study.label,
+        "effective_workers": int(getattr(study, "effective_workers", 1)),
+        "results": [result_record(result) for result in study.results],
+        # Health rides along so cache hits keep their provenance — a sweep
+        # row served from the store shows the same
+        # health_retries/failures/demotions as the run that filled it.
+        "health": health.to_dict() if health is not None else {},
+    }
+
+
+def study_from_record(record: Mapping[str, Any], from_cache: bool):
+    """Rehydrate a :class:`~repro.sim.TrialStudy` (summary surface only)."""
+    from ..sim.health import RunHealth
+    from ..sim.runner import TrialStudy
+
+    return TrialStudy(
+        results=[record_result(r) for r in record.get("results", [])],
+        label=str(record.get("label", "")),
+        effective_workers=int(record.get("effective_workers", 1)),
+        from_cache=from_cache,
+        health=RunHealth.from_dict(record.get("health") or {}),
+    )
+
+
 class StudyStore:
     """Directory-backed, content-addressed store of study summaries."""
 
@@ -226,9 +256,6 @@ class StudyStore:
         entries from older library versions are plain misses — they are
         valid files, just stale.
         """
-        from ..sim.health import RunHealth
-        from ..sim.runner import TrialStudy
-
         path = self.path_for(spec)
         if not path.exists():
             return None
@@ -237,14 +264,7 @@ class StudyStore:
             return None
         if payload.get("schema") != _SCHEMA_VERSION:
             return None
-        study = TrialStudy(
-            results=[record_result(r) for r in payload.get("results", [])],
-            label=str(payload.get("label", "")),
-            effective_workers=int(payload.get("effective_workers", 1)),
-            from_cache=True,
-            health=RunHealth.from_dict(payload.get("health") or {}),
-        )
-        return study
+        return study_from_record(payload, from_cache=True)
 
     def put(self, spec: StudySpec, study) -> Path:
         """Persist a study summary; returns the written path.
@@ -261,19 +281,12 @@ class StudyStore:
         for result in study.results:
             if not hasattr(result, "latencies"):
                 raise SpecError("study results lack the summary surface to cache")
-        health = getattr(study, "health", None)
         digest = spec.spec_hash()
         payload = {
             "schema": _SCHEMA_VERSION,
             "hash": digest,
             "spec": spec.to_dict(),
-            "label": study.label,
-            "effective_workers": study.effective_workers,
-            "results": [result_record(r) for r in study.results],
-            # Health rides along so cache hits keep their provenance — a
-            # sweep row served from the store shows the same
-            # health_retries/failures/demotions as the run that filled it.
-            "health": health.to_dict() if health is not None else {},
+            **study_record(study),
         }
         # The entry is its canonical text with the checksum spliced in
         # first ("checksum" sorts before every other key), so the payload

@@ -659,7 +659,7 @@ def test_fused_grid_through_sweep_server(seed, jamming):
         return record
 
     with tempfile.TemporaryDirectory(prefix="repro-fused-serve-") as root:
-        with BackgroundServer(Path(root), shards=2, workers=2) as server:
+        with BackgroundServer(Path(root), workers=2) as server:
             client = ServeClient(*server.address)
             outcomes = {o.hash: o for o in client.submit(specs, wait=True)}
             assert server.server.stats.executed == len(specs)

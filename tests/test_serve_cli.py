@@ -36,11 +36,10 @@ def aloha_spec(seed=3, horizon=512, trials=1) -> StudySpec:
 class TestParser:
     def test_serve_command_parsing(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "7500", "--workers", "4", "--shards", "3"]
+            ["serve", "--port", "7500", "--workers", "4"]
         )
         assert args.port == 7500
         assert args.workers == 4
-        assert args.shards == 3
 
     def test_submit_requires_spec_or_scenario(self):
         with pytest.raises(SystemExit):
@@ -181,7 +180,7 @@ class TestAgainstBackgroundServer:
 
 
 class TestStoreCommand:
-    def test_stats_evict_rebalance_round_trip(self, tmp_path, capsys):
+    def test_stats_evict_round_trip(self, tmp_path, capsys):
         root = tmp_path / "store"
         store = ShardedStudyStore(root, shards=2)
         for seed in range(6):
@@ -195,9 +194,6 @@ class TestStoreCommand:
         assert main(["store", "stats", "--root", str(root), "--format", "json"]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["entries"] == 6
-
-        assert main(["store", "rebalance", "--root", str(root), "--shards", "3"]) == 0
-        assert "3 shards" in capsys.readouterr().out
 
         assert (
             main(
@@ -242,8 +238,6 @@ class TestServeSubprocess:
                 "--port",
                 "0",
                 "--workers",
-                "2",
-                "--shards",
                 "2",
                 "--store-root",
                 str(tmp_path / "store"),

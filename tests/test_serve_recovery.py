@@ -2,6 +2,7 @@
 clients, deadlines, graceful drain, and the SIGKILL acceptance
 path (kill the daemon mid-sweep, restart it, demand identical rows)."""
 
+import asyncio
 import json
 import os
 import re
@@ -68,7 +69,7 @@ class TestServeJournal:
         backlog = journal.unfinished()
         assert set(backlog) == {digest}
         assert backlog[digest]["spec"] == spec.to_dict()
-        assert backlog[digest]["record"]["priority"] == 3
+        assert backlog[digest]["priority"] == 3
 
         journal.record(digest, "running")
         assert set(journal.unfinished()) == {digest}
@@ -83,8 +84,8 @@ class TestServeJournal:
         journal.record(digest, "accepted", spec=spec.to_dict())
         journal.record(digest, "running")
         journal.record(digest, "requeued", reason="deadline")
-        _, specs = journal.replay()
-        assert specs[digest] == spec.to_dict()
+        _, accepted = journal.replay()
+        assert accepted[digest]["spec"] == spec.to_dict()
 
     def test_torn_trailing_line_is_dropped(self, tmp_path):
         path = tmp_path / "wal.jsonl"
@@ -137,7 +138,7 @@ class TestRestartRecovery:
         journal.record(specs[1].spec_hash(), "running")
         journal.record(specs[2].spec_hash(), "accepted", spec=specs[2].to_dict())
         with BackgroundServer(
-            tmp_path / "store", shards=2, workers=2, journal=journal_path
+            tmp_path / "store", workers=2, journal=journal_path
         ) as bg:
             client = ServeClient(*bg.address, timeout=60.0)
             outcomes = client.results(
@@ -168,7 +169,7 @@ class TestRestartRecovery:
         journal.record(spec.spec_hash(), "accepted", spec=spec.to_dict())
         journal.record(spec.spec_hash(), "running")
         with BackgroundServer(
-            store_root, shards=2, workers=2, journal=journal_path
+            store_root, workers=2, journal=journal_path
         ) as bg:
             client = ServeClient(*bg.address, timeout=60.0)
             outcome = client.results([spec.spec_hash()], wait=True)[0]
@@ -179,13 +180,54 @@ class TestRestartRecovery:
         # has nothing left to recover.
         assert ServeJournal(journal_path).unfinished() == {}
 
+    def test_claimed_job_recovers_at_its_accepted_priority(self, tmp_path):
+        """A job claimed before the crash ends its journal on a 'running'
+        record, which carries no priority: recovery reads the priority
+        from the job's 'accepted' record."""
+        journal_path = tmp_path / "wal.jsonl"
+        journal = ServeJournal(journal_path)
+        spec = aloha_spec()
+        digest = spec.spec_hash()
+        journal.record(digest, "accepted", spec=spec.to_dict(), priority=5)
+        journal.record(digest, "running")
+
+        async def recover():
+            server = SweepServer(None, workers=1, journal=journal_path)
+            server._recover_backlog()
+            return server._jobs[digest], server._queue.get_nowait()
+
+        job, entry = asyncio.run(recover())
+        assert job.priority == 5
+        assert entry[0] == 5
+        assert entry[2] == digest
+
+    def test_journaled_pipeline_spec_is_not_recovered(self, tmp_path):
+        """The daemon refuses pipeline specs at submit, so one found in an
+        older journal is not re-queued either: served, it would come back
+        without its pipeline's metrics."""
+        from repro.spec import PipelineSpec
+
+        journal_path = tmp_path / "wal.jsonl"
+        spec = aloha_spec().with_pipeline(
+            PipelineSpec(reducers=({"kind": "latency"},))
+        )
+        ServeJournal(journal_path).record(
+            spec.spec_hash(), "accepted", spec=spec.to_dict()
+        )
+
+        async def recover():
+            server = SweepServer(None, workers=1, journal=journal_path)
+            return server._recover_backlog(), server._jobs
+
+        assert asyncio.run(recover()) == (0, {})
+
     def test_dedupe_is_preserved_across_restart(self, tmp_path):
         journal_path = tmp_path / "wal.jsonl"
         spec = aloha_spec()
         journal = ServeJournal(journal_path)
         journal.record(spec.spec_hash(), "accepted", spec=spec.to_dict())
         with BackgroundServer(
-            tmp_path / "store", shards=2, workers=2, journal=journal_path
+            tmp_path / "store", workers=2, journal=journal_path
         ) as bg:
             client = ServeClient(*bg.address, timeout=60.0)
             outcome = client.submit(spec)[0]  # same spec: attach or cache
@@ -205,7 +247,6 @@ class TestDeadline:
         budget and lands in 'failed' with a deadline error."""
         with BackgroundServer(
             tmp_path / "store",
-            shards=2,
             workers=1,
             journal=tmp_path / "wal.jsonl",
             deadline=0.001,
@@ -229,7 +270,6 @@ class TestDeadline:
         ):
             with BackgroundServer(
                 tmp_path / "store",
-                shards=2,
                 workers=1,
                 deadline=0.5,
                 requeues=2,
@@ -245,7 +285,6 @@ class TestDeadline:
         with faults.injected({"rules": [{"site": "dispatcher-hang"}]}):
             with BackgroundServer(
                 tmp_path / "store",
-                shards=2,
                 workers=1,
                 deadline=0.3,
                 requeues=0,
@@ -331,7 +370,7 @@ class TestClientResilience:
     def test_conn_drop_fault_is_retried_transparently(self, tmp_path):
         """A connection dropped mid-submit re-sends the whole request; the
         server-side dedupe turns the re-send into a reattach."""
-        with BackgroundServer(tmp_path / "store", shards=2, workers=2) as bg:
+        with BackgroundServer(tmp_path / "store", workers=2) as bg:
             client = ServeClient(
                 *bg.address, timeout=60.0, retries=3, backoff=0.01
             )
@@ -342,7 +381,7 @@ class TestClientResilience:
             assert outcome.ok
 
     def test_conn_drop_exhausting_retries_surfaces_unavailable(self, tmp_path):
-        with BackgroundServer(tmp_path / "store", shards=2, workers=2) as bg:
+        with BackgroundServer(tmp_path / "store", workers=2) as bg:
             client = ServeClient(
                 *bg.address, timeout=60.0, retries=1, backoff=0.01
             )
@@ -373,7 +412,7 @@ class TestClientResilience:
                 errors.append(exc)
 
         first = BackgroundServer(
-            store_root, shards=2, workers=2, journal=journal, port=port
+            store_root, workers=2, journal=journal, port=port
         )
         first.__enter__()
         worker = threading.Thread(target=run_sweep, daemon=True)
@@ -382,7 +421,7 @@ class TestClientResilience:
             time.sleep(0.4)  # let some jobs land and some execute
             first.stop()  # hard stop: in-flight waits die mid-stream
             with BackgroundServer(
-                store_root, shards=2, workers=2, journal=journal, port=port
+                store_root, workers=2, journal=journal, port=port
             ):
                 worker.join(timeout=120.0)
                 assert not worker.is_alive()
@@ -411,8 +450,6 @@ def _daemon_command(store_root, journal, *extra):
         "--port",
         "0",
         "--workers",
-        "2",
-        "--shards",
         "2",
         "--store-root",
         str(store_root),

@@ -58,40 +58,3 @@ class TestRouting:
         ring = ConsistentHashRing(["a", "b", "c"])
         seen = {ring.node_for(k) for k in sample_keys(1000)}
         assert seen == {"a", "b", "c"}
-
-
-class TestConsistency:
-    def test_removing_one_shard_remaps_only_its_keys(self):
-        """The headline consistent-hash property on a 10k-key sample.
-
-        Dropping 1 of K shards must remap only the keys that shard owned
-        (expected 1/K) — bounded here at 2/K — and every key that stays
-        must stay on exactly the shard it was on.
-        """
-        keys = sample_keys(10_000)
-        for k in (3, 5):
-            nodes = [f"shard-{i:02d}" for i in range(k)]
-            ring = ConsistentHashRing(nodes)
-            before = {key: ring.node_for(key) for key in keys}
-            removed = nodes[1]
-            shrunk = ring.with_nodes([n for n in nodes if n != removed])
-            moved = 0
-            for key in keys:
-                after = shrunk.node_for(key)
-                if before[key] == removed:
-                    assert after != removed
-                    moved += 1
-                else:
-                    assert after == before[key], (
-                        f"key on surviving shard {before[key]} moved to {after}"
-                    )
-            assert moved <= 2 * len(keys) // k
-
-    def test_adding_a_shard_only_steals_keys(self):
-        keys = sample_keys(5000)
-        ring = ConsistentHashRing(["a", "b", "c"])
-        before = {key: ring.node_for(key) for key in keys}
-        grown = ring.with_nodes(["a", "b", "c", "d"])
-        for key in keys:
-            after = grown.node_for(key)
-            assert after == before[key] or after == "d"

@@ -68,7 +68,7 @@ def semantic_records(study):
 
 @pytest.fixture
 def server(tmp_path):
-    with BackgroundServer(tmp_path / "store", shards=2, workers=2) as bg:
+    with BackgroundServer(tmp_path / "store", workers=2) as bg:
         yield bg
 
 
@@ -90,7 +90,7 @@ class TestSubmitRoundTrip:
     def test_fresh_server_serves_store_hit_as_cached(self, tmp_path):
         spec = aloha_spec()
         root = tmp_path / "store"
-        with BackgroundServer(root, shards=2, workers=2) as bg:
+        with BackgroundServer(root, workers=2) as bg:
             ServeClient(*bg.address).submit(spec)
         # New server over the same store: the entry must be served from
         # disk, never enqueued or executed.
@@ -341,18 +341,23 @@ class TestStoreTraffic:
         assert gets == {spec.spec_hash(): 2 for spec in trio}
         assert puts == {trio[0].spec_hash(): 1, trio[2].spec_hash(): 1}
 
-    def test_pipeline_job_is_served_but_never_stored(self, tmp_path, monkeypatch):
-        """A stored summary has no counters to replay a pipeline over, so
-        an executed job whose spec carries one is not written back."""
+    def test_pipeline_submit_is_refused_and_never_stored(
+        self, tmp_path, monkeypatch
+    ):
+        """A served study is the store's summary record, which has no
+        counters to reduce a pipeline over, so a submit carrying a pipeline
+        spec is refused whole: no job of it is accepted, read or written."""
         gets, puts = self.count_store_calls(monkeypatch)
+        plain = cjz_spec(seed=6008)
         spec = cjz_spec(seed=6007).with_pipeline(
             PipelineSpec(reducers=({"kind": "latency"},))
         )
-        outcome = self.serve(tmp_path, spec)[0]
-        assert outcome.ok
-        assert semantic_records(outcome.study) == semantic_records(spec.run())
-        # Read once, at submit; the claimed plan neither reads nor writes it.
-        assert gets == {spec.spec_hash(): 1}
+        with BackgroundServer(tmp_path / "store", workers=1) as bg:
+            client = ServeClient(*bg.address, timeout=60.0)
+            with pytest.raises(ServeError, match="StudyPlan.run"):
+                client.submit([plain, spec])
+            assert client.stats()["submitted"] == 0
+        assert gets == {}
         assert puts == {}
 
 
@@ -393,7 +398,9 @@ class TestEndToEndIdentity:
         plan = StudyPlan.from_sweep(sweep)
         assert len(plan) == 32
         serial = plan.run(store=StudyStore(tmp_path / "local-store"))
-        with BackgroundServer(tmp_path / "served-store", shards=3, workers=3) as bg:
+        # The daemon opens the store as its ring.json describes.
+        ShardedStudyStore(tmp_path / "served-store", shards=3)
+        with BackgroundServer(tmp_path / "served-store", workers=3) as bg:
             client = ServeClient(*bg.address, timeout=120.0)
             served = client.run_plan(plan.specs, overrides=sweep.points())
         assert len(served) == 32
