@@ -127,30 +127,7 @@ def _reactive_schedulable(adversary: Adversary) -> bool:
     )
 
 
-class _ScheduledLockstepDriver(LockstepAdversaryDriver):
-    """Drivers whose ``(T, horizon+1)`` arrival schedule is known up front."""
-
-    def __init__(self, adversaries: List[Adversary], arrivals: np.ndarray) -> None:
-        super().__init__(adversaries)
-        self.arrival_schedule = arrivals
-        # Slots in which any trial's schedule injects, then horizon + 1.
-        self._arrival_slots = (
-            np.flatnonzero(arrivals[:, 1:].any(axis=0)) + 1
-        ).tolist() + [arrivals.shape[1]]
-
-    def _next_arrival(self, slot: int) -> int:
-        """The first scheduled arrival slot at or after ``slot``."""
-        return self._arrival_slots[bisect.bisect_left(self._arrival_slots, slot)]
-
-    def _arrivals(self, slot: int, trial_active: np.ndarray) -> np.ndarray:
-        column = self.arrival_schedule[:, slot]
-        if np.count_nonzero(trial_active) < self.trials:
-            return np.where(trial_active, column, 0)
-        column.setflags(write=False)  # a view of the schedule
-        return column
-
-
-class ScheduledLockstepDriver(_ScheduledLockstepDriver):
+class ScheduledLockstepDriver(LockstepAdversaryDriver):
     """Oblivious arrivals with a static jam schedule or reactive jamming.
 
     Per trial: the arrival schedule, a static jam row and the columns of a
@@ -170,7 +147,12 @@ class ScheduledLockstepDriver(_ScheduledLockstepDriver):
         fractions: Optional[np.ndarray] = None,
         bursts: Optional[np.ndarray] = None,
     ) -> None:
-        super().__init__(adversaries, arrivals)
+        super().__init__(adversaries)
+        self.arrival_schedule = arrivals
+        # Slots in which any trial's schedule injects, then horizon + 1.
+        self._arrival_slots = (
+            np.flatnonzero(arrivals[:, 1:].any(axis=0)) + 1
+        ).tolist() + [arrivals.shape[1]]
         self._jammed = jammed
         self._fraction = np.zeros(self.trials) if fractions is None else fractions
         self._burst = np.zeros(self.trials, np.int64) if bursts is None else bursts
@@ -207,6 +189,17 @@ class ScheduledLockstepDriver(_ScheduledLockstepDriver):
             np.array([spec["fraction"] for spec in specs], dtype=float),
             np.array([spec["burst"] for spec in specs], dtype=np.int64),
         )
+
+    def _next_arrival(self, slot: int) -> int:
+        """The first scheduled arrival slot at or after ``slot``."""
+        return self._arrival_slots[bisect.bisect_left(self._arrival_slots, slot)]
+
+    def _arrivals(self, slot: int, trial_active: np.ndarray) -> np.ndarray:
+        column = self.arrival_schedule[:, slot]
+        if np.count_nonzero(trial_active) < self.trials:
+            return np.where(trial_active, column, 0)
+        column.setflags(write=False)  # a view of the schedule
+        return column
 
     def actions(self, slot: int, trial_active: np.ndarray) -> tuple:
         jam = self._jammed[:, slot] & trial_active

@@ -35,10 +35,10 @@ Run the benchmark suite and persist the performance trajectory::
 Serve StudySpec JSON over TCP (deduped async job queue + sharded store)::
 
     python -m repro.cli serve --port 7421 --workers 4
-    python -m repro.cli submit --server :7421 --scenario adversarial-jam \\
-        --axis horizon=4096,8192
     python -m repro.cli sweep --server :7421 --scenario adversarial-jam \\
         --axis adversary.jamming.params.fraction=0.0,0.25
+    python -m repro.cli sweep --server :7421 --scenario adversarial-jam \\
+        --axis horizon=4096,8192 --no-wait --priority 1
     python -m repro.cli client stats --server :7421
     python -m repro.cli store stats --root .repro-store
 """
@@ -184,6 +184,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="submit the grid to a running `repro serve` daemon instead of "
         "executing locally (thin client; rows stream back)",
     )
+    sweep_parser.add_argument(
+        "--priority",
+        type=int,
+        default=0,
+        help="with --server: queue priority (lower runs first; default 0)",
+    )
+    sweep_parser.add_argument(
+        "--no-wait",
+        action="store_true",
+        help="with --server: enqueue and print job hashes instead of "
+        "waiting for results",
+    )
+    sweep_parser.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        help="with --server: client socket timeout in seconds "
+        "(default 300; 0 disables)",
+    )
     sweep_parser.set_defaults(func=_cmd_sweep)
 
     serve_parser = subparsers.add_parser(
@@ -241,44 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.set_defaults(func=_cmd_serve)
 
-    submit_parser = subparsers.add_parser(
-        "submit",
-        help="submit a StudySpec (or a sweep grid over one) to a running "
-        "`repro serve` daemon and stream the results back",
-    )
-    submit_base = submit_parser.add_mutually_exclusive_group(required=True)
-    submit_base.add_argument(
-        "--spec", default=None, help="path to a StudySpec JSON file ('-' for stdin)"
-    )
-    submit_base.add_argument(
-        "--scenario", default=None, help="use a named scenario's study spec as the base"
-    )
-    submit_parser.add_argument(
-        "--axis",
-        action="append",
-        default=[],
-        metavar="PATH=V1,V2,...",
-        help="sweep axis over the base spec (repeatable; cartesian product)",
-    )
-    submit_parser.add_argument("--trials", type=int, default=None)
-    submit_parser.add_argument("--seed", type=int, default=None)
-    submit_parser.add_argument(
-        "--priority",
-        type=int,
-        default=0,
-        help="queue priority (lower runs first; default 0)",
-    )
-    submit_parser.add_argument(
-        "--no-wait",
-        action="store_true",
-        help="enqueue and print job hashes instead of waiting for results",
-    )
-    submit_parser.add_argument(
-        "--format", choices=["table", "json", "csv"], default="table"
-    )
-    _add_server_argument(submit_parser)
-    submit_parser.set_defaults(func=_cmd_submit)
-
     client_parser = subparsers.add_parser(
         "client",
         help="query a running `repro serve` daemon (status/stats/shutdown)",
@@ -289,7 +270,19 @@ def build_parser() -> argparse.ArgumentParser:
     client_parser.add_argument(
         "hashes", nargs="*", help="spec hashes (status/result)"
     )
-    _add_server_argument(client_parser)
+    client_parser.add_argument(
+        "--server",
+        default=None,
+        metavar="HOST:PORT",
+        help="sweep-server address (default: REPRO_SERVE_HOST/REPRO_SERVE_PORT "
+        "or 127.0.0.1:7421)",
+    )
+    client_parser.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        help="client socket timeout in seconds (default 300; 0 disables)",
+    )
     client_parser.set_defaults(func=_cmd_client)
 
     store_parser = subparsers.add_parser(
@@ -367,23 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.set_defaults(func=_cmd_bench)
 
     return parser
-
-
-def _add_server_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--server",
-        default=None,
-        metavar="HOST:PORT",
-        help="sweep-server address (default: REPRO_SERVE_HOST/REPRO_SERVE_PORT "
-        "or 127.0.0.1:7421)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="client socket timeout in seconds "
-        "(default: REPRO_SERVE_TIMEOUT, else 300; 0 disables)",
-    )
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -616,7 +592,7 @@ def _print_health(results) -> None:
 
 
 def _print_served(results, args: argparse.Namespace) -> int:
-    """Print a served sweep's rows (``sweep --server`` and ``submit``).
+    """Print the rows of ``sweep --server``.
 
     Served studies carry their RunHealth over the wire, so the table gets
     the same health footer as a local sweep.
@@ -654,11 +630,9 @@ def _serve_address(args: argparse.Namespace) -> str:
 def _serve_client(args: argparse.Namespace):
     from .serve import ServeClient
 
-    timeout = getattr(args, "timeout", None)
-    if timeout is None:
-        # Let the client resolve REPRO_SERVE_TIMEOUT (default 300 s).
+    if args.timeout is None:
         return ServeClient.from_address(_serve_address(args))
-    return ServeClient.from_address(_serve_address(args), timeout=timeout)
+    return ServeClient.from_address(_serve_address(args), timeout=args.timeout)
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -679,8 +653,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     plan = StudyPlan.from_sweep(sweep)
     if args.server is not None:
         client = _serve_client(args)
+        if args.no_wait:
+            outcomes = client.submit(plan.specs, wait=False, priority=args.priority)
+            if args.format == "json":
+                rows = [
+                    {"hash": o.hash, "status": o.status, "label": o.label}
+                    for o in outcomes
+                ]
+                print(json.dumps(rows, indent=2, sort_keys=True))
+            else:
+                for outcome in outcomes:
+                    print(f"{outcome.hash}  {outcome.status}  {outcome.label}")
+            return 0
         return _print_served(
-            client.run_plan(plan.specs, overrides=sweep.points()), args
+            client.run_plan(
+                plan.specs, overrides=sweep.points(), priority=args.priority
+            ),
+            args,
         )
     store = None if args.no_store else StudyStore(args.store)
     results = plan.run(store=store, on_error=args.on_error)
@@ -752,36 +741,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass
     return 0
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from .spec import Sweep
-
-    base = _sweep_base_spec(args)
-    sweep = Sweep(base, _parse_axes(args.axis))
-    specs = sweep.expand()
-    client = _serve_client(args)
-    if args.no_wait:
-        outcomes = client.submit(specs, wait=False, priority=args.priority)
-        if args.format == "json":
-            print(
-                json.dumps(
-                    [
-                        {"hash": o.hash, "status": o.status, "label": o.label}
-                        for o in outcomes
-                    ],
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
-        else:
-            for outcome in outcomes:
-                print(f"{outcome.hash}  {outcome.status}  {outcome.label}")
-        return 0
-    return _print_served(
-        client.run_plan(specs, overrides=sweep.points(), priority=args.priority),
-        args,
-    )
 
 
 def _cmd_client(args: argparse.Namespace) -> int:

@@ -80,8 +80,8 @@ class ServeRetriable(ServeError):
 
 
 class ServeTimeout(ServeRetriable):
-    """A socket operation against the sweep server exceeded its deadline
-    (``REPRO_SERVE_TIMEOUT`` / the client's ``timeout``)."""
+    """A socket operation against the sweep server exceeded the client's
+    ``timeout``."""
 
 
 class ServeUnavailable(ServeRetriable):

@@ -6,9 +6,9 @@ The local workflow — :class:`~repro.spec.StudyPlan` executing
 promotes it into a small serving subsystem, four layers deep:
 
 * **Protocol** (:mod:`repro.serve.protocol`) — a newline-delimited JSON
-  request/response protocol over TCP.  Requests: ``submit`` (one spec, an
-  explicit spec list, or a sweep), ``status``, ``result`` (blocking, with
-  per-job streaming), ``stats`` and ``shutdown``.  Stdlib only.
+  request/response protocol over TCP.  Requests: ``submit`` (a list of
+  specs), ``status``, ``result`` (blocking, with per-job streaming),
+  ``stats`` and ``shutdown``.  Stdlib only.
 * **Server** (:mod:`repro.serve.server`) — :class:`SweepServer`, an
   ``asyncio`` daemon (``repro serve``) with an async priority queue and a
   bounded executor pool.  Identical in-flight specs are hash-deduped: N
@@ -27,8 +27,8 @@ promotes it into a small serving subsystem, four layers deep:
   under a byte budget and ``repro store stats|evict|scrub`` maintenance
   commands.
 * **Client** (:mod:`repro.serve.client`) — :class:`ServeClient`, the
-  synchronous library client behind ``repro submit`` / ``repro client``
-  and ``repro sweep --server host:port``: per-request socket timeouts and
+  synchronous library client behind ``repro sweep --server host:port``
+  and ``repro client``: per-request socket timeouts and
   capped-backoff retries by default, so a dead or restarting server can
   never hang a sweep (idempotent reattach by ``spec_hash``).
 * **Write-ahead journal** (:mod:`repro.serve.wal`) — :class:`ServeJournal`,

@@ -1,21 +1,21 @@
 """Synchronous client for the sweep service.
 
-:class:`ServeClient` is the library behind ``repro submit``, ``repro
-client`` and ``repro sweep --server``: a blocking, connection-per-request
-TCP client that speaks the protocol of :mod:`repro.serve.protocol` with
-nothing beyond the stdlib.  Results arrive as the store's summary records
-and are rehydrated into :class:`~repro.sim.TrialStudy` objects by the
-store's own decoder (:func:`~repro.spec.store.study_from_record`), so
-everything downstream — ``summary_row()``, ``sweep_rows``, the analysis
-tables — works identically on served and local studies.
+:class:`ServeClient` is the library behind ``repro sweep --server`` and
+``repro client``: a blocking, connection-per-request TCP client that speaks
+the protocol of :mod:`repro.serve.protocol` with nothing beyond the stdlib.
+Results arrive as the store's summary records and are rehydrated into
+:class:`~repro.sim.TrialStudy` objects by the store's own decoder
+(:func:`~repro.spec.store.study_from_record`), so everything downstream —
+``summary_row()``, ``sweep_rows``, the analysis tables — works identically
+on served and local studies.
 
 The client is *resilient by default*: every socket operation carries a
-timeout (``REPRO_SERVE_TIMEOUT``, default 300 s — a dead server can never
-hang a sweep forever), and transient failures — connection refused or
-reset, a timeout, a server restarting mid-request — raise
-:class:`~repro.errors.ServeRetriable` subclasses and are retried with
-capped exponential backoff plus jitter (``REPRO_SERVE_RETRIES`` ×
-``REPRO_SERVE_BACKOFF``).  A retry simply re-sends the whole request:
+timeout (``timeout``, default 300 s — a dead server can never hang a sweep
+forever), and transient failures — connection refused or reset, a
+timeout, a server restarting mid-request — raise
+:class:`~repro.errors.ServeRetriable` subclasses and are retried
+``retries`` times with capped exponential backoff plus jitter, starting at
+``backoff`` seconds.  A retry simply re-sends the whole request:
 submissions are deduped server-side by ``spec_hash()``, so resubmitting is
 an idempotent *reattach* — jobs that finished meanwhile are answered from
 the server's table or store, which is what lets ``repro sweep --server``
@@ -24,7 +24,6 @@ ride out a server restart mid-sweep.
 
 from __future__ import annotations
 
-import os
 import random
 import socket
 import time
@@ -35,7 +34,7 @@ from .. import faults
 from ..errors import ServeError, ServeRetriable, ServeTimeout, ServeUnavailable
 from ..spec.store import study_from_record
 from ..spec.study import StudySpec
-from ..spec.sweep import PlanResult, Sweep
+from ..spec.sweep import PlanResult
 from .protocol import decode_line, encode_message
 
 __all__ = [
@@ -46,36 +45,13 @@ __all__ = [
     "ServeClient",
 ]
 
-#: Socket timeout when neither the constructor nor the env overrides it.
+#: Socket timeout in seconds.
 DEFAULT_TIMEOUT = 300.0
 #: Retries after the first attempt of a retriable request.
 DEFAULT_RETRIES = 4
 #: First backoff delay; doubles per retry up to :data:`BACKOFF_CAP`.
 DEFAULT_BACKOFF = 0.25
 BACKOFF_CAP = 5.0
-
-#: Sentinel: "not passed — resolve from the environment".
-_UNSET = object()
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ServeError(f"{name} must be a number, got {raw!r}") from None
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ServeError(f"{name} must be an integer, got {raw!r}") from None
 
 
 @dataclass
@@ -128,29 +104,19 @@ class ServeClient:
         self,
         host: str = "127.0.0.1",
         port: int = 7421,
-        timeout: Any = _UNSET,
-        retries: Optional[int] = None,
-        backoff: Optional[float] = None,
+        timeout: Optional[float] = DEFAULT_TIMEOUT,
+        retries: int = DEFAULT_RETRIES,
+        backoff: float = DEFAULT_BACKOFF,
     ) -> None:
         self._host = host
         self._port = int(port)
-        if timeout is _UNSET:
-            timeout = _env_float("REPRO_SERVE_TIMEOUT", DEFAULT_TIMEOUT)
         if timeout is not None and float(timeout) <= 0:
             timeout = None  # 0 (or negative) disables the timeout entirely
         self._timeout = None if timeout is None else float(timeout)
-        self._retries = (
-            _env_int("REPRO_SERVE_RETRIES", DEFAULT_RETRIES)
-            if retries is None
-            else int(retries)
-        )
+        self._retries = int(retries)
         if self._retries < 0:
             raise ServeError("retries must be >= 0")
-        self._backoff = (
-            _env_float("REPRO_SERVE_BACKOFF", DEFAULT_BACKOFF)
-            if backoff is None
-            else float(backoff)
-        )
+        self._backoff = float(backoff)
         if self._backoff < 0:
             raise ServeError("backoff must be >= 0 seconds")
 
@@ -158,9 +124,9 @@ class ServeClient:
     def from_address(
         cls,
         address: str,
-        timeout: Any = _UNSET,
-        retries: Optional[int] = None,
-        backoff: Optional[float] = None,
+        timeout: Optional[float] = DEFAULT_TIMEOUT,
+        retries: int = DEFAULT_RETRIES,
+        backoff: float = DEFAULT_BACKOFF,
     ) -> "ServeClient":
         """Build from a ``host:port`` string (``:port`` → localhost)."""
         host, sep, port = address.rpartition(":")
@@ -333,11 +299,6 @@ class ServeClient:
                 raise ServeError(f"server streamed no result for {digest[:12]}")
             ordered.append(outcome)
         return ordered
-
-    def submit_sweep(
-        self, sweep: Sweep, wait: bool = True, priority: int = 0
-    ) -> List[JobOutcome]:
-        return self.submit(sweep.expand(), wait=wait, priority=priority)
 
     def run_plan(
         self,

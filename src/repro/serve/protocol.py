@@ -6,9 +6,7 @@ single JSON object.  The protocol is deliberately transport-trivial —
 
 Requests (``{"op": ..., ...}``)::
 
-    {"op": "submit", "spec": {...StudySpec...}, "priority": 0, "wait": true}
-    {"op": "submit", "specs": [{...}, {...}], ...}
-    {"op": "submit", "sweep": {"base": {...}, "axes": {"horizon": [1024, 2048]}}}
+    {"op": "submit", "specs": [{...StudySpec...}, ...], "priority": 0, "wait": true}
     {"op": "status", "hashes": ["<spec_hash>", ...]}     # omitted = all jobs
     {"op": "result", "hashes": ["<spec_hash>", ...], "wait": true}
     {"op": "stats"}

@@ -65,7 +65,7 @@ from .. import faults
 from ..errors import ReproError, ServeError
 from ..spec.store import study_record
 from ..spec.study import StudySpec
-from ..spec.sweep import StudyPlan, Sweep
+from ..spec.sweep import StudyPlan
 from .protocol import (
     KNOWN_OPS,
     MAX_LINE_BYTES,
@@ -672,21 +672,10 @@ class SweepServer:
             self._shutdown.set()
 
     def _specs_from_message(self, message: Dict[str, Any]) -> List[StudySpec]:
-        if "spec" in message:
-            specs = [StudySpec.from_dict(message["spec"])]
-        elif "specs" in message:
-            raw = message["specs"]
-            if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
-                raise ServeError("'specs' must be a list of study specs")
-            specs = [StudySpec.from_dict(entry) for entry in raw]
-        elif "sweep" in message:
-            sweep = message["sweep"]
-            if not isinstance(sweep, dict):
-                raise ServeError("'sweep' must be {'base': ..., 'axes': ...}")
-            base = StudySpec.from_dict(sweep.get("base", {}))
-            specs = Sweep(base, sweep.get("axes", {})).expand()
-        else:
-            raise ServeError("submit needs 'spec', 'specs' or 'sweep'")
+        raw = message.get("specs")
+        if not isinstance(raw, list):
+            raise ServeError("submit needs 'specs': [study spec, ...]")
+        specs = [StudySpec.from_dict(entry) for entry in raw]
         if not specs:
             raise ServeError("submit carried no specs")
         # A served study is the store's summary record, which keeps no
@@ -710,7 +699,12 @@ class SweepServer:
                 "submissions; retry against a restarted server"
             )
         specs = self._specs_from_message(message)
-        priority = int(message.get("priority", 0))
+        try:
+            priority = int(message.get("priority", 0))
+        except (TypeError, ValueError, OverflowError):
+            raise ServeError(
+                f"submit 'priority' must be an integer, got {message['priority']!r}"
+            ) from None
         jobs = [self._submit_spec(spec, priority) for spec in specs]
         await self._send(
             writer,
@@ -730,6 +724,8 @@ class SweepServer:
         digests = message.get("hashes")
         if digests is None:
             rows = [job.status_row() for job in self._jobs.values()]
+        elif not isinstance(digests, list):
+            raise ServeError("status 'hashes' must be a list: [spec_hash, ...]")
         else:
             rows = []
             for digest in digests:

@@ -267,7 +267,7 @@ class StrategySpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "StrategySpec":
         if not isinstance(data, Mapping) or "kind" not in data:
             raise SpecError(f"strategy spec must be a mapping with a 'kind': {data!r}")
-        return cls(kind=str(data["kind"]), params=dict(data.get("params", {})))
+        return cls(kind=str(data["kind"]), params=data.get("params", {}))
 
 
 @dataclass(frozen=True)
@@ -387,7 +387,7 @@ class AdversarySpec:
                 ),
                 label=label,
             )
-        return cls(kind=kind, params=dict(data.get("params", {})), label=label)
+        return cls(kind=kind, params=data.get("params", {}), label=label)
 
     # ------------------------------------------------------------- builders
 

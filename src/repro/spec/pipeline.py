@@ -117,9 +117,9 @@ class PipelineSpec:
                     f"unknown reducer entry field(s): {', '.join(unknown)}"
                 )
             kind = str(entry["kind"])
-            params = dict(entry.get("params") or {})
+            params = entry.get("params") or {}
             METRIC_REDUCERS.validate(kind, params)
-            normalized.append({"kind": kind, "params": params})
+            normalized.append({"kind": kind, "params": dict(params)})
         if not normalized:
             raise SpecError("a pipeline spec needs at least one reducer")
         object.__setattr__(self, "reducers", tuple(normalized))

@@ -175,4 +175,4 @@ class ProtocolSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "ProtocolSpec":
         if not isinstance(data, Mapping) or "kind" not in data:
             raise SpecError(f"protocol spec must be a mapping with a 'kind': {data!r}")
-        return cls(kind=str(data["kind"]), params=dict(data.get("params", {})))
+        return cls(kind=str(data["kind"]), params=data.get("params", {}))

@@ -72,6 +72,11 @@ class SpecRegistry:
     def validate(self, kind: str, params: Mapping[str, Any]) -> None:
         """Raise :class:`SpecError` unless ``params`` fit ``kind``'s builder."""
         _, known, required = self._entry(kind)
+        if not isinstance(params, Mapping):
+            raise SpecError(
+                f"{self._label} kind {kind!r}: params must be a mapping, "
+                f"got {params!r}"
+            )
         unknown = sorted(set(params) - known)
         if unknown:
             raise SpecError(

@@ -164,16 +164,18 @@ class StudySpec:
         return cls(
             protocol=ProtocolSpec.from_dict(data.get("protocol", {"kind": "cjz"})),
             adversary=AdversarySpec.from_dict(data.get("adversary", {})),
-            horizon=int(data.get("horizon", 4096)),
-            trials=int(data.get("trials", 5)),
-            seed=None if seed is None else int(seed),
+            horizon=_integer("horizon", data.get("horizon", 4096)),
+            trials=_integer("trials", data.get("trials", 5)),
+            seed=None if seed is None else _integer("seed", seed),
             backend=str(data.get("backend", "auto")),
-            workers=int(data.get("workers", 1)),
-            stop_when_drained=bool(data.get("stop_when_drained", False)),
-            keep_trace=bool(data.get("keep_trace", False)),
+            workers=_integer("workers", data.get("workers", 1)),
+            stop_when_drained=_flag(
+                "stop_when_drained", data.get("stop_when_drained", False)
+            ),
+            keep_trace=_flag("keep_trace", data.get("keep_trace", False)),
             label=str(data.get("label", "")),
             pipeline=pipeline,
-            streaming=bool(data.get("streaming", False)),
+            streaming=_flag("streaming", data.get("streaming", False)),
         )
 
     def to_json(self, indent: Optional[int] = None) -> str:
@@ -235,6 +237,22 @@ class StudySpec:
     def with_pipeline(self, pipeline: Optional[PipelineSpec]) -> "StudySpec":
         """A copy with a metric pipeline attached (hash-neutral)."""
         return replace(self, pipeline=pipeline)
+
+
+def _integer(name: str, value: Any) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SpecError(
+            f"study spec field {name!r} must be an integer, got {value!r}"
+        ) from None
+
+
+def _flag(name: str, value: Any) -> bool:
+    # bool() reads any non-empty string, "no" and "false" included, as True.
+    if isinstance(value, str):
+        raise SpecError(f"study spec field {name!r} must be a boolean, got {value!r}")
+    return bool(value)
 
 
 def _set_dotted(data: Dict[str, Any], path: str, value: Any) -> None:

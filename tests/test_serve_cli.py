@@ -1,4 +1,4 @@
-"""Tests for the sweep-service CLI: serve/submit/client/store commands.
+"""Tests for the sweep-service CLI: serve, sweep --server, client and store.
 
 In-process tests drive ``main()`` against a :class:`BackgroundServer`; one
 subprocess smoke test exercises the real ``repro serve`` daemon end to end
@@ -41,9 +41,9 @@ class TestParser:
         assert args.port == 7500
         assert args.workers == 4
 
-    def test_submit_requires_spec_or_scenario(self):
+    def test_sweep_requires_spec_or_scenario(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["submit"])
+            build_parser().parse_args(["sweep", "--server", ":7421"])
 
     def test_sweep_accepts_server(self):
         args = build_parser().parse_args(
@@ -90,13 +90,15 @@ class TestAgainstBackgroundServer:
         with BackgroundServer(tmp_path / "store") as bg:
             code = main(
                 [
-                    "submit",
+                    "sweep",
                     "--spec",
                     str(spec_file),
                     "--axis",
                     "seed=1,2",
                     "--server",
                     self._address(bg),
+                    "--priority",
+                    "3",
                     "--format",
                     "json",
                 ]
@@ -106,56 +108,43 @@ class TestAgainstBackgroundServer:
         assert len(rows) == 2
 
     def test_served_tables_print_the_health_footer(self, tmp_path, capsys):
-        """`submit` and `sweep --server` both end their table with the
-        health line of a study whose shard worker crashed and was retried."""
+        """`sweep --server` ends its table with the health line of a study
+        whose shard worker crashed and was retried."""
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(
             aloha_spec(seed=778, trials=2).with_execution(workers=2).to_json()
         )
         with BackgroundServer(tmp_path / "store") as bg:
-            outputs = {}
             with faults.injected(
                 {"rules": [{"site": "worker-crash", "shard": 1, "attempt": 0}]}
             ):
-                for command in ("submit", "sweep"):
-                    code = main(
-                        [
-                            command,
-                            "--spec",
-                            str(spec_file),
-                            "--server",
-                            self._address(bg),
-                        ]
-                    )
-                    assert code == 0
-                    outputs[command] = capsys.readouterr().out
-        for command, out in outputs.items():
-            footer = [
-                line for line in out.splitlines() if line.startswith("health [")
-            ]
-            assert len(footer) == 1, (command, out)
-            assert "crash" in footer[0] and "retry" in footer[0], (command, out)
+                code = main(
+                    ["sweep", "--spec", str(spec_file), "--server", self._address(bg)]
+                )
+        assert code == 0
+        out = capsys.readouterr().out
+        footer = [line for line in out.splitlines() if line.startswith("health [")]
+        assert len(footer) == 1, out
+        assert "crash" in footer[0] and "retry" in footer[0], out
 
     def test_submit_no_wait_prints_hashes(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"
         spec = aloha_spec()
         spec_file.write_text(spec.to_json())
         with BackgroundServer(tmp_path / "store") as bg:
-            code = main(
-                [
-                    "submit",
-                    "--spec",
-                    str(spec_file),
-                    "--no-wait",
-                    "--server",
-                    self._address(bg),
-                ]
-            )
+            sweep = ["sweep", "--spec", str(spec_file), "--server", self._address(bg)]
+            code = main(sweep + ["--no-wait"])
             assert code == 0
             out = capsys.readouterr().out
             assert spec.spec_hash() in out
-            # Drain the job so server shutdown doesn't race the executor.
-            ServeClient(*bg.address).results([spec.spec_hash()])
+            assert out.splitlines() == [
+                f"{spec.spec_hash()}  queued  {spec.display_label}"
+            ]
+            # Submitting the grid again reattaches by spec hash and waits for
+            # its row, which also drains the job before the server stops.
+            assert main(sweep + ["--format", "json"]) == 0
+            rows = json.loads(capsys.readouterr().out)
+        assert [row["status"] for row in rows] == ["ok"]
 
     def test_client_stats_and_status(self, tmp_path, capsys):
         with BackgroundServer(tmp_path / "store") as bg:
@@ -255,7 +244,7 @@ class TestServeSubprocess:
                 sys.executable,
                 "-m",
                 "repro.cli",
-                "submit",
+                "sweep",
                 "--spec",
                 str(spec_file),
                 "--axis",

@@ -457,9 +457,10 @@ class TestProtocol:
 
     def test_bad_spec_payload_answers_error(self, server):
         replies = self._raw(
-            server, encode_message({"op": "submit", "spec": {"horizon": -1}})
+            server, encode_message({"op": "submit", "specs": [{"horizon": -1}]})
         )
         assert replies[0]["ok"] is False
+        assert "horizon" in replies[0]["error"]
 
     def test_error_leaves_connection_usable(self, server):
         payload = encode_message({"op": "explode"}) + encode_message({"op": "stats"})
@@ -468,13 +469,97 @@ class TestProtocol:
         assert replies[1]["ok"] is True
         assert replies[1]["op"] == "stats"
 
-    def test_sweep_submission_expands_server_side(self, client, server):
-        base = aloha_spec()
-        outcomes = client.submit_sweep(
-            Sweep(base, {"horizon": [256, 512]})
+    @pytest.mark.parametrize(
+        "message, names",
+        [
+            pytest.param(
+                {"op": "submit", "spec": aloha_spec().to_dict()},
+                "'specs'",
+                id="single-spec-form",
+            ),
+            pytest.param(
+                {
+                    "op": "submit",
+                    "sweep": {"base": aloha_spec().to_dict(), "axes": {"seed": [1]}},
+                },
+                "'specs'",
+                id="sweep-form",
+            ),
+            pytest.param(
+                {"op": "submit", "specs": [{"horizon": "abc"}]}, "'horizon'", id="int"
+            ),
+            pytest.param(
+                {"op": "submit", "specs": [{"trials": [1]}]}, "'trials'", id="list"
+            ),
+            pytest.param(
+                {"op": "submit", "specs": [{"seed": "x"}]}, "'seed'", id="seed"
+            ),
+            pytest.param(
+                {"op": "submit", "specs": [{"workers": None}]}, "'workers'", id="null"
+            ),
+            pytest.param(
+                {"op": "submit", "specs": [{"protocol": {"kind": "cjz", "params": 3}}]},
+                "params",
+                id="protocol-params",
+            ),
+            pytest.param(
+                {
+                    "op": "submit",
+                    "specs": [{"adversary": {"kind": "lower-bound", "params": 3}}],
+                },
+                "params",
+                id="adversary-params",
+            ),
+            pytest.param(
+                {
+                    "op": "submit",
+                    "specs": [
+                        {"adversary": {"arrivals": {"kind": "batch", "params": 3}}}
+                    ],
+                },
+                "params",
+                id="strategy-params",
+            ),
+            pytest.param(
+                {
+                    "op": "submit",
+                    "specs": [
+                        {
+                            "pipeline": {
+                                "reducers": [{"kind": "success-timeline", "params": 3}]
+                            }
+                        }
+                    ],
+                },
+                "params",
+                id="reducer-params",
+            ),
+            pytest.param(
+                {"op": "submit", "specs": [{"stop_when_drained": "no"}]},
+                "'stop_when_drained'",
+                id="flag",
+            ),
+            pytest.param(
+                {"op": "submit", "specs": [aloha_spec().to_dict()], "priority": "high"},
+                "'priority'",
+                id="priority",
+            ),
+            pytest.param(
+                {"op": "status", "hashes": "abc"}, "'hashes'", id="status-hashes"
+            ),
+        ],
+    )
+    def test_malformed_request_answers_error_on_a_usable_connection(
+        self, server, message, names
+    ):
+        replies = self._raw(
+            server, encode_message(message) + encode_message({"op": "stats"})
         )
-        assert len(outcomes) == 2
-        assert all(o.ok for o in outcomes)
+        assert len(replies) == 2, replies
+        assert replies[0]["ok"] is False
+        assert names in replies[0]["error"]
+        assert replies[1]["ok"] is True and replies[1]["op"] == "stats"
+        assert replies[1]["submitted"] == 0
 
     def test_stats_include_store_breakdown(self, client):
         client.submit(aloha_spec())

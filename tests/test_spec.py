@@ -342,6 +342,43 @@ class TestStudySpecRoundTrip:
         with pytest.raises(SpecError):
             StudySpec(backend="gpu")
 
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            pytest.param({"horizon": "abc"}, "'horizon'", id="horizon"),
+            pytest.param({"trials": [1]}, "'trials'", id="trials"),
+            pytest.param({"seed": "x"}, "'seed'", id="seed"),
+            pytest.param({"workers": None}, "'workers'", id="workers"),
+            pytest.param({"horizon": 1e400}, "'horizon'", id="horizon-inf"),
+            pytest.param(
+                {"protocol": {"kind": "cjz", "params": 3}}, "params", id="protocol"
+            ),
+            pytest.param(
+                {"adversary": {"kind": "lower-bound", "params": 3}},
+                "params",
+                id="adversary",
+            ),
+            pytest.param(
+                {"adversary": {"arrivals": {"kind": "batch", "params": "x"}}},
+                "params",
+                id="strategy",
+            ),
+            pytest.param(
+                {"pipeline": {"reducers": [{"kind": "success-timeline", "params": 3}]}},
+                "params",
+                id="reducer",
+            ),
+            pytest.param(
+                {"stop_when_drained": "no"}, "'stop_when_drained'", id="drained"
+            ),
+            pytest.param({"keep_trace": "false"}, "'keep_trace'", id="keep_trace"),
+            pytest.param({"streaming": "yes"}, "'streaming'", id="streaming"),
+        ],
+    )
+    def test_malformed_field_rejected_by_name(self, data, field):
+        with pytest.raises(SpecError, match=field):
+            StudySpec.from_dict(data)
+
 
 G4 = {"kind": "constant", "params": {"value": 4.0}}
 F_OF_G4 = {"kind": "derived-f", "params": {"g": G4, "a": 1.0, "c2": 1.0, "floor": 1.0}}

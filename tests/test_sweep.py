@@ -375,6 +375,16 @@ class TestSweepCli:
         assert code == 2
         assert "invalid --axis" in capsys.readouterr().err
 
+    def test_cli_malformed_spec_file_reports_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        spec_file = tmp_path / "bad.json"
+        spec_file.write_text(json.dumps({**aloha_spec().to_dict(), "horizon": "abc"}))
+        code = main(["sweep", "--spec", str(spec_file), "--no-store"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'horizon'" in err
+
     def test_cli_scenarios_json(self, capsys):
         from repro.cli import main
 
