@@ -33,7 +33,7 @@ from typing import Optional
 from . import faults
 from .channel import MultipleAccessChannel, NoCollisionDetection, WithCollisionDetection
 from .core import AlgorithmParameters, ChenJiangZhengProtocol, cjz_factory
-from .errors import ConfigurationError, FaultInjected, ReproError, WorkerError
+from .errors import ConfigurationError, FaultInjected, ReproError
 from .faults import FaultPlan, FaultRule
 from .functions import (
     GFamily,
@@ -57,7 +57,6 @@ from .sim import (
     SimulationResult,
     Simulator,
     SimulatorConfig,
-    SupervisorPolicy,
     run_trials,
 )
 from .spec import (
@@ -76,12 +75,10 @@ __all__ = [
     "ReproError",
     "ConfigurationError",
     "FaultInjected",
-    "WorkerError",
     "FaultPlan",
     "FaultRule",
     "faults",
     "RunHealth",
-    "SupervisorPolicy",
     "AdversarySpec",
     "ProtocolSpec",
     "StudySpec",

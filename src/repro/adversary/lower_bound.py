@@ -18,7 +18,6 @@ Two strategies are provided:
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Set
 
 import numpy as np
@@ -71,10 +70,6 @@ class LowerBoundAdversary(Adversary):
         else:
             self._random_jam = set()
         self._random_jam.add(t)
-
-    @property
-    def total_jam_budget(self) -> int:
-        return self._front_jam + len(self._random_jam)
 
     def action_for_slot(self, slot: int) -> AdversaryAction:
         arrivals = self._initial_nodes if slot == 1 else 0
@@ -169,11 +164,6 @@ class NonAdaptiveKillerAdversary(Adversary):
 
     def arrivals_exhausted(self, slot: int) -> bool:
         return slot >= self._horizon
-
-    @staticmethod
-    def expected_contention_bound(horizon: int, g_value: float) -> float:
-        """Helper used by tests: size of the jammed prefix for a given g(t)."""
-        return math.floor(horizon / (4.0 * g_value))
 
     def spec_params(self) -> dict:
         from ..spec.rates import rate_function_to_spec

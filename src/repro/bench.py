@@ -28,11 +28,9 @@ Micro records additionally carry the suite's **memory trajectory**:
 ``peak_bytes_per_slot`` (tracemalloc peak of the whole study run, normalized
 per simulated slot), ``result_bytes_per_slot`` (per-slot bytes the results
 retain after the study returns: their counter columns, or on the lockstep
-tiers, whose counters are derived on first read, their jam flags) and
-``legacy_list_bytes_per_slot`` (what the same prefix data would occupy as
-the four Python int lists the columnar refactor replaced — measured, not
-estimated).  The comparison gate fails on memory growth beyond the
-threshold exactly as it does for speedup losses.
+tiers, whose counters are derived on first read, their jam flags).  The
+comparison gate fails on memory growth beyond the threshold exactly as it
+does for speedup losses.
 
 Absolute wall times are only compared when the machine fingerprints of the
 two files match.
@@ -337,23 +335,6 @@ def run_micro_suite(
     return records
 
 
-def _legacy_list_bytes(result) -> int:
-    """Bytes the result's prefix columns would occupy as Python int lists.
-
-    Measures the storage the pre-columnar representation used (four
-    ``List[int]`` objects plus their element objects), giving the bench file
-    a like-for-like baseline for ``result_bytes_per_slot``.
-    """
-    if result.counters is None:
-        return 0
-    total = 0
-    for name in ("active", "arrivals", "jammed", "successes"):
-        values = result.counters.column(name).tolist()
-        total += sys.getsizeof(values)
-        total += sum(sys.getsizeof(value) for value in values)
-    return total
-
-
 def _measure_memory(
     protocol_factory,
     adversary_factory: Callable,
@@ -377,13 +358,9 @@ def _measure_memory(
     finally:
         tracemalloc.stop()
     slots = sum(result.horizon + 1 for result in study.results)
-    sample = study.results[0]
     profile = {
         "peak_bytes_per_slot": peak / slots,
         "result_bytes_per_slot": study.memory_bytes() / slots,
-        "legacy_list_bytes_per_slot": (
-            _legacy_list_bytes(sample) / (sample.horizon + 1)
-        ),
     }
     if backend == "batched-study":
         # Streaming keeps only summaries; record the retained bytes to make

@@ -875,11 +875,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if "result_bytes_per_slot" in record:
             note += (
                 f"  [{record['result_bytes_per_slot']:.0f} B/slot retained, "
-                f"peak {record['peak_bytes_per_slot']:.0f}"
+                f"peak {record['peak_bytes_per_slot']:.0f}]"
             )
-            if "legacy_list_bytes_per_slot" in record:
-                note += f", legacy lists {record['legacy_list_bytes_per_slot']:.0f}"
-            note += "]"
         print(
             f"{record['id']} [{record['backend']}]: "
             f"{record['slots_per_second']:,.0f} slots/s{note}"

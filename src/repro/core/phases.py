@@ -24,7 +24,3 @@ class Phase(enum.Enum):
     SYNCHRONIZE = 1
     WAIT_CONTROL = 2
     BATCH = 3
-
-    @property
-    def paper_number(self) -> int:
-        return self.value

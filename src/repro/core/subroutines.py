@@ -46,15 +46,10 @@ class HBackoff:
         self._stage_start = 1  # local index where the current stage begins
         self._stage_length = 1
         self._send_indices: Set[int] = set()
-        self._sends_planned = 0
 
     @property
     def current_stage(self) -> int:
         return self._current_stage
-
-    @property
-    def planned_sends_in_stage(self) -> int:
-        return self._sends_planned
 
     def _enter_stage(self, stage: int) -> None:
         self._current_stage = stage
@@ -64,7 +59,6 @@ class HBackoff:
         if count < 0:
             raise ConfigurationError("backoff budget must be non-negative")
         count = min(count, self._stage_length) if self._stage_length > 0 else 0
-        self._sends_planned = count
         if count == 0:
             self._send_indices = set()
             return

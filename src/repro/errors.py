@@ -27,30 +27,6 @@ class AdversaryError(ReproError):
     """Raised when an adversary produces an invalid action."""
 
 
-class WorkerError(ReproError):
-    """A worker shard failed permanently during a parallel study.
-
-    Raised by the supervised worker pool when a shard has exhausted its
-    retry budget and in-process degradation is disabled.  Carries enough
-    context to identify exactly which trials were lost.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        shard_index: int,
-        trial_range: "tuple[int, int]",
-        attempts: int = 1,
-        cause: str = "",
-    ) -> None:
-        super().__init__(message)
-        self.shard_index = shard_index
-        #: Half-open ``(first_trial, one_past_last_trial)`` range of the shard.
-        self.trial_range = tuple(trial_range)
-        self.attempts = attempts
-        self.cause = cause
-
-
 class FaultInjected(ReproError):
     """Raised (or triggered) by a deterministic :class:`repro.faults.FaultPlan`.
 

@@ -705,6 +705,7 @@ class SweepServer:
             raise ServeError(
                 f"submit 'priority' must be an integer, got {message['priority']!r}"
             ) from None
+        wait = _wait_flag(message, default=False)
         jobs = [self._submit_spec(spec, priority) for spec in specs]
         await self._send(
             writer,
@@ -715,7 +716,7 @@ class SweepServer:
                 "jobs": [job.status_row() for job in jobs],
             },
         )
-        if message.get("wait", False):
+        if wait:
             await self._stream_results([job.digest for job in jobs], writer)
 
     async def _op_status(
@@ -742,10 +743,11 @@ class SweepServer:
         digests = message.get("hashes")
         if not isinstance(digests, list):
             raise ServeError("result needs 'hashes': [spec_hash, ...]")
+        wait = _wait_flag(message, default=True)
         await self._send(
             writer, {"ok": True, "op": "result", "count": len(digests)}
         )
-        if message.get("wait", True):
+        if wait:
             await self._stream_results([str(d) for d in digests], writer)
         else:
             for digest in digests:
@@ -809,6 +811,16 @@ class SweepServer:
             for task in done:
                 await self._send(writer, self._result_event(waiters[task]))
         await self._send(writer, {"event": "end"})
+
+
+def _wait_flag(message: Dict[str, Any], default: bool) -> bool:
+    # Truthiness would read "no" and "false" as True and stream results.
+    wait = message.get("wait", default)
+    if not isinstance(wait, bool):
+        raise ServeError(
+            f"{message['op']} 'wait' must be a JSON boolean, got {wait!r}"
+        )
+    return wait
 
 
 async def _cancel_all(tasks: List[asyncio.Task]) -> None:

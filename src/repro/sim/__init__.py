@@ -13,7 +13,7 @@ from .engine import Simulator, SimulatorConfig
 from .health import HealthEvent, RunHealth
 from .node import Node
 from .results import PrefixColumn, PrefixCounters, SimulationResult
-from .runner import SupervisorPolicy, TrialRunner, TrialStudy, run_trials
+from .runner import TrialRunner, TrialStudy, run_trials
 
 __all__ = [
     "Simulator",
@@ -24,7 +24,6 @@ __all__ = [
     "SimulationResult",
     "HealthEvent",
     "RunHealth",
-    "SupervisorPolicy",
     "TrialRunner",
     "TrialStudy",
     "run_trials",

@@ -40,10 +40,9 @@ class HealthEvent:
     """One thing that went wrong (or was silently worked around) during a run.
 
     ``kind`` is one of: ``crash`` / ``hang`` / ``error`` (shard
-    failures), ``retry`` (a shard re-dispatched), ``degrade`` (the pool
-    reduced its concurrency), ``fallback`` (a shard ran in-process),
-    ``demotion`` (a backend handed the study to a slower tier),
-    ``quarantine`` (a corrupt store entry was moved aside), ``shard-loss``
+    failures), ``retry`` (a shard re-dispatched), ``fallback`` (a shard
+    ran in-process), ``demotion`` (a backend handed the study to a slower
+    tier), ``quarantine`` (a corrupt store entry was moved aside), ``shard-loss``
     (a sharded-store shard's own call raised ``OSError``: reads degraded
     to misses, writes to no-ops).
     """
@@ -130,7 +129,7 @@ class RunHealth:
 
     @property
     def degraded(self) -> bool:
-        return any(e.kind in ("degrade", "fallback") for e in self.events)
+        return bool(self.fallbacks)
 
     @property
     def clean(self) -> bool:

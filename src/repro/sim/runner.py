@@ -9,18 +9,17 @@ worker pickles its shard's results back through the pipe it was started
 with: a lockstep result carries its node columns and one bool jam flag per
 slot, and derives its counters in the parent when something reads them.
 
-Worker shards run under a *supervisor* (:class:`SupervisorPolicy`): each
-shard is dispatched asynchronously to its own forked process, crashes are
-detected (instead of surfacing as an opaque ``RemoteError`` or a hang),
-hung shards are terminated after a configurable timeout, and failed shards
-are retried with capped exponential backoff.  Because every shard is a
-deterministic contiguous trial range, a retried shard reproduces exactly
-the results the crashed attempt would have produced — faults never change
-results, only wall-clock.  When a shard exhausts its retries the pool
-degrades gracefully: the shard runs in-process serially (or, with
-``degrade=False``, raises a typed :class:`~repro.errors.WorkerError`
-carrying the shard index and trial range).  Every recovery action is
-recorded on the study's :class:`~repro.sim.health.RunHealth`.
+Worker shards run under a *supervisor* with one fixed policy: each shard
+is dispatched asynchronously to its own forked process, crashes are
+detected (instead of surfacing as an opaque ``RemoteError`` or a hang), a
+shard that outlives ``REPRO_SHARD_TIMEOUT`` seconds (when set) is
+terminated as hung, and a failed shard is re-dispatched twice, after
+backoffs of 0.05 s and then 0.1 s.  Because every shard is a deterministic
+contiguous trial range, a retried shard reproduces exactly the results the
+crashed attempt would have produced — faults never change results, only
+wall-clock.  A shard whose last retry fails too runs in-process serially.
+Every recovery action is recorded on the study's
+:class:`~repro.sim.health.RunHealth`.
 
 Backends
 --------
@@ -87,7 +86,7 @@ import numpy as np
 from .. import faults
 from ..adversary.base import Adversary
 from ..channel.multiple_access import MultipleAccessChannel
-from ..errors import ConfigurationError, WorkerError
+from ..errors import ConfigurationError
 from ..protocols.base import ProtocolFactory
 from ..rng import SeedLike, SeedTree, TrialSeedBatch
 from .backends import (
@@ -104,11 +103,10 @@ from .backends import (
 )
 from .backends.studysupport import StudyProbe
 from .engine import Simulator, SimulatorConfig
-from .health import _FAILURE_KINDS, RunHealth, collecting, note_demotion
+from .health import RunHealth, collecting, note_demotion
 from .results import SimulationResult
 
 __all__ = [
-    "SupervisorPolicy",
     "TrialRunner",
     "TrialStudy",
     "run_trials",
@@ -163,8 +161,8 @@ class TrialStudy:
     :class:`~repro.spec.StudyStore` rather than simulated; their ``results``
     are summary-level :class:`~repro.spec.CachedResult` objects.  ``health``
     is the structured :class:`~repro.sim.health.RunHealth` record of the
-    run: shard retries/failures, backend demotion events with reasons,
-    in-process fallbacks and pool degradation (empty = clean run).
+    run: shard retries/failures, backend demotion events with reasons and
+    in-process fallbacks (empty = clean run).
     """
 
     results: List[SimulationResult] = field(default_factory=list)
@@ -307,56 +305,13 @@ def _coerce_pipeline(pipeline):
     )
 
 
-@dataclass(frozen=True)
-class SupervisorPolicy:
-    """How the parallel pool supervises its worker shards.
-
-    ``timeout`` is the per-shard wall-clock budget in seconds (``None`` =
-    wait forever, the historical behavior); a shard that exceeds it is
-    terminated and treated as hung.  Failed shards (crash, hang, exception,
-    result-import failure) are retried up to ``retries`` times with capped
-    exponential backoff (``backoff_base * 2**(attempt-1)``, at most
-    ``backoff_cap`` seconds).  After a hang the pool also *degrades*: its
-    concurrency cap drops by one, so a machine that cannot sustain N workers
-    converges toward serial execution.  When the retry budget is exhausted,
-    ``degrade=True`` runs the shard in-process serially (results are still
-    produced, identical seed for seed); ``degrade=False`` raises a typed
-    :class:`~repro.errors.WorkerError` instead.
-
-    ``REPRO_SHARD_TIMEOUT`` and ``REPRO_SHARD_RETRIES`` override the
-    defaults process-wide (read once per :class:`TrialRunner`).
-    """
-
-    timeout: Optional[float] = None
-    retries: int = 2
-    backoff_base: float = 0.05
-    backoff_cap: float = 1.0
-    degrade: bool = True
-
-    def __post_init__(self) -> None:
-        if self.timeout is not None and self.timeout <= 0:
-            raise ConfigurationError("supervisor timeout must be positive")
-        if self.retries < 0:
-            raise ConfigurationError("supervisor retries must be >= 0")
-
-    @classmethod
-    def from_env(cls) -> "SupervisorPolicy":
-        timeout = os.environ.get("REPRO_SHARD_TIMEOUT")
-        retries = os.environ.get("REPRO_SHARD_RETRIES")
-        return cls(
-            timeout=float(timeout) if timeout else None,
-            retries=int(retries) if retries else 2,
-        )
-
-    def backoff(self, attempt: int) -> float:
-        """Pre-retry delay before the given (1-based) re-attempt."""
-        return min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
-
-
 #: Exit code of a worker killed by an injected ``worker-crash`` fault.
 _FAULT_EXIT_CODE = 23
 #: How long an injected ``worker-hang`` sleeps (far past any sane timeout).
 _HANG_SLEEP_SECONDS = 3600.0
+#: Seconds slept before each re-dispatch of a failed shard, one entry per
+#: retry; a shard that fails once more than this allows runs in-process.
+_RETRY_BACKOFFS = (0.05, 0.1)
 
 
 @dataclass
@@ -444,11 +399,6 @@ class TrialRunner:
         are sharded contiguously across workers, and each shard walks the
         backend ladder.  Results are returned in trial order and are
         seed-for-seed identical to a serial run.
-    supervisor:
-        The :class:`SupervisorPolicy` governing shard timeouts, retries and
-        degradation under ``workers > 1``.  Defaults to
-        :meth:`SupervisorPolicy.from_env` (which honors
-        ``REPRO_SHARD_TIMEOUT`` / ``REPRO_SHARD_RETRIES``).
     """
 
     def __init__(
@@ -461,7 +411,6 @@ class TrialRunner:
         workers: int = 1,
         pipeline=None,
         streaming: bool = False,
-        supervisor: Optional[SupervisorPolicy] = None,
     ) -> None:
         if workers < 1:
             raise ConfigurationError("workers must be >= 1")
@@ -486,7 +435,6 @@ class TrialRunner:
         self._workers = workers
         self._pipeline = _coerce_pipeline(pipeline)
         self._streaming = streaming
-        self._supervisor = supervisor or SupervisorPolicy.from_env()
 
     def run_single(self, seed: SeedLike) -> SimulationResult:
         """Execute one trial on the root seed tree, through the ladder.
@@ -713,15 +661,15 @@ class TrialRunner:
 
         Each shard runs in its own forked process with async result
         collection, so one worker crashing or hanging can neither take the
-        study down nor block it forever.  Failed shards are retried
-        (identical trial ranges → identical results), hangs shrink the
-        concurrency cap, and exhausted shards degrade to in-process serial
-        execution (or raise :class:`~repro.errors.WorkerError` under
-        ``degrade=False``).  Shard results and pipeline partials are merged
-        in shard index (= trial) order regardless of completion order.
+        study down nor block it forever.  Every shard is dispatched at once.
+        A shard that crashes, raises, or outlives ``REPRO_SHARD_TIMEOUT``
+        (read here, once per run) is re-dispatched after each backoff of
+        ``_RETRY_BACKOFFS`` (identical trial ranges → identical results),
+        and then runs in-process.  Shard results and pipeline partials are
+        merged in shard index (= trial) order regardless of completion order.
         """
+        timeout = _shard_timeout()
         chunks = _contiguous_chunks(seeds, workers)
-        policy = self._supervisor
         context = multiprocessing.get_context("fork")
         pending = deque()
         lo = 0
@@ -734,18 +682,17 @@ class TrialRunner:
         running: Dict[Any, Tuple[_ShardTask, Any, Any, Optional[float]]] = {}
         shard_results: Dict[int, List[SimulationResult]] = {}
         shard_pipelines: Dict[int, Any] = {}
-        limit = len(chunks)
         try:
             while pending or running:
-                while pending and len(running) < limit:
+                while pending:
                     task = pending.popleft()
-                    if task.attempt > policy.retries:
+                    if task.attempt > len(_RETRY_BACKOFFS):
                         self._shard_exhausted(
-                            task, policy, health, shard_results, shard_pipelines
+                            task, health, shard_results, shard_pipelines
                         )
                         continue
                     if task.attempt > 0:
-                        time.sleep(policy.backoff(task.attempt))
+                        time.sleep(_RETRY_BACKOFFS[task.attempt - 1])
                         health.record(
                             "retry",
                             "worker",
@@ -770,19 +717,20 @@ class TrialRunner:
                     process.start()
                     child_conn.close()
                     deadline = (
-                        None
-                        if policy.timeout is None
-                        else time.monotonic() + policy.timeout
+                        None if timeout is None else time.monotonic() + timeout
                     )
                     running[process.sentinel] = (
                         task, process, parent_conn, deadline
                     )
-                if not running:
-                    continue
-                self._collect_ready(
-                    running, pending, health, shard_results, shard_pipelines
-                )
-                limit = self._apply_degradation(health, limit, len(chunks))
+                if running:
+                    self._collect_ready(
+                        running,
+                        pending,
+                        health,
+                        timeout,
+                        shard_results,
+                        shard_pipelines,
+                    )
         except BaseException:
             for _, process, conn, _ in running.values():
                 _reap(process, conn)
@@ -804,6 +752,7 @@ class TrialRunner:
         running: Dict[Any, Tuple[_ShardTask, Any, Any, Optional[float]]],
         pending,
         health: RunHealth,
+        timeout: Optional[float],
         shard_results: Dict[int, List[SimulationResult]],
         shard_pipelines: Dict[int, Any],
     ) -> None:
@@ -846,11 +795,7 @@ class TrialRunner:
             elif not was_alive:
                 failure = ("crash", _exit_detail(process))
             elif deadline is not None and now >= deadline:
-                failure = (
-                    "hang",
-                    f"no result within {self._supervisor.timeout}s; "
-                    "worker terminated",
-                )
+                failure = ("hang", f"no result within {timeout}s; worker terminated")
             else:
                 continue  # still running
             del running[sentinel]
@@ -863,54 +808,14 @@ class TrialRunner:
             )
             pending.append(replace(task, attempt=task.attempt + 1))
 
-    def _apply_degradation(
-        self, health: RunHealth, limit: int, total: int
-    ) -> int:
-        """Shrink the concurrency cap by one per observed hang (floor 1).
-
-        A hang usually means the machine cannot sustain the requested degree
-        of parallelism (memory pressure, CPU oversubscription), so retrying
-        at the same width would likely hang again; the pool converges toward
-        serial execution instead.
-        """
-        hangs = sum(1 for e in health.events if e.kind == "hang")
-        target = max(1, total - hangs)
-        if target < limit:
-            health.record(
-                "degrade",
-                "pool",
-                f"concurrency reduced to {target} after {hangs} hung "
-                f"shard(s)",
-            )
-        return min(limit, target)
-
     def _shard_exhausted(
         self,
         task: _ShardTask,
-        policy: SupervisorPolicy,
         health: RunHealth,
         shard_results: Dict[int, List[SimulationResult]],
         shard_pipelines: Dict[int, Any],
     ) -> None:
-        """Retry budget spent: degrade to in-process execution or raise."""
-        last_failure = next(
-            (
-                e.detail
-                for e in reversed(health.events)
-                if e.shard == task.index and e.kind in _FAILURE_KINDS
-            ),
-            "",
-        )
-        if not policy.degrade:
-            raise WorkerError(
-                f"shard {task.index} (trials {task.trial_lo}.."
-                f"{task.trial_hi - 1}) failed after {task.attempt} "
-                f"attempt(s)" + (f": {last_failure}" if last_failure else ""),
-                shard_index=task.index,
-                trial_range=(task.trial_lo, task.trial_hi),
-                attempts=task.attempt,
-                cause=last_failure,
-            )
+        """Retry budget spent: run the shard in-process."""
         health.record(
             "fallback",
             "worker",
@@ -924,6 +829,23 @@ class TrialRunner:
         )
         shard_results[task.index] = self._run_chunk(task.chunk, pipeline)
         shard_pipelines[task.index] = pipeline
+
+
+def _shard_timeout() -> Optional[float]:
+    """``REPRO_SHARD_TIMEOUT`` in seconds, or None (no hang detection) if unset."""
+    text = os.environ.get("REPRO_SHARD_TIMEOUT")
+    if not text:
+        return None
+    try:
+        timeout = float(text)
+        if not 0 < timeout < float("inf"):
+            raise ValueError
+    except ValueError:
+        raise ConfigurationError(
+            "REPRO_SHARD_TIMEOUT must be a positive, finite number of "
+            f"seconds, got {text!r}"
+        ) from None
+    return timeout
 
 
 def _exit_detail(process) -> str:
@@ -980,7 +902,6 @@ def run_trials(
     workers: int = 1,
     pipeline=None,
     streaming: bool = False,
-    supervisor: Optional[SupervisorPolicy] = None,
 ) -> TrialStudy:
     """Convenience wrapper: build the config and runner and execute the trials.
 
@@ -1003,6 +924,5 @@ def run_trials(
         workers=workers,
         pipeline=pipeline,
         streaming=streaming,
-        supervisor=supervisor,
     )
     return runner.run(trials=trials, seed=seed)

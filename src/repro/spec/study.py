@@ -240,7 +240,13 @@ class StudySpec:
 
 
 def _integer(name: str, value: Any) -> int:
+    # int() reads True as 1 and truncates 128.9 to 128, which would run and
+    # hash as another point.
     try:
+        if isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer()
+        ):
+            raise ValueError
         return int(value)
     except (TypeError, ValueError, OverflowError):
         raise SpecError(

@@ -55,11 +55,6 @@ class TestMicroSuite:
             assert record["peak_bytes_per_slot"] > 0
             # Four int64 prefix columns retained per slot.
             assert record["result_bytes_per_slot"] == 32.0
-            # The pre-columnar list representation must measure strictly larger.
-            assert (
-                record["legacy_list_bytes_per_slot"]
-                > record["result_bytes_per_slot"]
-            )
 
     def test_batched_records_report_streaming_bytes(self, bench_data):
         batched = [
@@ -154,7 +149,6 @@ class TestComparison:
             for metric in (
                 "peak_bytes_per_slot",
                 "result_bytes_per_slot",
-                "legacy_list_bytes_per_slot",
                 "streaming_result_bytes_per_slot",
             ):
                 record.pop(metric, None)

@@ -17,10 +17,10 @@ from repro.adversary import (
     ComposedAdversary,
     RandomFractionJamming,
 )
-from repro.errors import ConfigurationError, WorkerError
+from repro.errors import ConfigurationError
 from repro.metrics import MetricPipeline, SuccessTimelineReducer
 from repro.protocols import ProbabilityBackoff, make_factory
-from repro.sim import SupervisorPolicy, run_trials
+from repro.sim import run_trials
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -45,25 +45,14 @@ def summaries(result_study):
     return [r.summary for r in result_study.results]
 
 
-class TestSupervisorPolicy:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            SupervisorPolicy(timeout=0)
-        with pytest.raises(ConfigurationError):
-            SupervisorPolicy(retries=-1)
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "2.5")
-        monkeypatch.setenv("REPRO_SHARD_RETRIES", "5")
-        policy = SupervisorPolicy.from_env()
-        assert policy.timeout == 2.5
-        assert policy.retries == 5
-
-    def test_backoff_caps(self):
-        policy = SupervisorPolicy(backoff_base=0.1, backoff_cap=0.3)
-        assert policy.backoff(1) == pytest.approx(0.1)
-        assert policy.backoff(2) == pytest.approx(0.2)
-        assert policy.backoff(5) == pytest.approx(0.3)
+class TestShardTimeout:
+    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
+    def test_invalid_timeout_names_the_variable(self, monkeypatch, value):
+        """A parallel run reads REPRO_SHARD_TIMEOUT when it starts and
+        refuses a value that is not a positive number of seconds."""
+        monkeypatch.setenv("REPRO_SHARD_TIMEOUT", value)
+        with pytest.raises(ConfigurationError, match="REPRO_SHARD_TIMEOUT"):
+            study(workers=2)
 
 
 class TestCrashRecovery:
@@ -100,50 +89,42 @@ class TestCrashRecovery:
         for key in serial_metrics:
             assert parallel_metrics[key] == serial_metrics[key]
 
-    def test_worker_error_carries_shard_and_trial_range(self):
-        """Satellite regression test: a permanently failing shard surfaces a
-        typed WorkerError naming the shard and its trial range."""
-        with faults.injected({"rules": [{"site": "worker-crash", "shard": 1}]}):
-            with pytest.raises(WorkerError) as info:
-                study(
-                    workers=4,
-                    supervisor=SupervisorPolicy(retries=0, degrade=False),
-                )
-        assert info.value.shard_index == 1
-        assert info.value.trial_range == (3, 6)
-        assert info.value.attempts == 1
-        assert "shard 1" in str(info.value)
-
     def test_exhausted_retries_degrade_to_inline_serial(self):
-        """A shard that crashes on every attempt still completes in-process,
-        identical to serial."""
+        """A shard that crashes on every attempt is re-dispatched twice and
+        then completes in-process, identical to serial."""
         serial = study()
         with faults.injected({"rules": [{"site": "worker-crash", "shard": 1}]}):
-            parallel = study(workers=4, supervisor=SupervisorPolicy(retries=1))
+            parallel = study(workers=4)
         assert summaries(parallel) == summaries(serial)
-        assert parallel.health.degraded
-        assert any(e.kind == "fallback" for e in parallel.health.events)
+        health = parallel.health
+        assert [e.kind for e in health.events if e.site == "worker"] == [
+            "crash", "retry", "crash", "retry", "crash", "fallback"
+        ]
+        assert health.retries == 2
+        assert health.shard_failures == 3
+        assert len(health.fallbacks) == 1
+        assert health.degraded
 
 
 class TestHangRecovery:
-    def test_hang_terminated_within_timeout_and_degrades(self):
+    def test_hang_terminated_within_timeout(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "0.5")
         serial = study()
         start = time.monotonic()
         with faults.injected(
             {"rules": [{"site": "worker-hang", "shard": 2, "attempt": 0}]}
         ):
-            parallel = study(workers=4, supervisor=SupervisorPolicy(timeout=0.5))
+            parallel = study(workers=4)
         elapsed = time.monotonic() - start
         assert summaries(parallel) == summaries(serial)
         # One timeout window plus the retry, not the 3600s injected sleep.
         assert elapsed < 10.0
         assert any(e.kind == "hang" for e in parallel.health.events)
-        assert any(e.kind == "degrade" for e in parallel.health.events)
         assert parallel.health.retries == 1
 
 
 class TestLargeShardPayload:
-    def test_payload_far_past_the_pipe_buffer_matches_serial(self):
+    def test_payload_far_past_the_pipe_buffer_matches_serial(self, monkeypatch):
         """Each shard pickles its results back through its pipe.  Counters a
         worker's pipeline read travel as four int64 columns per slot, so at
         this horizon a shard sends megabytes against the pipe's 64 KiB
@@ -160,7 +141,9 @@ class TestLargeShardPayload:
             )
 
         serial = run()
-        parallel = run(workers=2, supervisor=SupervisorPolicy(timeout=120.0))
+        # A drain that deadlocks fails as a hang instead of stalling.
+        monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "120")
+        parallel = run(workers=2)
         assert parallel.health.clean
         assert parallel.effective_workers == 2
         payload = sum(r.memory_bytes() for r in parallel.results[:2])

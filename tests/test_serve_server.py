@@ -547,6 +547,16 @@ class TestProtocol:
             pytest.param(
                 {"op": "status", "hashes": "abc"}, "'hashes'", id="status-hashes"
             ),
+            pytest.param(
+                {"op": "submit", "specs": [aloha_spec().to_dict()], "wait": "no"},
+                "'wait'",
+                id="submit-wait",
+            ),
+            pytest.param(
+                {"op": "result", "hashes": ["abc"], "wait": "false"},
+                "'wait'",
+                id="result-wait",
+            ),
         ],
     )
     def test_malformed_request_answers_error_on_a_usable_connection(

@@ -350,6 +350,9 @@ class TestStudySpecRoundTrip:
             pytest.param({"seed": "x"}, "'seed'", id="seed"),
             pytest.param({"workers": None}, "'workers'", id="workers"),
             pytest.param({"horizon": 1e400}, "'horizon'", id="horizon-inf"),
+            pytest.param({"horizon": 128.9}, "'horizon'", id="horizon-fraction"),
+            pytest.param({"seed": 1.7}, "'seed'", id="seed-fraction"),
+            pytest.param({"trials": True}, "'trials'", id="trials-bool"),
             pytest.param(
                 {"protocol": {"kind": "cjz", "params": 3}}, "params", id="protocol"
             ),
