@@ -150,7 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--backend", choices=available_study_backends(), default=None
     )
-    sweep_parser.add_argument("--workers", type=int, default=None)
+    sweep_parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="trial worker processes per point (fork-based; 1 = serial); "
+        "points that fuse with others run together in one process, so it "
+        "forks only the points that run alone",
+    )
     sweep_parser.add_argument(
         "--streaming",
         action="store_const",
@@ -382,7 +389,9 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="trial worker processes (fork-based; 1 = serial)",
+        help="trial worker processes (fork-based; 1 = serial); the "
+        "studies an experiment fuses run together in one process, so it "
+        "forks only the studies that run alone (E2's and E10's)",
     )
     parser.add_argument(
         "--streaming",

@@ -53,6 +53,10 @@ __all__ = [
     "cjz_factory",
 ]
 
+#: Window offset of a Phase-3 row that holds no window: the row's read index
+#: ``offset + slot`` is negative in every slot below 2**31.
+_REPLAY = np.iinfo(np.int32).min
+
 
 class ChenJiangZhengProtocol(Protocol):
     """The paper's algorithm, parameterized by the jamming budget function ``g``."""
@@ -212,12 +216,28 @@ class CJZLockstepProgram(LockstepProgram):
     :meth:`~repro.rng.NodeStreamPool.pow2_batch` round per plan index: in
     round ``j`` each row whose stage sends more than ``j`` times draws its
     ``j``-th value with its own exponent, so every stream is consumed in
-    the reference's order.  Every Phase-3 slot draws one ``random()``
-    double per row and compares it with one gather from the interleaved
-    ``h``-batch table, indexed by ``t = slot − l3``: odd ``t`` is control
-    local ``(t + 1) / 2``, even ``t`` data local ``t / 2``.  The table
-    holds the floats the scalar ``HBatch.probability`` calls return, so
-    comparisons are float-identical.
+    the reference's order.
+
+    In Phase 3 a row sends in each slot when that slot's ``random()``
+    double is below one gather from the interleaved ``h``-batch table,
+    indexed by ``t = slot − l3``: odd ``t`` is control local
+    ``(t + 1) / 2``, even ``t`` data local ``t / 2``.  The table holds the
+    floats the scalar ``HBatch.probability`` calls return, so comparisons
+    are float-identical.  Feedback moves only ``l3``, never which double a
+    slot reads, so a row entering Phase 3 draws its next doubles natively
+    (:meth:`~repro.rng.NodeStreamPool.native_doubles`) into a window and
+    reads one per slot; at the window's end it draws the next window, in
+    bulk with the rows whose windows end there.  Its pool state stays
+    where it entered, and no Phase-3 draw reads the 32-bit half a backoff
+    draw may have left buffered.  The windows share one pool of
+    ``DRAW_BLOCK_ELEMENTS // 2`` doubles' worth (1,024 windows of 256,
+    about 2 MB), allocated at the first entry.  A row holds its window
+    until it succeeds (a row whose trial stops first, to the run's end),
+    and a row that enters while every window is held replays its doubles
+    slot by slot (:meth:`~repro.rng.NodeStreamPool.doubles`).  The bound
+    caps the memory of groups with thousands of Phase-3 rows, where
+    replay's numpy calls are shared by many rows per slot while each
+    window costs its row one native call.
     """
 
     def __init__(
@@ -309,7 +329,12 @@ class CJZLockstepProgram(LockstepProgram):
         return artifacts.cached_artifact(key, build)
 
     def bind(self, trials: int, capacity: int, pool, horizon: int) -> None:
+        # Imported lazily: the simulation layer imports this module.
+        from ..protocols.base import _MIN_DRAW_WINDOW
+        from ..sim.backends.studysupport import DRAW_BLOCK_ELEMENTS
+
         self._pool = pool
+        self._horizon = horizon
         stage_counts, _, _, self._phase3_table = self._build_tables(horizon)
         self._stage_counts = np.asarray(stage_counts, dtype=np.int64)
         rows = trials * capacity
@@ -323,6 +348,21 @@ class CJZLockstepProgram(LockstepProgram):
         self._plan_ptr = np.zeros(rows, dtype=np.int64)
         self._next_planned = np.full(rows, LOCKSTEP_SENTINEL, dtype=np.int64)
         self._next_event = np.full(rows, LOCKSTEP_SENTINEL, dtype=np.int64)
+        # Phase-3 windows: window ``w`` is ``_doubles[w * stride :][:width]``
+        # and a row holding it reads slot ``s`` at ``_base[row] + s``
+        # (negative for a row that replays).  The stride leaves one unread
+        # double after each window, so the index a row reaches at its
+        # window's end names neither its window's start nor the next one's.
+        self._width = _MIN_DRAW_WINDOW
+        self._stride = self._width + 1
+        windows = max(1, DRAW_BLOCK_ELEMENTS // 2 // self._width)
+        self._doubles = np.empty(0)  # allocated at the first entry
+        self._base = np.full(rows, _REPLAY, dtype=np.int32)
+        self._skip = np.zeros(windows, dtype=np.int64)  # draws before column 0
+        self._free = np.arange(windows - 1, -1, -1)  # a stack, top at the end
+        self._free_count = windows
+        self._replaying = 0  # rows that entered without a window, not done
+        self._window_ends: set = set()
 
     def grow(self, trials: int, old_capacity: int, new_capacity: int) -> None:
         args = (trials, old_capacity, new_capacity)
@@ -338,6 +378,7 @@ class CJZLockstepProgram(LockstepProgram):
         self._next_event = grow_flat_column(
             self._next_event, *args, fill=LOCKSTEP_SENTINEL
         )
+        self._base = grow_flat_column(self._base, *args, fill=_REPLAY)
 
     # ---------------------------------------------------------------- arrive
 
@@ -383,7 +424,78 @@ class CJZLockstepProgram(LockstepProgram):
         # Phase 3: the control and data batches together cover every slot
         # after l3, so exactly one of them draws in each.
         probability = self._phase3_table[slot - self._anchor3[rows]]
-        return self._pool.doubles(rows) < probability
+        if slot in self._window_ends:
+            self._refill(rows, slot)
+        index = self._base[rows] + slot
+        if self._replaying:
+            replay = (index < 0).nonzero()[0]
+            if replay.size:
+                uniforms = np.empty(len(rows))
+                uniforms[replay] = self._pool.doubles(rows[replay])
+                held = (index >= 0).nonzero()[0]
+                uniforms[held] = self._doubles[index[held]]
+                return uniforms < probability
+        return self._doubles[index] < probability
+
+    def _enter_batch(self, rows: np.ndarray, slot: int) -> None:
+        """Start Phase 3 at ``slot``: each row takes a free window of its
+        next doubles, and the rows left over when none is free replay."""
+        self._phase[rows] = 3
+        self._anchor3[rows] = slot
+        self._next_event[rows] = LOCKSTEP_SENTINEL
+        if slot >= self._horizon:
+            return  # no Phase-3 slot follows
+        if not self._doubles.size:
+            self._doubles = np.empty(self._free.size * self._stride)
+        taken = min(rows.size, self._free_count)
+        self._replaying += rows.size - taken
+        if taken:
+            self._free_count -= taken
+            windows = self._free[self._free_count : self._free_count + taken]
+            self._fill(rows[:taken], windows, slot + 1, 0)
+
+    def _fill(
+        self, rows: np.ndarray, windows: np.ndarray, origin: int, skip: int
+    ) -> None:
+        """Draw ``windows`` for ``rows``: their doubles from the ``skip``-th
+        since Phase-3 entry on, the first read in slot ``origin``."""
+        width = self._width
+        drawn = min(width, self._horizon + 1 - origin)
+        grid = self._doubles.reshape(-1, self._stride)[:, :drawn]
+        self._pool.native_doubles(rows, [grid[w] for w in windows.tolist()], skip)
+        self._base[rows] = windows * self._stride - origin
+        self._skip[windows] = skip
+        if origin + width <= self._horizon:
+            self._window_ends.add(origin + width)
+
+    def _refill(self, rows: np.ndarray, slot: int) -> None:
+        """Draw the next windows of the ``rows`` whose windows end at
+        ``slot``, grouped by the number of doubles each has drawn."""
+        self._window_ends.discard(slot)
+        index = self._base[rows] + slot
+        windows, column = np.divmod(index, self._stride)
+        ending = ((column == self._width) & (index >= 0)).nonzero()[0]
+        if not ending.size:
+            return
+        ending_rows, windows = rows[ending], windows[ending]
+        skips = self._skip[windows] + self._width
+        for skip in np.unique(skips).tolist():
+            group = skips == skip
+            self._fill(ending_rows[group], windows[group], slot, skip)
+
+    def _release(self, winners: np.ndarray, slot: int) -> None:
+        """Free the windows of the rows that succeeded in ``slot``."""
+        index = self._base[winners] + slot
+        held = index >= 0
+        freed = index[held] // self._stride
+        if freed.size:
+            top = self._free_count
+            self._free[top : top + freed.size] = freed
+            self._free_count = top + freed.size
+        if self._replaying:
+            self._replaying -= np.count_nonzero(
+                ~held & (self._phase[winners] == 3)
+            )
 
     def _step_backoff(
         self, rows: np.ndarray, sends: np.ndarray, due: np.ndarray, slot: int
@@ -457,6 +569,8 @@ class CJZLockstepProgram(LockstepProgram):
     ) -> None:
         if not np.count_nonzero(trial_success):
             return
+        if self._doubles.size:
+            self._release(rows[own_success], slot)
         heard = trial_success & ~own_success
         if not np.count_nonzero(heard):
             return
@@ -473,9 +587,8 @@ class CJZLockstepProgram(LockstepProgram):
             synchronized = waiting[
                 ((anchor & 1) == (slot & 1)) & (slot >= anchor)
             ]
-            self._phase[synchronized] = 3
-            self._anchor3[synchronized] = slot
-            self._next_event[synchronized] = LOCKSTEP_SENTINEL
+            if synchronized.size:
+                self._enter_batch(synchronized, slot)
         batching = selected[phase == 3]
         if batching.size:
             # A success on the control channel (odd t) restarts Phase 3.

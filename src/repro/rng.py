@@ -445,6 +445,10 @@ class NodeStreamPool:
 
     :meth:`native_doubles` instead hands a row's state to numpy's own
     generator and reads a run of doubles ahead, without moving the row.
+    Two lockstep programs read their ``random()`` doubles this way, where
+    feedback cannot change what a row draws next: the age-profile program
+    (every draw of a row) and the CJZ program (a row's Phase-3 draws, from
+    its entry on, while its window pool has room).
 
     The replication is pinned by :func:`lockstep_streams_ok`, which checks an
     interleaved call pattern against real ``numpy`` generators at runtime;
@@ -530,14 +534,18 @@ class NodeStreamPool:
         """One ``Generator.random()`` double per row."""
         return (self.raw64(rows) >> _SHIFT11) * _TWO_POW_M53
 
-    def native_doubles(self, rows: np.ndarray, out: np.ndarray, skip: int = 0) -> None:
+    def native_doubles(
+        self, rows: np.ndarray, out: Sequence[np.ndarray], skip: int = 0
+    ) -> None:
         """Fill row ``i`` of ``out`` with stream ``rows[i]``'s next doubles.
 
         The doubles are the ones :meth:`doubles` would return from the
         row's current state on, past the first ``skip``, but numpy's own
-        generator draws them, one native ``random(out=...)`` per row.  The
-        rows' states do not move: a later call reads from the same origin,
-        so a row is read either this way or by replay, never both.
+        generator draws them, one native ``random(out=...)`` per row, so
+        ``out`` may be a 2-D array or a sequence of contiguous 1-D arrays
+        (views into a larger buffer).  The rows' states do not move: a later
+        call reads from the same origin, so a row read this way is never
+        replayed afterwards.
         """
         native = self._native
         if native is None:

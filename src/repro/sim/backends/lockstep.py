@@ -22,9 +22,12 @@ Three columnar sub-systems cooperate:
 * the protocol's :class:`~repro.protocols.base.LockstepProgram` holds every
   node's algorithm state as numpy columns (phases, anchors, backoff plans,
   windows) and produces the slot's broadcast mask;
-* a :class:`~repro.rng.NodeStreamPool` replays every node's ``default_rng``
-  stream bit for bit with vectorized PCG64 stepping, so draws happen in
-  exactly the order and kind the per-node reference execution consumes them;
+* a :class:`~repro.rng.NodeStreamPool` holds every node's ``default_rng``
+  stream: a program replays it bit for bit with vectorized PCG64 stepping,
+  draw by draw, or, where feedback cannot change a node's next draws (the
+  age-profile protocols' sends, CJZ Phase 3), reads a window of them
+  natively ahead of time, so draws happen in exactly the order and kind
+  the per-node reference execution consumes them;
 * a :class:`~repro.adversary.columnar.LockstepAdversaryDriver` supplies each
   slot's arrivals/jamming for all trials — precompiled schedules for
   oblivious adversaries, columnar counter updates for the bundled adaptive

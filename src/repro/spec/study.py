@@ -255,10 +255,11 @@ def _integer(name: str, value: Any) -> int:
 
 
 def _flag(name: str, value: Any) -> bool:
-    # bool() reads any non-empty string, "no" and "false" included, as True.
-    if isinstance(value, str):
+    # bool() reads "no", "false", [0] and 1 as True and {} and null as
+    # False, which would run and hash as another point.
+    if not isinstance(value, bool):
         raise SpecError(f"study spec field {name!r} must be a boolean, got {value!r}")
-    return bool(value)
+    return value
 
 
 def _set_dotted(data: Dict[str, Any], path: str, value: Any) -> None:

@@ -11,7 +11,7 @@ the serial reference study exactly: identical summaries, prefix arrays,
 per-node statistics and early-stop slots, and the same holds for
 ``workers=4`` shard merges.  Workloads with long idle stretches pin the
 kernel's idle-slot skip the same way, and targeted CJZ workloads pin each
-path of its program's stage-entry draws.
+path of its program's stage-entry draws and of its Phase-3 draw windows.
 """
 
 import contextlib
@@ -49,8 +49,11 @@ from repro.protocols import (
     WindowedBinaryExponentialBackoff,
     make_factory,
 )
+from repro.protocols import base
 from repro.protocols.base import LOCKSTEP_SENTINEL
+from repro.rng import NodeStreamPool, lockstep_streams_ok
 from repro.sim import run_trials
+from repro.sim.backends import studysupport
 
 #: Protocols whose programs also lower to the compiled tier (the compiled
 #: property suite imports this list).
@@ -567,3 +570,53 @@ class TestCJZProgramPaths:
         assert any(r.horizon < horizon for r in lockstep)
         assert [r.horizon for r in lockstep] == [r.horizon for r in reference]
         assert_studies_identical(reference, lockstep)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        width=st.integers(2, 4),
+        windows=st.integers(1, 2),
+        count=st.integers(6, 10),
+        jamming=st.sampled_from(sorted(JAMMERS)),
+        trials=st.integers(2, 3),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_small_phase3_windows_identical(
+        self, width, windows, count, jamming, trials, seed
+    ):
+        """Phase-3 windows of a few slots in a pool of one or two: a batch
+        sends ``count − 2`` rows into Phase 3 together, so rows replay
+        beside the window holders, and the holders refill."""
+        assert lockstep_streams_ok()  # its check replays before the spies
+        fills, replays = [], []
+        real_fill = CJZLockstepProgram._fill
+        real_doubles = NodeStreamPool.doubles
+
+        def fill(program, rows, held, origin, skip):
+            fills.append(skip)
+            return real_fill(program, rows, held, origin, skip)
+
+        def doubles(pool, rows):
+            replays.append(rows.size)
+            return real_doubles(pool, rows)
+
+        def study(backend):
+            return run_trials(
+                protocol_factory=cjz_factory(),
+                adversary_factory=lambda: ComposedAdversary(
+                    BatchArrivals(count), JAMMERS[jamming]()
+                ),
+                horizon=240,
+                trials=trials,
+                seed=seed,
+                backend=backend,
+            )
+
+        with (
+            mock.patch.object(base, "_MIN_DRAW_WINDOW", width),
+            mock.patch.object(studysupport, "DRAW_BLOCK_ELEMENTS", 2 * windows * width),
+            mock.patch.object(CJZLockstepProgram, "_fill", fill),
+            mock.patch.object(NodeStreamPool, "doubles", doubles),
+        ):
+            lockstep = study("lockstep")
+        assert any(fills) and replays  # refilled and overflowed
+        assert_studies_identical(study("reference"), lockstep)

@@ -1007,6 +1007,154 @@ class TestCJZProgramEvents:
         # Stages 0-7 and at least eight sends, out of 400 slots.
         assert sum(sends) >= 8 and len(worked) < horizon // 16
 
+    # Phase 3: rows read their doubles from natively drawn windows.  Each
+    # test below spies on the branch it names and checks the results
+    # against the reference kernel.
+
+    @staticmethod
+    def _spy_fills(monkeypatch):
+        """Every window fill as ``(origin, skip, rows, windows)``."""
+        fills = []
+        real_fill = CJZLockstepProgram._fill
+
+        def fill(program, rows, windows, origin, skip):
+            fills.append((origin, skip, rows.tolist(), windows.tolist()))
+            return real_fill(program, rows, windows, origin, skip)
+
+        monkeypatch.setattr(CJZLockstepProgram, "_fill", fill)
+        return fills
+
+    @staticmethod
+    def _spy_replays(monkeypatch):
+        """The row count of every ``NodeStreamPool.doubles`` call."""
+        assert lockstep_streams_ok()  # its check replays before the spy
+        replays = []
+        real_doubles = NodeStreamPool.doubles
+
+        def doubles(pool, rows):
+            replays.append(rows.size)
+            return real_doubles(pool, rows)
+
+        monkeypatch.setattr(NodeStreamPool, "doubles", doubles)
+        return replays
+
+    @staticmethod
+    def _batch_kwargs(count, seed, horizon=300, trials=3, jamming=0.25):
+        return dict(
+            protocol_factory=cjz_factory(),
+            adversary_factory=lambda: ComposedAdversary(
+                BatchArrivals(count), RandomFractionJamming(jamming)
+            ),
+            horizon=horizon,
+            trials=trials,
+            seed=seed,
+        )
+
+    def test_rows_holding_windows_never_replay(self, monkeypatch):
+        fills = self._spy_fills(monkeypatch)
+        replays = self._spy_replays(monkeypatch)
+        kwargs = self._batch_kwargs(8, seed=3)
+        study = run_trials(backend="lockstep", **kwargs)
+        assert fills and not replays
+        _assert_same_results(study, run_trials(backend="reference", **kwargs))
+
+    def test_window_refill(self, monkeypatch):
+        """Four-slot windows: a row still in Phase 3 at its window's end
+        draws the next window there, and rows whose windows end in one
+        slot after different numbers of draws refill in one call each."""
+        from repro.protocols import base
+
+        monkeypatch.setattr(base, "_MIN_DRAW_WINDOW", 4)
+        fills = self._spy_fills(monkeypatch)
+        kwargs = self._batch_kwargs(6, seed=5)
+        study = run_trials(backend="lockstep", **kwargs)
+        refills = [(origin, skip) for origin, skip, _, _ in fills if skip]
+        assert refills and all(skip % 4 == 0 for _, skip in refills)
+        assert max(skip for _, skip in refills) >= 8  # refilled twice
+        skips_by_origin = {}
+        for origin, skip in refills:
+            skips_by_origin.setdefault(origin, set()).add(skip)
+        assert any(len(skips) > 1 for skips in skips_by_origin.values())
+        _assert_same_results(study, run_trials(backend="reference", **kwargs))
+
+    def test_phase3_entry_with_a_buffered_half_pending(self, monkeypatch):
+        """Rows whose backoff draws left a 32-bit half buffered enter
+        Phase 3 with it pending; their windows start at the next whole
+        word, as the reference's ``random()`` calls do."""
+        pending = []
+        real_enter = CJZLockstepProgram._enter_batch
+
+        def enter(program, rows, slot):
+            pending.extend(program._pool._has32[rows].tolist())
+            return real_enter(program, rows, slot)
+
+        monkeypatch.setattr(CJZLockstepProgram, "_enter_batch", enter)
+        fills = self._spy_fills(monkeypatch)
+        kwargs = self._batch_kwargs(6, seed=3)
+        study = run_trials(backend="lockstep", **kwargs)
+        assert any(pending) and not all(pending)
+        entered = sum(len(rows) for _, skip, rows, _ in fills if not skip)
+        assert entered == len(pending)  # every entrant took a window
+        _assert_same_results(study, run_trials(backend="reference", **kwargs))
+
+    def test_full_pool_rows_replay_and_freed_windows_are_reused(
+        self, monkeypatch
+    ):
+        """A pool of one window: the rows entering beside its holder
+        replay, and the window passes to a later entrant once its holder
+        succeeds."""
+        from repro.protocols import base
+        from repro.sim.backends import studysupport
+
+        monkeypatch.setattr(
+            studysupport, "DRAW_BLOCK_ELEMENTS", 2 * base._MIN_DRAW_WINDOW
+        )
+        fills = self._spy_fills(monkeypatch)
+        replays = self._spy_replays(monkeypatch)
+        kwargs = dict(
+            protocol_factory=cjz_factory(),
+            adversary_factory=lambda: ComposedAdversary(
+                ScheduledArrivals({1: 5, 100: 5}), RandomFractionJamming(0.0)
+            ),
+            horizon=400,
+            trials=2,
+            seed=1,
+        )
+        study = run_trials(backend="lockstep", **kwargs)
+        entries = [(rows, windows) for _, skip, rows, windows in fills if not skip]
+        assert all(windows == [0] for _, windows in entries)
+        assert len({rows[0] for rows, _ in entries}) > 1  # window 0 reused
+        assert replays
+        _assert_same_results(study, run_trials(backend="reference", **kwargs))
+
+    def test_capacity_growth_while_windows_are_held(self, monkeypatch):
+        """Adaptive arrivals grow the columns while Phase-3 rows hold
+        windows; each keeps reading its own window."""
+        held = []
+        real_grow = CJZLockstepProgram.grow
+
+        def grow(program, trials, old, new):
+            held.append(program._free.size - program._free_count)
+            return real_grow(program, trials, old, new)
+
+        monkeypatch.setattr(CJZLockstepProgram, "grow", grow)
+        kwargs = dict(
+            protocol_factory=cjz_factory(),
+            adversary_factory=lambda: AdaptiveSuccessChaser(
+                jam_fraction=0.1,
+                arrival_budget_per_success=3,
+                total_arrival_budget=60,
+                jam_burst=2,
+                seed_arrivals=10,
+            ),
+            horizon=300,
+            trials=2,
+            seed=0,
+        )
+        study = run_trials(backend="lockstep", **kwargs)
+        assert held and all(count > 0 for count in held)
+        _assert_same_results(study, run_trials(backend="reference", **kwargs))
+
 
 def _assert_same_results(study, reference):
     assert len(study) == len(reference)

@@ -376,6 +376,19 @@ class TestStudySpecRoundTrip:
             ),
             pytest.param({"keep_trace": "false"}, "'keep_trace'", id="keep_trace"),
             pytest.param({"streaming": "yes"}, "'streaming'", id="streaming"),
+            pytest.param(
+                {"stop_when_drained": [0]}, "'stop_when_drained'", id="drained-list"
+            ),
+            pytest.param(
+                {"stop_when_drained": 0.5},
+                "'stop_when_drained'",
+                id="drained-fraction",
+            ),
+            pytest.param({"keep_trace": 1}, "'keep_trace'", id="keep_trace-int"),
+            pytest.param({"streaming": {}}, "'streaming'", id="streaming-mapping"),
+            pytest.param(
+                {"stop_when_drained": None}, "'stop_when_drained'", id="drained-null"
+            ),
         ],
     )
     def test_malformed_field_rejected_by_name(self, data, field):
