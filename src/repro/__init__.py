@@ -57,6 +57,7 @@ from .sim import (
     SimulationResult,
     Simulator,
     SimulatorConfig,
+    TrialRunner,
     run_trials,
 )
 from .spec import (
@@ -139,10 +140,37 @@ def quick_run(
       of the paper's algorithm with default parameters.
 
     ``arrivals``/``jam_fraction`` are ignored when a scenario or adversary
-    spec supplies the workload.
+    spec supplies the workload.  The trial draws from ``SeedTree(seed)`` and
+    runs on the first rung of ``backend``'s ladder that takes it (any name
+    of :data:`repro.sim.backends.LADDERS`), as ``repro simulate`` runs it.
     """
-    from .spec import AdversarySpec
+    return _quick_runner(
+        arrivals,
+        horizon,
+        jam_fraction,
+        keep_trace=keep_trace,
+        backend=backend,
+        scenario=scenario,
+        adversary_spec=adversary_spec,
+        protocol_spec=protocol_spec,
+    ).run_single(seed)
 
+
+def _quick_runner(
+    arrivals: int,
+    horizon: Optional[int],
+    jam_fraction: float,
+    keep_trace: bool = False,
+    backend: str = "auto",
+    scenario: Optional[str] = None,
+    adversary_spec=None,
+    protocol_spec=None,
+):
+    """The one-trial runner behind :func:`quick_run` and ``repro simulate``.
+
+    A missing ``horizon`` is the scenario's, else :func:`quick_run`'s
+    default of 4096 (``repro simulate`` passes its own, 8192).
+    """
     if scenario is not None:
         if adversary_spec is not None:
             raise ConfigurationError(
@@ -157,12 +185,9 @@ def quick_run(
     if adversary_spec is None:
         adversary_spec = AdversarySpec.batch(arrivals, jam_fraction=jam_fraction)
     protocol_factory = protocol_spec.build() if protocol_spec is not None else cjz_factory()
-
-    simulator = Simulator(
-        protocol_factory=protocol_factory,
-        adversary=adversary_spec.build(horizon),
-        config=SimulatorConfig(horizon=horizon, keep_trace=keep_trace),
-        seed=seed,
+    return TrialRunner(
+        protocol_factory,
+        adversary_spec.factory(horizon),
+        SimulatorConfig(horizon=horizon, keep_trace=keep_trace),
         backend=backend,
     )
-    return simulator.run()

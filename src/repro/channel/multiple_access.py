@@ -16,15 +16,13 @@ class MultipleAccessChannel:
     A slot succeeds if and only if exactly one node broadcasts and the slot is
     not jammed.  A jammed slot always produces a collision outcome regardless
     of the number of broadcasters (including zero), per the paper's jamming
-    model.  The channel is stateless apart from bookkeeping counters; all
-    protocol and adversary state lives elsewhere.
+    model.  The channel is stateless; all protocol and adversary state lives
+    elsewhere, and each run's totals live in its
+    :class:`~repro.types.SimulationSummary`.
     """
 
     def __init__(self, feedback_model: Optional[FeedbackModel] = None) -> None:
         self._feedback_model = feedback_model or NoCollisionDetection()
-        self._slots_resolved = 0
-        self._successes = 0
-        self._jammed = 0
 
     @property
     def feedback_model(self) -> FeedbackModel:
@@ -33,18 +31,6 @@ class MultipleAccessChannel:
     @property
     def collision_detection(self) -> bool:
         return self._feedback_model.collision_detection
-
-    @property
-    def slots_resolved(self) -> int:
-        return self._slots_resolved
-
-    @property
-    def successes(self) -> int:
-        return self._successes
-
-    @property
-    def jammed_slots(self) -> int:
-        return self._jammed
 
     def resolve(
         self,
@@ -67,15 +53,12 @@ class MultipleAccessChannel:
             delivered (or ``None``) and the feedback heard by every listener.
         """
         senders: Sequence[NodeId] = tuple(broadcasters)
-        self._slots_resolved += 1
         if jammed:
-            self._jammed += 1
             outcome = SlotOutcome.COLLISION
             winner: Optional[NodeId] = None
         elif len(senders) == 1:
             outcome = SlotOutcome.SUCCESS
             winner = senders[0]
-            self._successes += 1
         elif len(senders) == 0:
             outcome = SlotOutcome.SILENCE
             winner = None
@@ -84,26 +67,3 @@ class MultipleAccessChannel:
             winner = None
         feedback = self._feedback_model.feedback_for(outcome)
         return outcome, winner, feedback
-
-    def record_bulk(self, slots: int, successes: int, jammed: int) -> None:
-        """Account for ``slots`` resolved outside :meth:`resolve`.
-
-        The vectorized slot kernel resolves whole horizons in array form and
-        reports the totals here so the channel's bookkeeping counters stay in
-        sync with the per-slot reference path.
-        """
-        self._slots_resolved += slots
-        self._successes += successes
-        self._jammed += jammed
-
-    def reset(self) -> None:
-        """Clear the bookkeeping counters."""
-        self._slots_resolved = 0
-        self._successes = 0
-        self._jammed = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"MultipleAccessChannel(cd={self.collision_detection}, "
-            f"slots={self._slots_resolved}, successes={self._successes})"
-        )

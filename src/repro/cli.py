@@ -34,13 +34,13 @@ Run the benchmark suite and persist the performance trajectory::
 
 Serve StudySpec JSON over TCP (deduped async job queue + sharded store)::
 
-    python -m repro.cli serve --port 7421 --workers 4
+    python -m repro.cli serve --port 7421 --workers 4 --store-root serve-store
     python -m repro.cli sweep --server :7421 --scenario adversarial-jam \\
         --axis adversary.jamming.params.fraction=0.0,0.25
     python -m repro.cli sweep --server :7421 --scenario adversarial-jam \\
         --axis horizon=4096,8192 --no-wait --priority 1
     python -m repro.cli client stats --server :7421
-    python -m repro.cli store stats --root .repro-store
+    python -m repro.cli store stats --root serve-store
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from .errors import ReproError, SpecError
 from .experiments import ExperimentConfig, all_experiments, get_experiment
 from .experiments.report import run_all, write_report
-from .sim.backends import available_backends, available_study_backends
+from .sim.backends import available_study_backends
 
 __all__ = ["main", "build_parser"]
 
@@ -105,9 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate_parser.add_argument(
         "--backend",
-        choices=available_backends(),
+        choices=available_study_backends(),
         default="auto",
-        help="backend (auto walks the study ladder; see --explain-backend)",
+        help="backend (auto walks lockstep-jit -> lockstep -> reference; "
+        "see --explain-backend)",
     )
     simulate_parser.add_argument(
         "--explain-backend",
@@ -233,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-root",
         default=".repro-store",
         help="sharded store directory; an existing store keeps its ring.json "
-        "topology, a new one gets 2 shards (default .repro-store)",
+        "topology, a new one gets 2 shards, and a directory holding a plain "
+        "`repro sweep --store` is refused (default .repro-store)",
     )
     serve_parser.add_argument(
         "--store-budget",
@@ -301,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     store_parser.add_argument(
         "--root",
         default=".repro-store",
-        help="store directory (default: .repro-store)",
+        help="sharded store directory, as `repro serve --store-root` made "
+        "it (default: .repro-store)",
     )
     store_parser.add_argument(
         "--budget",
@@ -380,9 +383,9 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         choices=available_study_backends(),
         default="auto",
         help=(
-            "simulation backend (auto escalates lockstep-jit -> "
-            "lockstep -> vectorized -> reference per study; batched-study "
-            "runs only when pinned)"
+            "simulation backend (auto walks lockstep-jit -> lockstep -> "
+            "reference per study; batched-study and vectorized run only "
+            "when pinned)"
         ),
     )
     parser.add_argument(
@@ -439,12 +442,20 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import _quick_runner
+
     # Without a scenario the historical default horizon (8192) applies; a
     # scenario supplies its own horizon unless --horizon overrides it.
     horizon = args.horizon
     if horizon is None and args.scenario is None:
         horizon = 8192
-    runner = _simulate_runner(args, horizon)
+    runner = _quick_runner(
+        args.arrivals,
+        horizon,
+        args.jam,
+        backend=args.backend,
+        scenario=args.scenario,
+    )
     # run_single dispatches through the runner's own ladder, so the ladder
     # that --explain-backend prints is the one that ran.
     result = runner.run_single(args.seed)
@@ -460,32 +471,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print()
         print(_explain_backend_text(runner))
     return 0
-
-
-def _simulate_runner(args: argparse.Namespace, horizon: Optional[int]):
-    """The trial runner for the simulate command's workload (CJZ, one trial)."""
-    from . import cjz_factory
-    from .sim import SimulatorConfig
-    from .sim.runner import TrialRunner
-    from .spec import AdversarySpec
-
-    if args.scenario is not None:
-        from .workloads import get_scenario
-
-        named = get_scenario(args.scenario)
-        adversary_spec = named.adversary
-        horizon = horizon or named.horizon
-    else:
-        adversary_spec = AdversarySpec.batch(
-            args.arrivals, jam_fraction=args.jam
-        )
-    horizon = horizon or 4096
-    return TrialRunner(
-        cjz_factory(),
-        adversary_spec.factory(horizon),
-        SimulatorConfig(horizon=horizon),
-        backend=args.backend,
-    )
 
 
 def _explain_backend_text(runner) -> str:
@@ -790,7 +775,11 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
 def _cmd_store(args: argparse.Namespace) -> int:
     from .serve import ShardedStudyStore
+    from .serve.sharded import RING_FILE
 
+    ring = Path(args.root) / RING_FILE
+    if not ring.is_file():
+        raise SpecError(f"no sharded store at {args.root}: {ring} is missing")
     store = ShardedStudyStore(args.root)
     if args.action == "stats":
         report = store.stats()

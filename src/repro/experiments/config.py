@@ -25,15 +25,17 @@ class ExperimentConfig:
     Experiments read :attr:`scale_factor` and the helpers below rather than
     interpreting the preset name directly, so custom scales remain possible.
 
-    ``backend`` selects the simulation backend (``auto`` / ``batched-study``
-    / ``lockstep`` / ``reference`` / ``vectorized``) and ``workers`` the
-    number of trial worker processes; both are set on every
+    ``backend`` selects the simulation backend (a name of
+    :data:`~repro.sim.backends.LADDERS`: ``auto`` / ``lockstep-jit`` /
+    ``lockstep`` / ``batched-study`` / ``vectorized`` / ``reference``) and
+    ``workers`` the number of trial worker processes; both are set on every
     :class:`~repro.spec.StudySpec` an experiment runs.  ``auto`` runs each
-    whole study through the lockstep kernel when the protocol has a
+    whole study through the lockstep tiers when the protocol has a
     columnar program (the paper's own algorithm, the baselines' age-profile
-    senders, adaptive adversaries included), else the per-trial ladder;
-    an experiment's plan fuses the studies that share a lockstep program.
-    ``batched-study`` runs only when pinned.
+    senders, adaptive adversaries included), else each trial on the
+    reference kernel; an experiment's plan fuses the studies that share a
+    lockstep program.  ``batched-study`` and ``vectorized`` run only when
+    pinned.
 
     ``streaming`` asks pipeline-based experiments to release per-slot
     prefix columns once their reducers have consumed each trial (memory

@@ -11,7 +11,9 @@ ordinary store.
 The topology is fixed when the store is created: the shard names and the
 virtual-node count are written to ``<root>/ring.json`` then, and every
 later open loads them, so two processes over the same root always agree on
-placement.  A different shard count needs a different store root.
+placement.  A different shard count needs a different store root, and a
+root that already holds a plain ``StudyStore``'s entries is refused rather
+than turned into a sharded one.
 
 A shard whose own calls raise ``OSError`` (permissions, a yanked mount)
 degrades instead of failing: its reads become misses and its writes
@@ -72,6 +74,11 @@ class ShardedStudyStore:
             count = _DEFAULT_SHARDS if shards is None else int(shards)
             if count < 1:
                 raise SpecError("a sharded store needs at least one shard")
+            if next(self._root.glob("[0-9a-f][0-9a-f]/*.json"), None):
+                raise SpecError(
+                    f"{self._root} holds a plain study store (entries but no "
+                    f"{RING_FILE}); a sharded store needs its own root"
+                )
             names = [f"shard-{index:02d}" for index in range(count)]
             vnodes = DEFAULT_VIRTUAL_NODES
             self._write_ring_config(names, vnodes)

@@ -6,7 +6,6 @@ from .backends import (
     ReferenceKernel,
     SlotKernel,
     VectorizedKernel,
-    available_backends,
     available_study_backends,
 )
 from .engine import Simulator, SimulatorConfig
@@ -32,6 +31,5 @@ __all__ = [
     "ReferenceKernel",
     "VectorizedKernel",
     "BatchedStudyKernel",
-    "available_backends",
     "available_study_backends",
 ]

@@ -66,24 +66,23 @@ from ...adversary.columnar import (
 from ...rng import TrialSeedBatch
 from ..artifacts import canonical_key, streams_verified
 from ..engine import SimulatorConfig
+from . import LADDERS
 from .compiled import (
+    CompiledStudyKernel,
     _kernels_for,
     _run_block,
     compiled_streams_ok,
     interpreter_mode,
 )
-from .lockstep import _BLOCK_TRIAL_SLOTS, _LockstepRun, build_lockstep_driver
+from .lockstep import (
+    _BLOCK_TRIAL_SLOTS,
+    LockstepStudyKernel,
+    _LockstepRun,
+    build_lockstep_driver,
+)
 from .studysupport import SeedPlan
 
 __all__ = ["fusion_budget", "fusion_key", "plan_fusion_groups", "run_fused_group"]
-
-#: Backends a fused run may substitute for (results are backend-invariant;
-#: explicit batched-study, reference and per-trial pins are honoured by not
-#: fusing, so a pin the study cannot take still raises).
-_FUSIBLE_BACKENDS = ("auto", "lockstep", "lockstep-jit")
-
-#: Backends under which the group may take the compiled (lockstep-jit) tier.
-_COMPILED_BACKENDS = ("auto", "lockstep-jit")
 
 
 # ---------------------------------------------------------------- grouping
@@ -115,7 +114,7 @@ def fusion_key(spec) -> Optional[Tuple]:
     driver), so oblivious and reactive-jamming points fuse together.
     Horizons may differ: every trial stops at its own.  Only when the
     compiled tier could take the group — interpreter on, program with
-    compiled tables, backend allowing ``lockstep-jit`` — does the key keep
+    compiled tables, a ladder holding ``lockstep-jit`` — does the key keep
     the horizon, since that tier runs one horizon, and whether the
     adversary is oblivious, since it lowers a static jam schedule and a
     reactive jammer as two modes.  Trace retention, unseeded studies and
@@ -124,7 +123,7 @@ def fusion_key(spec) -> Optional[Tuple]:
     """
     if spec.keep_trace or spec.seed is None or spec.horizon >= 2**31:
         return None
-    if spec.backend not in _FUSIBLE_BACKENDS:
+    if LADDERS[spec.backend][0] not in (CompiledStudyKernel, LockstepStudyKernel):
         return None
     try:
         program = spec.protocol.build()().lockstep_program()
@@ -139,7 +138,7 @@ def fusion_key(spec) -> Optional[Tuple]:
     except Exception:
         return None
     if (
-        spec.backend in _COMPILED_BACKENDS
+        CompiledStudyKernel in LADDERS[spec.backend]
         and interpreter_mode() != "off"
         and program.compiled_tables(spec.horizon) is not None
     ):
@@ -485,7 +484,7 @@ def run_fused_group(specs: Sequence[Any]) -> Optional[List[Any]]:
     if (
         uniform
         and not mixed
-        and all(spec.backend in _COMPILED_BACKENDS for spec in specs)
+        and all(CompiledStudyKernel in LADDERS[spec.backend] for spec in specs)
     ):
         results = _run_compiled_fused(
             program, merged, config, fused_plan, protocol_name, members

@@ -228,11 +228,6 @@ class VectorizedKernel(SlotKernel):
             arrivals=int(cum_arrivals[simulated]),
             total_broadcasts=int(broadcast_counts[exists].sum()),
         )
-        context.channel.record_bulk(
-            slots=simulated,
-            successes=summary.successes,
-            jammed=summary.jammed_slots,
-        )
 
         # Columns go straight into the result record — no .tolist() round trip.
         zero = np.zeros(1, dtype=np.int64)

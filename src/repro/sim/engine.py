@@ -17,25 +17,27 @@ The loop itself is executed by a pluggable *slot kernel*
 (:mod:`repro.sim.backends`).  The :class:`Simulator` only assembles the run
 configuration, spawns the two seed trees every kernel must draw from (one
 generator for the adversary, then one generator per node in arrival order) and
-delegates to the selected kernel:
+delegates to the per-trial kernel its backend names in
+:data:`~repro.sim.backends.LADDERS`:
 
-* ``backend="reference"`` — the per-node Python loop above, verbatim; the
-  semantics-defining implementation that supports every configuration.
+* ``backend="reference"`` and ``backend="auto"`` (default) — the per-node
+  Python loop above, verbatim; the semantics-defining implementation that
+  supports every configuration.
 * ``backend="vectorized"`` — numpy array resolution of whole horizons for
   protocols that opt into the
   :attr:`~repro.protocols.base.Protocol.vector_eligible` contract
   (independent per-slot Bernoulli decisions, feedback-oblivious) against
   precompilable (oblivious) adversaries.  Bit-for-bit identical to the
   reference kernel where it applies.
-* ``backend="auto"`` (default) — the vectorized kernel when eligible, the
-  reference kernel otherwise.
 
-Two further backends exist one level up and are selected through
+The study kernels exist one level up and are selected through
 :func:`repro.sim.run_trials` / :class:`repro.sim.TrialRunner` (a single
-:class:`Simulator` rejects them): ``"batched-study"`` executes a whole
-multi-trial study in one array pass, and ``"lockstep"`` advances all trials
-slot by slot in array lockstep — the fast path for feedback-driven
-protocols (the paper's own algorithm included) and adaptive adversaries.
+:class:`Simulator` rejects their names): ``"lockstep-jit"`` and
+``"lockstep"`` advance all trials slot by slot in array lockstep — the fast
+path for feedback-driven protocols (the paper's own algorithm included) and
+adaptive adversaries, which a study's ``auto`` tries before it runs each
+trial on ``reference`` — and ``"batched-study"`` executes a whole
+multi-trial study in one array pass.
 
 Per-slot records (``SlotRecord``) are retained with ``keep_trace=True``.
 Study-level metrics come from the columnar
@@ -58,13 +60,7 @@ from ..channel.multiple_access import MultipleAccessChannel
 from ..errors import ConfigurationError
 from ..protocols.base import ProtocolFactory
 from ..rng import SeedLike, SeedTree
-from .backends import (
-    AUTO_BACKEND,
-    STUDY_BACKENDS,
-    KernelContext,
-    available_backends,
-    select_kernel,
-)
+from .backends import AUTO_BACKEND, LADDERS, KernelContext
 from .results import SimulationResult
 
 __all__ = ["SimulatorConfig", "Simulator"]
@@ -115,15 +111,15 @@ class Simulator:
         seed: SeedLike = None,
         backend: str = AUTO_BACKEND,
     ) -> None:
-        if backend in STUDY_BACKENDS:
+        if backend not in LADDERS:
+            raise ConfigurationError(
+                f"unknown backend {backend!r}; available: {', '.join(LADDERS)}"
+            )
+        kernel_class = LADDERS[backend][-1]
+        if backend not in (AUTO_BACKEND, kernel_class.name):
             raise ConfigurationError(
                 f"backend {backend!r} executes whole trial studies; use "
                 "repro.sim.run_trials / TrialRunner instead of a single Simulator"
-            )
-        if backend not in available_backends():
-            raise ConfigurationError(
-                f"unknown backend {backend!r}; available: "
-                f"{', '.join(available_backends())}"
             )
         self._factory = protocol_factory
         self._adversary = adversary
@@ -132,6 +128,7 @@ class Simulator:
         self._seed_tree = SeedTree(seed)
         self._seed = seed if isinstance(seed, int) else None
         self._backend = backend
+        self._kernel_class = kernel_class
 
     @property
     def config(self) -> SimulatorConfig:
@@ -143,7 +140,7 @@ class Simulator:
 
     @property
     def backend(self) -> str:
-        """The requested backend (``"auto"`` until resolved per run)."""
+        """The requested backend (``"auto"`` runs ``"reference"``)."""
         return self._backend
 
     def run(self) -> SimulationResult:
@@ -158,5 +155,10 @@ class Simulator:
             seed=self._seed,
             protocol_name=getattr(self._factory, "protocol_name", None) or "protocol",
         )
-        kernel = select_kernel(self._backend, context)
+        kernel = self._kernel_class()
+        reason = kernel.unsupported_reason(context)
+        if reason is not None:
+            raise ConfigurationError(
+                f"backend {self._backend!r} unavailable: {reason}"
+            )
         return kernel.run(context)

@@ -24,33 +24,35 @@ Every recovery action is recorded on the study's
 Backends
 --------
 
-``backend`` accepts the study-level ladder:
+``backend`` takes any name of :data:`~repro.sim.backends.LADDERS`, the one
+table of what each name runs:
 
-* ``"batched-study"`` — the whole study (or each worker's shard of it) is
-  executed by :class:`~repro.sim.backends.BatchedStudyKernel` in one numpy
-  pass; requires a vector-eligible protocol and a precompilable adversary.
-  It runs only when pinned: ``auto`` skips it.
+* ``"auto"`` (default) — ``lockstep-jit``, then ``lockstep``, then each
+  trial on the ``reference`` kernel.  ``lockstep-jit`` is skipped outright
+  when the interpreter is off or the program has no compiled tables; the
+  lockstep tiers take every protocol with a columnar
+  :class:`~repro.protocols.base.LockstepProgram` (the paper's CJZ algorithm
+  and its variants, windowed/sawtooth/polynomial backoff, the
+  vector-eligible protocols) against any adversary, adaptive ones
+  included.  No rung depends on the trial count.  The age-profile
+  (vector-eligible) protocols run lockstep too: their program draws each
+  node's sends when it arrives, so the loop skips the slots in which none
+  of them sends.
 * ``"lockstep-jit"`` — the lockstep semantics lowered into one fused slot
   loop (:class:`~repro.sim.backends.CompiledStudyKernel`), numba-compiled
   when numba is installed; demotes automatically (and silently) to the
   numpy lockstep kernel when it cannot run, with identical results.
 * ``"lockstep"`` — the study is executed by
   :class:`~repro.sim.backends.LockstepStudyKernel`, which advances all
-  trials one slot at a time with array operations; serves every protocol
-  with a columnar :class:`~repro.protocols.base.LockstepProgram` (the
-  paper's CJZ algorithm and its variants, windowed/sawtooth/polynomial
-  backoff, the vector-eligible protocols) against any adversary, adaptive
-  ones included.
-* ``"auto"`` (default) — the lockstep tiers when the protocol has a
-  columnar program — compiled first, unless the interpreter is off or the
-  program has no compiled tables — else per trial the vectorized kernel
-  when eligible, else the reference kernel.  No rung depends on the trial
-  count.  The age-profile (vector-eligible) protocols run lockstep too:
-  their program draws each node's sends when it arrives, so the loop
-  skips the slots in which none of them sends.
+  trials one slot at a time with array operations.
+* ``"batched-study"`` — the whole study (or each worker's shard of it) is
+  executed by :class:`~repro.sim.backends.BatchedStudyKernel` in one numpy
+  pass; requires a vector-eligible protocol and a precompilable adversary.
 * ``"vectorized"`` / ``"reference"`` — per-trial kernels, forwarded to every
   :class:`~repro.sim.engine.Simulator`.
 
+A pinned study kernel that cannot run the study raises; one that bails at
+run time hands every trial to the per-trial ``reference`` kernel.
 Dispatch (:meth:`TrialRunner.run`) and :meth:`TrialRunner.explain_backend`
 read the same ladder walk, so the explanation names the rung that runs.
 All paths are seed-for-seed identical; only wall-clock differs.
@@ -92,14 +94,9 @@ from ..rng import SeedLike, SeedTree, TrialSeedBatch
 from .backends import (
     AUTO_BACKEND,
     COMPILED_BACKEND,
-    STUDY_BACKENDS,
-    BatchedStudyKernel,
-    CompiledStudyKernel,
+    LADDERS,
     KernelContext,
-    LockstepStudyKernel,
     SlotKernel,
-    available_study_backends,
-    select_kernel,
 )
 from .backends.studysupport import StudyProbe
 from .engine import Simulator, SimulatorConfig
@@ -414,10 +411,9 @@ class TrialRunner:
     ) -> None:
         if workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        if backend not in available_study_backends():
+        if backend not in LADDERS:
             raise ConfigurationError(
-                f"unknown backend {backend!r}; available: "
-                f"{', '.join(available_study_backends())}"
+                f"unknown backend {backend!r}; available: {', '.join(LADDERS)}"
             )
         if streaming and config.keep_trace:
             raise ConfigurationError(
@@ -440,10 +436,14 @@ class TrialRunner:
         """Execute one trial on the root seed tree, through the ladder.
 
         The trial draws from ``SeedTree(seed)``, the tree
-        ``Simulator(seed=...)`` uses, and runs on the rung
-        :meth:`explain_backend` selects.
+        ``Simulator(seed=...)`` uses, runs on the rung
+        :meth:`explain_backend` selects, and records an int ``seed`` as
+        that Simulator would.
         """
-        return self._run_chunk([SeedTree(seed)])[0]
+        result = self._run_chunk([SeedTree(seed)])[0]
+        if isinstance(seed, int):
+            result.seed = seed
+        return result
 
     def run(self, trials: int, seed: SeedLike = None) -> TrialStudy:
         if trials < 1:
@@ -487,10 +487,6 @@ class TrialRunner:
 
     # ------------------------------------------------------------- internals
 
-    def _per_trial_backend(self) -> str:
-        """The Simulator backend used when a trial runs individually."""
-        return AUTO_BACKEND if self._backend in STUDY_BACKENDS else self._backend
-
     def _absorb(self, result: SimulationResult, pipeline) -> SimulationResult:
         """Reduce one finished trial; in streaming mode drop its columns."""
         if pipeline is not None:
@@ -502,64 +498,58 @@ class TrialRunner:
     def _ladder(
         self, probe: StudyProbe
     ) -> Iterator[Tuple[Any, str, str, Optional[str]]]:
-        """Walk the backend ladder: ``(kernel, name, status, reason)`` per rung.
+        """Walk the backend's ladder: ``(kernel, name, status, reason)`` per rung.
 
-        ``status`` is ``eligible``, ``ineligible`` or ``skipped``; ``reason``
-        says why a rung is not eligible.  The study kernels come first, in
-        ladder order; the last rung is the per-trial path, whose kernel is
-        the :class:`~repro.sim.backends.SlotKernel` every trial runs, and it
-        is always eligible.  An explicitly requested backend that cannot run
-        raises :class:`~repro.errors.ConfigurationError`.  The walk is lazy,
-        so dispatch, which stops at the first rung that runs, never probes
-        the rungs below it.
+        The rungs are ``LADDERS[backend]``, in order.  ``status`` is
+        ``eligible``, ``ineligible`` or ``skipped`` (``auto`` skips
+        ``lockstep-jit`` when the interpreter cannot take the study at all);
+        ``reason`` says why a rung is not eligible.  The last rung is the
+        per-trial path, whose kernel is the
+        :class:`~repro.sim.backends.SlotKernel` every trial runs.  A rung
+        the backend names itself that cannot run raises
+        :class:`~repro.errors.ConfigurationError`.  The walk is lazy, so
+        dispatch, which stops at the first rung that runs, never probes the
+        rungs below it.
         """
-        for kernel in (
-            BatchedStudyKernel(),
-            CompiledStudyKernel(),
-            LockstepStudyKernel(),
-        ):
+        for kernel_class in LADDERS[self._backend]:
+            kernel = kernel_class()
             name = kernel.name
-            if self._backend not in (AUTO_BACKEND, name):
-                requested = f"backend={self._backend!r} requested"
-                yield kernel, name, "skipped", requested
-                continue
-            if self._backend == AUTO_BACKEND and name == BatchedStudyKernel.name:
-                yield kernel, name, "skipped", (
-                    "runs only when pinned with backend='batched-study'; "
-                    "auto sends its studies to lockstep"
+            if isinstance(kernel, SlotKernel):
+                # Slot-kernel eligibility reads the protocol, the
+                # adversary's flags and the channel type only, never the
+                # seed trees.
+                reason = kernel.unsupported_reason(
+                    KernelContext(
+                        protocol_factory=self._protocol_factory,
+                        adversary=probe.adversary,
+                        config=self._config,
+                        channel=MultipleAccessChannel(),
+                        adversary_tree=None,
+                        node_tree=None,
+                        seed=None,
+                        protocol_name="",
+                    )
                 )
-                continue
-            if self._backend == AUTO_BACKEND and name == COMPILED_BACKEND:
-                skip = kernel.auto_skip_reason(self._config, probe)
-                if skip is not None:
-                    yield kernel, name, "skipped", skip
-                    continue
-            reason = kernel.unsupported_reason(
-                self._protocol_factory,
-                self._adversary_factory,
-                self._config,
-                probe,
-            )
+                rung = f"per-trial ({name})"
+            else:
+                if self._backend == AUTO_BACKEND and name == COMPILED_BACKEND:
+                    skip = kernel.auto_skip_reason(self._config, probe)
+                    if skip is not None:
+                        yield kernel, name, "skipped", skip
+                        continue
+                reason = kernel.unsupported_reason(
+                    self._protocol_factory,
+                    self._adversary_factory,
+                    self._config,
+                    probe,
+                )
+                rung = name
             if reason is None:
-                yield kernel, name, "eligible", None
+                yield kernel, rung, "eligible", None
             elif self._backend == name:
                 raise ConfigurationError(f"backend {name!r} unavailable: {reason}")
             else:
-                yield kernel, name, "ineligible", reason
-        # Slot-kernel selection reads the protocol, the adversary's flags and
-        # the channel type only, never the seed trees.
-        context = KernelContext(
-            protocol_factory=self._protocol_factory,
-            adversary=probe.adversary,
-            config=self._config,
-            channel=MultipleAccessChannel(),
-            adversary_tree=None,
-            node_tree=None,
-            seed=None,
-            protocol_name="",
-        )
-        kernel = select_kernel(self._per_trial_backend(), context)
-        yield kernel, f"per-trial ({kernel.name})", "eligible", None
+                yield kernel, rung, "ineligible", reason
 
     def _run_chunk(
         self,

@@ -40,15 +40,6 @@ class TestChannelProperties:
         }
         assert feedback is mapping[outcome]
 
-    @given(slots=st.lists(st.tuples(node_ids, st.booleans()), max_size=30))
-    def test_counters_are_consistent(self, slots):
-        channel = MultipleAccessChannel()
-        for broadcasters, jammed in slots:
-            channel.resolve(broadcasters, jammed=jammed)
-        assert channel.slots_resolved == len(slots)
-        assert channel.successes <= channel.slots_resolved
-        assert channel.jammed_slots == sum(1 for _, jammed in slots if jammed)
-
 
 class TestVirtualChannelProperties:
     @given(anchor=st.integers(min_value=1, max_value=10_000), same=st.booleans(),

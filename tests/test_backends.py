@@ -26,12 +26,13 @@ from repro.sim import (
     Simulator,
     SimulatorConfig,
     TrialRunner,
-    available_backends,
     available_study_backends,
     run_trials,
 )
+from repro.sim.backends import LADDERS
 from repro.sim.backends import batched as batched_module
 from repro.sim.backends import vectorized as vectorized_module
+from repro.spec import PROTOCOLS, AdversarySpec, ProtocolSpec
 
 
 def make_simulator(factory, adversary, backend="auto", horizon=128, seed=1, **kwargs):
@@ -46,7 +47,20 @@ def make_simulator(factory, adversary, backend="auto", horizon=128, seed=1, **kw
 
 class TestBackendSelection:
     def test_available_backends(self):
-        assert available_backends() == ("auto", "reference", "vectorized")
+        # One table decides what each name walks: its study kernels in
+        # order, then the per-trial kernel.
+        walks = {
+            name: [kernel.name for kernel in ladder]
+            for name, ladder in LADDERS.items()
+        }
+        assert walks == {
+            "auto": ["lockstep-jit", "lockstep", "reference"],
+            "batched-study": ["batched-study", "reference"],
+            "lockstep": ["lockstep", "reference"],
+            "lockstep-jit": ["lockstep-jit", "reference"],
+            "reference": ["reference"],
+            "vectorized": ["vectorized"],
+        }
 
     def test_available_study_backends(self):
         assert available_study_backends() == (
@@ -75,11 +89,11 @@ class TestBackendSelection:
                 backend="warp-drive",
             )
 
-    def test_auto_picks_vectorized_for_eligible_protocol(self):
+    def test_auto_runs_reference_for_eligible_protocol(self):
         result = make_simulator(
             make_factory(SlottedAloha, 0.2), ScheduleAdversary.single_batch(4)
         ).run()
-        assert result.backend == "vectorized"
+        assert result.backend == "reference"
 
     def test_auto_falls_back_for_adaptive_protocol(self):
         result = make_simulator(cjz_factory(), ScheduleAdversary.single_batch(4)).run()
@@ -125,23 +139,6 @@ class TestResultProvenance:
         assert result.wall_time_seconds > 0.0
         assert result.slots_per_second > 0.0
         assert result.slots_per_second == result.horizon / result.wall_time_seconds
-
-    def test_channel_counters_match_reference(self):
-        def run(backend):
-            simulator = make_simulator(
-                make_factory(SlottedAloha, 0.2),
-                ComposedAdversary(BatchArrivals(6), RandomFractionJamming(0.2)),
-                backend=backend,
-                seed=3,
-            )
-            simulator.run()
-            return (
-                simulator.channel.slots_resolved,
-                simulator.channel.successes,
-                simulator.channel.jammed_slots,
-            )
-
-        assert run("reference") == run("vectorized")
 
     def test_memory_guard_falls_back_to_replay(self, monkeypatch):
         reference = make_simulator(
@@ -373,7 +370,7 @@ class TestBatchedStudyBackend:
             backend="auto",
             keep_trace=True,
         )
-        assert all(r.backend == "vectorized" for r in study)
+        assert all(r.backend == "reference" for r in study)
         assert all(r.trace is not None for r in study)
 
     def test_adaptive_study_auto_uses_lockstep(self):
@@ -443,9 +440,9 @@ class TestBatchedStudyBackend:
             seed=3,
             backend="batched-study",
         )
-        # The whole-study fast path bails; trials escalate to the per-trial
-        # ladder, which still produces identical results.
-        assert all(r.backend == "vectorized" for r in study)
+        # The whole-study fast path bails; every trial runs on the per-trial
+        # reference kernel, which still produces identical results.
+        assert all(r.backend == "reference" for r in study)
 
     def test_wall_time_recorded(self):
         study = run_trials(
@@ -470,6 +467,10 @@ def _aloha_batch():
 
 def _aloha_reactive():
     return ComposedAdversary(BatchArrivals(6), ReactiveJamming(0.25))
+
+
+#: The rungs ``auto`` walks, as ``explain_backend`` names them.
+AUTO_WALK = ["lockstep-jit", "lockstep", "per-trial (reference)"]
 
 
 class TestExplainMatchesDispatch:
@@ -501,7 +502,7 @@ class TestExplainMatchesDispatch:
                 _aloha_batch,
                 2,
                 True,
-                "vectorized",
+                "reference",
                 id="aloha-keep-trace",
             ),
             pytest.param(
@@ -525,10 +526,7 @@ class TestExplainMatchesDispatch:
         )
         rows = runner.explain_backend()
         selected = [row["backend"] for row in rows if row["status"] == "selected"]
-        # auto never takes the batched rung: it runs only when pinned.
-        (batched,) = [row for row in rows if row["backend"] == "batched-study"]
-        assert batched["status"] == "skipped"
-        assert "only when pinned" in batched["reason"]
+        assert [row["backend"] for row in rows] == AUTO_WALK
         study = runner.run(trials, seed=3)
         assert {r.backend for r in study} == {executed}
         assert selected in ([executed], [f"per-trial ({executed})"])
@@ -547,6 +545,43 @@ class TestExplainMatchesDispatch:
             runner.run(2, seed=1)
         assert str(explained.value) == str(ran.value)
         assert f"backend {backend!r} unavailable" in str(ran.value)
+
+
+class TestAutoWalk:
+    """``auto`` walks lockstep-jit, then lockstep, then per-trial reference."""
+
+    @pytest.mark.parametrize("kind", PROTOCOLS.kinds())
+    def test_auto_walks_only_the_table_rungs(self, monkeypatch, kind):
+        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
+        runner = TrialRunner(
+            ProtocolSpec(kind=kind),
+            AdversarySpec.batch(6, jam_fraction=0.2),
+            SimulatorConfig(horizon=48),
+        )
+        rows = runner.explain_backend()
+        assert [row["backend"] for row in rows] == AUTO_WALK
+        (selected,) = [row["backend"] for row in rows if row["status"] == "selected"]
+        ran = runner.run_single(4).backend
+        assert selected in (ran, f"per-trial ({ran})")
+
+    def test_keep_trace_aloha_runs_reference_like_pinned_vectorized(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
+
+        def run(backend):
+            return TrialRunner(
+                make_factory(SlottedAloha, 0.2),
+                _aloha_batch,
+                SimulatorConfig(horizon=60, keep_trace=True),
+                backend=backend,
+            ).run_single(3)
+
+        auto, vectorized = run("auto"), run("vectorized")
+        assert (auto.backend, vectorized.backend) == ("reference", "vectorized")
+        assert auto.summary == vectorized.summary
+        assert auto.node_stats == vectorized.node_stats
+        assert auto.counters == vectorized.counters
 
 
 class TestInterpreterMode:

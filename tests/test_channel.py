@@ -62,17 +62,6 @@ class TestMultipleAccessChannel:
         outcome, _, _ = channel.resolve([], jammed=True)
         assert outcome is SlotOutcome.COLLISION
 
-    def test_counters(self):
-        channel = MultipleAccessChannel()
-        channel.resolve([1])
-        channel.resolve([1, 2])
-        channel.resolve([], jammed=True)
-        assert channel.slots_resolved == 3
-        assert channel.successes == 1
-        assert channel.jammed_slots == 1
-        channel.reset()
-        assert channel.slots_resolved == 0
-
     def test_collision_detection_feedback(self):
         channel = MultipleAccessChannel(WithCollisionDetection())
         _, _, silence = channel.resolve([])

@@ -73,6 +73,42 @@ class TestCommands:
             f"mean latency: {expected.mean_latency():.1f} slots",
         ]
 
+    @pytest.mark.parametrize("backend", ["lockstep", "lockstep-jit"])
+    def test_simulate_takes_the_runners_backends(
+        self, monkeypatch, capsys, backend
+    ):
+        # Without the interpreter a lockstep-jit pin demotes to lockstep.
+        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
+        code = main(
+            [
+                "simulate",
+                "--arrivals",
+                "8",
+                "--horizon",
+                "256",
+                "--seed",
+                "3",
+                "--backend",
+                backend,
+            ]
+        )
+        assert code == 0
+        assert "\nbackend: lockstep (" in capsys.readouterr().out
+
+    def test_simulate_vectorized_is_a_clean_error(self, capsys):
+        code = main(["simulate", "--horizon", "256", "--backend", "vectorized"])
+        assert code == 2
+        assert "error: backend 'vectorized' unavailable" in capsys.readouterr().err
+
+    def test_quick_run_takes_a_study_backend(self):
+        from repro import quick_run
+
+        result = quick_run(arrivals=8, horizon=256, seed=3, backend="lockstep")
+        reference = quick_run(arrivals=8, horizon=256, seed=3, backend="reference")
+        assert (result.backend, reference.backend) == ("lockstep", "reference")
+        assert result.summary == reference.summary
+        assert result.node_stats == reference.node_stats
+
     def test_run_command_smoke(self, capsys):
         code = main(["run", "E5", "--trials", "2", "--scale", "smoke", "--seed", "7"])
         out = capsys.readouterr().out

@@ -17,8 +17,9 @@ import pytest
 
 from repro import faults
 from repro.cli import build_parser, main
+from repro.errors import ServeError
 from repro.serve import BackgroundServer, ServeClient, ShardedStudyStore
-from repro.spec import AdversarySpec, ProtocolSpec, StudySpec
+from repro.spec import AdversarySpec, ProtocolSpec, StudySpec, StudyStore
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -162,6 +163,16 @@ class TestAgainstBackgroundServer:
         assert code == 2
         assert "spec hash" in capsys.readouterr().err
 
+    def test_server_over_a_plain_store_refuses_to_start(self, tmp_path):
+        root = tmp_path / "plain"
+        spec = aloha_spec(horizon=128)
+        StudyStore(root).put(spec, spec.run())
+        before = sorted(root.rglob("*"))
+        with pytest.raises(ServeError, match="holds a plain study store"):
+            with BackgroundServer(root):
+                pass
+        assert sorted(root.rglob("*")) == before
+
     def test_unreachable_server_is_a_clean_error(self, capsys):
         code = main(["client", "stats", "--server", "127.0.0.1:1"])
         assert code == 2
@@ -207,6 +218,24 @@ class TestStoreCommand:
         code = main(["store", "evict", "--root", str(tmp_path / "store")])
         assert code == 2
         assert "--budget" in capsys.readouterr().err
+
+    def test_plain_sweep_store_is_refused_untouched(self, tmp_path, capsys):
+        root = tmp_path / "plain"
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(aloha_spec(horizon=128).to_json())
+        sweep = ["sweep", "--spec", str(spec_file), "--axis", "seed=1,2"]
+        assert main([*sweep, "--store", str(root)]) == 0
+        capsys.readouterr()
+        before = sorted(root.rglob("*"))
+        assert main(["store", "stats", "--root", str(root)]) == 2
+        assert f"{root / 'ring.json'} is missing" in capsys.readouterr().err
+        assert sorted(root.rglob("*")) == before
+
+    def test_missing_root_is_an_error_and_creates_nothing(self, tmp_path, capsys):
+        root = tmp_path / "typo"
+        assert main(["store", "stats", "--root", str(root)]) == 2
+        assert f"no sharded store at {root}" in capsys.readouterr().err
+        assert not root.exists()
 
 
 @pytest.mark.slow

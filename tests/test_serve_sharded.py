@@ -52,6 +52,12 @@ class TestTopology:
         again = ShardedStudyStore(tmp_path, shards=2)
         assert len(again.shards) == 2
 
+    def test_plain_store_root_rejected_without_a_ring(self, tmp_path):
+        fill(StudyStore(tmp_path), 1)
+        with pytest.raises(SpecError, match="holds a plain study store"):
+            ShardedStudyStore(tmp_path)
+        assert not (tmp_path / "ring.json").exists()
+
     def test_corrupt_ring_config_rejected(self, tmp_path):
         ShardedStudyStore(tmp_path, shards=2)
         (tmp_path / "ring.json").write_text("{not json")
